@@ -4,26 +4,74 @@ The hot loops (nearest-centroid assignment, majority votes, joint-mass
 tables) all operate on a (n_strings, width) uint8 bit matrix plus a float
 weight vector. Packing happens once per mitigation run and the resulting
 arrays are shared across all cluster counts.
+
+The conversions between ``BitString`` objects and bit rows, and the shot
+tally, work at any width: a row packs into big-endian uint64 words, so
+word tuples compare like values.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
 from .distributions import BitString, OutcomeDistribution
 
-__all__ = ["PackedDistribution", "bits_to_value", "value_to_bits"]
+__all__ = ["PackedDistribution", "rows_to_strings", "strings_to_rows", "tally_rows"]
 
 
-def value_to_bits(value: int, width: int) -> np.ndarray:
-    return np.frombuffer(format(value, f"0{width}b").encode(), dtype=np.uint8) - ord("0")
+def strings_to_rows(strings: Iterable[BitString], width: int) -> np.ndarray:
+    """(n, width) uint8 bit matrix, one row per bit-string."""
+    blob = "".join(b.text for b in strings).encode()
+    return (np.frombuffer(blob, dtype=np.uint8) - ord("0")).reshape(-1, width)
 
 
-def bits_to_value(row: np.ndarray) -> int:
-    v = 0
-    for bit in row:
-        v = (v << 1) | int(bit)
-    return v
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """(n, ceil(width/64)) uint64 words of each row, most significant first."""
+    n, width = bits.shape
+    n_bytes, n_words = -(-width // 8), -(-width // 64)
+    padded = np.zeros((n, 8 * n_bytes), dtype=np.uint8)
+    padded[:, 8 * n_bytes - width :] = bits
+    raw = np.zeros((n, 8 * n_words), dtype=np.uint8)
+    raw[:, 8 * n_words - n_bytes :] = np.packbits(padded.ravel()).reshape(n, n_bytes)
+    return raw.view(">u8").astype(np.uint64)
+
+
+def _words_to_strings(words: np.ndarray, width: int) -> list[BitString]:
+    values = words[:, 0].tolist()
+    for column in words[:, 1:].T:
+        values = [(v << 64) | w for v, w in zip(values, column.tolist())]
+    return [BitString(v, width) for v in values]
+
+
+def rows_to_strings(bits: np.ndarray) -> list[BitString]:
+    """One BitString per row of a (n, width) 0/1 matrix."""
+    return _words_to_strings(_pack_words(bits), bits.shape[1])
+
+
+def tally_rows(bits: np.ndarray) -> tuple[list[BitString], np.ndarray]:
+    """Distinct rows of a 0/1 matrix in ascending value order, with counts.
+
+    Each further word folds into a 1-D key as (rank of the key so far) *
+    n + (rank of the word); ranks are below n, so keys order like word
+    tuples. The rank tables turn the final keys back into words.
+    """
+    words = _pack_words(bits)
+    n = len(words)
+    key = words[:, 0]
+    tables = []
+    for j in range(1, words.shape[1]):
+        prefix, rank = np.unique(key, return_inverse=True)
+        column, sub = np.unique(words[:, j], return_inverse=True)
+        tables.append((prefix, column))
+        key = rank * n + sub
+    key, counts = np.unique(key, return_counts=True)
+    columns = []
+    for prefix, column in reversed(tables):
+        columns.insert(0, column[key % n])
+        key = prefix[key // n]
+    return _words_to_strings(np.column_stack([key, *columns]), bits.shape[1]), counts
 
 
 class PackedDistribution:
@@ -38,8 +86,7 @@ class PackedDistribution:
         self.width = dist.width
         self.strings = strings
         self.weights = np.array([dist.get(b) for b in strings], dtype=np.float64)
-        blob = "".join(b.text for b in strings).encode()
-        self.bits = (np.frombuffer(blob, dtype=np.uint8) - ord("0")).reshape(len(strings), dist.width)
+        self.bits = strings_to_rows(strings, dist.width)
         self.total = float(self.weights.sum())
         self._top_order: np.ndarray | None = None
 
@@ -57,6 +104,3 @@ class PackedDistribution:
     def hamming_to(self, centroid_bits: np.ndarray) -> np.ndarray:
         """(n, k) Hamming distances between every row and every centroid row."""
         return (self.bits[:, None, :] ^ centroid_bits[None, :, :]).sum(axis=2, dtype=np.int64)
-
-    def string_for_bits(self, row: np.ndarray) -> BitString:
-        return BitString(bits_to_value(row), self.width)

@@ -34,16 +34,38 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _ranged(parse, ok, expected: str):
+    """argparse ``type`` that also range-checks, so a bad value is a usage
+    error naming its flag, raised before any work starts."""
+
+    def convert(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {expected}, got {text}")
+        return value
+
+    convert.__name__ = parse.__name__  # "invalid float value" on a parse error
+    return convert
+
+
+_SEED = _ranged(int, lambda v: v >= 0, "be a non-negative integer")
+_RATE = _ranged(float, lambda v: 0.0 <= v <= 0.5, "lie in [0, 0.5]")
+_SCALE = _ranged(float, lambda v: 0.0 <= v < float("inf"), "be a finite number >= 0")
+_THRESHOLD = _ranged(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+_COUNT = _ranged(int, lambda v: v >= 1, "be at least 1")
+_FOLDS = _ranged(int, lambda v: v >= 2, "be at least 2")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qemclust", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0, help="global RNG seed (default 0)")
+    parser.add_argument("--seed", type=_SEED, default=0, help="global RNG seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate an ideal/noisy counts pair")
-    sim.add_argument("--n", type=int, required=True, help="qubit count")
-    sim.add_argument("--d", type=int, required=True, help="number of dominant bit-strings")
-    sim.add_argument("--p", type=float, required=True, help="bit-flip rate in [0, 0.5]")
-    sim.add_argument("--shots", type=int, default=8192)
+    sim.add_argument("--n", type=_COUNT, required=True, help="qubit count")
+    sim.add_argument("--d", type=_COUNT, required=True, help="number of dominant bit-strings")
+    sim.add_argument("--p", type=_RATE, required=True, help="bit-flip rate in [0, 0.5]")
+    sim.add_argument("--shots", type=_COUNT, default=8192)
     sim.add_argument("--out-ideal", required=True, help="ideal (pre-noise) counts file")
     sim.add_argument("--out-noisy", required=True, help="noisy counts file")
     sim.add_argument("--out-probs", help="optional exact ideal distribution file")
@@ -51,39 +73,39 @@ def _build_parser() -> _Parser:
 
     mit = sub.add_parser("mitigate", help="mitigate a noisy counts file")
     mit.add_argument("counts", help="noisy counts file")
-    mit.add_argument("--p", type=float, help="bit-flip rate; alternative to --model")
+    mit.add_argument("--p", type=_RATE, help="bit-flip rate; alternative to --model")
     mit.add_argument("--model", help="tree-ensemble model file for rate estimation")
     mit.add_argument("--features", help="circuit features file (with --model)")
     mit.add_argument("--calibration", help="calibration file, used when features lack ESP")
-    mit.add_argument("--p-scale", type=float, default=1.0, help="multiply the rate (e.g. 1.5)")
-    mit.add_argument("--delta", type=float, default=0.95, help="stopping threshold (default 0.95)")
-    mit.add_argument("--fixed-k", type=int, help="disable the iterative mode, use this k")
+    mit.add_argument("--p-scale", type=_SCALE, default=1.0, help="multiply the rate (e.g. 1.5)")
+    mit.add_argument("--delta", type=_THRESHOLD, default=0.95, help="stopping threshold (default 0.95)")
+    mit.add_argument("--fixed-k", type=_COUNT, help="disable the iterative mode, use this k")
     mit.add_argument("--out", help="mitigated distribution file")
     mit.add_argument("--report", help="mitigation report JSON file")
     mit.add_argument("--hf-against", help="ideal counts/distribution file for fidelity scoring")
 
     swp = sub.add_parser("sweep", help="run a synthetic sensitivity sweep grid")
-    swp.add_argument("--n", type=int, nargs="+", required=True)
-    swp.add_argument("--d", type=int, nargs="+", required=True)
-    swp.add_argument("--p", type=float, nargs="+", required=True)
-    swp.add_argument("--pe", type=float, nargs="+", help="supplied rates (default: true rates)")
-    swp.add_argument("--delta", type=float, nargs="+", default=[0.95])
-    swp.add_argument("--shots", type=int, default=8192)
-    swp.add_argument("--trials", type=int, default=10)
-    swp.add_argument("--fixed-k", type=int, nargs="+", help="run these fixed cluster counts")
+    swp.add_argument("--n", type=_COUNT, nargs="+", required=True)
+    swp.add_argument("--d", type=_COUNT, nargs="+", required=True)
+    swp.add_argument("--p", type=_RATE, nargs="+", required=True)
+    swp.add_argument("--pe", type=_RATE, nargs="+", help="supplied rates (default: true rates)")
+    swp.add_argument("--delta", type=_THRESHOLD, nargs="+", default=[0.95])
+    swp.add_argument("--shots", type=_COUNT, default=8192)
+    swp.add_argument("--trials", type=_COUNT, default=10)
+    swp.add_argument("--fixed-k", type=_COUNT, nargs="+", help="run these fixed cluster counts")
     swp.add_argument("--workers", type=int, default=1)
     swp.add_argument("--out", required=True, help="output CSV path")
     swp.add_argument("--no-timing", action="store_true", help="blank the wall-time column")
 
     trn = sub.add_parser("train", help="fit the error-rate estimator on a corpus")
     trn.add_argument("--corpus", help="training corpus CSV (default: synthesize one)")
-    trn.add_argument("--synthesize", type=int, metavar="N", help="generate an N-sample corpus")
+    trn.add_argument("--synthesize", type=_COUNT, metavar="N", help="generate an N-sample corpus")
     trn.add_argument("--save-corpus", help="where to write a synthesized corpus")
     trn.add_argument("--out", required=True, help="model file")
     trn.add_argument("--metrics", help="cross-validation metrics JSON file")
-    trn.add_argument("--folds", type=int, default=5)
-    trn.add_argument("--trees", type=int, default=100)
-    trn.add_argument("--min-samples-leaf", type=int, default=1)
+    trn.add_argument("--folds", type=_FOLDS, default=5)
+    trn.add_argument("--trees", type=_COUNT, default=100)
+    trn.add_argument("--min-samples-leaf", type=_COUNT, default=1)
 
     est = sub.add_parser("estimate", help="print the effective error rate for a circuit")
     est.add_argument("--model", required=True)
@@ -112,24 +134,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _resolve_rate(args, noisy) -> float:
-    sources = sum(x is not None for x in (args.p, args.model))
-    if sources != 1:
-        raise _UsageError("exactly one of --p or --model must be given")
     if args.p is not None:
         rate = args.p
     else:
-        if not args.features:
-            raise _UsageError("--model requires --features")
         model = io.load_model(args.model)
         raw = io.read_features_file(args.features)
         calibration = io.read_calibration(args.calibration) if args.calibration else None
         features = io.build_features(raw, calibration, entropy=normalized_entropy(noisy))
         rate = model.predict(features)
-    rate = rate * args.p_scale
-    return min(max(rate, 0.0), 0.5)
+    return min(rate * args.p_scale, 0.5)
 
 
 def _cmd_mitigate(args) -> int:
+    if (args.p is None) == (args.model is None):
+        raise _UsageError("exactly one of --p or --model must be given")
+    if args.model is not None and not args.features:
+        raise _UsageError("--model requires --features")
     noisy, _meta = io.read_counts(args.counts)
     rate = _resolve_rate(args, noisy)
     cfg = MitigationConfig(flip_rate=rate, stop_threshold=args.delta, fixed_k=args.fixed_k)

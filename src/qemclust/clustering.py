@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._packed import PackedDistribution
+from ._packed import PackedDistribution, rows_to_strings, strings_to_rows
 from .distributions import BitString, OutcomeDistribution
 
 __all__ = [
@@ -110,33 +110,17 @@ def qubitwise_majority_vote(
     keep the incumbent centroid's bit when one is given, and fall back to
     0 otherwise.
     """
-    items = list(members.items())
-    if not items:
+    if not members:
         raise EmptyClusterError("majority vote over an empty cluster")
-    width = items[0][0].width
-    total = 0.0
-    ones = [0.0] * width
-    for b, w in items:
-        if b.width != width:
-            raise ValueError("members must share one width")
-        total += w
-        for i in range(width):
-            if b.bit(i):
-                ones[i] += w
-    if total <= 0:
+    width = next(iter(members)).width
+    dist = OutcomeDistribution(width, members)  # members must share one width
+    if dist.total <= 0:
         raise EmptyClusterError("majority vote over zero total weight")
     if incumbent is not None and incumbent.width != width:
         raise ValueError("incumbent width does not match members")
-    value = 0
-    for i in range(width):
-        if ones[i] * 2 > total:
-            bit = 1
-        elif ones[i] * 2 < total:
-            bit = 0
-        else:
-            bit = incumbent.bit(i) if incumbent is not None else 0
-        value = (value << 1) | bit
-    return BitString(value, width)
+    packed = PackedDistribution(dist)
+    tie_row = strings_to_rows([BitString(0, width) if incumbent is None else incumbent], width)[0]
+    return rows_to_strings(_vote_rows(packed, np.ones(len(packed), dtype=bool), tie_row)[None, :])[0]
 
 
 def _vote_rows(packed: PackedDistribution, member_mask: np.ndarray, incumbent: np.ndarray) -> np.ndarray:
@@ -204,7 +188,7 @@ def cluster(dist: OutcomeDistribution, cfg: ClusterConfig) -> ClusterModel:
     centroid_bits, weights, nearest, outlier, converged, rounds = _cluster_packed(
         packed, cfg.k, theta, cfg.max_rounds
     )
-    centroids = tuple(packed.string_for_bits(row) for row in centroid_bits)
+    centroids = tuple(rows_to_strings(centroid_bits))
     assignments = {
         packed.strings[i]: int(nearest[i]) for i in range(len(packed)) if not outlier[i]
     }

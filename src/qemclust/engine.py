@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._packed import PackedDistribution
+from ._packed import PackedDistribution, rows_to_strings
 from .clustering import _cluster_packed, outlier_threshold
 from .distributions import (
     BitString,
@@ -26,7 +26,7 @@ from .distributions import (
     improvement_ratio,
 )
 from .noise import NoiseSpec, SyntheticSpec, apply_bitflip, generate_ideal, sample_shots
-from .redistribution import DegenerateMitigationError, _redistribute_packed
+from .redistribution import DegenerateMitigationError, _mitigated_distribution, _redistribute_packed
 
 __all__ = [
     "MitigationConfig",
@@ -106,32 +106,20 @@ def _one_pass(
     theta: int,
     flip_rate: float,
     max_rounds: int,
-) -> tuple[OutcomeDistribution, tuple[BitString, ...]]:
-    """Cluster at the given k and redistribute; raises on degenerate output."""
+) -> tuple[OutcomeDistribution, tuple[BitString, ...], bool]:
+    """Cluster at the given k and redistribute: (output, centroids,
+    degenerate); a degenerate pass falls back to the input view."""
     centroid_bits, weights, _nearest, _outlier, _conv, _rounds = _cluster_packed(
         packed, k, theta, max_rounds
     )
-    centroids = tuple(packed.string_for_bits(row) for row in centroid_bits)
-    if flip_rate == 0.0:
-        # zero-rate channel: redistribution is the identity, bit-exactly
-        return noisy_view, centroids
-    masses, _removed, centroid_masses, _claims = _redistribute_packed(
-        packed, centroid_bits, weights, flip_rate
-    )
-    out: dict[BitString, float] = {}
-    for i, b in enumerate(packed.strings):
-        if masses[i] > 0:
-            out[b] = float(masses[i])
-    for c, m in zip(centroids, centroid_masses):
-        if m > 0:
-            out[c] = out.get(c, 0.0) + float(m)
-    total = sum(out.values())
-    if total <= 0:
-        raise DegenerateMitigationError("redistribution removed every bit-string")
-    return (
-        OutcomeDistribution(packed.width, {b: m / total for b, m in out.items()}),
-        centroids,
-    )
+    centroids = tuple(rows_to_strings(centroid_bits))
+    try:
+        out, _arrays = _mitigated_distribution(
+            packed, noisy_view, centroids, weights, flip_rate, _redistribute_packed
+        )
+    except DegenerateMitigationError:
+        return noisy_view, (), True
+    return out, centroids, False
 
 
 def mitigate(noisy: OutcomeDistribution, cfg: MitigationConfig) -> MitigationReport:
@@ -152,11 +140,7 @@ def mitigate(noisy: OutcomeDistribution, cfg: MitigationConfig) -> MitigationRep
 
     if cfg.fixed_k is not None:
         k = min(cfg.fixed_k, len(packed))
-        try:
-            out, centroids = _one_pass(packed, noisy_view, k, theta, cfg.flip_rate, cfg.max_rounds)
-            degenerate = False
-        except DegenerateMitigationError:
-            out, centroids, degenerate = noisy_view, (), True
+        out, centroids, degenerate = _one_pass(packed, noisy_view, k, theta, cfg.flip_rate, cfg.max_rounds)
         rec = IterationRecord(k, centroids, out, hellinger_fidelity(out, noisy_view), degenerate)
         return MitigationReport(out, k, (rec,), "fixed")
 
@@ -164,11 +148,7 @@ def mitigate(noisy: OutcomeDistribution, cfg: MitigationConfig) -> MitigationRep
     previous = noisy_view
     k_max = len(packed)
     for k in range(1, k_max + 1):
-        try:
-            out, centroids = _one_pass(packed, noisy_view, k, theta, cfg.flip_rate, cfg.max_rounds)
-            degenerate = False
-        except DegenerateMitigationError:
-            out, centroids, degenerate = noisy_view, (), True
+        out, centroids, degenerate = _one_pass(packed, noisy_view, k, theta, cfg.flip_rate, cfg.max_rounds)
         hf_prev = hellinger_fidelity(out, previous)
         records.append(IterationRecord(k, centroids, out, hf_prev, degenerate))
         if k >= 2 and hf_prev > cfg.stop_threshold:

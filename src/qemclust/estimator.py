@@ -70,15 +70,8 @@ class CircuitFeatures:
     esp: float
 
     def __post_init__(self) -> None:
-        counts = {
-            "num_qubits": self.num_qubits,
-            "num_measurements": self.num_measurements,
-            "num_2q_gates": self.num_2q_gates,
-            "num_sx_gates": self.num_sx_gates,
-            "num_x_gates": self.num_x_gates,
-            "num_rz_gates": self.num_rz_gates,
-        }
-        for name, v in counts.items():
+        for name in FEATURE_NAMES[:6]:  # the integer circuit counts
+            v = getattr(self, name)
             if v < 0:
                 raise ValueError(f"{name} must be >= 0, got {v}")
         if self.num_qubits < 1:

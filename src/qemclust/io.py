@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -58,7 +59,7 @@ class DataFormatError(ValueError):
     """A file failed validation; the message names the file and offender."""
 
 
-def _load_json(path: str, expected_format: str) -> dict:
+def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -68,6 +69,11 @@ def _load_json(path: str, expected_format: str) -> dict:
         raise DataFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: expected a JSON object")
+    return doc
+
+
+def _load_json(path: str, expected_format: str) -> dict:
+    doc = _read_json(path)
     if doc.get("format") != expected_format:
         raise DataFormatError(
             f"{path}: expected format {expected_format!r}, got {doc.get('format')!r}"
@@ -77,36 +83,56 @@ def _load_json(path: str, expected_format: str) -> dict:
     return doc
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not 1 and 0."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
 def _dump_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def read_counts(path: str) -> tuple[OutcomeDistribution, dict]:
-    """Load a counts file; returns the distribution and its metadata."""
-    doc = _load_json(path, COUNTS_FORMAT)
+def _read_weights(path: str, expected_format: str, field: str, name: str, rule: str, valid):
+    """Load a file whose ``field`` maps width-bit keys to weights.
+
+    Returns the JSON document and the distribution. Every weight must pass
+    ``valid`` (``name`` and ``rule`` word the error) and one must be positive.
+    """
+    doc = _load_json(path, expected_format)
     width = doc.get("width")
-    counts = doc.get("counts")
-    if not isinstance(width, int) or width < 1:
+    weights = doc.get(field)
+    if not _is_int(width) or width < 1:
         raise DataFormatError(f"{path}: 'width' must be a positive integer")
-    if not isinstance(counts, dict) or not counts:
-        raise DataFormatError(f"{path}: 'counts' must be a nonempty object")
+    if not isinstance(weights, dict) or not weights:
+        raise DataFormatError(f"{path}: {field!r} must be a nonempty object")
     entries: dict[BitString, float] = {}
-    positive = False
-    for key, val in counts.items():
+    for key, val in weights.items():
         if len(key) != width or set(key) - {"0", "1"}:
             raise DataFormatError(f"{path}: key {key!r} is not a width-{width} bit-string")
-        if not isinstance(val, int) or val < 0:
-            raise DataFormatError(f"{path}: count for key {key!r} must be an integer >= 0")
-        positive = positive or val > 0
+        if not valid(val):
+            raise DataFormatError(f"{path}: {name} for key {key!r} must be {rule}")
         entries[BitString.from_text(key)] = val
-    if not positive:
-        raise DataFormatError(f"{path}: at least one count must be positive")
+    dist = OutcomeDistribution(width, entries)
+    if dist.total <= 0:
+        raise DataFormatError(f"{path}: at least one {name} must be positive")
+    return doc, dist
+
+
+def read_counts(path: str) -> tuple[OutcomeDistribution, dict]:
+    """Load a counts file; returns the distribution and its metadata."""
+    doc, dist = _read_weights(
+        path, COUNTS_FORMAT, "counts", "count", "an integer >= 0", lambda v: _is_int(v) and v >= 0
+    )
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DataFormatError(f"{path}: 'metadata' must be an object")
-    return OutcomeDistribution(width, entries), metadata
+    return dist, metadata
 
 
 def write_counts(dist: OutcomeDistribution, path: str, metadata: Mapping | None = None) -> None:
@@ -124,21 +150,14 @@ def write_counts(dist: OutcomeDistribution, path: str, metadata: Mapping | None 
 
 
 def read_distribution(path: str) -> OutcomeDistribution:
-    doc = _load_json(path, DISTRIBUTION_FORMAT)
-    width = doc.get("width")
-    probs = doc.get("probabilities")
-    if not isinstance(width, int) or width < 1:
-        raise DataFormatError(f"{path}: 'width' must be a positive integer")
-    if not isinstance(probs, dict) or not probs:
-        raise DataFormatError(f"{path}: 'probabilities' must be a nonempty object")
-    entries: dict[BitString, float] = {}
-    for key, val in probs.items():
-        if len(key) != width or set(key) - {"0", "1"}:
-            raise DataFormatError(f"{path}: key {key!r} is not a width-{width} bit-string")
-        if not isinstance(val, (int, float)) or val < 0:
-            raise DataFormatError(f"{path}: probability for key {key!r} must be >= 0")
-        entries[BitString.from_text(key)] = float(val)
-    return OutcomeDistribution(width, entries)
+    return _read_weights(
+        path,
+        DISTRIBUTION_FORMAT,
+        "probabilities",
+        "probability",
+        "a finite number >= 0",
+        lambda v: _is_number(v) and 0 <= v < math.inf,
+    )[1]
 
 
 def write_distribution(dist: OutcomeDistribution, path: str) -> None:
@@ -157,14 +176,7 @@ def write_distribution(dist: OutcomeDistribution, path: str) -> None:
 
 def read_any_distribution(path: str) -> OutcomeDistribution:
     """Accept either a counts file or a probability-distribution file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise DataFormatError(f"{path}: file not found") from None
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    fmt = doc.get("format") if isinstance(doc, dict) else None
+    fmt = _read_json(path).get("format")
     if fmt == COUNTS_FORMAT:
         return read_counts(path)[0]
     if fmt == DISTRIBUTION_FORMAT:
@@ -180,6 +192,8 @@ def read_calibration(path: str) -> CalibrationSnapshot:
         raise DataFormatError(f"{path}: 'gate_errors' must be an object")
     if not isinstance(readout, list):
         raise DataFormatError(f"{path}: 'readout_errors' must be a list")
+    if not all(_is_number(v) for v in [*gate_errors.values(), *readout]):
+        raise DataFormatError(f"{path}: error rates must be numbers")
     try:
         return CalibrationSnapshot(
             gate_errors={k: float(v) for k, v in gate_errors.items()},
@@ -201,14 +215,7 @@ def write_calibration(calibration: CalibrationSnapshot, path: str) -> None:
     )
 
 
-_COUNT_FIELDS = (
-    "num_qubits",
-    "num_measurements",
-    "num_2q_gates",
-    "num_sx_gates",
-    "num_x_gates",
-    "num_rz_gates",
-)
+_COUNT_FIELDS = FEATURE_NAMES[:6]  # the integer circuit counts
 
 
 def read_features_file(path: str) -> dict:
@@ -217,18 +224,18 @@ def read_features_file(path: str) -> dict:
     out: dict = {}
     for field in _COUNT_FIELDS:
         v = doc.get(field)
-        if not isinstance(v, int) or v < 0:
+        if not _is_int(v) or v < 0:
             raise DataFormatError(f"{path}: {field!r} must be an integer >= 0")
         out[field] = v
     for field in ("entropy", "esp"):
         if field in doc:
             v = doc[field]
-            if not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
+            if not _is_number(v) or not 0.0 <= v <= 1.0:
                 raise DataFormatError(f"{path}: {field!r} must lie in [0, 1]")
             out[field] = float(v)
     if "measured_qubits" in doc:
         mq = doc["measured_qubits"]
-        if not isinstance(mq, list) or not all(isinstance(q, int) and q >= 0 for q in mq):
+        if not isinstance(mq, list) or not all(_is_int(q) and q >= 0 for q in mq):
             raise DataFormatError(f"{path}: 'measured_qubits' must be a list of qubit indices")
         out["measured_qubits"] = mq
     return out
@@ -272,16 +279,7 @@ def build_features(
         raise DataFormatError(
             "feature record has no 'entropy' and none could be derived from counts"
         )
-    return CircuitFeatures(
-        num_qubits=raw["num_qubits"],
-        num_measurements=raw["num_measurements"],
-        num_2q_gates=raw["num_2q_gates"],
-        num_sx_gates=raw["num_sx_gates"],
-        num_x_gates=raw["num_x_gates"],
-        num_rz_gates=raw["num_rz_gates"],
-        entropy=ent,
-        esp=esp,
-    )
+    return CircuitFeatures(**{f: raw[f] for f in _COUNT_FIELDS}, entropy=ent, esp=esp)
 
 
 CORPUS_COLUMNS = FEATURE_NAMES + ("effective_error_rate",)
@@ -317,18 +315,7 @@ def read_corpus(path: str) -> tuple[list[CircuitFeatures], np.ndarray]:
             if len(row) != len(CORPUS_COLUMNS):
                 raise DataFormatError(f"{path}: line {lineno}: expected {len(CORPUS_COLUMNS)} fields")
             try:
-                features.append(
-                    CircuitFeatures(
-                        num_qubits=int(row[0]),
-                        num_measurements=int(row[1]),
-                        num_2q_gates=int(row[2]),
-                        num_sx_gates=int(row[3]),
-                        num_x_gates=int(row[4]),
-                        num_rz_gates=int(row[5]),
-                        entropy=float(row[6]),
-                        esp=float(row[7]),
-                    )
-                )
+                features.append(CircuitFeatures(*map(int, row[:6]), *map(float, row[6:8])))
                 labels.append(float(row[8]))
             except ValueError as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from None

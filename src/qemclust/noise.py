@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._packed import PackedDistribution, bits_to_value
+from ._packed import PackedDistribution, rows_to_strings, tally_rows
 from .distributions import BitString, OutcomeDistribution
 
 __all__ = [
@@ -66,14 +66,15 @@ def generate_ideal(spec: SyntheticSpec) -> OutcomeDistribution:
     rng = np.random.default_rng(spec.seed)
     n, d = spec.width, spec.num_dominant
     values: set[int] = set()
-    if n <= 62:
-        while len(values) < d:
+    while len(values) < d:
+        # one integer draw per string while 2^n fits an int64, one draw
+        # per bit above that
+        if n <= 62:
             draw = rng.integers(0, 1 << n, size=d - len(values))
             values.update(int(v) for v in draw)
-    else:
-        while len(values) < d:
+        else:
             rows = rng.integers(0, 2, size=(d - len(values), n), dtype=np.uint8)
-            values.update(bits_to_value(r) for r in rows)
+            values.update(b.value for b in rows_to_strings(rows))
     ordered = sorted(values)
     probs = rng.uniform(size=d)
     probs = probs / probs.sum()
@@ -119,19 +120,8 @@ def apply_bitflip(shots_dist: OutcomeDistribution, noise: NoiseSpec) -> OutcomeD
     if noise.flip_rate > 0:
         flips = rng.random(source.shape) < noise.flip_rate
         source = source ^ flips.astype(np.uint8)
-    n = shots_dist.width
-    if n <= 62:
-        pow2 = (1 << np.arange(n - 1, -1, -1)).astype(np.int64)
-        values = source.astype(np.int64) @ pow2
-        uniq, cnt = np.unique(values, return_counts=True)
-        entries = {BitString(int(v), n): int(c) for v, c in zip(uniq, cnt)}
-    else:
-        tally: dict[int, int] = {}
-        for row in source:
-            v = bits_to_value(row)
-            tally[v] = tally.get(v, 0) + 1
-        entries = {BitString(v, n): c for v, c in tally.items()}
-    return OutcomeDistribution(n, entries)
+    strings, tally = tally_rows(source)
+    return OutcomeDistribution(shots_dist.width, dict(zip(strings, tally.tolist())))
 
 
 def convolve_bitflip(dist: OutcomeDistribution, flip_rate: float) -> OutcomeDistribution:

@@ -14,11 +14,11 @@ instead of picking observed strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._packed import PackedDistribution, value_to_bits
+from ._packed import PackedDistribution, strings_to_rows
 from .clustering import ClusterModel
 from .distributions import BitString, OutcomeDistribution, hamming_distance
 
@@ -61,11 +61,8 @@ def joint_probability(b: BitString, centroid: BitString, cluster_weight: float, 
         raise ValueError(f"flip_rate must lie in [0, 0.5], got {flip_rate}")
     if not 0.0 <= cluster_weight <= 1.0:
         raise ValueError(f"cluster_weight must lie in [0, 1], got {cluster_weight}")
-    hd = hamming_distance(b, centroid)
-    n = b.width
-    if flip_rate == 0.0:
-        return cluster_weight if hd == 0 else 0.0
-    return (1.0 - flip_rate) ** (n - hd) * flip_rate**hd * cluster_weight
+    table = _likelihood_table(b.width, flip_rate)
+    return float(table[hamming_distance(b, centroid)] * cluster_weight)
 
 
 def _likelihood_table(width: int, flip_rate: float) -> np.ndarray:
@@ -93,43 +90,50 @@ def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: flo
     if not model.centroids:
         raise ValueError("cluster model has no centroids")
 
-    if flip_rate == 0.0:
-        # a zero-rate channel explains no flips: every claim is zero, so
-        # the input view passes through bit-exactly
-        centroid_set = set(model.centroids)
-        return RedistributionResult(
-            noisy.normalized(),
-            frozenset(),
-            {b: 0.0 for b in noisy if b not in centroid_set},
-        )
-
     packed = PackedDistribution(noisy)
-    masses, removed_idx, centroid_masses, claims = _redistribute_packed(
-        packed,
-        np.array([value_to_bits(c.value, model.width) for c in model.centroids], dtype=np.uint8),
-        np.array(model.weights, dtype=np.float64),
-        flip_rate,
+    mitigated, arrays = _mitigated_distribution(
+        packed, noisy, model.centroids, np.array(model.weights), flip_rate, _redistribute_packed
+    )
+    # a zero-rate pass has no arrays: it claims and removes nothing
+    removed_idx, claim = (arrays[1], arrays[3]) if arrays else ((), np.zeros(len(packed)))
+    centroid_set = set(model.centroids)
+    return RedistributionResult(
+        mitigated,
+        frozenset(packed.strings[i] for i in removed_idx),
+        {b: c for b, c in zip(packed.strings, claim.tolist()) if b not in centroid_set},
     )
 
-    out: dict[BitString, float] = {}
-    for i, b in enumerate(packed.strings):
-        if masses[i] > 0:
-            out[b] = float(masses[i])
-    for c, m in zip(model.centroids, centroid_masses):
+
+def _mitigated_distribution(
+    packed: PackedDistribution,
+    noisy: OutcomeDistribution,
+    centroids: Sequence[BitString],
+    cluster_weights: np.ndarray,
+    flip_rate: float,
+    kernel,
+) -> tuple[OutcomeDistribution, tuple | None]:
+    """The mitigated distribution of one clustering, and the kernel's arrays.
+
+    ``kernel`` is ``_redistribute_packed`` as the caller binds it. A
+    zero-rate channel explains no flips: the input's probability view
+    passes through bit-exactly, with no arrays. Raises
+    DegenerateMitigationError when no mass survives.
+    """
+    if flip_rate == 0.0:
+        return noisy.normalized(), None
+    centroid_bits = strings_to_rows(centroids, packed.width)
+    arrays = kernel(packed, centroid_bits, cluster_weights, flip_rate)
+    masses, _removed, centroid_masses, _claim = arrays
+    survivors = np.flatnonzero(masses > 0)
+    out = dict(zip([packed.strings[i] for i in survivors], masses[survivors].tolist()))
+    for c, m in zip(centroids, centroid_masses.tolist()):
         if m > 0:
             # duplicate centroids (possible in unconverged models) accumulate
-            out[c] = out.get(c, 0.0) + float(m)
+            out[c] = out.get(c, 0.0) + m
     total = sum(out.values())
     if total <= 0:
         raise DegenerateMitigationError("redistribution removed every bit-string")
-    mitigated = OutcomeDistribution(noisy.width, {b: m / total for b, m in out.items()})
-    removed = frozenset(packed.strings[i] for i in removed_idx)
-    subtractions = {
-        packed.strings[i]: float(claims[i])
-        for i in range(len(packed))
-        if claims[i] is not None
-    }
-    return RedistributionResult(mitigated, removed, subtractions)
+    return OutcomeDistribution(packed.width, {b: m / total for b, m in out.items()}), arrays
 
 
 def _redistribute_packed(
@@ -138,23 +142,19 @@ def _redistribute_packed(
     cluster_weights: np.ndarray,
     flip_rate: float,
 ):
-    """Array core shared with the mitigation engine.
+    """Array core of the redistribution step.
 
-    Returns (per-string surviving non-centroid masses, removed row indices,
-    per-centroid masses, per-string raw claims with None on centroid rows).
-    Masses are unnormalized but sum to the input's probability total.
+    Returns (per-row surviving masses, removed row indices, per-centroid
+    masses, per-row raw claims). Rows equal to a centroid carry mass 0
+    here, their own mass goes to the centroid, and their claims are
+    meaningless. Masses are unnormalized but sum to the input's
+    probability total.
     """
     pr = packed.weights / packed.total
     hd = packed.hamming_to(centroid_bits)
     joint = _likelihood_table(packed.width, flip_rate)[hd] * cluster_weights[None, :]
-
-    centroid_values = [int("".join(map(str, row)), 2) for row in centroid_bits]
-    value_row = {b.value: i for i, b in enumerate(packed.strings)}
-    is_centroid = np.zeros(len(packed), dtype=bool)
-    for v in centroid_values:
-        row = value_row.get(v)
-        if row is not None:
-            is_centroid[row] = True
+    at_centroid = hd == 0
+    is_centroid = at_centroid.any(axis=1)
 
     claim = joint.sum(axis=1)
     give = np.minimum(claim, pr)
@@ -163,19 +163,12 @@ def _redistribute_packed(
     # to their individual joint terms
     with np.errstate(invalid="ignore", divide="ignore"):
         share = np.where(claim[:, None] > 0, joint / claim[:, None], 0.0)
-    gains = give @ share
+    centroid_masses = give @ share
 
     masses = pr - give
-    masses[is_centroid] = 0.0  # centroid rows are reported separately
-    removed_idx = [
-        i for i in range(len(packed)) if not is_centroid[i] and masses[i] <= 0
-    ]
-    centroid_masses = gains.copy()
-    seen: set[int] = set()
-    for j, v in enumerate(centroid_values):
-        row = value_row.get(v)
-        if row is not None and v not in seen:
-            centroid_masses[j] += pr[row]
-        seen.add(v)
-    claims = [None if is_centroid[i] else float(claim[i]) for i in range(len(packed))]
-    return masses, removed_idx, centroid_masses, claims
+    masses[is_centroid] = 0.0
+    removed_idx = np.flatnonzero(~is_centroid & (masses <= 0))
+    # a centroid row's own mass goes to the first centroid equal to it
+    rows = np.flatnonzero(is_centroid)
+    centroid_masses[at_centroid[rows].argmax(axis=1)] += pr[rows]
+    return masses, removed_idx, centroid_masses, claim

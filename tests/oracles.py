@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from qemclust import BitString, ClusterModel, OutcomeDistribution, hamming_distance
 
 
@@ -66,6 +68,49 @@ def brute_force_redistribute(noisy: OutcomeDistribution, model: ClusterModel, p:
         if mass > 0:
             masses[c] = masses.get(c, 0.0) + mass
     return masses, removed, claims
+
+
+def scalar_majority_vote(members, incumbent: BitString | None = None) -> BitString:
+    """Per-qubit weighted majority with incumbent (else 0) tie-breaks."""
+    items = list(members.items())
+    width = items[0][0].width
+    total = 0.0
+    ones = [0.0] * width
+    for b, w in items:
+        total += w
+        for i in range(width):
+            if b.bit(i):
+                ones[i] += w
+    value = 0
+    for i in range(width):
+        if ones[i] * 2 > total:
+            bit = 1
+        elif ones[i] * 2 < total:
+            bit = 0
+        else:
+            bit = incumbent.bit(i) if incumbent is not None else 0
+        value = (value << 1) | bit
+    return BitString(value, width)
+
+
+def scalar_bitflip(shots_dist: OutcomeDistribution, flip_rate: float, seed) -> OutcomeDistribution:
+    """Bit-flip channel tallied shot by shot with Python ints.
+
+    Lists the shots in ascending value order and makes the package's one
+    ``rng.random((shots, width))`` draw; bit ``i`` of a shot flips where
+    column ``i`` of its draw row is below the rate.
+    """
+    width = shots_dist.width
+    shots = [b.value for b in sorted(shots_dist) for _ in range(round(shots_dist.get(b)))]
+    rng = np.random.default_rng(seed)
+    draws = rng.random((len(shots), width)).tolist() if flip_rate > 0 else [[1.0] * width] * len(shots)
+    tally: dict[int, int] = {}
+    for value, row in zip(shots, draws):
+        for i, u in enumerate(row):
+            if u < flip_rate:
+                value ^= 1 << (width - 1 - i)
+        tally[value] = tally.get(value, 0) + 1
+    return OutcomeDistribution(width, {BitString(v, width): c for v, c in tally.items()})
 
 
 def shannon_entropy_bits(probs) -> float:

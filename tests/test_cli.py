@@ -74,6 +74,91 @@ class TestCountsFiles:
             qio.read_counts(str(path))
 
 
+    def test_boolean_count_rejected(self, tmp_path):
+        # JSON true is not the count 1
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({
+            "format": "qemclust-counts", "version": 1, "width": 3,
+            "counts": {"101": True},
+        }))
+        with pytest.raises(qio.DataFormatError, match="101"):
+            qio.read_counts(str(path))
+        assert main(["mitigate", str(path), "--p", "0.1"]) == 2
+
+    def test_boolean_width_rejected(self, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({
+            "format": "qemclust-counts", "version": 1, "width": True,
+            "counts": {"1": 4},
+        }))
+        with pytest.raises(qio.DataFormatError, match="width"):
+            qio.read_counts(str(path))
+
+
+class TestDistributionFiles:
+    def _write(self, path, probabilities):
+        path.write_text(json.dumps({
+            "format": "qemclust-distribution", "version": 1, "width": 2,
+            "probabilities": probabilities,
+        }))
+
+    def test_boolean_probability_rejected(self, tmp_path):
+        path = tmp_path / "bool.json"
+        self._write(path, {"01": True})
+        with pytest.raises(qio.DataFormatError, match="01"):
+            qio.read_distribution(str(path))
+
+    def test_all_zero_probabilities_rejected(self, tmp_path):
+        path = tmp_path / "zero.json"
+        self._write(path, {"00": 0, "01": 0.0})
+        with pytest.raises(qio.DataFormatError, match="zero.json"):
+            qio.read_distribution(str(path))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_probability_names_file_and_key(self, tmp_path, value):
+        path = tmp_path / "nonfinite.json"
+        self._write(path, {"00": 0.5, "10": value})
+        with pytest.raises(qio.DataFormatError) as info:
+            qio.read_distribution(str(path))
+        assert str(path) in str(info.value) and "'10'" in str(info.value)
+
+
+class TestFeatureAndCalibrationFiles:
+    FEATURES = {
+        "format": "qemclust-features", "version": 1,
+        "num_qubits": 4, "num_measurements": 2, "num_2q_gates": 3,
+        "num_sx_gates": 5, "num_x_gates": 1, "num_rz_gates": 8,
+        "entropy": 0.1, "esp": 0.9, "measured_qubits": [0, 1],
+    }
+
+    @pytest.mark.parametrize("field,value", [
+        ("num_qubits", True),
+        ("num_x_gates", False),
+        ("entropy", True),
+        ("esp", False),
+        ("measured_qubits", [0, True]),
+    ])
+    def test_boolean_feature_rejected(self, tmp_path, field, value):
+        path = tmp_path / "features.json"
+        path.write_text(json.dumps({**self.FEATURES, field: value}))
+        with pytest.raises(qio.DataFormatError, match=field):
+            qio.read_features_file(str(path))
+
+    def test_well_formed_features_accepted(self, tmp_path):
+        path = tmp_path / "features.json"
+        path.write_text(json.dumps(self.FEATURES))
+        assert qio.read_features_file(str(path))["measured_qubits"] == [0, 1]
+
+    def test_boolean_calibration_rate_rejected(self, tmp_path):
+        path = tmp_path / "calib.json"
+        path.write_text(json.dumps({
+            "format": "qemclust-calibration", "version": 1,
+            "gate_errors": {"2q": 0.01}, "readout_errors": [0.01, False],
+        }))
+        with pytest.raises(qio.DataFormatError, match="calib.json"):
+            qio.read_calibration(str(path))
+
+
 class TestModelFiles:
     def test_bit_exact_round_trip(self, tmp_path):
         feats, labels = make_synthetic_corpus(50, seed=3)
@@ -170,6 +255,9 @@ class TestMitigateCommand:
         noisy_path, _ = worked_counts
         assert main(["mitigate", str(noisy_path)]) == 1
         assert main(["mitigate", str(noisy_path), "--p", "0.1", "--model", "x.json"]) == 1
+        # checked before the counts file is read
+        assert main(["mitigate", "/nonexistent.json"]) == 1
+        assert main(["mitigate", "/nonexistent.json", "--model", "x.json"]) == 1
 
     def test_missing_counts_file_is_data_error(self):
         assert main(["mitigate", "/nonexistent.json", "--p", "0.1"]) == 2
@@ -343,3 +431,64 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, tmp_path):
         assert main(["simulate", "--n", "4"]) == 1
+
+    @pytest.mark.parametrize("flags,flag", [
+        (["--p", "0.1", "--delta", "1.0"], "--delta"),
+        (["--p", "0.1", "--delta", "0"], "--delta"),
+        (["--p", "0.1", "--fixed-k", "0"], "--fixed-k"),
+        (["--p", "0.7"], "--p"),
+        (["--p", "-0.1"], "--p"),
+        (["--p", "nan"], "--p"),
+        (["--p", "0.1", "--p-scale", "-1"], "--p-scale"),
+    ])
+    def test_mitigate_setting_out_of_range(self, flags, flag, capsys):
+        # the counts file does not exist: a data error (2) would mean the
+        # file was read before the settings were checked
+        assert main(["mitigate", "/nonexistent.json", *flags]) == 1
+        assert flag in capsys.readouterr().err
+
+    def test_negative_seed(self, tmp_path, capsys):
+        rc = main([
+            "--seed", "-1", "simulate", "--n", "4", "--d", "2", "--p", "0.1",
+            "--out-ideal", str(tmp_path / "i.json"), "--out-noisy", str(tmp_path / "n.json"),
+        ])
+        assert rc == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "i.json").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--p", "0.6"), ("--n", "0"), ("--d", "0"), ("--shots", "0")])
+    def test_simulate_setting_out_of_range(self, tmp_path, flag, value, capsys):
+        rc = main([
+            "simulate", "--n", "4", "--d", "2", "--p", "0.1", flag, value,
+            "--out-ideal", str(tmp_path / "i.json"), "--out-noisy", str(tmp_path / "n.json"),
+        ])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,flag", [
+        (["--p", "0.1", "0.7"], "--p"),
+        (["--pe", "0.7"], "--pe"),
+        (["--delta", "0.95", "1.5"], "--delta"),
+        (["--fixed-k", "2", "0"], "--fixed-k"),
+        (["--n", "0"], "--n"),
+        (["--d", "0"], "--d"),
+        (["--shots", "0"], "--shots"),
+        (["--trials", "0"], "--trials"),
+    ])
+    def test_sweep_grid_out_of_range(self, tmp_path, flags, flag, capsys):
+        # later flags override the valid defaults given first
+        out = tmp_path / "sweep.csv"
+        valid = ["--n", "4", "--d", "1", "--p", "0.1", "--shots", "64", "--trials", "1"]
+        rc = main(["sweep", *valid, *flags, "--out", str(out)])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--synthesize", "0"), ("--trees", "0"), ("--folds", "1"), ("--min-samples-leaf", "0"),
+    ])
+    def test_train_setting_out_of_range(self, tmp_path, flag, value, capsys):
+        model = tmp_path / "model.json"
+        assert main(["train", "--synthesize", "20", flag, value, "--out", str(model)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not model.exists()

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qemclust.clustering as clustering
+from oracles import scalar_majority_vote
 from qemclust import (
     BitString,
     ClusterConfig,
@@ -85,6 +86,18 @@ class TestQubitwiseMajorityVote:
         # one string observed 50 times outvotes three distinct singletons
         members = OutcomeDistribution.from_counts({"1111": 50, "0000": 1, "0001": 1, "0010": 1})
         assert qubitwise_majority_vote(members) == B("1111")
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_oracle(self, data):
+        # small integer weights make exact per-qubit ties common
+        width = data.draw(st.integers(min_value=1, max_value=8))
+        values = st.integers(min_value=0, max_value=(1 << width) - 1)
+        weights = data.draw(st.dictionaries(values, st.integers(0, 3), min_size=1, max_size=8))
+        assume(sum(weights.values()) > 0)
+        members = {BitString(v, width): w for v, w in weights.items()}
+        incumbent = data.draw(st.none() | values.map(lambda v: BitString(v, width)))
+        assert qubitwise_majority_vote(members, incumbent) == scalar_majority_vote(members, incumbent)
 
 
 def _noisy_instance(width, dominant, rate, shots, seed):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import scalar_bitflip
+
 from qemclust import (
     BitString,
     NoiseSpec,
@@ -76,6 +78,13 @@ class TestApplyBitflip:
     def test_noiseless_channel_is_identity(self):
         counts = OutcomeDistribution.from_counts({"0101": 40, "1110": 2})
         assert apply_bitflip(counts, NoiseSpec(0.0, seed=1)) == counts
+
+    @pytest.mark.parametrize("width", [62, 63, 64, 65, 128])
+    def test_matches_shot_by_shot_oracle(self, width):
+        src = sample_shots(generate_ideal(SyntheticSpec(width, 3, seed=width)), 600, seed=1)
+        out = apply_bitflip(src, NoiseSpec(0.05, seed=2))
+        assert out == scalar_bitflip(src, 0.05, seed=2)
+        assert [b.value for b in out] == sorted(b.value for b in out)
 
     def test_rejects_fractional_counts(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_redistribute
+from oracles import brute_force_joint, brute_force_redistribute
 from qemclust import (
     BitString,
     ClusterConfig,
@@ -47,6 +47,20 @@ class TestJointProbability:
 
     def test_zero_rate_kills_nonzero_distance(self):
         assert joint_probability(B("10"), B("11"), 0.9, 0.0) == 0.0
+
+    @given(
+        st.integers(min_value=1, max_value=16).flatmap(
+            lambda n: st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1), st.just(n))
+        ),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=0.5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_product(self, strings, weight, rate):
+        b_value, c_value, width = strings
+        b, c = BitString(b_value, width), BitString(c_value, width)
+        got = joint_probability(b, c, weight, rate)
+        assert got == pytest.approx(brute_force_joint(b, c, weight, rate), rel=1e-12, abs=1e-300)
 
     def test_validation(self):
         with pytest.raises(ValueError):
