@@ -52,7 +52,6 @@ from .noise import (
     NoiseSpec,
     SyntheticSpec,
     apply_bitflip,
-    convolve_bitflip,
     generate_ideal,
     sample_shots,
 )

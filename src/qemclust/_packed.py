@@ -1,13 +1,13 @@
 """Internal dense views of sparse distributions for the clustering kernels.
 
-The hot loops (nearest-centroid assignment, majority votes, joint-mass
-tables) all operate on a (n_strings, width) uint8 bit matrix plus a float
-weight vector. Packing happens once per mitigation run and the resulting
-arrays are shared across all cluster counts.
+A packed distribution holds a (n_strings, width) uint8 bit matrix, the
+same rows packed into big-endian uint64 words, and a float weight
+vector. Majority votes read the bit matrix; Hamming distances are XOR
+plus popcount over the words. Packing happens once per mitigation run
+and the arrays are shared across all cluster counts.
 
 The conversions between ``BitString`` objects and bit rows, and the shot
-tally, work at any width: a row packs into big-endian uint64 words, so
-word tuples compare like values.
+tally, work at any width: word tuples compare like values.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def tally_rows(bits: np.ndarray) -> tuple[list[BitString], np.ndarray]:
 class PackedDistribution:
     """Array view of an OutcomeDistribution, sorted by bit-string value."""
 
-    __slots__ = ("width", "strings", "weights", "bits", "total", "_top_order")
+    __slots__ = ("width", "strings", "weights", "bits", "words", "total", "_top_order")
 
     def __init__(self, dist: OutcomeDistribution):
         if dist.total <= 0:
@@ -87,6 +87,7 @@ class PackedDistribution:
         self.strings = strings
         self.weights = np.array([dist.get(b) for b in strings], dtype=np.float64)
         self.bits = strings_to_rows(strings, dist.width)
+        self.words = _pack_words(self.bits)
         self.total = float(self.weights.sum())
         self._top_order: np.ndarray | None = None
 
@@ -103,4 +104,5 @@ class PackedDistribution:
 
     def hamming_to(self, centroid_bits: np.ndarray) -> np.ndarray:
         """(n, k) Hamming distances between every row and every centroid row."""
-        return (self.bits[:, None, :] ^ centroid_bits[None, :, :]).sum(axis=2, dtype=np.int64)
+        diff = self.words[:, None, :] ^ _pack_words(centroid_bits)[None, :, :]
+        return np.bitwise_count(diff).sum(axis=2, dtype=np.int64)

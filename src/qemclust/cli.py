@@ -93,7 +93,7 @@ def _build_parser() -> _Parser:
     swp.add_argument("--shots", type=_COUNT, default=8192)
     swp.add_argument("--trials", type=_COUNT, default=10)
     swp.add_argument("--fixed-k", type=_COUNT, nargs="+", help="run these fixed cluster counts")
-    swp.add_argument("--workers", type=int, default=1)
+    swp.add_argument("--workers", type=_COUNT, default=1)
     swp.add_argument("--out", required=True, help="output CSV path")
     swp.add_argument("--no-timing", action="store_true", help="blank the wall-time column")
 
@@ -166,6 +166,8 @@ def _cmd_mitigate(args) -> int:
                 "hf_to_previous": rec.hf_to_previous,
                 "degenerate": rec.degenerate,
                 "centroids": [c.text for c in rec.centroids],
+                "converged": rec.converged,
+                "rounds": rec.rounds,
             }
             for rec in report.iterations
         ],

@@ -4,16 +4,20 @@ The iterative mode reruns clustering and redistribution with k = 1, 2, ...
 and stops once the Hellinger fidelity between two successive outputs
 exceeds the stop threshold, returning the earlier of the pair (the last
 cluster added did not change anything, so it was not needed). k is capped
-by the number of unique bit-strings observed. A fixed-k mode runs exactly
-one pass for callers that know the number of dominant outcomes a priori.
+by the number of unique bit-strings observed. A fixed-k mode, for callers
+that know the number of dominant outcomes, is the same loop over one k
+with no stop test. Each pass's output stays a probability vector over the
+packed input rows plus a map for voted centroids never observed; the stop
+rule compares these, and distributions are built only when read.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -67,21 +71,33 @@ class MitigationConfig:
             raise ValueError(f"max_rounds must be positive, got {self.max_rounds}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationRecord:
     """One k-iteration: its output and the fidelity to the previous output.
 
     For k = 1 the fidelity is measured against the noisy input view; it is
     recorded for diagnostics but never triggers termination. ``degenerate``
     marks iterations whose redistribution removed everything and fell back
-    to the unmitigated view.
+    to the unmitigated view (with no centroids). ``converged`` and
+    ``rounds`` come from the clustering pass. The centroids and the output
+    distribution are built the first time they are read.
     """
 
     k: int
-    centroids: tuple[BitString, ...]
-    distribution: OutcomeDistribution
     hf_to_previous: float
-    degenerate: bool = False
+    degenerate: bool
+    converged: bool
+    rounds: int
+    _centroid_bits: np.ndarray = field(repr=False)
+    _output: Callable[[], OutcomeDistribution] = field(repr=False)
+
+    @cached_property
+    def centroids(self) -> tuple[BitString, ...]:
+        return tuple(rows_to_strings(self._centroid_bits))
+
+    @cached_property
+    def distribution(self) -> OutcomeDistribution:
+        return self._output()
 
 
 @dataclass(frozen=True)
@@ -99,27 +115,28 @@ class MitigationReport:
         raise LookupError(f"no iteration record for k={self.k_used}")
 
 
-def _one_pass(
-    packed: PackedDistribution,
-    noisy_view: OutcomeDistribution,
-    k: int,
-    theta: int,
-    flip_rate: float,
-    max_rounds: int,
-) -> tuple[OutcomeDistribution, tuple[BitString, ...], bool]:
-    """Cluster at the given k and redistribute: (output, centroids,
-    degenerate); a degenerate pass falls back to the input view."""
-    centroid_bits, weights, _nearest, _outlier, _conv, _rounds = _cluster_packed(
-        packed, k, theta, max_rounds
-    )
-    centroids = tuple(rows_to_strings(centroid_bits))
-    try:
-        out, _arrays = _mitigated_distribution(
-            packed, noisy_view, centroids, weights, flip_rate, _redistribute_packed
-        )
-    except DegenerateMitigationError:
-        return noisy_view, (), True
-    return out, centroids, False
+def _iterate(arrays: tuple, centroid_bits: np.ndarray) -> tuple[np.ndarray, dict[bytes, float]]:
+    """Normalized output of one pass: a probability vector over the input
+    rows plus {row bytes: probability} for centroids never observed.
+    Raises DegenerateMitigationError when no mass survives."""
+    masses, _removed, centroid_masses, _claim, centroid_rows = arrays
+    seen = centroid_rows >= 0
+    vec = masses + np.bincount(centroid_rows[seen], centroid_masses[seen], len(masses))
+    extra: dict[bytes, float] = {}
+    for i in np.flatnonzero(~seen & (centroid_masses > 0)):
+        key = centroid_bits[i].tobytes()
+        extra[key] = extra.get(key, 0.0) + float(centroid_masses[i])
+    total = float(vec.sum()) + sum(extra.values())
+    if total <= 0:
+        raise DegenerateMitigationError("redistribution removed every bit-string")
+    return vec / total, {key: m / total for key, m in extra.items()}
+
+
+def _fidelity(a: tuple[np.ndarray, dict], b: tuple[np.ndarray, dict]) -> float:
+    """Hellinger fidelity of two normalized iterates over the same rows."""
+    acc = float(np.sqrt(a[0] * b[0]).sum())
+    acc += sum(math.sqrt(p * b[1][key]) for key, p in a[1].items() if key in b[1])
+    return min(acc * acc, 1.0)
 
 
 def mitigate(noisy: OutcomeDistribution, cfg: MitigationConfig) -> MitigationReport:
@@ -136,25 +153,29 @@ def mitigate(noisy: OutcomeDistribution, cfg: MitigationConfig) -> MitigationRep
         raise ValueError("distribution has zero total weight")
     packed = PackedDistribution(noisy)
     theta = outlier_threshold(noisy.width, cfg.flip_rate)
-    noisy_view = noisy.normalized()
-
-    if cfg.fixed_k is not None:
-        k = min(cfg.fixed_k, len(packed))
-        out, centroids, degenerate = _one_pass(packed, noisy_view, k, theta, cfg.flip_rate, cfg.max_rounds)
-        rec = IterationRecord(k, centroids, out, hellinger_fidelity(out, noisy_view), degenerate)
-        return MitigationReport(out, k, (rec,), "fixed")
+    fixed = cfg.fixed_k is not None
+    ks = [min(cfg.fixed_k, len(packed))] if fixed else range(1, len(packed) + 1)
+    noisy_view = (packed.weights / packed.total, {})
 
     records: list[IterationRecord] = []
     previous = noisy_view
-    k_max = len(packed)
-    for k in range(1, k_max + 1):
-        out, centroids, degenerate = _one_pass(packed, noisy_view, k, theta, cfg.flip_rate, cfg.max_rounds)
-        hf_prev = hellinger_fidelity(out, previous)
-        records.append(IterationRecord(k, centroids, out, hf_prev, degenerate))
-        if k >= 2 and hf_prev > cfg.stop_threshold:
-            return MitigationReport(previous, k - 1, tuple(records), "convergence")
-        previous = out
-    return MitigationReport(previous, k_max, tuple(records), "k_max")
+    for k in ks:
+        centroid_bits, weights, _nearest, _outlier, converged, rounds = _cluster_packed(
+            packed, k, theta, cfg.max_rounds
+        )
+        try:
+            arrays = _redistribute_packed(packed, centroid_bits, weights, cfg.flip_rate)
+            current = _iterate(arrays, centroid_bits)
+        except DegenerateMitigationError:
+            arrays, current, centroid_bits = None, noisy_view, centroid_bits[:0]
+        output = partial(_mitigated_distribution, packed, noisy, centroid_bits, arrays, cfg.flip_rate)
+        hf = _fidelity(current, previous)
+        records.append(IterationRecord(k, hf, arrays is None, converged, rounds, centroid_bits, output))
+        if not fixed and k >= 2 and hf > cfg.stop_threshold:
+            return MitigationReport(records[-2].distribution, k - 1, tuple(records), "convergence")
+        previous = current
+    last = records[-1]
+    return MitigationReport(last.distribution, last.k, tuple(records), "fixed" if fixed else "k_max")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ __all__ = [
     "generate_ideal",
     "sample_shots",
     "apply_bitflip",
-    "convolve_bitflip",
 ]
 
 
@@ -123,27 +122,3 @@ def apply_bitflip(shots_dist: OutcomeDistribution, noise: NoiseSpec) -> OutcomeD
     strings, tally = tally_rows(source)
     return OutcomeDistribution(shots_dist.width, dict(zip(strings, tally.tolist())))
 
-
-def convolve_bitflip(dist: OutcomeDistribution, flip_rate: float) -> OutcomeDistribution:
-    """Exact (infinite-shot) bit-flip channel output.
-
-    Enumerates all 2^width target strings, so it is only meant as an
-    oracle for small widths; widths above 16 are rejected.
-    """
-    if not 0.0 <= flip_rate <= 0.5:
-        raise ValueError(f"flip_rate must lie in [0, 0.5], got {flip_rate}")
-    if dist.width > 16:
-        raise ValueError("analytic convolution is limited to width <= 16")
-    if dist.total <= 0:
-        raise ValueError("distribution has zero total weight")
-    n = dist.width
-    table = [(1.0 - flip_rate) ** (n - h) * flip_rate**h for h in range(n + 1)]
-    out = np.zeros(1 << n, dtype=np.float64)
-    for b, w in dist.items():
-        p = w / dist.total
-        for target in range(1 << n):
-            h = (b.value ^ target).bit_count()
-            out[target] += p * table[h]
-    return OutcomeDistribution(
-        n, {BitString(v, n): float(out[v]) for v in range(1 << n) if out[v] > 0}
-    )

@@ -14,11 +14,11 @@ instead of picking observed strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from ._packed import PackedDistribution, strings_to_rows
+from ._packed import PackedDistribution, rows_to_strings, strings_to_rows
 from .clustering import ClusterModel
 from .distributions import BitString, OutcomeDistribution, hamming_distance
 
@@ -91,49 +91,47 @@ def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: flo
         raise ValueError("cluster model has no centroids")
 
     packed = PackedDistribution(noisy)
-    mitigated, arrays = _mitigated_distribution(
-        packed, noisy, model.centroids, np.array(model.weights), flip_rate, _redistribute_packed
-    )
-    # a zero-rate pass has no arrays: it claims and removes nothing
-    removed_idx, claim = (arrays[1], arrays[3]) if arrays else ((), np.zeros(len(packed)))
+    centroid_bits = strings_to_rows(model.centroids, packed.width)
+    arrays = _redistribute_packed(packed, centroid_bits, np.array(model.weights), flip_rate)
+    mitigated = _mitigated_distribution(packed, noisy, centroid_bits, arrays, flip_rate)
+    # a zero-rate pass explains no flips: it removes nothing
+    removed_idx = arrays[1] if flip_rate > 0 else ()
     centroid_set = set(model.centroids)
     return RedistributionResult(
         mitigated,
         frozenset(packed.strings[i] for i in removed_idx),
-        {b: c for b, c in zip(packed.strings, claim.tolist()) if b not in centroid_set},
+        {b: c for b, c in zip(packed.strings, arrays[3].tolist()) if b not in centroid_set},
     )
 
 
 def _mitigated_distribution(
     packed: PackedDistribution,
     noisy: OutcomeDistribution,
-    centroids: Sequence[BitString],
-    cluster_weights: np.ndarray,
+    centroid_bits: np.ndarray,
+    arrays: tuple | None,
     flip_rate: float,
-    kernel,
-) -> tuple[OutcomeDistribution, tuple | None]:
-    """The mitigated distribution of one clustering, and the kernel's arrays.
+) -> OutcomeDistribution:
+    """The mitigated distribution from ``_redistribute_packed``'s arrays.
 
-    ``kernel`` is ``_redistribute_packed`` as the caller binds it. A
-    zero-rate channel explains no flips: the input's probability view
-    passes through bit-exactly, with no arrays. Raises
-    DegenerateMitigationError when no mass survives.
+    Surviving input strings come first in value order, then the centroids
+    that gained mass, in centroid order. A zero-rate channel explains no
+    flips, and ``arrays`` of None marks a degenerate pass: both return the
+    input's probability view bit-exactly. Raises DegenerateMitigationError
+    when no mass survives.
     """
-    if flip_rate == 0.0:
-        return noisy.normalized(), None
-    centroid_bits = strings_to_rows(centroids, packed.width)
-    arrays = kernel(packed, centroid_bits, cluster_weights, flip_rate)
-    masses, _removed, centroid_masses, _claim = arrays
+    if arrays is None or flip_rate == 0.0:
+        return noisy.normalized()
+    masses, _removed, centroid_masses, _claim, _rows = arrays
     survivors = np.flatnonzero(masses > 0)
     out = dict(zip([packed.strings[i] for i in survivors], masses[survivors].tolist()))
-    for c, m in zip(centroids, centroid_masses.tolist()):
-        if m > 0:
-            # duplicate centroids (possible in unconverged models) accumulate
-            out[c] = out.get(c, 0.0) + m
+    gained = np.flatnonzero(centroid_masses > 0)
+    for c, m in zip(rows_to_strings(centroid_bits[gained]), centroid_masses[gained].tolist()):
+        # duplicate centroids (possible in unconverged models) accumulate
+        out[c] = out.get(c, 0.0) + m
     total = sum(out.values())
     if total <= 0:
         raise DegenerateMitigationError("redistribution removed every bit-string")
-    return OutcomeDistribution(packed.width, {b: m / total for b, m in out.items()}), arrays
+    return OutcomeDistribution(packed.width, {b: m / total for b, m in out.items()})
 
 
 def _redistribute_packed(
@@ -145,10 +143,10 @@ def _redistribute_packed(
     """Array core of the redistribution step.
 
     Returns (per-row surviving masses, removed row indices, per-centroid
-    masses, per-row raw claims). Rows equal to a centroid carry mass 0
-    here, their own mass goes to the centroid, and their claims are
-    meaningless. Masses are unnormalized but sum to the input's
-    probability total.
+    masses, per-row raw claims, the input row each centroid equals or -1).
+    Rows equal to a centroid carry mass 0 here, their own mass goes to
+    the centroid, and their claims are meaningless. Masses are
+    unnormalized but sum to the input's probability total.
     """
     pr = packed.weights / packed.total
     hd = packed.hamming_to(centroid_bits)
@@ -171,4 +169,5 @@ def _redistribute_packed(
     # a centroid row's own mass goes to the first centroid equal to it
     rows = np.flatnonzero(is_centroid)
     centroid_masses[at_centroid[rows].argmax(axis=1)] += pr[rows]
-    return masses, removed_idx, centroid_masses, claim
+    centroid_rows = np.where(at_centroid.any(axis=0), at_centroid.argmax(axis=0), -1)
+    return masses, removed_idx, centroid_masses, claim, centroid_rows

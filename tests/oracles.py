@@ -93,6 +93,93 @@ def scalar_majority_vote(members, incumbent: BitString | None = None) -> BitStri
     return BitString(value, width)
 
 
+def scalar_cluster(noisy: OutcomeDistribution, k: int, flip_rate: float, max_rounds: int = 100) -> ClusterModel:
+    """Hamming k-means with majority votes, one string and one centroid at a time.
+
+    Seeds are the k heaviest strings (ties by ascending value); a string
+    joins its nearest centroid (lowest index on ties) unless it lies
+    farther than ceil(2 n p (1 - p)); empty clusters are dropped; rounds
+    stop when the centroid list repeats, when every cluster starves, or
+    at ``max_rounds``.
+    """
+    n = noisy.width
+    theta = math.ceil(round(2.0 * n * flip_rate * (1.0 - flip_rate), 12))
+    strings = sorted(noisy, key=lambda b: b.value)
+    centroids = sorted(strings, key=lambda b: (-noisy.get(b), b.value))[:k]
+
+    def assign(cents):
+        members: list[dict[BitString, float]] = [{} for _ in cents]
+        for b in strings:
+            dists = [hamming_distance(b, c) for c in cents]
+            i = dists.index(min(dists))
+            if dists[i] <= theta:
+                members[i][b] = noisy.get(b)
+        return members
+
+    converged, rounds = False, 0
+    for rounds in range(1, max_rounds + 1):
+        members = assign(centroids)
+        voted = [scalar_majority_vote(m, c) for m, c in zip(members, centroids) if m]
+        if not voted:
+            break
+        if voted == centroids:
+            converged = True
+            break
+        centroids = voted
+    members = assign(centroids)
+    weights = tuple(sum(m.values()) / noisy.total for m in members)
+    assignments = {b: i for i, m in enumerate(members) for b in m}
+    outliers = frozenset(b for b in strings if b not in assignments)
+    return ClusterModel(n, tuple(centroids), weights, assignments, outliers, theta, k, converged, rounds)
+
+
+def scalar_hellinger(p: dict, q: dict) -> float:
+    """(sum over sqrt(p_i q_i))^2 of two probability maps."""
+    acc = sum(math.sqrt(w * q[b]) for b, w in p.items() if b in q)
+    return min(acc * acc, 1.0)
+
+
+def brute_force_mitigate(
+    noisy: OutcomeDistribution,
+    flip_rate: float,
+    stop_threshold: float = 0.95,
+    fixed_k: int | None = None,
+    max_rounds: int = 100,
+) -> dict:
+    """The whole mitigation from the scalar oracles.
+
+    Runs k = 1, 2, ... up to the number of distinct strings (or the one
+    capped fixed k) and stops at the first k >= 2 whose output has Hellinger
+    fidelity above ``stop_threshold`` to the previous output, returning the
+    previous one. A pass that leaves no mass falls back to the input's
+    probability view and lists no centroids. Returns ``k_used``,
+    ``terminated_by``, ``centroids`` and ``final`` (a probability map) of
+    the returned pass, and every pass's ``hfs``.
+    """
+    view = {b: w / noisy.total for b, w in noisy.items()}
+    ks = [min(fixed_k, len(noisy))] if fixed_k is not None else range(1, len(noisy) + 1)
+    passes = []
+    previous = view
+    for k in ks:
+        model = scalar_cluster(noisy, k, flip_rate, max_rounds)
+        masses, _removed, _claims = brute_force_redistribute(noisy, model, flip_rate)
+        total = sum(masses.values())
+        if total > 0:
+            out, centroids = {b: m / total for b, m in masses.items()}, model.centroids
+        else:
+            out, centroids = view, ()
+        hf = scalar_hellinger(out, previous)
+        passes.append((k, centroids, out, hf))
+        if fixed_k is None and k >= 2 and hf > stop_threshold:
+            k_used, centroids, out, _ = passes[-2]
+            return dict(k_used=k_used, terminated_by="convergence", centroids=centroids, final=out,
+                        hfs=[p[3] for p in passes])
+        previous = out
+    k_used, centroids, out, _ = passes[-1]
+    return dict(k_used=k_used, terminated_by="fixed" if fixed_k is not None else "k_max",
+                centroids=centroids, final=out, hfs=[p[3] for p in passes])
+
+
 def scalar_bitflip(shots_dist: OutcomeDistribution, flip_rate: float, seed) -> OutcomeDistribution:
     """Bit-flip channel tallied shot by shot with Python ints.
 
@@ -111,6 +198,28 @@ def scalar_bitflip(shots_dist: OutcomeDistribution, flip_rate: float, seed) -> O
                 value ^= 1 << (width - 1 - i)
         tally[value] = tally.get(value, 0) + 1
     return OutcomeDistribution(width, {BitString(v, width): c for v, c in tally.items()})
+
+
+def convolve_bitflip(dist: OutcomeDistribution, flip_rate: float) -> OutcomeDistribution:
+    """Exact (infinite-shot) bit-flip channel output.
+
+    Enumerates all 2^width target strings for every input string, so
+    widths above 16 are rejected.
+    """
+    if not 0.0 <= flip_rate <= 0.5:
+        raise ValueError(f"flip_rate must lie in [0, 0.5], got {flip_rate}")
+    if dist.width > 16:
+        raise ValueError("analytic convolution is limited to width <= 16")
+    if dist.total <= 0:
+        raise ValueError("distribution has zero total weight")
+    n = dist.width
+    table = [(1.0 - flip_rate) ** (n - h) * flip_rate**h for h in range(n + 1)]
+    out = [0.0] * (1 << n)
+    for b, w in dist.items():
+        p = w / dist.total
+        for target in range(1 << n):
+            out[target] += p * table[(b.value ^ target).bit_count()]
+    return OutcomeDistribution(n, {BitString(v, n): out[v] for v in range(1 << n) if out[v] > 0})
 
 
 def shannon_entropy_bits(probs) -> float:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_force_redistribute
+from oracles import brute_force_redistribute, convolve_bitflip
 from qemclust import (
     BitString,
     ClusterConfig,
@@ -25,7 +25,6 @@ from qemclust import (
     apply_bitflip,
     cell_means,
     cluster,
-    convolve_bitflip,
     cross_validate,
     effective_error_rate,
     fit_tree_ensemble,

@@ -230,6 +230,9 @@ class TestMitigateCommand:
         assert doc["k_used"] == 3
         assert doc["terminated_by"] == "convergence"
         assert doc["improvement"] > 1.0
+        for entry in doc["iterations"]:
+            assert entry["converged"] is True
+            assert isinstance(entry["rounds"], int) and entry["rounds"] >= 1
         mitigated = qio.read_distribution(str(out))
         assert sum(w for _, w in mitigated.items()) == pytest.approx(1.0)
 
@@ -474,6 +477,8 @@ class TestUsageErrors:
         (["--d", "0"], "--d"),
         (["--shots", "0"], "--shots"),
         (["--trials", "0"], "--trials"),
+        (["--workers", "0"], "--workers"),
+        (["--workers", "-3"], "--workers"),
     ])
     def test_sweep_grid_out_of_range(self, tmp_path, flags, flag, capsys):
         # later flags override the valid defaults given first

@@ -2,10 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qemclust.engine as engine
+from oracles import brute_force_mitigate
 from qemclust import (
     BitString,
+    ClusterConfig,
     DegenerateMitigationError,
     MitigationConfig,
     NoiseSpec,
@@ -14,7 +18,9 @@ from qemclust import (
     SyntheticSpec,
     apply_bitflip,
     cell_means,
+    cluster,
     generate_ideal,
+    hellinger_fidelity,
     mitigate,
     run_trial,
     sample_shots,
@@ -113,6 +119,69 @@ class TestMitigateIterative:
         with pytest.raises(ValueError):
             mitigate(OutcomeDistribution(2, {B("00"): 0.0}), MitigationConfig(0.1))
 
+    def test_records_carry_clustering_convergence(self):
+        noisy = worked_noisy(5)
+        seen = set()
+        for max_rounds in (1, 100):
+            report = mitigate(noisy, MitigationConfig(0.15, stop_threshold=0.99, max_rounds=max_rounds))
+            for rec in report.iterations:
+                model = cluster(noisy, ClusterConfig(rec.k, 0.15, max_rounds=max_rounds))
+                assert (rec.converged, rec.rounds) == (model.converged, model.rounds)
+                seen.add(rec.converged)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_hf_matches_the_built_distributions(self, monkeypatch, duplicates):
+        noisy = OutcomeDistribution.from_counts(
+            {"00000": 40, "00001": 9, "00010": 8, "11100": 30, "11110": 5, "01100": 4}
+        )
+        if duplicates:
+            # repeat the first centroid and add an unobserved one twice, as
+            # an unconverged vote could
+            cluster_packed = engine._cluster_packed
+            unseen = np.array([[1, 0, 1, 0, 1]], dtype=np.uint8)
+
+            def doubled(packed, k, theta, max_rounds):
+                bits, weights, *rest = cluster_packed(packed, k, theta, max_rounds)
+                bits = np.vstack([bits, bits[:1], unseen, unseen])
+                return (bits, np.concatenate([weights, weights[:1], [0.3, 0.2]]), *rest)
+
+            monkeypatch.setattr(engine, "_cluster_packed", doubled)
+        report = mitigate(noisy, MitigationConfig(0.1, stop_threshold=0.999))
+        previous = noisy
+        for rec in report.iterations:
+            assert rec.hf_to_previous == pytest.approx(
+                hellinger_fidelity(rec.distribution, previous), abs=1e-12
+            )
+            previous = rec.distribution
+        if duplicates:
+            assert B("10101") in report.iterations[0].distribution
+
+    @pytest.mark.parametrize("fixed_k", [None, 3])
+    def test_outputs_are_built_only_when_read(self, monkeypatch, fixed_k):
+        built = []
+        build = engine._mitigated_distribution
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+
+        def forbidden(*args):
+            raise AssertionError("the k loop compares iterates without distributions")
+
+        monkeypatch.setattr(engine, "_mitigated_distribution", counting)
+        monkeypatch.setattr(engine, "hellinger_fidelity", forbidden)
+        noisy = worked_noisy(101)
+        report = mitigate(noisy, MitigationConfig(0.15, stop_threshold=0.9, fixed_k=fixed_k))
+        assert len(built) == 1
+        assert report.final_record.distribution is report.final
+        monkeypatch.undo()
+        for rec in report.iterations:
+            alone = mitigate(noisy, MitigationConfig(0.15, fixed_k=rec.k))
+            assert rec.distribution == alone.final
+        # the returned record's output is report.final, so it is not built twice
+        assert len(built) == len(report.iterations)
+
 
 class TestMitigateFixedK:
     def test_single_pass(self):
@@ -132,6 +201,41 @@ class TestMitigateFixedK:
         noisy = OutcomeDistribution.from_counts({"01": 5, "10": 3})
         report = mitigate(noisy, MitigationConfig(0.2, fixed_k=10))
         assert report.k_used == 2
+
+
+@st.composite
+def small_counts(draw):
+    width = draw(st.integers(min_value=2, max_value=8))
+    counts = draw(st.dictionaries(
+        st.integers(min_value=0, max_value=(1 << width) - 1),
+        st.integers(min_value=1, max_value=40),
+        min_size=1,
+        max_size=min(20, 1 << width),
+    ))
+    return OutcomeDistribution(width, {BitString(v, width): c for v, c in counts.items()})
+
+
+class TestWholePipelineOracle:
+    @given(
+        small_counts(),
+        st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=0.45)),
+        st.floats(min_value=0.5, max_value=0.995),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+        st.sampled_from([1, 2, 100]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_scalar_mitigation(self, noisy, rate, delta, fixed_k, max_rounds):
+        # one or two vote rounds leave some clustering passes unconverged
+        want = brute_force_mitigate(noisy, rate, delta, fixed_k, max_rounds)
+        assume(all(abs(hf - delta) > 1e-9 for hf in want["hfs"]))
+        cfg = MitigationConfig(rate, stop_threshold=delta, fixed_k=fixed_k, max_rounds=max_rounds)
+        got = mitigate(noisy, cfg)
+        assert got.k_used == want["k_used"]
+        assert got.terminated_by == want["terminated_by"]
+        assert got.final_record.centroids == want["centroids"]
+        assert set(got.final) == set(want["final"])
+        for b, p in want["final"].items():
+            assert got.final.get(b) == pytest.approx(p, abs=1e-12)
 
 
 class TestConfigValidation:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import convolve_bitflip
 from qemclust import (
     FEATURE_NAMES,
     BitString,
@@ -10,7 +11,6 @@ from qemclust import (
     CircuitFeatures,
     OutcomeDistribution,
     compute_esp,
-    convolve_bitflip,
     cross_validate,
     effective_error_rate,
     fit_tree_ensemble,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scalar_bitflip
+from oracles import convolve_bitflip, scalar_bitflip
 
 from qemclust import (
     BitString,
@@ -12,7 +12,6 @@ from qemclust import (
     OutcomeDistribution,
     SyntheticSpec,
     apply_bitflip,
-    convolve_bitflip,
     generate_ideal,
     hamming_distance,
     hellinger_fidelity,
