@@ -18,7 +18,14 @@ import numpy as np
 
 from .distributions import BitString, OutcomeDistribution
 
-__all__ = ["PackedDistribution", "rows_to_strings", "strings_to_rows", "tally_rows"]
+__all__ = [
+    "PackedDistribution",
+    "match_rows",
+    "rows_to_strings",
+    "strings_to_rows",
+    "tally_rows",
+    "value_order",
+]
 
 
 def strings_to_rows(strings: Iterable[BitString], width: int) -> np.ndarray:
@@ -36,6 +43,19 @@ def _pack_words(bits: np.ndarray) -> np.ndarray:
     raw = np.zeros((n, 8 * n_words), dtype=np.uint8)
     raw[:, 8 * n_words - n_bytes :] = np.packbits(padded.ravel()).reshape(n, n_bytes)
     return raw.view(">u8").astype(np.uint64)
+
+
+def value_order(bits: np.ndarray) -> np.ndarray:
+    """Row indices that sort a (n, width) 0/1 matrix by value."""
+    return np.lexsort(_pack_words(bits).T[::-1])
+
+
+def match_rows(bits: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of the row of ``bits`` equal to each query row, or -1."""
+    words = _pack_words(np.concatenate([bits, queries]))
+    _, first, inverse = np.unique(words, axis=0, return_index=True, return_inverse=True)
+    found = first[inverse.ravel()[len(bits) :]]
+    return np.where(found < len(bits), found, -1)
 
 
 def _words_to_strings(words: np.ndarray, width: int) -> list[BitString]:
@@ -77,22 +97,22 @@ def tally_rows(bits: np.ndarray) -> tuple[list[BitString], np.ndarray]:
 class PackedDistribution:
     """Array view of an OutcomeDistribution, sorted by bit-string value."""
 
-    __slots__ = ("width", "strings", "weights", "bits", "words", "total", "_top_order")
+    __slots__ = ("width", "weights", "bits", "words", "total", "_top_order")
 
     def __init__(self, dist: OutcomeDistribution):
         if dist.total <= 0:
             raise ValueError("distribution has zero total weight")
-        strings = sorted(dist, key=lambda b: b.value)
+        rows, weights = dist._arrays()
+        order = value_order(rows)
         self.width = dist.width
-        self.strings = strings
-        self.weights = np.array([dist.get(b) for b in strings], dtype=np.float64)
-        self.bits = strings_to_rows(strings, dist.width)
+        self.weights = weights[order]
+        self.bits = rows[order]
         self.words = _pack_words(self.bits)
         self.total = float(self.weights.sum())
         self._top_order: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.strings)
+        return len(self.weights)
 
     def top_order(self) -> np.ndarray:
         """Row indices sorted by descending weight, ties by ascending value."""

@@ -8,6 +8,7 @@ unmitigated input (degenerate redistribution at the returned iteration).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from datetime import datetime, timezone
 
@@ -56,7 +57,9 @@ _COUNT = _ranged(int, lambda v: v >= 1, "be at least 1")
 _FOLDS = _ranged(int, lambda v: v >= 2, "be at least 2")
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built once per process: parsing keeps no state."""
     parser = _Parser(prog="qemclust", description=__doc__)
     parser.add_argument("--seed", type=_SEED, default=0, help="global RNG seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -276,9 +279,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -96,7 +96,7 @@ def select_initial_centroids(dist: OutcomeDistribution, k: int) -> list[BitStrin
     if k > len(dist):
         raise ValueError(f"k={k} exceeds the {len(dist)} unique bit-strings present")
     packed = PackedDistribution(dist)
-    return [packed.strings[i] for i in packed.top_order()[:k]]
+    return rows_to_strings(packed.bits[packed.top_order()[:k]])
 
 
 def qubitwise_majority_vote(
@@ -189,10 +189,9 @@ def cluster(dist: OutcomeDistribution, cfg: ClusterConfig) -> ClusterModel:
         packed, cfg.k, theta, cfg.max_rounds
     )
     centroids = tuple(rows_to_strings(centroid_bits))
-    assignments = {
-        packed.strings[i]: int(nearest[i]) for i in range(len(packed)) if not outlier[i]
-    }
-    outliers = frozenset(packed.strings[i] for i in range(len(packed)) if outlier[i])
+    strings = rows_to_strings(packed.bits)
+    assignments = {strings[i]: int(nearest[i]) for i in range(len(packed)) if not outlier[i]}
+    outliers = frozenset(strings[i] for i in range(len(packed)) if outlier[i])
     return ClusterModel(
         width=dist.width,
         centroids=centroids,

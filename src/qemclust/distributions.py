@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+import numpy as np
+
 __all__ = [
     "BitString",
     "OutcomeDistribution",
@@ -69,11 +71,16 @@ class OutcomeDistribution:
     """Sparse distribution over bit-strings of one common width.
 
     Immutable value object: all mutating access goes through constructors.
-    Weights must be nonnegative; ``total`` is their sum. Operations that
-    need a probability view require ``total > 0``.
+    Weights must be nonnegative; ``total`` is their sum, added left to
+    right in iteration order. Operations that need a probability view
+    require ``total > 0``.
+
+    A distribution is stored either as a ``{BitString: weight}`` dict or,
+    when built by ``_from_rows``, as a bit matrix and a weight vector; the
+    dict of an array-built one is made on first dict-style access.
     """
 
-    __slots__ = ("_width", "_entries", "_total")
+    __slots__ = ("_width", "_store", "_rows", "_weights", "_total")
 
     def __init__(self, width: int, entries: Mapping[BitString, float]):
         if width < 1:
@@ -91,8 +98,53 @@ class OutcomeDistribution:
             store[b] = w
             total += w
         self._width = width
-        self._entries = store
+        self._store = store
+        self._rows = self._weights = None
         self._total = total
+
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray, weights: np.ndarray) -> "OutcomeDistribution":
+        """Distribution over the distinct rows of a (n, width) 0/1 uint8
+        matrix, iterated in row order, with float64 ``weights``."""
+        bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0)))
+        if len(bad):
+            i = bad[0]
+            text = (rows[i] + ord("0")).tobytes().decode()
+            raise ValueError(f"weight for {text!r} must be finite and >= 0, got {float(weights[i])}")
+        out = cls.__new__(cls)
+        out._width = rows.shape[1]
+        out._store = None
+        out._rows, out._weights = rows, weights
+        out._total = _left_to_right_sum(weights)
+        return out
+
+    @property
+    def _entries(self) -> dict[BitString, float]:
+        if self._store is None:
+            from ._packed import rows_to_strings
+
+            self._store = dict(zip(rows_to_strings(self._rows), self._weights.tolist()))
+        return self._store
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(bit rows, float64 weights) in iteration order; computed, not
+        kept, for a dict-built distribution."""
+        if self._rows is not None:
+            return self._rows, self._weights
+        from ._packed import strings_to_rows
+
+        weights = np.fromiter(self._store.values(), dtype=np.float64, count=len(self._store))
+        return strings_to_rows(self._store, self._width), weights
+
+    def _weights_of(self, strings: list[BitString]) -> list[float]:
+        """The weight of each of ``strings``, 0.0 where absent; an
+        array-built distribution answers from its rows, without its dict."""
+        if self._store is not None:
+            return [self._store.get(b, 0.0) for b in strings]
+        from ._packed import match_rows, strings_to_rows
+
+        found = match_rows(self._rows, strings_to_rows(strings, self._width))
+        return np.append(self._weights, 0.0)[found].tolist()  # -1 picks the 0.0
 
     @classmethod
     def from_counts(cls, counts: Mapping[str, float], width: int | None = None) -> "OutcomeDistribution":
@@ -112,7 +164,7 @@ class OutcomeDistribution:
         return self._total
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._store) if self._rows is None else len(self._rows)
 
     def __iter__(self) -> Iterator[BitString]:
         return iter(self._entries)
@@ -126,7 +178,7 @@ class OutcomeDistribution:
         return self._width == other._width and self._entries == other._entries
 
     def __repr__(self) -> str:
-        return f"OutcomeDistribution(width={self._width}, n={len(self._entries)}, total={self._total:g})"
+        return f"OutcomeDistribution(width={self._width}, n={len(self)}, total={self._total:g})"
 
     def items(self):
         return self._entries.items()
@@ -143,15 +195,22 @@ class OutcomeDistribution:
         """Probability view: every weight divided by the total."""
         if self._total <= 0:
             raise ValueError("distribution has zero total weight")
-        out = OutcomeDistribution.__new__(OutcomeDistribution)
-        out._width = self._width
-        out._entries = {b: w / self._total for b, w in self._entries.items()}
+        rows, weights = self._arrays()
+        out = OutcomeDistribution._from_rows(rows, weights / self._total)
         out._total = 1.0
         return out
 
     def is_integral(self, tol: float = 1e-9) -> bool:
         """True when every weight is (numerically) a nonnegative integer."""
         return all(abs(w - round(w)) <= tol for w in self._entries.values())
+
+
+def _left_to_right_sum(values) -> float:
+    """``0.0 + v[0] + v[1] + ...`` in order: the bits ``sum()`` gives up to
+    Python 3.11 (3.12 switched to compensated summation)."""
+    with np.errstate(over="ignore"):  # a float sum overflows to inf silently
+        acc = np.cumsum(np.asarray(values, dtype=np.float64))
+    return 0.0 + float(acc[-1]) if len(acc) else 0.0
 
 
 def hamming_distance(a: BitString, b: BitString) -> int:
@@ -192,8 +251,7 @@ def hellinger_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
         raise ValueError("distributions must have positive total weight")
     small, big = (p, q) if len(p) <= len(q) else (q, p)
     acc = 0.0
-    for b, w in small.items():
-        v = big.get(b)
+    for (_, w), v in zip(small.items(), big._weights_of(list(small))):
         if w > 0 and v > 0:
             acc += math.sqrt((w / small.total) * (v / big.total))
     return min(acc * acc, 1.0)

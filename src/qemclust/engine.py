@@ -26,6 +26,7 @@ from .clustering import _cluster_packed, outlier_threshold
 from .distributions import (
     BitString,
     OutcomeDistribution,
+    _left_to_right_sum,
     hellinger_fidelity,
     improvement_ratio,
 )
@@ -126,7 +127,7 @@ def _iterate(arrays: tuple, centroid_bits: np.ndarray) -> tuple[np.ndarray, dict
     for i in np.flatnonzero(~seen & (centroid_masses > 0)):
         key = centroid_bits[i].tobytes()
         extra[key] = extra.get(key, 0.0) + float(centroid_masses[i])
-    total = float(vec.sum()) + sum(extra.values())
+    total = float(vec.sum()) + _left_to_right_sum(list(extra.values()))
     if total <= 0:
         raise DegenerateMitigationError("redistribution removed every bit-string")
     return vec / total, {key: m / total for key, m in extra.items()}
@@ -135,7 +136,7 @@ def _iterate(arrays: tuple, centroid_bits: np.ndarray) -> tuple[np.ndarray, dict
 def _fidelity(a: tuple[np.ndarray, dict], b: tuple[np.ndarray, dict]) -> float:
     """Hellinger fidelity of two normalized iterates over the same rows."""
     acc = float(np.sqrt(a[0] * b[0]).sum())
-    acc += sum(math.sqrt(p * b[1][key]) for key, p in a[1].items() if key in b[1])
+    acc += _left_to_right_sum([math.sqrt(p * b[1][key]) for key, p in a[1].items() if key in b[1]])
     return min(acc * acc, 1.0)
 
 
@@ -310,9 +311,9 @@ def cell_means(records: Sequence[ExperimentRecord]) -> dict[SweepCell, dict[str,
         out[cell] = {
             "trials": len(recs),
             "failures": len(recs) - len(ok),
-            "hf_noisy": sum(r.hf_noisy for r in ok) / len(ok),
-            "hf_mitigated": sum(r.hf_mitigated for r in ok) / len(ok),
-            "improvement": sum(r.improvement for r in ok) / len(ok),
+            "hf_noisy": _left_to_right_sum([r.hf_noisy for r in ok]) / len(ok),
+            "hf_mitigated": _left_to_right_sum([r.hf_mitigated for r in ok]) / len(ok),
+            "improvement": _left_to_right_sum([r.improvement for r in ok]) / len(ok),
             "k_used": sum(r.k_used for r in ok) / len(ok),
         }
     return out

@@ -17,7 +17,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import BitString, OutcomeDistribution
+from ._packed import value_order
+from .distributions import OutcomeDistribution
 from .engine import ExperimentRecord, SweepCell, cell_means
 from .estimator import (
     FEATURE_NAMES,
@@ -98,11 +99,15 @@ def _dump_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _read_weights(path: str, expected_format: str, field: str, name: str, rule: str, valid):
+def _read_weights(path: str, expected_format: str, field: str, name: str, rule: str, types: set):
     """Load a file whose ``field`` maps width-bit keys to weights.
 
-    Returns the JSON document and the distribution. Every weight must pass
-    ``valid`` (``name`` and ``rule`` word the error) and one must be positive.
+    Returns the JSON document and the distribution, in file-key order.
+    Every weight must be of one of ``types`` (JSON values, so ``bool`` is
+    not ``int``), finite and >= 0 (``name`` and ``rule`` word the error),
+    and one must be positive. All keys are checked at once on their
+    joined text, all values in one pass; only a failure looks at single
+    entries, to name the first bad one.
     """
     doc = _load_json(path, expected_format)
     width = doc.get("width")
@@ -111,24 +116,52 @@ def _read_weights(path: str, expected_format: str, field: str, name: str, rule: 
         raise DataFormatError(f"{path}: 'width' must be a positive integer")
     if not isinstance(weights, dict) or not weights:
         raise DataFormatError(f"{path}: {field!r} must be a nonempty object")
-    entries: dict[BitString, float] = {}
-    for key, val in weights.items():
-        if len(key) != width or set(key) - {"0", "1"}:
-            raise DataFormatError(f"{path}: key {key!r} is not a width-{width} bit-string")
-        if not valid(val):
-            raise DataFormatError(f"{path}: {name} for key {key!r} must be {rule}")
-        entries[BitString.from_text(key)] = val
-    dist = OutcomeDistribution(width, entries)
+    keys, values = list(weights), list(weights.values())
+    text = "".join(keys)
+    ok = set(map(len, keys)) == {width} and text.isascii() and set(map(type, values)) <= types
+    if ok:
+        bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+        w = np.array(values, dtype=np.float64)
+        ok = (bits <= 1).all() and ((w >= 0) & (w < math.inf)).all()
+    if not ok:
+        for key, val in weights.items():
+            if len(key) != width or set(key) - {"0", "1"}:
+                raise DataFormatError(f"{path}: key {key!r} is not a width-{width} bit-string")
+            if type(val) not in types or not 0 <= val < math.inf:
+                raise DataFormatError(f"{path}: {name} for key {key!r} must be {rule}")
+    dist = OutcomeDistribution._from_rows(bits.reshape(-1, width), w)
     if dist.total <= 0:
         raise DataFormatError(f"{path}: at least one {name} must be positive")
     return doc, dist
 
 
+def _dump_weights(path: str, doc: dict, field: str, dist: OutcomeDistribution, as_int: bool) -> None:
+    """Write ``doc`` with ``field`` mapping each bit-string of ``dist`` to
+    its weight in value order, byte for byte as ``_dump_json`` writes the
+    same document. Counts are written as ints (``as_int``), probabilities
+    as float reprs, as the json encoder writes them."""
+    text = json.dumps({**doc, field: {}}, indent=2, sort_keys=True)
+    if len(dist):
+        rows, weights = dist._arrays()
+        order = value_order(rows)
+        text_keys = (rows[order] + ord("0")).tobytes().decode("ascii")
+        width = dist.width
+        keys = [text_keys[i : i + width] for i in range(0, len(text_keys), width)]
+        values = weights[order].tolist()
+        if as_int:
+            values = map(round, values)
+        block = ",\n    ".join([f'"{k}": {v!r}' for k, v in zip(keys, values)])
+        # top-level keys sit at indent 2; nested ones are deeper and string
+        # values hold no raw newline, so this placeholder is unique
+        head, tail = text.split(f'\n  "{field}": {{}}')
+        text = f'{head}\n  "{field}": {{\n    {block}\n  }}{tail}'
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
 def read_counts(path: str) -> tuple[OutcomeDistribution, dict]:
     """Load a counts file; returns the distribution and its metadata."""
-    doc, dist = _read_weights(
-        path, COUNTS_FORMAT, "counts", "count", "an integer >= 0", lambda v: _is_int(v) and v >= 0
-    )
+    doc, dist = _read_weights(path, COUNTS_FORMAT, "counts", "count", "an integer >= 0", {int})
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DataFormatError(f"{path}: 'metadata' must be an object")
@@ -138,15 +171,10 @@ def read_counts(path: str) -> tuple[OutcomeDistribution, dict]:
 def write_counts(dist: OutcomeDistribution, path: str, metadata: Mapping | None = None) -> None:
     if not dist.is_integral():
         raise ValueError("counts files hold integer counts; normalize first?")
-    doc = {
-        "format": COUNTS_FORMAT,
-        "version": FORMAT_VERSION,
-        "width": dist.width,
-        "counts": {b.text: int(round(w)) for b, w in sorted(dist.items(), key=lambda kv: kv[0].value)},
-    }
+    doc = {"format": COUNTS_FORMAT, "version": FORMAT_VERSION, "width": dist.width}
     if metadata:
         doc["metadata"] = dict(metadata)
-    _dump_json(path, doc)
+    _dump_weights(path, doc, "counts", dist, as_int=True)
 
 
 def read_distribution(path: str) -> OutcomeDistribution:
@@ -156,22 +184,13 @@ def read_distribution(path: str) -> OutcomeDistribution:
         "probabilities",
         "probability",
         "a finite number >= 0",
-        lambda v: _is_number(v) and 0 <= v < math.inf,
+        {int, float},
     )[1]
 
 
 def write_distribution(dist: OutcomeDistribution, path: str) -> None:
-    _dump_json(
-        path,
-        {
-            "format": DISTRIBUTION_FORMAT,
-            "version": FORMAT_VERSION,
-            "width": dist.width,
-            "probabilities": {
-                b.text: w for b, w in sorted(dist.items(), key=lambda kv: kv[0].value)
-            },
-        },
-    )
+    doc = {"format": DISTRIBUTION_FORMAT, "version": FORMAT_VERSION, "width": dist.width}
+    _dump_weights(path, doc, "probabilities", dist, as_int=False)
 
 
 def read_any_distribution(path: str) -> OutcomeDistribution:

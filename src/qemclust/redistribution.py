@@ -20,7 +20,7 @@ import numpy as np
 
 from ._packed import PackedDistribution, rows_to_strings, strings_to_rows
 from .clustering import ClusterModel
-from .distributions import BitString, OutcomeDistribution, hamming_distance
+from .distributions import BitString, OutcomeDistribution, _left_to_right_sum, hamming_distance
 
 __all__ = [
     "DegenerateMitigationError",
@@ -97,10 +97,11 @@ def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: flo
     # a zero-rate pass explains no flips: it removes nothing
     removed_idx = arrays[1] if flip_rate > 0 else ()
     centroid_set = set(model.centroids)
+    strings = rows_to_strings(packed.bits)
     return RedistributionResult(
         mitigated,
-        frozenset(packed.strings[i] for i in removed_idx),
-        {b: c for b, c in zip(packed.strings, arrays[3].tolist()) if b not in centroid_set},
+        frozenset(strings[i] for i in removed_idx),
+        {b: c for b, c in zip(strings, arrays[3].tolist()) if b not in centroid_set},
     )
 
 
@@ -113,25 +114,30 @@ def _mitigated_distribution(
 ) -> OutcomeDistribution:
     """The mitigated distribution from ``_redistribute_packed``'s arrays.
 
-    Surviving input strings come first in value order, then the centroids
-    that gained mass, in centroid order. A zero-rate channel explains no
-    flips, and ``arrays`` of None marks a degenerate pass: both return the
-    input's probability view bit-exactly. Raises DegenerateMitigationError
-    when no mass survives.
+    Surviving input rows come first in value order, then the centroids
+    that gained mass, in order of first appearance; duplicate centroids
+    (possible in unconverged models) accumulate. A zero-rate channel
+    explains no flips, and ``arrays`` of None marks a degenerate pass:
+    both return the input's probability view bit-exactly. Raises
+    DegenerateMitigationError when no mass survives.
     """
     if arrays is None or flip_rate == 0.0:
         return noisy.normalized()
     masses, _removed, centroid_masses, _claim, _rows = arrays
     survivors = np.flatnonzero(masses > 0)
-    out = dict(zip([packed.strings[i] for i in survivors], masses[survivors].tolist()))
     gained = np.flatnonzero(centroid_masses > 0)
-    for c, m in zip(rows_to_strings(centroid_bits[gained]), centroid_masses[gained].tolist()):
-        # duplicate centroids (possible in unconverged models) accumulate
-        out[c] = out.get(c, 0.0) + m
-    total = sum(out.values())
+    unique, first, which = np.unique(
+        centroid_bits[gained], axis=0, return_index=True, return_inverse=True
+    )
+    # bincount adds each bin's masses in centroid order
+    gained_mass = np.bincount(which.ravel(), centroid_masses[gained], len(unique))
+    order = np.argsort(first)
+    rows = np.concatenate([packed.bits[survivors], unique[order]])
+    mass = np.concatenate([masses[survivors], gained_mass[order]])
+    total = _left_to_right_sum(mass)
     if total <= 0:
         raise DegenerateMitigationError("redistribution removed every bit-string")
-    return OutcomeDistribution(packed.width, {b: m / total for b, m in out.items()})
+    return OutcomeDistribution._from_rows(rows, mass / total)
 
 
 def _redistribute_packed(

@@ -1,10 +1,14 @@
 import csv
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qemclust.engine as engine
+from qemclust import cli
 from qemclust import io as qio
 from qemclust import (
     BitString,
@@ -93,6 +97,123 @@ class TestCountsFiles:
         }))
         with pytest.raises(qio.DataFormatError, match="width"):
             qio.read_counts(str(path))
+
+    @pytest.mark.parametrize("width,counts,key", [
+        (2, {"0": 3, "011": 4}, "0"),  # 1 + 3 characters: 2 keys of width 2
+        (2, {"01": 3, "٠١": 4}, "٠١"),  # Arabic-Indic digits
+        (1, {"1": 2, "０": 3}, "０"),  # full-width zero
+        (1, {"1": 2, "": 3}, ""),
+        (2, {"01": 3, "10": True}, "10"),
+        (2, {"01": 3, "10": 2.0}, "10"),
+        (2, {"01": 3, "10": -1}, "10"),
+        (2, {"01": -1, "1x": 3}, "01"),  # the first bad entry is named
+    ])
+    def test_bad_entry_names_file_and_key(self, tmp_path, capsys, width, counts, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "format": "qemclust-counts", "version": 1, "width": width, "counts": counts,
+        }))
+        assert main(["mitigate", str(path), "--p", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"key {key!r} " in err
+
+    def test_count_above_int64_is_accepted(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "format": "qemclust-counts", "version": 1, "width": 2,
+            "counts": {"01": 3, "10": 2**64 + 1},
+        }))
+        dist, _ = qio.read_counts(str(path))
+        assert dist.get(B("10")) == float(2**64 + 1) and dist.total == float(2**64) + 3.0
+        assert main(["mitigate", str(path), "--p", "0.1"]) == 0
+
+    @pytest.mark.parametrize("rate", ["0.15", "0"])
+    def test_key_order_does_not_change_outputs(self, worked_counts, tmp_path, rate):
+        noisy_path, _ = worked_counts
+        doc = json.loads(noisy_path.read_text())
+        items = list(doc["counts"].items())
+        random.Random(3).shuffle(items)
+        shuffled = tmp_path / "shuffled.json"
+        shuffled.write_text(json.dumps({**doc, "counts": dict(items)}))
+        outputs = []
+        for i, path in enumerate([noisy_path, shuffled]):
+            out, rep = tmp_path / f"out{i}.json", tmp_path / f"rep{i}.json"
+            assert main(["mitigate", str(path), "--p", rate, "--out", str(out), "--report", str(rep)]) == 0
+            outputs.append((out.read_bytes(), rep.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
+@st.composite
+def weight_maps(draw):
+    width = draw(st.integers(min_value=1, max_value=70))
+    values = draw(st.lists(st.integers(min_value=0, max_value=2**width - 1), unique=True, max_size=40))
+    return width, draw(st.permutations(values))
+
+
+METADATA = st.one_of(
+    st.none(),
+    st.just({"counts": {}, "note": '\n  "counts": {}'}),
+    st.dictionaries(
+        st.text(max_size=6),
+        st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=6)),
+        max_size=3,
+    ),
+)
+
+
+class TestWeightMapWriter:
+    """``write_counts`` and ``write_distribution`` write what
+    ``json.dump(doc, indent=2, sort_keys=True)`` writes for the document."""
+
+    @staticmethod
+    def _expected(fmt, field, width, weights, metadata=None):
+        doc = {
+            "format": fmt,
+            "version": 1,
+            "width": width,
+            field: {format(v, f"0{width}b"): w for v, w in sorted(weights.items())},
+        }
+        if metadata:
+            doc["metadata"] = metadata
+        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+    @given(weight_maps(), st.data(), METADATA)
+    @settings(max_examples=150, deadline=None)
+    def test_counts_bytes(self, tmp_path_factory, keys, data, metadata):
+        width, values = keys
+        counts = data.draw(st.lists(
+            st.integers(min_value=0, max_value=2**53), min_size=len(values), max_size=len(values),
+        ))
+        weights = dict(zip(values, counts))
+        path = tmp_path_factory.mktemp("counts") / "c.json"
+        dist = OutcomeDistribution(width, {BitString(v, width): c for v, c in weights.items()})
+        qio.write_counts(dist, str(path), metadata)
+        expected = self._expected("qemclust-counts", "counts", width, weights, metadata)
+        assert path.read_bytes() == expected
+        if dist.total > 0:  # the array-built distribution the reader returns
+            qio.write_counts(qio.read_counts(str(path))[0], str(path), metadata)
+            assert path.read_bytes() == expected
+
+    @given(weight_maps(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_distribution_bytes(self, tmp_path_factory, keys, data):
+        width, values = keys
+        probs = data.draw(st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 5e-324, 1e-300, 0.1, 1.0, 1e300]),
+                st.floats(min_value=0.0, max_value=1e308),
+            ),
+            min_size=len(values), max_size=len(values),
+        ))
+        weights = dict(zip(values, probs))
+        path = tmp_path_factory.mktemp("probs") / "p.json"
+        dist = OutcomeDistribution(width, {BitString(v, width): p for v, p in weights.items()})
+        qio.write_distribution(dist, str(path))
+        expected = self._expected("qemclust-distribution", "probabilities", width, weights)
+        assert path.read_bytes() == expected
+        if dist.total > 0:
+            qio.write_distribution(qio.read_distribution(str(path)), str(path))
+            assert path.read_bytes() == expected
 
 
 class TestDistributionFiles:
@@ -290,6 +411,29 @@ class TestMitigateCommand:
         ])
         assert rc == 0
         assert 0.0 <= json.loads(report.read_text())["flip_rate"] <= 0.5
+
+    def test_builds_no_bit_strings_but_the_reported_centroids(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        ideal = generate_ideal(SyntheticSpec(14, 16, rng))
+        noisy = apply_bitflip(sample_shots(ideal, 8192, rng), NoiseSpec(0.15, rng))
+        counts, report = tmp_path / "counts.json", tmp_path / "report.json"
+        qio.write_counts(noisy, str(counts))
+        built = []
+        post_init = BitString.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(BitString, "__post_init__", counting)
+        rc = main([
+            "mitigate", str(counts), "--p", "0.15",
+            "--out", str(tmp_path / "out.json"), "--report", str(report),
+        ])
+        monkeypatch.undo()
+        assert rc == 0
+        iterations = json.loads(report.read_text())["iterations"]
+        assert 0 < len(built) <= sum(len(it["centroids"]) for it in iterations) < len(noisy)
 
 
 class TestSweepCommand:
@@ -497,3 +641,24 @@ class TestUsageErrors:
         assert main(["train", "--synthesize", "20", flag, value, "--out", str(model)]) == 1
         assert flag in capsys.readouterr().err
         assert not model.exists()
+
+
+class TestParser:
+    def test_successive_calls_share_no_values(self, monkeypatch):
+        seen = []
+        for name in ("mitigate", "simulate"):
+            monkeypatch.setitem(cli._COMMANDS, name, lambda args: seen.append(vars(args)) or 0)
+        assert main([
+            "--seed", "7", "mitigate", "a.json", "--p", "0.2", "--fixed-k", "3",
+            "--delta", "0.9", "--out", "o.json",
+        ]) == 0
+        assert main(["simulate", "--n", "4", "--d", "2", "--p", "0.1", "--out-ideal", "i",
+                     "--out-noisy", "n", "--no-timestamp"]) == 0
+        assert main(["mitigate", "b.json", "--model", "m.json", "--features", "f.json"]) == 0
+        assert seen[1]["seed"] == 0 and seen[1]["no_timestamp"] and "fixed_k" not in seen[1]
+        assert seen[2] == {
+            "seed": 0, "command": "mitigate", "counts": "b.json", "p": None,
+            "model": "m.json", "features": "f.json", "calibration": None, "p_scale": 1.0,
+            "delta": 0.95, "fixed_k": None, "out": None, "report": None, "hf_against": None,
+        }
+        assert cli._parser() is cli._parser()

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -81,6 +82,20 @@ class TestOutcomeDistribution:
     def test_probability_view_sums_to_one(self, dist):
         assert abs(sum(w for _, w in dist.normalized().items()) - 1.0) < 1e-9
 
+    @given(distributions(5))
+    def test_array_built_matches_dict_built(self, dist):
+        rows, weights = dist._arrays()
+        built = OutcomeDistribution._from_rows(rows, weights)
+        assert list(built.items()) == list(dist.items())
+        assert built == dist and len(built) == len(dist) and built.total == dist.total
+        assert built.normalized() == dist.normalized() and built.normalized().total == 1.0
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_array_built_rejects_bad_weight(self, bad):
+        rows = np.array([[0, 0], [0, 1]], dtype=np.uint8)
+        with pytest.raises(ValueError, match="'01'"):
+            OutcomeDistribution._from_rows(rows, np.array([1.0, bad]))
+
 
 class TestHammingDistance:
     def test_identity_case(self):
@@ -152,6 +167,23 @@ class TestHellingerFidelity:
                 OutcomeDistribution.from_counts({"00": 1}),
                 OutcomeDistribution.from_counts({"000": 1}),
             )
+
+    @given(distributions(5), distributions(5))
+    def test_array_built_side_gives_the_same_bits(self, a, b):
+        def rebuilt(d):
+            return OutcomeDistribution._from_rows(*d._arrays())
+
+        expected = hellinger_fidelity(a, b)
+        assert hellinger_fidelity(rebuilt(a), b) == expected
+        assert hellinger_fidelity(a, rebuilt(b)) == expected
+        assert hellinger_fidelity(rebuilt(a), rebuilt(b)) == expected
+
+    def test_array_built_side_builds_no_dict(self):
+        rows = np.array([[0, 0], [0, 1], [1, 1]], dtype=np.uint8)
+        big = OutcomeDistribution._from_rows(rows, np.array([0.2, 0.3, 0.5]))
+        small = OutcomeDistribution.from_counts({"01": 1.0, "10": 1.0})
+        assert hellinger_fidelity(small, big) == pytest.approx(0.5 * 0.3)
+        assert big._store is None
 
     @given(distributions(4), distributions(4))
     def test_symmetric_and_bounded(self, a, b):

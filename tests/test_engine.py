@@ -11,6 +11,7 @@ from qemclust import (
     BitString,
     ClusterConfig,
     DegenerateMitigationError,
+    ExperimentRecord,
     MitigationConfig,
     NoiseSpec,
     OutcomeDistribution,
@@ -299,6 +300,15 @@ class TestSweep:
         assert stats["improvement"] == pytest.approx(
             sum(r.improvement for r in recs) / 4
         )
+
+    def test_cell_means_add_left_to_right(self):
+        # compensated summation (sum() from Python 3.12 on) gives 1.0 / 10
+        cell = SweepCell(width=4, num_dominant=1, flip_rate=0.1)
+        recs = [ExperimentRecord(cell, t, t, 0.1, 0.1, 1.0, 1, "convergence", 0.0) for t in range(10)]
+        acc = 0.0
+        for _ in recs:
+            acc += 0.1
+        assert cell_means(recs)[cell]["hf_noisy"] == acc / 10 == 0.09999999999999999
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
