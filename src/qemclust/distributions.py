@@ -229,8 +229,11 @@ def normalized_entropy(dist: OutcomeDistribution) -> float:
     """
     if dist.total <= 0:
         raise ValueError("distribution has zero total weight")
+    # the weights in iteration order, without building an array-built
+    # distribution's dict
+    weights = dist._weights.tolist() if dist._store is None else dist._store.values()
     h = 0.0
-    for _, w in dist.items():
+    for w in weights:
         if w > 0:
             p = w / dist.total
             h -= p * math.log2(p)

@@ -16,6 +16,9 @@ weighted child variance wins; nodes grow until pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import add, itemgetter, mul, not_
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -217,6 +220,33 @@ class TreeEnsemble:
         return dict(zip(self.feature_names, self.importances))
 
 
+def _pairwise_sum(values: list[float]) -> float:
+    """Sum of ``values`` in the order numpy's float64 ``add.reduce`` adds
+    them, so the bits match ``np.sum``, ``ndarray.mean`` and ``np.var``:
+    0.0 plus the values left to right below 8 of them; up to 128, eight
+    strided accumulators combined pairwise and then the tail left to
+    right; above that, the two halves (split at a multiple of 8) summed
+    apart."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        m = n - n % 8
+        r = [reduce(add, values[j:m:8]) for j in range(8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[m:], res) + 0.0  # numpy starts from 0.0, so never -0.0
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _mean_var(values: list[float]) -> tuple[float, float]:
+    """``(np.mean(v), np.var(v))`` bit for bit, in Python floats."""
+    n = len(values)
+    mean = _pairwise_sum(values) / n
+    dev = [v - mean for v in values]
+    return mean, _pairwise_sum(list(map(mul, dev, dev))) / n
+
+
 def _grow_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -225,59 +255,59 @@ def _grow_tree(
     max_features: int,
     importance_acc: np.ndarray,
 ) -> _Tree:
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
+    """Grow one tree depth first, left child before right.
 
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
-
-    root = new_node()
-    stack: list[tuple[int, np.ndarray]] = [(root, np.arange(len(y)))]
+    Nodes hold a few to a few hundred rows, too few for numpy calls to pay
+    for their dispatch, so the node statistics are Python float
+    arithmetic on column lists with numpy's summation order; the random
+    draws are the same calls in the same order as on arrays.
+    """
+    cols = X.T.tolist()
+    labels = y.tolist()
+    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+    value = [0.0]
+    stack = [(0, list(range(len(labels))), labels, *_mean_var(labels))]
     while stack:
-        node, idx = stack.pop()
-        y_node = y[idx]
-        value[node] = float(y_node.mean())
-        if len(idx) < 2 * min_samples_leaf or np.all(y_node == y_node[0]):
+        node, idx, ys, mean, var = stack.pop()
+        value[node] = mean
+        n = len(idx)
+        if n < 2 * min_samples_leaf or min(ys) == max(ys):
             continue
-        X_node = X[idx]
-        lo = X_node.min(axis=0)
-        hi = X_node.max(axis=0)
-        candidates = np.flatnonzero(hi > lo)
-        if len(candidates) == 0:
+        get = itemgetter(*idx)  # n >= 2, so it returns a tuple
+        node_cols = list(map(get, cols))
+        lo, hi = list(map(min, node_cols)), list(map(max, node_cols))
+        candidates = [f for f in range(len(cols)) if hi[f] > lo[f]]
+        if not candidates:
             continue
         if len(candidates) > max_features:
-            candidates = rng.choice(candidates, size=max_features, replace=False)
+            picks = rng.choice(len(candidates), size=max_features, replace=False)
+            candidates = [candidates[i] for i in picks.tolist()]
         best = None
-        parent_score = float(np.var(y_node)) * len(idx)
         for f in candidates:
             t = rng.uniform(lo[f], hi[f])
-            mask = X_node[:, f] < t
-            n_left = int(mask.sum())
-            if n_left < min_samples_leaf or len(idx) - n_left < min_samples_leaf:
+            mask = list(map(t.__gt__, node_cols[f]))  # v < t
+            n_left = mask.count(True)
+            if n_left < min_samples_leaf or n - n_left < min_samples_leaf:
                 continue
-            score = float(np.var(y_node[mask])) * n_left + float(
-                np.var(y_node[~mask])
-            ) * (len(idx) - n_left)
+            rest = list(map(not_, mask))
+            left_y, right_y = list(compress(ys, mask)), list(compress(ys, rest))
+            left_stats, right_stats = _mean_var(left_y), _mean_var(right_y)
+            score = left_stats[1] * n_left + right_stats[1] * (n - n_left)
             if best is None or score < best[0]:
-                best = (score, int(f), float(t), mask)
+                best = (score, f, t, mask, rest, left_y, left_stats, right_y, right_stats)
         if best is None:
             continue
-        score, f, t, mask = best
-        importance_acc[f] += parent_score - score
-        feature[node] = f
-        threshold[node] = t
-        left[node] = new_node()
-        right[node] = new_node()
-        stack.append((right[node], idx[~mask]))
-        stack.append((left[node], idx[mask]))
+        score, f, t, mask, rest, left_y, left_stats, right_y, right_stats = best
+        importance_acc[f] += var * n - score
+        feature[node], threshold[node] = f, t
+        left[node], right[node] = len(feature), len(feature) + 1
+        feature += [-1, -1]
+        threshold += [0.0, 0.0]
+        left += [-1, -1]
+        right += [-1, -1]
+        value += [0.0, 0.0]
+        stack.append((right[node], list(compress(idx, rest)), right_y, *right_stats))
+        stack.append((left[node], list(compress(idx, mask)), left_y, *left_stats))
     return _Tree(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),
@@ -303,8 +333,8 @@ def fit_tree_ensemble(
 ) -> TreeEnsemble:
     """Grow the ensemble; deterministic for a fixed seed.
 
-    ``max_features`` defaults to max(1, n_features // 3). Labels must lie
-    in the identifiable rate range [0, 0.5].
+    ``max_features`` defaults to max(1, n_features // 3). Features and
+    labels must be finite, labels in the identifiable rate range [0, 0.5].
     """
     X = _as_matrix(features)
     y = np.asarray(labels, dtype=np.float64)
@@ -312,6 +342,8 @@ def fit_tree_ensemble(
         raise ValueError("training set must be a nonempty feature matrix")
     if len(X) != len(y):
         raise ValueError(f"{len(X)} feature rows but {len(y)} labels")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("features and labels must be finite (no NaN or infinity)")
     if np.any((y < RATE_MIN) | (y > RATE_MAX)):
         raise ValueError(f"labels must lie in [{RATE_MIN}, {RATE_MAX}]")
     if n_trees < 1:

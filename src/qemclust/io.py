@@ -22,6 +22,8 @@ from .distributions import OutcomeDistribution
 from .engine import ExperimentRecord, SweepCell, cell_means
 from .estimator import (
     FEATURE_NAMES,
+    RATE_MAX,
+    RATE_MIN,
     CalibrationSnapshot,
     CircuitFeatures,
     TreeEnsemble,
@@ -73,8 +75,11 @@ def _read_json(path: str) -> dict:
     return doc
 
 
-def _load_json(path: str, expected_format: str) -> dict:
-    doc = _read_json(path)
+def _load_json(path: str, expected_format: str, doc: dict | None = None) -> dict:
+    """The JSON object in ``path`` (or ``doc``, already read from it),
+    checked to carry ``expected_format`` at the supported version."""
+    if doc is None:
+        doc = _read_json(path)
     if doc.get("format") != expected_format:
         raise DataFormatError(
             f"{path}: expected format {expected_format!r}, got {doc.get('format')!r}"
@@ -99,8 +104,11 @@ def _dump_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _read_weights(path: str, expected_format: str, field: str, name: str, rule: str, types: set):
-    """Load a file whose ``field`` maps width-bit keys to weights.
+def _read_weights(
+    path: str, doc: dict | None, expected_format: str, field: str, name: str, rule: str, types: set
+):
+    """Load a file (or its parsed ``doc``) whose ``field`` maps width-bit
+    keys to weights.
 
     Returns the JSON document and the distribution, in file-key order.
     Every weight must be of one of ``types`` (JSON values, so ``bool`` is
@@ -109,7 +117,7 @@ def _read_weights(path: str, expected_format: str, field: str, name: str, rule: 
     joined text, all values in one pass; only a failure looks at single
     entries, to name the first bad one.
     """
-    doc = _load_json(path, expected_format)
+    doc = _load_json(path, expected_format, doc)
     width = doc.get("width")
     weights = doc.get(field)
     if not _is_int(width) or width < 1:
@@ -159,9 +167,10 @@ def _dump_weights(path: str, doc: dict, field: str, dist: OutcomeDistribution, a
         fh.write(text + "\n")
 
 
-def read_counts(path: str) -> tuple[OutcomeDistribution, dict]:
-    """Load a counts file; returns the distribution and its metadata."""
-    doc, dist = _read_weights(path, COUNTS_FORMAT, "counts", "count", "an integer >= 0", {int})
+def read_counts(path: str, *, doc: dict | None = None) -> tuple[OutcomeDistribution, dict]:
+    """Load a counts file (``doc``: its JSON, if already parsed); returns
+    the distribution and its metadata."""
+    doc, dist = _read_weights(path, doc, COUNTS_FORMAT, "counts", "count", "an integer >= 0", {int})
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DataFormatError(f"{path}: 'metadata' must be an object")
@@ -177,9 +186,11 @@ def write_counts(dist: OutcomeDistribution, path: str, metadata: Mapping | None 
     _dump_weights(path, doc, "counts", dist, as_int=True)
 
 
-def read_distribution(path: str) -> OutcomeDistribution:
+def read_distribution(path: str, *, doc: dict | None = None) -> OutcomeDistribution:
+    """Load a distribution file (``doc``: its JSON, if already parsed)."""
     return _read_weights(
         path,
+        doc,
         DISTRIBUTION_FORMAT,
         "probabilities",
         "probability",
@@ -195,11 +206,12 @@ def write_distribution(dist: OutcomeDistribution, path: str) -> None:
 
 def read_any_distribution(path: str) -> OutcomeDistribution:
     """Accept either a counts file or a probability-distribution file."""
-    fmt = _read_json(path).get("format")
+    doc = _read_json(path)
+    fmt = doc.get("format")
     if fmt == COUNTS_FORMAT:
-        return read_counts(path)[0]
+        return read_counts(path, doc=doc)[0]
     if fmt == DISTRIBUTION_FORMAT:
-        return read_distribution(path)
+        return read_distribution(path, doc=doc)
     raise DataFormatError(f"{path}: not a counts or distribution file (format={fmt!r})")
 
 
@@ -335,7 +347,12 @@ def read_corpus(path: str) -> tuple[list[CircuitFeatures], np.ndarray]:
                 raise DataFormatError(f"{path}: line {lineno}: expected {len(CORPUS_COLUMNS)} fields")
             try:
                 features.append(CircuitFeatures(*map(int, row[:6]), *map(float, row[6:8])))
-                labels.append(float(row[8]))
+                label = float(row[8])
+                if not RATE_MIN <= label <= RATE_MAX:
+                    raise ValueError(
+                        f"effective_error_rate must lie in [{RATE_MIN}, {RATE_MAX}], got {row[8]}"
+                    )
+                labels.append(label)
             except ValueError as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
     if not features:

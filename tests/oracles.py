@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from qemclust import BitString, ClusterModel, OutcomeDistribution, hamming_distance
+from qemclust.estimator import _Tree
 
 
 def brute_force_joint(b: BitString, c: BitString, weight: float, p: float) -> float:
@@ -224,3 +225,91 @@ def convolve_bitflip(dist: OutcomeDistribution, flip_rate: float) -> OutcomeDist
 
 def shannon_entropy_bits(probs) -> float:
     return -sum(p * math.log2(p) for p in probs if p > 0)
+
+
+def reference_grow_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    rng: np.random.Generator,
+    min_samples_leaf: int,
+    max_features: int,
+    importance_acc: np.ndarray,
+) -> _Tree:
+    """Extra-trees growth on numpy arrays, one numpy call per statistic:
+    depth first, left before right, ``rng.choice`` over the non-constant
+    features when there are more than ``max_features``, one
+    ``rng.uniform`` threshold per candidate, the lowest weighted child
+    variance wins (first on ties), nodes grow until pure."""
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
+
+    def new_node() -> int:
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    root = new_node()
+    stack: list[tuple[int, np.ndarray]] = [(root, np.arange(len(y)))]
+    while stack:
+        node, idx = stack.pop()
+        y_node = y[idx]
+        value[node] = float(y_node.mean())
+        if len(idx) < 2 * min_samples_leaf or np.all(y_node == y_node[0]):
+            continue
+        X_node = X[idx]
+        lo = X_node.min(axis=0)
+        hi = X_node.max(axis=0)
+        candidates = np.flatnonzero(hi > lo)
+        if len(candidates) == 0:
+            continue
+        if len(candidates) > max_features:
+            candidates = rng.choice(candidates, size=max_features, replace=False)
+        best = None
+        parent_score = float(np.var(y_node)) * len(idx)
+        for f in candidates:
+            t = rng.uniform(lo[f], hi[f])
+            mask = X_node[:, f] < t
+            n_left = int(mask.sum())
+            if n_left < min_samples_leaf or len(idx) - n_left < min_samples_leaf:
+                continue
+            score = float(np.var(y_node[mask])) * n_left + float(
+                np.var(y_node[~mask])
+            ) * (len(idx) - n_left)
+            if best is None or score < best[0]:
+                best = (score, int(f), float(t), mask)
+        if best is None:
+            continue
+        score, f, t, mask = best
+        importance_acc[f] += parent_score - score
+        feature[node] = f
+        threshold[node] = t
+        left[node] = new_node()
+        right[node] = new_node()
+        stack.append((right[node], idx[~mask]))
+        stack.append((left[node], idx[mask]))
+    return _Tree(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        value=np.array(value, dtype=np.float64),
+    )
+
+
+def reference_fit(X: np.ndarray, y: np.ndarray, n_trees: int, min_samples_leaf: int, max_features: int, seed: int):
+    """(trees, importances) of ``fit_tree_ensemble`` grown by
+    ``reference_grow_tree``: one spawned seed stream per tree, one shared
+    importance accumulator, normalized by its total when positive."""
+    acc = np.zeros(X.shape[1], dtype=np.float64)
+    trees = [
+        reference_grow_tree(X, y, np.random.default_rng(s), min_samples_leaf, max_features, acc)
+        for s in np.random.SeedSequence(seed).spawn(n_trees)
+    ]
+    total = acc.sum()
+    return trees, tuple(float(v) for v in (acc / total if total > 0 else acc))

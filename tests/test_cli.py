@@ -11,6 +11,7 @@ import qemclust.engine as engine
 from qemclust import cli
 from qemclust import io as qio
 from qemclust import (
+    FEATURE_NAMES,
     BitString,
     DegenerateMitigationError,
     NoiseSpec,
@@ -20,6 +21,7 @@ from qemclust import (
     fit_tree_ensemble,
     generate_ideal,
     make_synthetic_corpus,
+    normalized_entropy,
     sample_shots,
 )
 from qemclust.cli import main
@@ -412,7 +414,10 @@ class TestMitigateCommand:
         assert rc == 0
         assert 0.0 <= json.loads(report.read_text())["flip_rate"] <= 0.5
 
-    def test_builds_no_bit_strings_but_the_reported_centroids(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _mitigate_counting_bit_strings(tmp_path, monkeypatch, rate_args):
+        """Mitigate a 14-qubit d=16 instance; returns the noisy counts, the
+        number of ``BitString``s built and the report's centroid count."""
         rng = np.random.default_rng(7)
         ideal = generate_ideal(SyntheticSpec(14, 16, rng))
         noisy = apply_bitflip(sample_shots(ideal, 8192, rng), NoiseSpec(0.15, rng))
@@ -427,13 +432,59 @@ class TestMitigateCommand:
 
         monkeypatch.setattr(BitString, "__post_init__", counting)
         rc = main([
-            "mitigate", str(counts), "--p", "0.15",
+            "mitigate", str(counts), *rate_args,
             "--out", str(tmp_path / "out.json"), "--report", str(report),
         ])
         monkeypatch.undo()
         assert rc == 0
         iterations = json.loads(report.read_text())["iterations"]
-        assert 0 < len(built) <= sum(len(it["centroids"]) for it in iterations) < len(noisy)
+        return noisy, len(built), sum(len(it["centroids"]) for it in iterations)
+
+    def test_builds_no_bit_strings_but_the_reported_centroids(self, tmp_path, monkeypatch):
+        noisy, built, centroids = self._mitigate_counting_bit_strings(
+            tmp_path, monkeypatch, ["--p", "0.15"]
+        )
+        assert 0 < built <= centroids < len(noisy)
+
+    def test_model_rate_builds_no_bit_strings_but_the_reported_centroids(self, tmp_path, monkeypatch):
+        # the features file has no entropy, so mitigate computes it from the counts
+        feats, labels = make_synthetic_corpus(20, seed=7)
+        model_path, features_path = tmp_path / "model.json", tmp_path / "features.json"
+        qio.save_model(fit_tree_ensemble(feats, labels, n_trees=3, seed=7), str(model_path))
+        doc = {"format": "qemclust-features", "version": 1, "esp": 0.8}
+        doc.update({name: getattr(feats[0], name) for name in FEATURE_NAMES[:6]})
+        features_path.write_text(json.dumps(doc))
+        noisy, built, centroids = self._mitigate_counting_bit_strings(
+            tmp_path, monkeypatch, ["--model", str(model_path), "--features", str(features_path)]
+        )
+        assert 0 < built <= centroids < len(noisy)
+        # the array-read counts give the entropy the dict-built ones give
+        read = qio.read_counts(str(tmp_path / "counts.json"))[0]
+        assert 0.0 < normalized_entropy(read) == normalized_entropy(noisy)
+
+    @pytest.mark.parametrize("ideal_format", ["distribution", "counts"])
+    def test_hf_against_file_is_parsed_once(self, worked_counts, tmp_path, monkeypatch, ideal_format):
+        noisy_path, ideal_path = worked_counts
+        if ideal_format == "counts":
+            ideal_path = tmp_path / "ideal_counts.json"
+            ideal = OutcomeDistribution.from_counts({"111000": 39, "011010": 61})
+            qio.write_counts(ideal, str(ideal_path))
+        loaded = []
+        load = json.load
+
+        def counting(fh, *args, **kwargs):
+            loaded.append(fh.name)
+            return load(fh, *args, **kwargs)
+
+        monkeypatch.setattr(json, "load", counting)
+        report = tmp_path / "r.json"
+        rc = main([
+            "mitigate", str(noisy_path), "--p", "0.15", "--report", str(report),
+            "--hf-against", str(ideal_path),
+        ])
+        assert rc == 0
+        assert loaded.count(str(ideal_path)) == 1
+        assert "hf_mitigated" in json.loads(report.read_text())
 
 
 class TestSweepCommand:
@@ -527,6 +578,26 @@ class TestTrainAndEstimate:
         with redirect_stdout(buf2):
             main(["estimate", "--model", str(model_path), "--features", str(features_path)])
         assert buf2.getvalue() == buf.getvalue()
+
+    @pytest.mark.parametrize(
+        "column, bad",
+        [("effective_error_rate", "nan"), ("effective_error_rate", "inf"), ("entropy", "nan")],
+    )
+    def test_non_finite_corpus_is_data_error(self, tmp_path, capsys, column, bad):
+        feats, labels = make_synthetic_corpus(12, seed=3)
+        corpus_path = tmp_path / "corpus.csv"
+        qio.write_corpus(feats, labels, str(corpus_path))
+        lines = corpus_path.read_text().splitlines()
+        header, row = lines[0].split(","), lines[5].split(",")
+        row[header.index(column)] = bad
+        lines[5] = ",".join(row)
+        corpus_path.write_text("\n".join(lines) + "\n")
+        model_path = tmp_path / "model.json"
+        rc = main(["train", "--corpus", str(corpus_path), "--trees", "2", "--out", str(model_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "corpus.csv" in err and "line 6" in err
+        assert not model_path.exists()
 
     def test_esp_derived_from_calibration(self, tmp_path):
         feats, labels = make_synthetic_corpus(50, seed=13)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import convolve_bitflip
+from oracles import convolve_bitflip, reference_fit
 from qemclust import (
     FEATURE_NAMES,
     BitString,
@@ -18,6 +18,7 @@ from qemclust import (
     make_synthetic_corpus,
     SyntheticSpec,
 )
+from qemclust.estimator import _pairwise_sum
 
 B = BitString.from_text
 
@@ -146,6 +147,16 @@ class TestTreeEnsemble:
         with pytest.raises(ValueError):
             fit_tree_ensemble([features_row()], [0.7])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_training_data_rejected(self, bad):
+        X = np.array([features_row(esp=0.5 + 0.1 * i).to_vector() for i in range(4)])
+        y = np.array([0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(ValueError, match="finite"):
+            fit_tree_ensemble(X, np.where(np.arange(4) == 2, bad, y), n_trees=2)
+        X[1, FEATURE_NAMES.index("entropy")] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_tree_ensemble(X, y, n_trees=2)
+
     def test_dimension_mismatch_rejected(self):
         model = fit_tree_ensemble([features_row(), features_row(esp=0.5)], [0.1, 0.2], n_trees=3)
         with pytest.raises(ValueError):
@@ -225,3 +236,78 @@ class TestValidation:
             CalibrationSnapshot(gate_errors={"2q": 1.5}, readout_errors=())
         with pytest.raises(ValueError):
             CalibrationSnapshot(gate_errors={}, readout_errors=(-0.1,))
+
+
+def assert_equals_reference(model, X, y):
+    trees, importances = reference_fit(
+        X, y, model.n_trees, model.min_samples_leaf, model.max_features, model.seed
+    )
+    for got, want in zip(model.trees, trees, strict=True):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert model.importances == importances
+
+
+class TestTreeKernel:
+    """The scalar node kernel grows the trees the numpy reference grows,
+    bit for bit, so model files do not change."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "mixed"])
+    def test_pairwise_sum_matches_numpy_bits(self, kind):
+        # the kernel's means and variances rely on numpy's summation order;
+        # a numpy that changes it must fail here, not move model bytes
+        rng = np.random.default_rng(0 if kind == "uniform" else 1)
+        for n in range(1, 1101):
+            if kind == "uniform":
+                a = rng.random(n)
+            else:
+                a = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+                a[rng.random(n) < 0.1] = 1e16
+            assert _pairwise_sum(a.tolist()).hex() == float(np.add.reduce(a)).hex(), n
+
+    def test_pairwise_sum_of_negative_zeros(self):
+        for n in (1, 7, 8, 129, 300):
+            assert _pairwise_sum([-0.0] * n).hex() == float(np.add.reduce(np.full(n, -0.0))).hex()
+
+    @given(
+        rows=st.integers(2, 700),
+        n_features=st.integers(1, 9),
+        levels=st.lists(st.sampled_from([1, 2, 3, 7, 0]), min_size=9, max_size=9),
+        label_levels=st.sampled_from([1, 2, 5, 0]),
+        duplicate=st.booleans(),
+        min_samples_leaf=st.integers(1, 5),
+        max_features=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_trees_equal_the_numpy_reference(
+        self, rows, n_features, levels, label_levels, duplicate, min_samples_leaf, max_features, seed
+    ):
+        # levels: distinct values per column (1 is constant, 0 continuous
+        # over mixed magnitudes); the same for the labels
+        rng = np.random.default_rng(seed)
+        X = np.empty((rows, n_features))
+        for f in range(n_features):
+            if levels[f]:
+                X[:, f] = rng.integers(0, levels[f], rows) * rng.uniform(0.1, 100.0)
+            else:
+                X[:, f] = rng.random(rows) * 10.0 ** rng.integers(-6, 6)
+        if label_levels:
+            y = rng.choice(rng.uniform(0.0, 0.5, label_levels), rows)
+        else:
+            y = rng.uniform(0.0, 0.5, rows)
+        if duplicate:
+            src = rng.integers(0, rows, rows // 2)
+            X[: rows // 2], y[: rows // 2] = X[src], y[src]
+        max_features = min(max_features, n_features)
+        model = fit_tree_ensemble(
+            X, y, n_trees=2, min_samples_leaf=min_samples_leaf, max_features=max_features, seed=seed
+        )
+        assert_equals_reference(model, X, y)
+
+    @pytest.mark.parametrize("min_samples_leaf", [1, 2, 5])
+    def test_synthetic_corpus_trees_equal_the_numpy_reference(self, min_samples_leaf):
+        feats, labels = make_synthetic_corpus(120, seed=min_samples_leaf)
+        X = np.array([f.to_vector() for f in feats])
+        model = fit_tree_ensemble(X, labels, n_trees=4, min_samples_leaf=min_samples_leaf, seed=7)
+        assert_equals_reference(model, X, labels)
