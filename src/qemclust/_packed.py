@@ -58,19 +58,23 @@ def match_rows(bits: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.where(found < len(bits), found, -1)
 
 
-def _words_to_strings(words: np.ndarray, width: int) -> list[BitString]:
+def rows_to_strings(bits: np.ndarray) -> list[BitString]:
+    """One BitString per row of a (n, width) 0/1 matrix."""
+    words = _pack_words(bits)
     values = words[:, 0].tolist()
     for column in words[:, 1:].T:
         values = [(v << 64) | w for v, w in zip(values, column.tolist())]
-    return [BitString(v, width) for v in values]
+    return [BitString(v, bits.shape[1]) for v in values]
 
 
-def rows_to_strings(bits: np.ndarray) -> list[BitString]:
-    """One BitString per row of a (n, width) 0/1 matrix."""
-    return _words_to_strings(_pack_words(bits), bits.shape[1])
+def _unpack_words(words: np.ndarray, width: int) -> np.ndarray:
+    """(n, width) 0/1 uint8 rows of ``_pack_words`` output, copied out of
+    the 64-bit-wide unpack buffer."""
+    raw = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1)
+    return np.ascontiguousarray(raw[:, raw.shape[1] - width :])
 
 
-def tally_rows(bits: np.ndarray) -> tuple[list[BitString], np.ndarray]:
+def tally_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a 0/1 matrix in ascending value order, with counts.
 
     Each further word folds into a 1-D key as (rank of the key so far) *
@@ -91,7 +95,7 @@ def tally_rows(bits: np.ndarray) -> tuple[list[BitString], np.ndarray]:
     for prefix, column in reversed(tables):
         columns.insert(0, column[key % n])
         key = prefix[key // n]
-    return _words_to_strings(np.column_stack([key, *columns]), bits.shape[1]), counts
+    return _unpack_words(np.column_stack([key, *columns]), bits.shape[1]), counts
 
 
 class PackedDistribution:

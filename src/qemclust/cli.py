@@ -153,6 +153,9 @@ def _cmd_mitigate(args) -> int:
         raise _UsageError("exactly one of --p or --model must be given")
     if args.model is not None and not args.features:
         raise _UsageError("--model requires --features")
+    for flag in ("features", "calibration"):
+        if args.model is None and getattr(args, flag) is not None:
+            raise _UsageError(f"--{flag} requires --model")
     noisy, _meta = io.read_counts(args.counts)
     rate = _resolve_rate(args, noisy)
     cfg = MitigationConfig(flip_rate=rate, stop_threshold=args.delta, fixed_k=args.fixed_k)
@@ -222,6 +225,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_train(args) -> int:
     if args.corpus and args.synthesize:
         raise _UsageError("give either --corpus or --synthesize, not both")
+    if args.corpus and args.save_corpus:
+        raise _UsageError("--save-corpus writes a synthesized corpus; it cannot be given with --corpus")
     if args.corpus:
         features, labels = io.read_corpus(args.corpus)
     else:

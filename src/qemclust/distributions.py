@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class BitString:
     """One measured outcome: ``width`` bits packed into an integer.
 
@@ -75,9 +75,10 @@ class OutcomeDistribution:
     right in iteration order. Operations that need a probability view
     require ``total > 0``.
 
-    A distribution is stored either as a ``{BitString: weight}`` dict or,
-    when built by ``_from_rows``, as a bit matrix and a weight vector; the
-    dict of an array-built one is made on first dict-style access.
+    Stored as a (n, width) 0/1 uint8 bit matrix and a float64 weight
+    vector in iteration order; the ``{BitString: weight}`` dict is a cache,
+    kept from the mapping given to the constructor or made on first
+    dict-style access.
     """
 
     __slots__ = ("_width", "_store", "_rows", "_weights", "_total")
@@ -85,38 +86,34 @@ class OutcomeDistribution:
     def __init__(self, width: int, entries: Mapping[BitString, float]):
         if width < 1:
             raise ValueError(f"width must be a positive integer, got {width}")
-        store: dict[BitString, float] = {}
-        total = 0.0
-        for b, w in entries.items():
+        for b in entries:
             if b.width != width:
-                raise ValueError(
-                    f"bit-string {b.text!r} has width {b.width}, expected {width}"
-                )
-            w = float(w)
-            if w < 0 or not math.isfinite(w):
-                raise ValueError(f"weight for {b.text!r} must be finite and >= 0, got {w}")
-            store[b] = w
-            total += w
-        self._width = width
-        self._store = store
-        self._rows = self._weights = None
-        self._total = total
+                raise ValueError(f"bit-string {b.text!r} has width {b.width}, expected {width}")
+        from ._packed import strings_to_rows
+
+        store = {b: float(w) for b, w in entries.items()}
+        weights = np.fromiter(store.values(), dtype=np.float64, count=len(store))
+        self._set(strings_to_rows(store, width), weights, store)
 
     @classmethod
     def _from_rows(cls, rows: np.ndarray, weights: np.ndarray) -> "OutcomeDistribution":
         """Distribution over the distinct rows of a (n, width) 0/1 uint8
         matrix, iterated in row order, with float64 ``weights``."""
+        out = cls.__new__(cls)
+        out._set(rows, weights, None)
+        return out
+
+    def _set(self, rows: np.ndarray, weights: np.ndarray, store: dict | None) -> None:
+        """Check the weights, then keep the arrays and the dict cache (or None)."""
         bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0)))
         if len(bad):
             i = bad[0]
             text = (rows[i] + ord("0")).tobytes().decode()
             raise ValueError(f"weight for {text!r} must be finite and >= 0, got {float(weights[i])}")
-        out = cls.__new__(cls)
-        out._width = rows.shape[1]
-        out._store = None
-        out._rows, out._weights = rows, weights
-        out._total = _left_to_right_sum(weights)
-        return out
+        self._width = rows.shape[1]
+        self._store = store
+        self._rows, self._weights = rows, weights
+        self._total = _left_to_right_sum(weights)
 
     @property
     def _entries(self) -> dict[BitString, float]:
@@ -127,24 +124,8 @@ class OutcomeDistribution:
         return self._store
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(bit rows, float64 weights) in iteration order; computed, not
-        kept, for a dict-built distribution."""
-        if self._rows is not None:
-            return self._rows, self._weights
-        from ._packed import strings_to_rows
-
-        weights = np.fromiter(self._store.values(), dtype=np.float64, count=len(self._store))
-        return strings_to_rows(self._store, self._width), weights
-
-    def _weights_of(self, strings: list[BitString]) -> list[float]:
-        """The weight of each of ``strings``, 0.0 where absent; an
-        array-built distribution answers from its rows, without its dict."""
-        if self._store is not None:
-            return [self._store.get(b, 0.0) for b in strings]
-        from ._packed import match_rows, strings_to_rows
-
-        found = match_rows(self._rows, strings_to_rows(strings, self._width))
-        return np.append(self._weights, 0.0)[found].tolist()  # -1 picks the 0.0
+        """(bit rows, float64 weights) in iteration order."""
+        return self._rows, self._weights
 
     @classmethod
     def from_counts(cls, counts: Mapping[str, float], width: int | None = None) -> "OutcomeDistribution":
@@ -164,7 +145,7 @@ class OutcomeDistribution:
         return self._total
 
     def __len__(self) -> int:
-        return len(self._store) if self._rows is None else len(self._rows)
+        return len(self._weights)
 
     def __iter__(self) -> Iterator[BitString]:
         return iter(self._entries)
@@ -202,7 +183,7 @@ class OutcomeDistribution:
 
     def is_integral(self, tol: float = 1e-9) -> bool:
         """True when every weight is (numerically) a nonnegative integer."""
-        return all(abs(w - round(w)) <= tol for w in self._entries.values())
+        return bool(np.all(np.abs(self._weights - np.rint(self._weights)) <= tol))
 
 
 def _left_to_right_sum(values) -> float:
@@ -229,11 +210,8 @@ def normalized_entropy(dist: OutcomeDistribution) -> float:
     """
     if dist.total <= 0:
         raise ValueError("distribution has zero total weight")
-    # the weights in iteration order, without building an array-built
-    # distribution's dict
-    weights = dist._weights.tolist() if dist._store is None else dist._store.values()
     h = 0.0
-    for w in weights:
+    for w in dist._weights.tolist():
         if w > 0:
             p = w / dist.total
             h -= p * math.log2(p)
@@ -252,11 +230,13 @@ def hellinger_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
         raise ValueError(f"width mismatch: {p.width} != {q.width}")
     if p.total <= 0 or q.total <= 0:
         raise ValueError("distributions must have positive total weight")
+    from ._packed import match_rows
+
     small, big = (p, q) if len(p) <= len(q) else (q, p)
-    acc = 0.0
-    for (_, w), v in zip(small.items(), big._weights_of(list(small))):
-        if w > 0 and v > 0:
-            acc += math.sqrt((w / small.total) * (v / big.total))
+    found = match_rows(big._rows, small._rows)
+    v = np.append(big._weights, 0.0)[found]  # -1 picks the 0.0
+    # absent strings and zero weights add sqrt(0) = 0.0, which leaves the sum's bits alone
+    acc = _left_to_right_sum(np.sqrt((small._weights / small.total) * (v / big.total)))
     return min(acc * acc, 1.0)
 
 

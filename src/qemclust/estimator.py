@@ -23,8 +23,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distributions import BitString, OutcomeDistribution, normalized_entropy
-from .noise import NoiseSpec, SyntheticSpec, apply_bitflip, generate_ideal, sample_shots
+from ._packed import match_rows, value_order
+from .distributions import OutcomeDistribution, normalized_entropy
+from .noise import NoiseSpec, SyntheticSpec, _distinct_rows, apply_bitflip, generate_ideal, sample_shots
 
 __all__ = [
     "FEATURE_NAMES",
@@ -149,9 +150,13 @@ def effective_error_rate(ideal: OutcomeDistribution, noisy: OutcomeDistribution)
         raise ValueError(f"width mismatch: {ideal.width} != {noisy.width}")
     if ideal.total <= 0 or noisy.total <= 0:
         raise ValueError("distributions must have positive total weight")
-    mode = min((b for b in ideal), key=lambda b: (-ideal.get(b), b.value))
-    p_ideal = ideal.probability(mode)
-    p_noisy = noisy.probability(mode)
+    rows, weights = ideal._arrays()
+    order = value_order(rows)
+    mode = order[np.argmax(weights[order])]  # the first maximum in value order
+    noisy_rows, noisy_weights = noisy._arrays()
+    found = int(match_rows(noisy_rows, rows[mode : mode + 1])[0])
+    p_ideal = float(weights[mode]) / ideal.total
+    p_noisy = float(noisy_weights[found]) / noisy.total if found >= 0 else 0.0
     if p_noisy <= 0.0:
         return RATE_MAX
     ratio = p_noisy / p_ideal
@@ -443,16 +448,10 @@ def _spiked_ideal(width: int, rng: np.random.Generator) -> OutcomeDistribution:
     """
     spike = float(rng.uniform(0.3, 0.6))
     d_tail = int(rng.integers(1 << max(width - 2, 1), (1 << max(width - 1, 1)) + 1))
-    values: set[int] = set()
-    while len(values) < d_tail + 1:
-        draw = rng.integers(0, 1 << width, size=d_tail + 1 - len(values))
-        values.update(int(v) for v in draw)
-    ordered = sorted(values)
-    mode = ordered[int(rng.integers(0, len(ordered)))]
-    tail_w = (1.0 - spike) / (len(ordered) - 1)
-    return OutcomeDistribution(
-        width, {BitString(v, width): (spike if v == mode else tail_w) for v in ordered}
-    )
+    rows = _distinct_rows(rng, width, d_tail + 1)
+    weights = np.full(d_tail + 1, (1.0 - spike) / d_tail)
+    weights[int(rng.integers(0, d_tail + 1))] = spike
+    return OutcomeDistribution._from_rows(rows, weights)
 
 
 def make_synthetic_corpus(

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._packed import PackedDistribution, rows_to_strings, tally_rows
-from .distributions import BitString, OutcomeDistribution
+from ._packed import tally_rows, value_order
+from .distributions import OutcomeDistribution
 
 __all__ = [
     "SyntheticSpec",
@@ -55,29 +55,40 @@ class NoiseSpec:
             raise ValueError(f"flip_rate must lie in [0, 0.5], got {self.flip_rate}")
 
 
+def _distinct_rows(rng: np.random.Generator, width: int, count: int) -> np.ndarray:
+    """``count`` distinct uniform random width-bit rows in ascending value
+    order, as a (count, width) uint8 matrix.
+
+    Draws the missing number of strings until ``count`` are distinct: one
+    integer draw per string while 2^width fits an int64, one draw per bit
+    above that.
+    """
+    if width <= 62:
+        # a set, not np.union1d: top-ups re-union the whole array, 5x slower
+        # for a 2049-string tail of a 12-bit space
+        values: set[int] = set()
+        while len(values) < count:
+            values.update(rng.integers(0, 1 << width, size=count - len(values)).tolist())
+        shifts = np.arange(width - 1, -1, -1)
+        return ((np.array(sorted(values))[:, None] >> shifts) & 1).astype(np.uint8)
+    rows = np.empty((0, width), dtype=np.uint8)
+    while len(rows) < count:
+        draw = rng.integers(0, 2, size=(count - len(rows), width), dtype=np.uint8)
+        rows = np.unique(np.concatenate([rows, draw]), axis=0)  # 0/1 rows sort like values
+    return rows
+
+
 def generate_ideal(spec: SyntheticSpec) -> OutcomeDistribution:
     """Random ideal distribution over ``num_dominant`` distinct strings.
 
     Dominant strings are drawn uniformly without replacement and their
-    probabilities are i.i.d. uniform draws normalized to sum 1.
-    Deterministic given the seed.
+    probabilities are i.i.d. uniform draws normalized to sum 1, in
+    ascending value order. Deterministic given the seed.
     """
     rng = np.random.default_rng(spec.seed)
-    n, d = spec.width, spec.num_dominant
-    values: set[int] = set()
-    while len(values) < d:
-        # one integer draw per string while 2^n fits an int64, one draw
-        # per bit above that
-        if n <= 62:
-            draw = rng.integers(0, 1 << n, size=d - len(values))
-            values.update(int(v) for v in draw)
-        else:
-            rows = rng.integers(0, 2, size=(d - len(values), n), dtype=np.uint8)
-            values.update(b.value for b in rows_to_strings(rows))
-    ordered = sorted(values)
-    probs = rng.uniform(size=d)
-    probs = probs / probs.sum()
-    return OutcomeDistribution(n, {BitString(v, n): p for v, p in zip(ordered, probs)})
+    rows = _distinct_rows(rng, spec.width, spec.num_dominant)
+    probs = rng.uniform(size=spec.num_dominant)
+    return OutcomeDistribution._from_rows(rows, probs / probs.sum())
 
 
 def sample_shots(dist: OutcomeDistribution, shots: int, seed=None) -> OutcomeDistribution:
@@ -92,13 +103,12 @@ def sample_shots(dist: OutcomeDistribution, shots: int, seed=None) -> OutcomeDis
     if dist.total <= 0:
         raise ValueError("distribution has zero total weight")
     rng = np.random.default_rng(seed)
-    strings = sorted(dist, key=lambda b: b.value)
-    p = np.array([dist.get(b) for b in strings], dtype=np.float64)
-    p = p / p.sum()
-    counts = rng.multinomial(shots, p)
-    return OutcomeDistribution(
-        dist.width, {b: int(c) for b, c in zip(strings, counts) if c > 0}
-    )
+    rows, weights = dist._arrays()
+    order = value_order(rows)
+    p = weights[order]
+    counts = rng.multinomial(shots, p / p.sum())
+    seen = counts > 0
+    return OutcomeDistribution._from_rows(rows[order[seen]], counts[seen].astype(np.float64))
 
 
 def apply_bitflip(shots_dist: OutcomeDistribution, noise: NoiseSpec) -> OutcomeDistribution:
@@ -106,19 +116,19 @@ def apply_bitflip(shots_dist: OutcomeDistribution, noise: NoiseSpec) -> OutcomeD
 
     Each shot has each of its bits flipped independently with probability
     ``noise.flip_rate``; the output is again an integer-count distribution
-    with the same total. Deterministic given the seed.
+    with the same total, in ascending value order. Deterministic given the
+    seed.
     """
     if not shots_dist.is_integral():
         raise ValueError("apply_bitflip expects an integer-count distribution")
     if shots_dist.total <= 0:
         raise ValueError("distribution has zero total weight")
     rng = np.random.default_rng(noise.seed)
-    packed = PackedDistribution(shots_dist)
-    counts = np.rint(packed.weights).astype(np.int64)
-    source = np.repeat(packed.bits, counts, axis=0)
+    rows, weights = shots_dist._arrays()
+    order = value_order(rows)
+    source = np.repeat(rows[order], np.rint(weights[order]).astype(np.int64), axis=0)
     if noise.flip_rate > 0:
         flips = rng.random(source.shape) < noise.flip_rate
         source = source ^ flips.astype(np.uint8)
-    strings, tally = tally_rows(source)
-    return OutcomeDistribution(shots_dist.width, dict(zip(strings, tally.tolist())))
-
+    rows, tally = tally_rows(source)
+    return OutcomeDistribution._from_rows(rows, tally.astype(np.float64))

@@ -181,6 +181,87 @@ def brute_force_mitigate(
                 centroids=centroids, final=out, hfs=[p[3] for p in passes])
 
 
+def reference_distinct_values(rng: np.random.Generator, width: int, count: int) -> list[int]:
+    """``count`` distinct values in ascending order, drawn into a set that
+    is topped up with the missing number of strings: one integer draw per
+    string while 2^width fits an int64, one draw per bit above that."""
+    values: set[int] = set()
+    while len(values) < count:
+        if width <= 62:
+            draw = rng.integers(0, 1 << width, size=count - len(values))
+            values.update(int(v) for v in draw)
+        else:
+            rows = rng.integers(0, 2, size=(count - len(values), width), dtype=np.uint8)
+            values.update(int("".join(map(str, row)), 2) for row in rows.tolist())
+    return sorted(values)
+
+
+def reference_generate_ideal(spec) -> OutcomeDistribution:
+    """``generate_ideal`` as a dict: the set draw of the dominant strings,
+    then uniform probabilities normalized to sum 1, in value order."""
+    rng = np.random.default_rng(spec.seed)
+    n, d = spec.width, spec.num_dominant
+    ordered = reference_distinct_values(rng, n, d)
+    probs = rng.uniform(size=d)
+    probs = probs / probs.sum()
+    return OutcomeDistribution(n, {BitString(v, n): p for v, p in zip(ordered, probs)})
+
+
+def reference_spiked_ideal(width: int, rng: np.random.Generator) -> OutcomeDistribution:
+    """The estimator corpus's spiked ideal as a dict: a set-drawn tail of a
+    quarter to half of the space, one of its strings (drawn by index in
+    value order) carrying the spike."""
+    spike = float(rng.uniform(0.3, 0.6))
+    d_tail = int(rng.integers(1 << max(width - 2, 1), (1 << max(width - 1, 1)) + 1))
+    values: set[int] = set()
+    while len(values) < d_tail + 1:
+        draw = rng.integers(0, 1 << width, size=d_tail + 1 - len(values))
+        values.update(int(v) for v in draw)
+    ordered = sorted(values)
+    mode = ordered[int(rng.integers(0, len(ordered)))]
+    tail_w = (1.0 - spike) / (len(ordered) - 1)
+    return OutcomeDistribution(
+        width, {BitString(v, width): (spike if v == mode else tail_w) for v in ordered}
+    )
+
+
+def reference_sample_shots(dist: OutcomeDistribution, shots: int, seed=None) -> OutcomeDistribution:
+    """One multinomial draw over the strings sorted by value, kept as a
+    dict of the nonzero counts."""
+    rng = np.random.default_rng(seed)
+    strings = sorted(dist, key=lambda b: b.value)
+    p = np.array([dist.get(b) for b in strings], dtype=np.float64)
+    p = p / p.sum()
+    counts = rng.multinomial(shots, p)
+    return OutcomeDistribution(dist.width, {b: int(c) for b, c in zip(strings, counts) if c > 0})
+
+
+def reference_error_rate(ideal: OutcomeDistribution, noisy: OutcomeDistribution) -> float:
+    """``effective_error_rate`` with the mode as the dict minimum of
+    (-weight, value) and both probabilities looked up by key."""
+    mode = min((b for b in ideal), key=lambda b: (-ideal.get(b), b.value))
+    p_ideal = ideal.probability(mode)
+    p_noisy = noisy.probability(mode)
+    if p_noisy <= 0.0:
+        return 0.5
+    ratio = p_noisy / p_ideal
+    if ratio >= 1.0:
+        return 0.0
+    return min(max(1.0 - ratio ** (1.0 / ideal.width), 0.0), 0.5)
+
+
+def reference_hellinger(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
+    """``hellinger_fidelity`` as a dict loop over the smaller side, adding
+    left to right in its iteration order."""
+    small, big = (p, q) if len(p) <= len(q) else (q, p)
+    acc = 0.0
+    for b, w in small.items():
+        v = big.get(b, 0.0)
+        if w > 0 and v > 0:
+            acc += math.sqrt((w / small.total) * (v / big.total))
+    return min(acc * acc, 1.0)
+
+
 def scalar_bitflip(shots_dist: OutcomeDistribution, flip_rate: float, seed) -> OutcomeDistribution:
     """Bit-flip channel tallied shot by shot with Python ints.
 

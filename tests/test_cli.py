@@ -385,6 +385,16 @@ class TestMitigateCommand:
         assert main(["mitigate", "/nonexistent.json"]) == 1
         assert main(["mitigate", "/nonexistent.json", "--model", "x.json"]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--features", "/nonexistent.json"],
+        ["--calibration", "/nonexistent2.json"],
+        ["--features", "/nonexistent.json", "--calibration", "/nonexistent2.json"],
+    ])
+    def test_features_and_calibration_require_model(self, capsys, flags):
+        # a usage error naming the flag, raised before the counts file is read
+        assert main(["mitigate", "/nonexistent.json", "--p", "0.1", *flags]) == 1
+        assert f"{flags[0]} requires --model" in capsys.readouterr().err
+
     def test_missing_counts_file_is_data_error(self):
         assert main(["mitigate", "/nonexistent.json", "--p", "0.1"]) == 2
 
@@ -531,6 +541,17 @@ class TestSweepCommand:
 
 
 class TestTrainAndEstimate:
+    def test_save_corpus_with_corpus_is_usage_error(self, tmp_path, capsys):
+        corpus, saved, model = tmp_path / "corpus.csv", tmp_path / "saved.csv", tmp_path / "model.json"
+        qio.write_corpus(*make_synthetic_corpus(10, seed=2), str(corpus))
+        rc = main([
+            "train", "--corpus", str(corpus), "--save-corpus", str(saved), "--trees", "2",
+            "--out", str(model),
+        ])
+        assert rc == 1
+        assert "--save-corpus" in capsys.readouterr().err
+        assert not saved.exists() and not model.exists()
+
     def test_train_then_estimate(self, tmp_path):
         model_path = tmp_path / "model.json"
         metrics_path = tmp_path / "metrics.json"

@@ -1,9 +1,13 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import reference_hellinger
 
 from qemclust import (
     BitString,
@@ -56,6 +60,18 @@ class TestBitString:
     def test_ordering_matches_text_for_equal_width(self):
         assert B("0011") < B("0100")
 
+    def test_slots_keep_value_semantics(self):
+        b = BitString((1 << 70) + 5, 71)
+        assert not hasattr(b, "__dict__")
+        with pytest.raises(AttributeError):
+            b.value = 1
+        for twin in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b), copy.copy(b)):
+            assert twin == b and type(twin) is BitString and twin.text == b.text
+        assert hash(b) == hash(((1 << 70) + 5, 71))
+        assert {b: 1}[BitString((1 << 70) + 5, 71)] == 1
+        strings = [B("10"), B("01"), B("001"), B("11"), B("000")]
+        assert sorted(strings) == sorted(strings, key=lambda s: (s.value, s.width))
+
 
 class TestOutcomeDistribution:
     def test_total_and_probability_view(self):
@@ -89,6 +105,18 @@ class TestOutcomeDistribution:
         assert list(built.items()) == list(dist.items())
         assert built == dist and len(built) == len(dist) and built.total == dist.total
         assert built.normalized() == dist.normalized() and built.normalized().total == 1.0
+
+    @pytest.mark.parametrize("weights, integral", [
+        ([3.0, 0.0], True),
+        ([3 - 1e-12, 2 + 1e-12], True),
+        ([1e300, 7.0], True),
+        ([2.5, 1.0], False),
+        ([1.0, 1e-6], False),
+    ])
+    def test_is_integral_within_tolerance(self, weights, integral):
+        d = OutcomeDistribution(1, {B("0"): weights[0], B("1"): weights[1]})
+        assert d.is_integral() is integral
+        assert OutcomeDistribution._from_rows(*d._arrays()).is_integral() is integral
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_array_built_rejects_bad_weight(self, bad):
@@ -184,6 +212,22 @@ class TestHellingerFidelity:
         small = OutcomeDistribution.from_counts({"01": 1.0, "10": 1.0})
         assert hellinger_fidelity(small, big) == pytest.approx(0.5 * 0.3)
         assert big._store is None
+
+    @given(st.data(), st.sampled_from([1, 62, 63, 64]) | st.integers(1, 70), st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dict_loop(self, data, width, a_arrays, b_arrays):
+        pool = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=12, unique=True))
+        weight = st.sampled_from([0.0, 1.0, 3.0]) | st.floats(0.0, 1e3)
+
+        def side(from_rows):
+            keys = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))
+            weights = data.draw(st.lists(weight, min_size=len(keys), max_size=len(keys)).filter(any))
+            d = OutcomeDistribution(width, {BitString(v, width): w for v, w in zip(keys, weights)})
+            return OutcomeDistribution._from_rows(*d._arrays()) if from_rows else d
+
+        a, b = side(a_arrays), side(b_arrays)
+        assert hellinger_fidelity(a, b).hex() == reference_hellinger(a, b).hex()
+        assert hellinger_fidelity(b, a).hex() == reference_hellinger(b, a).hex()
 
     @given(distributions(4), distributions(4))
     def test_symmetric_and_bounded(self, a, b):

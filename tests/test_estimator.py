@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import convolve_bitflip, reference_fit
+from oracles import convolve_bitflip, reference_error_rate, reference_fit
 from qemclust import (
     FEATURE_NAMES,
     BitString,
@@ -100,6 +100,28 @@ class TestEffectiveErrorRate:
         ideal = OutcomeDistribution.from_counts({"00": 1.0})
         noisy = OutcomeDistribution.from_counts({"01": 1.0})
         assert effective_error_rate(ideal, noisy) == 0.5
+
+    @given(st.data(), st.sampled_from([1, 2, 62, 63, 64]) | st.integers(1, 70), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dict_mode_lookup(self, data, width, array_built):
+        # few distinct weights, so ideal modes tie often; the noisy side
+        # holds some of the ideal strings, maybe not the mode
+        values = st.integers(0, (1 << width) - 1)
+        ideal_values = data.draw(st.lists(values, min_size=1, max_size=10, unique=True))
+        ideal_weights = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=len(ideal_values),
+                                           max_size=len(ideal_values)).filter(any))
+        noisy_values = data.draw(st.lists(st.sampled_from(ideal_values) | values, min_size=1,
+                                          max_size=12, unique=True))
+        noisy_weights = data.draw(st.lists(st.integers(1, 50), min_size=len(noisy_values),
+                                           max_size=len(noisy_values)))
+        ideal, noisy = (
+            OutcomeDistribution(width, {BitString(v, width): w for v, w in zip(vs, ws)})
+            for vs, ws in ((ideal_values, ideal_weights), (noisy_values, noisy_weights))
+        )
+        want = reference_error_rate(ideal, noisy)
+        if array_built:
+            ideal, noisy = (OutcomeDistribution._from_rows(*d._arrays()) for d in (ideal, noisy))
+        assert effective_error_rate(ideal, noisy).hex() == want.hex()
 
     def test_mode_tie_breaks_to_smallest_value(self):
         ideal = OutcomeDistribution.from_counts({"01": 0.5, "10": 0.5})

@@ -1,25 +1,118 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import convolve_bitflip, scalar_bitflip
+from oracles import (
+    convolve_bitflip,
+    reference_distinct_values,
+    reference_generate_ideal,
+    reference_sample_shots,
+    reference_spiked_ideal,
+    scalar_bitflip,
+)
 
 from qemclust import (
     BitString,
     NoiseSpec,
     OutcomeDistribution,
+    SweepCell,
     SyntheticSpec,
     apply_bitflip,
     generate_ideal,
     hamming_distance,
     hellinger_fidelity,
+    make_synthetic_corpus,
     normalized_entropy,
+    run_trial,
     sample_shots,
 )
+from qemclust._packed import tally_rows
+from qemclust.cli import main
+from qemclust.estimator import _spiked_ideal
+from qemclust.noise import _distinct_rows
 
 B = BitString.from_text
+
+# widths around the one-integer-per-string limit (2^62 fits an int64) and
+# small ones, where d can come close to 2^width and top-up draws happen
+WIDTHS = st.sampled_from([1, 2, 3, 4, 62, 63, 64]) | st.integers(min_value=1, max_value=70)
+
+
+def assert_same_arrays(got: OutcomeDistribution, want: OutcomeDistribution) -> None:
+    """Rows, weights and total equal bit for bit, in the same order."""
+    (rows, weights), (want_rows, want_weights) = got._arrays(), want._arrays()
+    assert rows.dtype == want_rows.dtype == np.uint8
+    assert rows.shape == want_rows.shape and rows.tobytes() == want_rows.tobytes()
+    assert weights.dtype == np.float64 and weights.tobytes() == want_weights.tobytes()
+    assert got.total.hex() == want.total.hex()
+
+
+def rows_of(values: list[int], width: int) -> np.ndarray:
+    return np.array([[int(c) for c in format(v, f"0{width}b")] for v in values], dtype=np.uint8)
+
+
+class _FewFreeBits:
+    """Generator stand-in whose draws leave only the last two bits of a row
+    random, so draws above 62 bits repeat and need topping up."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def integers(self, low, high, size, dtype=np.int64):
+        out = self.rng.integers(low, high, size=size, dtype=dtype)
+        out[:, :-2] = 0
+        return out
+
+
+class TestArrayDrawsMatchSetDraws:
+    """The array-native simulator against the set- and dict-based bodies
+    it replaced: same rows, weights and generator state afterwards."""
+
+    @given(st.data(), WIDTHS, st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_generate_ideal(self, data, width, seed):
+        d = data.draw(st.integers(min_value=1, max_value=min(1 << width, 40)))
+        if width <= 8 and data.draw(st.booleans()):
+            d = data.draw(st.integers(min_value=max(1, (1 << width) - 3), max_value=1 << width))
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = generate_ideal(SyntheticSpec(width, d, rng))
+        assert_same_arrays(got, reference_generate_ideal(SyntheticSpec(width, d, want_rng)))
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @given(st.integers(min_value=63, max_value=70), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_distinct_rows_tops_up_above_62_bits(self, width, count, seed):
+        rng, want_rng = _FewFreeBits(seed), _FewFreeBits(seed)
+        rows = _distinct_rows(rng, width, count)
+        want = rows_of(reference_distinct_values(want_rng, width, count), width)
+        assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+        assert rng.rng.bit_generator.state == want_rng.rng.bit_generator.state
+
+    @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_spiked_ideal(self, width, seed):
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert_same_arrays(_spiked_ideal(width, rng), reference_spiked_ideal(width, want_rng))
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @given(st.data(), WIDTHS, st.integers(min_value=1, max_value=3000),
+           st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_sample_shots(self, data, width, shots, seed, array_built):
+        values = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=12, unique=True))
+        weights = data.draw(st.lists(st.integers(0, 5) | st.floats(0.0, 1.0), min_size=len(values),
+                                     max_size=len(values)).filter(lambda w: sum(w) > 0))
+        # insertion order is not value order
+        dist = OutcomeDistribution(width, {BitString(v, width): w for v, w in zip(values, weights)})
+        if array_built:
+            dist = OutcomeDistribution._from_rows(*dist._arrays())
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert_same_arrays(sample_shots(dist, shots, rng), reference_sample_shots(dist, shots, want_rng))
+        assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestGenerateIdeal:
@@ -142,6 +235,54 @@ class TestApplyBitflip:
         assert apply_bitflip(src, NoiseSpec(0.25, seed=8)) == apply_bitflip(
             src, NoiseSpec(0.25, seed=8)
         )
+
+
+class TestNoBitStrings:
+    """The simulator and the corpus stay on bit rows from the RNG draw to
+    the output file, the mitigation or the label."""
+
+    @staticmethod
+    def _count_bit_strings(monkeypatch, run):
+        """(number of ``BitString``s built during ``run()``, its result)"""
+        built = []
+        post_init = BitString.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(BitString, "__post_init__", counting)
+        result = run()
+        monkeypatch.undo()
+        return len(built), result
+
+    def test_simulate(self, tmp_path, monkeypatch):
+        paths = {flag: str(tmp_path / f"{flag}.json") for flag in ("ideal", "noisy", "probs")}
+        argv = ["simulate", "--n", "14", "--d", "16", "--p", "0.15", "--out-ideal", paths["ideal"],
+                "--out-noisy", paths["noisy"], "--out-probs", paths["probs"]]
+        assert self._count_bit_strings(monkeypatch, lambda: main(argv)) == (0, 0)
+
+    def test_run_trial_on_a_wide_cell(self, monkeypatch):
+        cell = SweepCell(width=100, num_dominant=2, flip_rate=0.05, fixed_k=2, shots=8192)
+        built, record = self._count_bit_strings(monkeypatch, lambda: run_trial(cell, 0, 0))
+        assert built == 0
+        assert not record.error and 0.0 < record.hf_mitigated <= 1.0
+
+    def test_synthetic_corpus(self, monkeypatch):
+        built, (features, labels) = self._count_bit_strings(monkeypatch, lambda: make_synthetic_corpus(20))
+        assert built == 0 and len(features) == len(labels) == 20
+
+    @pytest.mark.parametrize("width", [1, 14, 64, 100])
+    def test_tally_rows_are_compact_copies(self, width):
+        bits = np.random.default_rng(width).integers(0, 2, size=(500, width), dtype=np.uint8)
+        bits[::2] = bits[0]  # repeats
+        rows, counts = tally_rows(bits)
+        assert rows.dtype == np.uint8 and rows.shape == (len(counts), width)
+        assert rows.flags.c_contiguous
+        # not a view into a wider buffer that would stay alive with the rows
+        assert (rows if rows.base is None else rows.base).nbytes == rows.nbytes
+        want_rows, want_counts = np.unique(bits, axis=0, return_counts=True)  # 0/1 rows sort like values
+        assert rows.tobytes() == want_rows.tobytes() and counts.tolist() == want_counts.tolist()
 
 
 class TestConvolveBitflip:
