@@ -6,6 +6,16 @@ vector. Majority votes read the bit matrix; Hamming distances are XOR
 plus popcount over the words. Packing happens once per mitigation run
 and the arrays are shared across all cluster counts.
 
+A packed distribution lives for one mitigation run, and it caches the
+distance column of every centroid row it has been asked about, keyed by
+the row's bytes: each distinct centroid costs one Hamming pass per run,
+across vote rounds, cluster counts and the redistribution step. Columns
+are stored in the smallest unsigned dtype that holds the width, about n
+bytes per centroid up to width 255. ``distances`` hands them out as a
+C-ordered (n, k) matrix; that layout is part of the output bits, because
+the redistribution step's row sums and its matrix-vector product add in
+an order that depends on it.
+
 The conversions between ``BitString`` objects and bit rows, and the shot
 tally, work at any width: word tuples compare like values.
 """
@@ -21,6 +31,7 @@ from .distributions import BitString, OutcomeDistribution
 __all__ = [
     "PackedDistribution",
     "match_rows",
+    "row_keys",
     "rows_to_strings",
     "strings_to_rows",
     "tally_rows",
@@ -56,6 +67,11 @@ def match_rows(bits: np.ndarray, queries: np.ndarray) -> np.ndarray:
     _, first, inverse = np.unique(words, axis=0, return_index=True, return_inverse=True)
     found = first[inverse.ravel()[len(bits) :]]
     return np.where(found < len(bits), found, -1)
+
+
+def row_keys(bits: np.ndarray) -> list[bytes]:
+    """The bytes of each row: equal rows, and only they, share a key."""
+    return [row.tobytes() for row in bits]
 
 
 def rows_to_strings(bits: np.ndarray) -> list[BitString]:
@@ -101,7 +117,10 @@ def tally_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class PackedDistribution:
     """Array view of an OutcomeDistribution, sorted by bit-string value."""
 
-    __slots__ = ("width", "weights", "bits", "words", "total", "_top_order")
+    __slots__ = (
+        "width", "weights", "bits", "words", "total", "_top_order",
+        "_slot", "_columns", "_zero_row",
+    )
 
     def __init__(self, dist: OutcomeDistribution):
         if dist.total <= 0:
@@ -114,6 +133,12 @@ class PackedDistribution:
         self.words = _pack_words(self.bits)
         self.total = float(self.weights.sum())
         self._top_order: np.ndarray | None = None
+        # distance cache: row bytes -> slot; row ``slot`` of ``_columns``
+        # (grown by doubling) is that centroid's distance column, and
+        # ``_zero_row[slot]`` the input row equal to it, or -1
+        self._slot: dict[bytes, int] = {}
+        self._columns = np.empty((0, len(self.weights)), dtype=np.min_scalar_type(self.width))
+        self._zero_row = np.empty(0, dtype=np.intp)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -130,3 +155,42 @@ class PackedDistribution:
         """(n, k) Hamming distances between every row and every centroid row."""
         diff = self.words[:, None, :] ^ _pack_words(centroid_bits)[None, :, :]
         return np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
+
+    def _slots(self, centroid_bits: np.ndarray) -> np.ndarray:
+        """Cache slot of each centroid row; the columns of rows not seen
+        before in this run are computed in one ``hamming_to`` call."""
+        keys = row_keys(centroid_bits)
+        fresh: dict[bytes, int] = {}  # unseen key -> its first row
+        for i, key in enumerate(keys):
+            if key not in self._slot:
+                fresh.setdefault(key, i)
+        if fresh:
+            hd = self.hamming_to(centroid_bits[list(fresh.values())])
+            used = len(self._slot)
+            if used + len(fresh) > len(self._columns):
+                capacity = max(2 * len(self._columns), used + len(fresh))
+                grown = np.empty((capacity, len(self)), dtype=self._columns.dtype)
+                grown[:used] = self._columns[:used]
+                self._columns = grown
+                self._zero_row = np.resize(self._zero_row, capacity)
+            self._columns[used : used + len(fresh)] = hd.T
+            zero = hd == 0
+            self._zero_row[used : used + len(fresh)] = np.where(zero.any(axis=0), zero.argmax(axis=0), -1)
+            for j, key in enumerate(fresh):
+                self._slot[key] = used + j
+        return np.array([self._slot[key] for key in keys], dtype=np.intp)
+
+    def columns(self, centroid_bits: np.ndarray) -> np.ndarray:
+        """(k, n) Hamming distances, one row per centroid, from the run's cache."""
+        slots = self._slots(centroid_bits)
+        return self._columns[slots]
+
+    def distances(self, centroid_bits: np.ndarray) -> np.ndarray:
+        """C-ordered (n, k) Hamming distances between every row and every
+        centroid row, from the run's cache."""
+        return np.ascontiguousarray(self.columns(centroid_bits).T)
+
+    def centroid_rows(self, centroid_bits: np.ndarray) -> np.ndarray:
+        """The input row equal to each centroid row, or -1."""
+        slots = self._slots(centroid_bits)
+        return self._zero_row[slots]

@@ -174,6 +174,7 @@ def _cmd_mitigate(args) -> int:
                 "centroids": [c.text for c in rec.centroids],
                 "converged": rec.converged,
                 "rounds": rec.rounds,
+                "duplicates": rec.duplicates,
             }
             for rec in report.iterations
         ],

@@ -120,14 +120,37 @@ def qubitwise_majority_vote(
         raise ValueError("incumbent width does not match members")
     packed = PackedDistribution(dist)
     tie_row = strings_to_rows([BitString(0, width) if incumbent is None else incumbent], width)[0]
-    return rows_to_strings(_vote_rows(packed, np.ones(len(packed), dtype=bool), tie_row)[None, :])[0]
+    return rows_to_strings(_vote_rows(packed, np.arange(len(packed)), tie_row)[None, :])[0]
 
 
-def _vote_rows(packed: PackedDistribution, member_mask: np.ndarray, incumbent: np.ndarray) -> np.ndarray:
-    w = packed.weights[member_mask]
-    ones = w @ packed.bits[member_mask]
+def _vote_rows(packed: PackedDistribution, member_idx: np.ndarray, incumbent: np.ndarray) -> np.ndarray:
+    w = packed.weights[member_idx]
+    ones = w @ packed.bits[member_idx]
     total = w.sum()
     return np.where(ones * 2 > total, 1, np.where(ones * 2 < total, 0, incumbent)).astype(np.uint8)
+
+
+def _assign(
+    packed: PackedDistribution, centroids: np.ndarray, theta: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest centroid and outlier flag of every row, plus the members of
+    each cluster: the non-outlier rows, stably sorted by cluster, so
+    cluster ``i`` is ``members[bounds[i]:bounds[i + 1]]`` in row order."""
+    k = len(centroids)
+    # distance * k + centroid index: the smallest key per row is the
+    # nearest centroid, ties resolved to the lowest index
+    key = packed.columns(centroids).astype(np.min_scalar_type((packed.width + 1) * k))
+    key *= k
+    key += np.arange(k, dtype=key.dtype)[:, None]
+    first = key.min(axis=0)
+    nearest = first % k
+    outlier = first >= (theta + 1) * k
+    kept = np.flatnonzero(~outlier)
+    # a small label dtype lets numpy take its radix sort
+    labels = nearest[kept].astype(np.min_scalar_type(k))
+    members = kept[np.argsort(labels, kind="stable")]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=k))])
+    return nearest, outlier, members, bounds
 
 
 def _cluster_packed(
@@ -142,18 +165,13 @@ def _cluster_packed(
     centroids = packed.bits[packed.top_order()[:k]].copy()
     converged = False
     rounds = 0
-    nearest = np.zeros(len(packed), dtype=np.int64)
-    outlier = np.zeros(len(packed), dtype=bool)
     for rounds in range(1, max_rounds + 1):
-        hd = packed.hamming_to(centroids)
-        nearest = np.argmin(hd, axis=1)  # ties resolve to the lowest index
-        outlier = hd[np.arange(len(packed)), nearest] > theta
-        new_rows = []
-        for i in range(len(centroids)):
-            mask = (nearest == i) & ~outlier
-            if not mask.any():
-                continue  # empty cluster: drop it, k shrinks
-            new_rows.append(_vote_rows(packed, mask, centroids[i]))
+        nearest, outlier, members, bounds = _assign(packed, centroids, theta)
+        new_rows = [
+            _vote_rows(packed, members[bounds[i] : bounds[i + 1]], centroids[i])
+            for i in range(len(centroids))
+            if bounds[i + 1] > bounds[i]  # an empty cluster is dropped, k shrinks
+        ]
         if not new_rows:
             break  # every cluster starved; keep the previous centroids
         new_centroids = np.array(new_rows, dtype=np.uint8)
@@ -163,11 +181,9 @@ def _cluster_packed(
         centroids = new_centroids
     if not converged:
         # realign assignments with the final centroid list
-        hd = packed.hamming_to(centroids)
-        nearest = np.argmin(hd, axis=1)
-        outlier = hd[np.arange(len(packed)), nearest] > theta
+        nearest, outlier, members, bounds = _assign(packed, centroids, theta)
     weights = np.array(
-        [packed.weights[(nearest == i) & ~outlier].sum() for i in range(len(centroids))]
+        [packed.weights[members[bounds[i] : bounds[i + 1]]].sum() for i in range(len(centroids))]
     ) / packed.total
     return centroids, weights, nearest, outlier, converged, rounds
 

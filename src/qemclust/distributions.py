@@ -210,10 +210,10 @@ def normalized_entropy(dist: OutcomeDistribution) -> float:
     """
     if dist.total <= 0:
         raise ValueError("distribution has zero total weight")
-    h = 0.0
+    h, total = 0.0, dist.total
     for w in dist._weights.tolist():
         if w > 0:
-            p = w / dist.total
+            p = w / total
             h -= p * math.log2(p)
     return h / dist.width
 

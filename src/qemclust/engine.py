@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._packed import PackedDistribution, rows_to_strings
+from ._packed import PackedDistribution, row_keys, rows_to_strings
 from .clustering import _cluster_packed, outlier_threshold
 from .distributions import (
     BitString,
@@ -80,8 +80,11 @@ class IterationRecord:
     recorded for diagnostics but never triggers termination. ``degenerate``
     marks iterations whose redistribution removed everything and fell back
     to the unmitigated view (with no centroids). ``converged`` and
-    ``rounds`` come from the clustering pass. The centroids and the output
-    distribution are built the first time they are read.
+    ``rounds`` come from the clustering pass, and so does ``duplicates``:
+    the number of its centroid rows equal to an earlier one, which an
+    unconverged vote can leave and whose masses merge in the output. The
+    centroids and the output distribution are built the first time they
+    are read.
     """
 
     k: int
@@ -89,6 +92,7 @@ class IterationRecord:
     degenerate: bool
     converged: bool
     rounds: int
+    duplicates: int
     _centroid_bits: np.ndarray = field(repr=False)
     _output: Callable[[], OutcomeDistribution] = field(repr=False)
 
@@ -164,6 +168,7 @@ def mitigate(noisy: OutcomeDistribution, cfg: MitigationConfig) -> MitigationRep
         centroid_bits, weights, _nearest, _outlier, converged, rounds = _cluster_packed(
             packed, k, theta, cfg.max_rounds
         )
+        duplicates = len(centroid_bits) - len(set(row_keys(centroid_bits)))
         try:
             arrays = _redistribute_packed(packed, centroid_bits, weights, cfg.flip_rate)
             current = _iterate(arrays, centroid_bits)
@@ -171,7 +176,9 @@ def mitigate(noisy: OutcomeDistribution, cfg: MitigationConfig) -> MitigationRep
             arrays, current, centroid_bits = None, noisy_view, centroid_bits[:0]
         output = partial(_mitigated_distribution, packed, noisy, centroid_bits, arrays, cfg.flip_rate)
         hf = _fidelity(current, previous)
-        records.append(IterationRecord(k, hf, arrays is None, converged, rounds, centroid_bits, output))
+        records.append(
+            IterationRecord(k, hf, arrays is None, converged, rounds, duplicates, centroid_bits, output)
+        )
         if not fixed and k >= 2 and hf > cfg.stop_threshold:
             return MitigationReport(records[-2].distribution, k - 1, tuple(records), "convergence")
         previous = current

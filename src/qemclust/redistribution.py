@@ -155,25 +155,28 @@ def _redistribute_packed(
     unnormalized but sum to the input's probability total.
     """
     pr = packed.weights / packed.total
-    hd = packed.hamming_to(centroid_bits)
-    joint = _likelihood_table(packed.width, flip_rate)[hd] * cluster_weights[None, :]
-    at_centroid = hd == 0
-    is_centroid = at_centroid.any(axis=1)
+    hd = packed.distances(centroid_bits)
+    centroid_rows = packed.centroid_rows(centroid_bits)
+    joint = np.take(_likelihood_table(packed.width, flip_rate), hd)
+    joint *= cluster_weights
+    seen = centroid_rows >= 0
+    is_centroid = np.zeros(len(pr), dtype=bool)
+    is_centroid[centroid_rows[seen]] = True
 
     claim = joint.sum(axis=1)
     give = np.minimum(claim, pr)
     give[is_centroid] = 0.0
     # split each string's surrendered mass across centroids in proportion
     # to their individual joint terms
-    with np.errstate(invalid="ignore", divide="ignore"):
-        share = np.where(claim[:, None] > 0, joint / claim[:, None], 0.0)
+    with np.errstate(invalid="ignore"):
+        share = joint / claim[:, None]
+    share[claim == 0] = 0.0  # 0/0: a row no centroid claims gives nothing
     centroid_masses = give @ share
 
     masses = pr - give
     masses[is_centroid] = 0.0
     removed_idx = np.flatnonzero(~is_centroid & (masses <= 0))
     # a centroid row's own mass goes to the first centroid equal to it
-    rows = np.flatnonzero(is_centroid)
-    centroid_masses[at_centroid[rows].argmax(axis=1)] += pr[rows]
-    centroid_rows = np.where(at_centroid.any(axis=0), at_centroid.argmax(axis=0), -1)
+    rows, first = np.unique(centroid_rows[seen], return_index=True)
+    centroid_masses[np.flatnonzero(seen)[first]] += pr[rows]
     return masses, removed_idx, centroid_masses, claim, centroid_rows

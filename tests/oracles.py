@@ -134,6 +134,50 @@ def scalar_cluster(noisy: OutcomeDistribution, k: int, flip_rate: float, max_rou
     return ClusterModel(n, tuple(centroids), weights, assignments, outliers, theta, k, converged, rounds)
 
 
+def reference_vote_rows(packed, member_mask: np.ndarray, incumbent: np.ndarray) -> np.ndarray:
+    """Weighted per-qubit majority over the rows a boolean mask selects."""
+    w = packed.weights[member_mask]
+    ones = w @ packed.bits[member_mask]
+    total = w.sum()
+    return np.where(ones * 2 > total, 1, np.where(ones * 2 < total, 0, incumbent)).astype(np.uint8)
+
+
+def reference_cluster_packed(packed, k: int, theta: int, max_rounds: int):
+    """The array clustering loop with a fresh distance matrix per round and
+    one boolean member mask per cluster; same return tuple as
+    ``clustering._cluster_packed``."""
+    centroids = packed.bits[packed.top_order()[:k]].copy()
+    converged = False
+    rounds = 0
+    nearest = np.zeros(len(packed), dtype=np.int64)
+    outlier = np.zeros(len(packed), dtype=bool)
+    for rounds in range(1, max_rounds + 1):
+        hd = packed.hamming_to(centroids)
+        nearest = np.argmin(hd, axis=1)
+        outlier = hd[np.arange(len(packed)), nearest] > theta
+        new_rows = []
+        for i in range(len(centroids)):
+            mask = (nearest == i) & ~outlier
+            if not mask.any():
+                continue
+            new_rows.append(reference_vote_rows(packed, mask, centroids[i]))
+        if not new_rows:
+            break
+        new_centroids = np.array(new_rows, dtype=np.uint8)
+        if new_centroids.shape == centroids.shape and (new_centroids == centroids).all():
+            converged = True
+            break
+        centroids = new_centroids
+    if not converged:
+        hd = packed.hamming_to(centroids)
+        nearest = np.argmin(hd, axis=1)
+        outlier = hd[np.arange(len(packed)), nearest] > theta
+    weights = np.array(
+        [packed.weights[(nearest == i) & ~outlier].sum() for i in range(len(centroids))]
+    ) / packed.total
+    return centroids, weights, nearest, outlier, converged, rounds
+
+
 def scalar_hellinger(p: dict, q: dict) -> float:
     """(sum over sqrt(p_i q_i))^2 of two probability maps."""
     acc = sum(math.sqrt(w * q[b]) for b, w in p.items() if b in q)
@@ -260,6 +304,17 @@ def reference_hellinger(p: OutcomeDistribution, q: OutcomeDistribution) -> float
         if w > 0 and v > 0:
             acc += math.sqrt((w / small.total) * (v / big.total))
     return min(acc * acc, 1.0)
+
+
+def reference_entropy(dist: OutcomeDistribution) -> float:
+    """``normalized_entropy`` as a loop that reads the total for every
+    weight, adding left to right in row order."""
+    h = 0.0
+    for w in dist._weights.tolist():
+        if w > 0:
+            p = w / dist.total
+            h -= p * math.log2(p)
+    return h / dist.width
 
 
 def scalar_bitflip(shots_dist: OutcomeDistribution, flip_rate: float, seed) -> OutcomeDistribution:

@@ -356,6 +356,7 @@ class TestMitigateCommand:
         for entry in doc["iterations"]:
             assert entry["converged"] is True
             assert isinstance(entry["rounds"], int) and entry["rounds"] >= 1
+            assert entry["duplicates"] == 0
         mitigated = qio.read_distribution(str(out))
         assert sum(w for _, w in mitigated.items()) == pytest.approx(1.0)
 

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qemclust.clustering as clustering
-from oracles import scalar_majority_vote
+from oracles import reference_cluster_packed, scalar_majority_vote
 from qemclust import (
     BitString,
     ClusterConfig,
@@ -21,6 +21,7 @@ from qemclust import (
     sample_shots,
     select_initial_centroids,
 )
+from qemclust._packed import PackedDistribution, match_rows, strings_to_rows
 
 B = BitString.from_text
 
@@ -206,6 +207,83 @@ class TestCluster:
             assert hamming_distance(b, model.centroids[idx]) <= model.threshold
         assert set(model.assignments) | set(model.outliers) == set(noisy)
         assert not set(model.assignments) & set(model.outliers)
+
+
+def _bit_rows(values, width):
+    return strings_to_rows([BitString(v, width) for v in values], width)
+
+
+class TestDistanceCache:
+    @given(st.data(), st.sampled_from([1, 63, 64, 65, 255, 256, 300]) | st.integers(1, 300))
+    @settings(max_examples=120, deadline=None)
+    def test_cached_columns_equal_the_kernel(self, data, width):
+        values = st.integers(0, (1 << width) - 1)
+        observed = data.draw(st.lists(values, min_size=1, max_size=12, unique=True))
+        dist = OutcomeDistribution(width, {BitString(v, width): 1.0 + i for i, v in enumerate(observed)})
+        packed = PackedDistribution(dist)
+        # centroids from the observed rows and from rows never observed,
+        # with repeats, asked for in batches in any order
+        pool = observed + data.draw(st.lists(values, min_size=1, max_size=4))
+        calls = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=8), min_size=1, max_size=5))
+        for call in calls:
+            centroid_bits = _bit_rows(call, width)
+            hd = packed.distances(centroid_bits)
+            assert hd.dtype == np.min_scalar_type(width)
+            assert hd.flags.c_contiguous and hd.shape == (len(packed), len(call))
+            np.testing.assert_array_equal(hd, packed.hamming_to(centroid_bits))
+            np.testing.assert_array_equal(packed.centroid_rows(centroid_bits), match_rows(packed.bits, centroid_bits))
+
+    def test_each_distinct_centroid_is_computed_once(self, monkeypatch):
+        packed = PackedDistribution(OutcomeDistribution.from_counts({"0000": 5, "0110": 3, "1111": 1}))
+        asked = []
+        hamming_to = PackedDistribution.hamming_to
+
+        def counting(self, centroid_bits):
+            asked.append(len(centroid_bits))
+            return hamming_to(self, centroid_bits)
+
+        monkeypatch.setattr(PackedDistribution, "hamming_to", counting)
+        first = _bit_rows([0b0000, 0b1010, 0b0000], 4)
+        packed.distances(first)
+        packed.distances(first[::-1])
+        packed.centroid_rows(_bit_rows([0b1010, 0b1111], 4))
+        assert asked == [2, 1]
+
+
+class TestClusterKernelMatchesMaskedVotes:
+    """The kernel reads cached distances and votes over sorted member
+    slices; the reference recomputes distances and votes over masks."""
+
+    @staticmethod
+    def _check(dist, k, flip_rate, max_rounds):
+        packed = PackedDistribution(dist)
+        theta = outlier_threshold(dist.width, flip_rate)
+        got = clustering._cluster_packed(packed, k, theta, max_rounds)
+        want = reference_cluster_packed(PackedDistribution(dist), k, theta, max_rounds)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+        np.testing.assert_array_equal(got[2], want[2])
+        np.testing.assert_array_equal(got[3], want[3])
+        assert got[4:] == want[4:]
+
+    @given(st.integers(0, 10_000), st.integers(2, 12), st.sampled_from([0.05, 0.15, 0.3, 0.45]), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_probability_weights(self, seed, width, flip_rate, max_rounds):
+        rng = np.random.default_rng(seed)
+        ideal = generate_ideal(SyntheticSpec(width, int(rng.integers(1, min(8, 1 << width) + 1)), rng))
+        noisy = apply_bitflip(sample_shots(ideal, 600, rng), NoiseSpec(flip_rate, rng)).normalized()
+        k = int(rng.integers(1, min(40, len(noisy)) + 1))
+        self._check(noisy, k, flip_rate, max_rounds)
+
+    @given(st.data(), st.integers(1, 6), st.sampled_from([0.1, 0.25, 0.5]), st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_integer_weights_with_vote_ties(self, data, width, flip_rate, max_rounds):
+        # few equal small counts: many votes split exactly in half
+        values = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=16, unique=True))
+        counts = data.draw(st.lists(st.sampled_from([1, 2]), min_size=len(values), max_size=len(values)))
+        dist = OutcomeDistribution(width, {BitString(v, width): float(c) for v, c in zip(values, counts)})
+        k = data.draw(st.integers(1, len(values)))
+        self._check(dist, k, flip_rate, max_rounds)
 
 
 class TestClusterConfigValidation:

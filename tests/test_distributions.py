@@ -4,10 +4,10 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_hellinger
+from oracles import reference_entropy, reference_hellinger
 
 from qemclust import (
     BitString,
@@ -172,6 +172,19 @@ class TestNormalizedEntropy:
             4, {BitString(v, 4): w for v, w in zip(values, weights)}
         )
         assert normalized_entropy(relabeled) == pytest.approx(normalized_entropy(dist))
+
+    @given(
+        st.integers(1, 70),
+        st.lists(st.sampled_from([0.0, 1.0, 3.0]) | st.floats(1e-6, 1e3), min_size=1, max_size=40).filter(any),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_weight_loop(self, width, weights, normalized):
+        assume(len(weights) <= 1 << width)
+        dist = OutcomeDistribution(width, {BitString(i, width): w for i, w in enumerate(weights)})
+        if normalized:
+            dist = dist.normalized()
+        assert normalized_entropy(dist).hex() == reference_entropy(dist).hex()
 
 
 class TestHellingerFidelity:

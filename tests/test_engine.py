@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -155,8 +156,31 @@ class TestMitigateIterative:
                 hellinger_fidelity(rec.distribution, previous), abs=1e-12
             )
             previous = rec.distribution
+        assert [rec.duplicates for rec in report.iterations] == [2 if duplicates else 0] * len(report.iterations)
         if duplicates:
             assert B("10101") in report.iterations[0].distribution
+
+    # sha256 of the "<bits> <float.hex>" lines of the final output in value
+    # order, and float.hex of every hf_to_previous, of a run whose passes
+    # reach k = 12. The pass's row sums and its gemv add in an order that
+    # depends on the distance matrix's layout, so these pin that layout.
+    PINNED_FINAL = "af28c9b2dd104c5bbca347d911c5dd14fd95d19fc9f6b2deb78ff38209281e95"
+    PINNED_HF = [
+        "0x1.ce8c3caf76a3ap-1", "0x1.dbbf2fe0b7cc5p-1", "0x1.e6f567f897c2ap-1", "0x1.db5f79421b422p-1",
+        "0x1.e3b9df4cb7ccdp-1", "0x1.f2e5e5ddcf12ep-1", "0x1.f37eff1885792p-1", "0x1.fa2d774def4aep-1",
+        "0x1.f76d767886307p-1", "0x1.f8e9fb6572fe5p-1", "0x1.faaabbca44f82p-1", "0x1.fba21b49ed3e5p-1",
+    ]
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_exact_bits_of_a_high_k_run(self, normalized):
+        rng = np.random.default_rng(3)
+        ideal = generate_ideal(SyntheticSpec(10, 12, rng))
+        noisy = apply_bitflip(sample_shots(ideal, 2048, rng), NoiseSpec(0.1, rng))
+        report = mitigate(noisy.normalized() if normalized else noisy, MitigationConfig(0.1, stop_threshold=0.99))
+        assert report.k_used == 11
+        lines = "\n".join(f"{b.text} {w.hex()}" for b, w in sorted(report.final.items()))
+        assert hashlib.sha256(lines.encode()).hexdigest() == self.PINNED_FINAL
+        assert [rec.hf_to_previous.hex() for rec in report.iterations] == self.PINNED_HF
 
     @pytest.mark.parametrize("fixed_k", [None, 3])
     def test_outputs_are_built_only_when_read(self, monkeypatch, fixed_k):
