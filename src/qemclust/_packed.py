@@ -1,48 +1,29 @@
-"""Internal dense views of sparse distributions for the clustering kernels.
+"""Row keys, and per-run dense views of bit rows for the clustering kernels.
 
-A packed distribution holds a (n_strings, width) uint8 bit matrix, the
-same rows packed into big-endian uint64 words, and a float weight
-vector. Majority votes read the bit matrix; Hamming distances are XOR
-plus popcount over the words. Packing happens once per mitigation run
-and the arrays are shared across all cluster counts.
+Bit rows are (n, width) 0/1 uint8 matrices. This module alone decides
+how they are ordered and matched, at any width, and it knows nothing of
+``BitString`` (the conversions live in ``distributions``). It owns two
+mechanisms: one 1-D row key (``_row_keys``) that orders like the rows'
+values, for sorting, dedupe and lookup; and one cache slot per distinct
+centroid row per run (``PackedDistribution.slots``, the only code that
+keys rows by their bytes).
 
-A packed distribution lives for one mitigation run, and it caches the
-distance column of every centroid row it has been asked about, keyed by
-the row's bytes: each distinct centroid costs one Hamming pass per run,
-across vote rounds, cluster counts and the redistribution step. Columns
-are stored in the smallest unsigned dtype that holds the width, about n
-bytes per centroid up to width 255. ``distances`` hands them out as a
-C-ordered (n, k) matrix; that layout is part of the output bits, because
-the redistribution step's row sums and its matrix-vector product add in
-an order that depends on it.
-
-The conversions between ``BitString`` objects and bit rows, and the shot
-tally, work at any width: word tuples compare like values.
+A packed distribution holds the bit matrix, the same rows packed into
+big-endian uint64 words, and a float weight vector, built once per
+mitigation run. Majority votes read the bit matrix; Hamming distances
+are XOR plus popcount over the words. A slot holds its centroid's
+distance column, computed in one Hamming pass per run in the smallest
+unsigned dtype that holds the width, and the input row equal to it.
+``distances`` hands the columns out as a C-ordered (n, k) matrix; that
+layout is part of the output bits, because the redistribution step's row
+sums and its matrix-vector product add in an order that depends on it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from .distributions import BitString, OutcomeDistribution
-
-__all__ = [
-    "PackedDistribution",
-    "match_rows",
-    "row_keys",
-    "rows_to_strings",
-    "strings_to_rows",
-    "tally_rows",
-    "value_order",
-]
-
-
-def strings_to_rows(strings: Iterable[BitString], width: int) -> np.ndarray:
-    """(n, width) uint8 bit matrix, one row per bit-string."""
-    blob = "".join(b.text for b in strings).encode()
-    return (np.frombuffer(blob, dtype=np.uint8) - ord("0")).reshape(-1, width)
+__all__ = ["PackedDistribution", "match_rows", "tally_rows", "value_order"]
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
@@ -56,31 +37,34 @@ def _pack_words(bits: np.ndarray) -> np.ndarray:
     return raw.view(">u8").astype(np.uint64)
 
 
+def _row_keys(words: np.ndarray) -> tuple[np.ndarray, list]:
+    """1-D keys of ``_pack_words`` rows that order like the rows' values,
+    plus the rank tables that turn keys back into words. One word is its
+    own key; each further word folds in as (rank of the key so far) * n +
+    (rank of the word). Ranks are below n, so keys order like word tuples.
+    """
+    n = len(words)
+    key = words[:, 0]
+    tables = []
+    for j in range(1, words.shape[1]):
+        prefix, rank = np.unique(key, return_inverse=True)
+        column, sub = np.unique(words[:, j], return_inverse=True)
+        tables.append((prefix, column))
+        key = rank * n + sub
+    return key, tables
+
+
 def value_order(bits: np.ndarray) -> np.ndarray:
-    """Row indices that sort a (n, width) 0/1 matrix by value."""
-    return np.lexsort(_pack_words(bits).T[::-1])
+    """Row indices that sort a (n, width) 0/1 matrix by value, stably."""
+    return np.argsort(_row_keys(_pack_words(bits))[0], kind="stable")
 
 
 def match_rows(bits: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Index of the row of ``bits`` equal to each query row, or -1."""
-    words = _pack_words(np.concatenate([bits, queries]))
-    _, first, inverse = np.unique(words, axis=0, return_index=True, return_inverse=True)
-    found = first[inverse.ravel()[len(bits) :]]
+    """Index of the first row of ``bits`` equal to each query row, or -1."""
+    keys = _row_keys(_pack_words(np.concatenate([bits, queries])))[0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    found = first[inverse[len(bits) :]]
     return np.where(found < len(bits), found, -1)
-
-
-def row_keys(bits: np.ndarray) -> list[bytes]:
-    """The bytes of each row: equal rows, and only they, share a key."""
-    return [row.tobytes() for row in bits]
-
-
-def rows_to_strings(bits: np.ndarray) -> list[BitString]:
-    """One BitString per row of a (n, width) 0/1 matrix."""
-    words = _pack_words(bits)
-    values = words[:, 0].tolist()
-    for column in words[:, 1:].T:
-        values = [(v << 64) | w for v, w in zip(values, column.tolist())]
-    return [BitString(v, bits.shape[1]) for v in values]
 
 
 def _unpack_words(words: np.ndarray, width: int) -> np.ndarray:
@@ -91,21 +75,9 @@ def _unpack_words(words: np.ndarray, width: int) -> np.ndarray:
 
 
 def tally_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a 0/1 matrix in ascending value order, with counts.
-
-    Each further word folds into a 1-D key as (rank of the key so far) *
-    n + (rank of the word); ranks are below n, so keys order like word
-    tuples. The rank tables turn the final keys back into words.
-    """
-    words = _pack_words(bits)
-    n = len(words)
-    key = words[:, 0]
-    tables = []
-    for j in range(1, words.shape[1]):
-        prefix, rank = np.unique(key, return_inverse=True)
-        column, sub = np.unique(words[:, j], return_inverse=True)
-        tables.append((prefix, column))
-        key = rank * n + sub
+    """Distinct rows of a 0/1 matrix in ascending value order, with counts."""
+    n = len(bits)
+    key, tables = _row_keys(_pack_words(bits))
     key, counts = np.unique(key, return_counts=True)
     columns = []
     for prefix, column in reversed(tables):
@@ -115,14 +87,14 @@ def tally_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PackedDistribution:
-    """Array view of an OutcomeDistribution, sorted by bit-string value."""
+    """Array view of a distribution's (bit rows, weights), sorted by value."""
 
     __slots__ = (
         "width", "weights", "bits", "words", "total", "_top_order",
         "_slot", "_columns", "_zero_row",
     )
 
-    def __init__(self, dist: OutcomeDistribution):
+    def __init__(self, dist):
         if dist.total <= 0:
             raise ValueError("distribution has zero total weight")
         rows, weights = dist._arrays()
@@ -156,10 +128,11 @@ class PackedDistribution:
         diff = self.words[:, None, :] ^ _pack_words(centroid_bits)[None, :, :]
         return np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
 
-    def _slots(self, centroid_bits: np.ndarray) -> np.ndarray:
-        """Cache slot of each centroid row; the columns of rows not seen
-        before in this run are computed in one ``hamming_to`` call."""
-        keys = row_keys(centroid_bits)
+    def slots(self, centroid_bits: np.ndarray) -> np.ndarray:
+        """Cache slot of each centroid row: equal rows, and only they, get
+        equal slots for the whole run. The columns of rows not seen before
+        in this run are computed in one ``hamming_to`` call."""
+        keys = [row.tobytes() for row in centroid_bits]
         fresh: dict[bytes, int] = {}  # unseen key -> its first row
         for i, key in enumerate(keys):
             if key not in self._slot:
@@ -180,17 +153,15 @@ class PackedDistribution:
                 self._slot[key] = used + j
         return np.array([self._slot[key] for key in keys], dtype=np.intp)
 
-    def columns(self, centroid_bits: np.ndarray) -> np.ndarray:
-        """(k, n) Hamming distances, one row per centroid, from the run's cache."""
-        slots = self._slots(centroid_bits)
+    def columns(self, slots: np.ndarray) -> np.ndarray:
+        """(k, n) Hamming distances, one row per slot."""
         return self._columns[slots]
 
-    def distances(self, centroid_bits: np.ndarray) -> np.ndarray:
-        """C-ordered (n, k) Hamming distances between every row and every
-        centroid row, from the run's cache."""
-        return np.ascontiguousarray(self.columns(centroid_bits).T)
+    def distances(self, slots: np.ndarray) -> np.ndarray:
+        """C-ordered (n, k) Hamming distances between every row and the
+        centroid row of every slot."""
+        return np.ascontiguousarray(self._columns[slots].T)
 
-    def centroid_rows(self, centroid_bits: np.ndarray) -> np.ndarray:
-        """The input row equal to each centroid row, or -1."""
-        slots = self._slots(centroid_bits)
+    def centroid_rows(self, slots: np.ndarray) -> np.ndarray:
+        """The input row equal to each slot's centroid row, or -1."""
         return self._zero_row[slots]

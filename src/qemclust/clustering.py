@@ -15,8 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
-from ._packed import PackedDistribution, rows_to_strings, strings_to_rows
-from .distributions import BitString, OutcomeDistribution
+from ._packed import PackedDistribution
+from .distributions import BitString, OutcomeDistribution, rows_to_strings, strings_to_rows
 
 __all__ = [
     "ClusterConfig",
@@ -139,7 +139,7 @@ def _assign(
     k = len(centroids)
     # distance * k + centroid index: the smallest key per row is the
     # nearest centroid, ties resolved to the lowest index
-    key = packed.columns(centroids).astype(np.min_scalar_type((packed.width + 1) * k))
+    key = packed.columns(packed.slots(centroids)).astype(np.min_scalar_type((packed.width + 1) * k))
     key *= k
     key += np.arange(k, dtype=key.dtype)[:, None]
     first = key.min(axis=0)

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
+
+from ._packed import _pack_words, match_rows
 
 __all__ = [
     "BitString",
@@ -67,6 +69,21 @@ class BitString:
         return self.text
 
 
+def strings_to_rows(strings: Iterable[BitString], width: int) -> np.ndarray:
+    """(n, width) uint8 bit matrix, one row per bit-string."""
+    blob = "".join(b.text for b in strings).encode()
+    return (np.frombuffer(blob, dtype=np.uint8) - ord("0")).reshape(-1, width)
+
+
+def rows_to_strings(bits: np.ndarray) -> list[BitString]:
+    """One BitString per row of a (n, width) 0/1 matrix."""
+    words = _pack_words(bits)
+    values = words[:, 0].tolist()
+    for column in words[:, 1:].T:
+        values = [(v << 64) | w for v, w in zip(values, column.tolist())]
+    return [BitString(v, bits.shape[1]) for v in values]
+
+
 class OutcomeDistribution:
     """Sparse distribution over bit-strings of one common width.
 
@@ -89,8 +106,6 @@ class OutcomeDistribution:
         for b in entries:
             if b.width != width:
                 raise ValueError(f"bit-string {b.text!r} has width {b.width}, expected {width}")
-        from ._packed import strings_to_rows
-
         store = {b: float(w) for b, w in entries.items()}
         weights = np.fromiter(store.values(), dtype=np.float64, count=len(store))
         self._set(strings_to_rows(store, width), weights, store)
@@ -118,8 +133,6 @@ class OutcomeDistribution:
     @property
     def _entries(self) -> dict[BitString, float]:
         if self._store is None:
-            from ._packed import rows_to_strings
-
             self._store = dict(zip(rows_to_strings(self._rows), self._weights.tolist()))
         return self._store
 
@@ -212,8 +225,8 @@ def normalized_entropy(dist: OutcomeDistribution) -> float:
         raise ValueError("distribution has zero total weight")
     h, total = 0.0, dist.total
     for w in dist._weights.tolist():
-        if w > 0:
-            p = w / total
+        p = w / total
+        if p > 0:  # a positive weight's probability can underflow to 0
             h -= p * math.log2(p)
     return h / dist.width
 
@@ -230,8 +243,6 @@ def hellinger_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
         raise ValueError(f"width mismatch: {p.width} != {q.width}")
     if p.total <= 0 or q.total <= 0:
         raise ValueError("distributions must have positive total weight")
-    from ._packed import match_rows
-
     small, big = (p, q) if len(p) <= len(q) else (q, p)
     found = match_rows(big._rows, small._rows)
     v = np.append(big._weights, 0.0)[found]  # -1 picks the 0.0

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._packed import PackedDistribution, row_keys, rows_to_strings
+from ._packed import PackedDistribution
 from .clustering import _cluster_packed, outlier_threshold
 from .distributions import (
     BitString,
@@ -29,6 +29,7 @@ from .distributions import (
     _left_to_right_sum,
     hellinger_fidelity,
     improvement_ratio,
+    rows_to_strings,
 )
 from .noise import NoiseSpec, SyntheticSpec, apply_bitflip, generate_ideal, sample_shots
 from .redistribution import DegenerateMitigationError, _mitigated_distribution, _redistribute_packed
@@ -120,17 +121,17 @@ class MitigationReport:
         raise LookupError(f"no iteration record for k={self.k_used}")
 
 
-def _iterate(arrays: tuple, centroid_bits: np.ndarray) -> tuple[np.ndarray, dict[bytes, float]]:
+def _iterate(arrays: tuple, slots: np.ndarray) -> tuple[np.ndarray, dict[int, float]]:
     """Normalized output of one pass: a probability vector over the input
-    rows plus {row bytes: probability} for centroids never observed.
+    rows plus {cache slot: probability} for centroids never observed.
     Raises DegenerateMitigationError when no mass survives."""
     masses, _removed, centroid_masses, _claim, centroid_rows = arrays
     seen = centroid_rows >= 0
     vec = masses + np.bincount(centroid_rows[seen], centroid_masses[seen], len(masses))
-    extra: dict[bytes, float] = {}
-    for i in np.flatnonzero(~seen & (centroid_masses > 0)):
-        key = centroid_bits[i].tobytes()
-        extra[key] = extra.get(key, 0.0) + float(centroid_masses[i])
+    extra: dict[int, float] = {}
+    unseen = ~seen & (centroid_masses > 0)
+    for slot, m in zip(slots[unseen].tolist(), centroid_masses[unseen].tolist()):
+        extra[slot] = extra.get(slot, 0.0) + m
     total = float(vec.sum()) + _left_to_right_sum(list(extra.values()))
     if total <= 0:
         raise DegenerateMitigationError("redistribution removed every bit-string")
@@ -168,13 +169,14 @@ def mitigate(noisy: OutcomeDistribution, cfg: MitigationConfig) -> MitigationRep
         centroid_bits, weights, _nearest, _outlier, converged, rounds = _cluster_packed(
             packed, k, theta, cfg.max_rounds
         )
-        duplicates = len(centroid_bits) - len(set(row_keys(centroid_bits)))
+        slots = packed.slots(centroid_bits)
+        duplicates = len(slots) - len(set(slots.tolist()))
         try:
-            arrays = _redistribute_packed(packed, centroid_bits, weights, cfg.flip_rate)
-            current = _iterate(arrays, centroid_bits)
+            arrays = _redistribute_packed(packed, slots, weights, cfg.flip_rate)
+            current = _iterate(arrays, slots)
         except DegenerateMitigationError:
             arrays, current, centroid_bits = None, noisy_view, centroid_bits[:0]
-        output = partial(_mitigated_distribution, packed, noisy, centroid_bits, arrays, cfg.flip_rate)
+        output = partial(_mitigated_distribution, packed, noisy, centroid_bits, slots, arrays, cfg.flip_rate)
         hf = _fidelity(current, previous)
         records.append(
             IterationRecord(k, hf, arrays is None, converged, rounds, duplicates, centroid_bits, output)

@@ -15,6 +15,7 @@ weighted child variance wins; nodes grow until pure.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
@@ -76,8 +77,8 @@ class CircuitFeatures:
     def __post_init__(self) -> None:
         for name in FEATURE_NAMES[:6]:  # the integer circuit counts
             v = getattr(self, name)
-            if v < 0:
-                raise ValueError(f"{name} must be >= 0, got {v}")
+            if not 0 <= v <= sys.float_info.max:  # the feature vector is float64
+                raise ValueError(f"{name} must be >= 0 and fit a float, got {v}")
         if self.num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
         if self.num_measurements > self.num_qubits:

@@ -98,6 +98,14 @@ def _is_number(v) -> bool:
     return _is_int(v) or isinstance(v, float)
 
 
+def _float(v) -> float:
+    """``float(v)`` of a number; inf for an integer too large for a float."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
 def _dump_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -129,13 +137,16 @@ def _read_weights(
     ok = set(map(len, keys)) == {width} and text.isascii() and set(map(type, values)) <= types
     if ok:
         bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
-        w = np.array(values, dtype=np.float64)
-        ok = (bits <= 1).all() and ((w >= 0) & (w < math.inf)).all()
+        try:
+            w = np.array(values, dtype=np.float64)
+            ok = (bits <= 1).all() and ((w >= 0) & (w < math.inf)).all()
+        except OverflowError:  # an integer too large for a float
+            ok = False
     if not ok:
         for key, val in weights.items():
             if len(key) != width or set(key) - {"0", "1"}:
                 raise DataFormatError(f"{path}: key {key!r} is not a width-{width} bit-string")
-            if type(val) not in types or not 0 <= val < math.inf:
+            if type(val) not in types or not 0 <= _float(val) < math.inf:
                 raise DataFormatError(f"{path}: {name} for key {key!r} must be {rule}")
     dist = OutcomeDistribution._from_rows(bits.reshape(-1, width), w)
     if dist.total <= 0:
@@ -227,8 +238,8 @@ def read_calibration(path: str) -> CalibrationSnapshot:
         raise DataFormatError(f"{path}: error rates must be numbers")
     try:
         return CalibrationSnapshot(
-            gate_errors={k: float(v) for k, v in gate_errors.items()},
-            readout_errors=tuple(float(v) for v in readout),
+            gate_errors={k: _float(v) for k, v in gate_errors.items()},
+            readout_errors=tuple(_float(v) for v in readout),
         )
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None
@@ -255,8 +266,8 @@ def read_features_file(path: str) -> dict:
     out: dict = {}
     for field in _COUNT_FIELDS:
         v = doc.get(field)
-        if not _is_int(v) or v < 0:
-            raise DataFormatError(f"{path}: {field!r} must be an integer >= 0")
+        if not _is_int(v) or not 0 <= _float(v) < math.inf:
+            raise DataFormatError(f"{path}: {field!r} must be an integer >= 0 that fits a float")
         out[field] = v
     for field in ("entropy", "esp"):
         if field in doc:
@@ -409,7 +420,7 @@ def load_model(path: str) -> TreeEnsemble:
             seed=int(hp["seed"]),
             importances=tuple(float(v) for v in doc["feature_importances"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed model file ({exc})") from None
 
 

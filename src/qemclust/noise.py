@@ -74,7 +74,7 @@ def _distinct_rows(rng: np.random.Generator, width: int, count: int) -> np.ndarr
     rows = np.empty((0, width), dtype=np.uint8)
     while len(rows) < count:
         draw = rng.integers(0, 2, size=(count - len(rows), width), dtype=np.uint8)
-        rows = np.unique(np.concatenate([rows, draw]), axis=0)  # 0/1 rows sort like values
+        rows = tally_rows(np.concatenate([rows, draw]))[0]
     return rows
 
 

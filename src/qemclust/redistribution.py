@@ -18,9 +18,10 @@ from typing import Mapping
 
 import numpy as np
 
-from ._packed import PackedDistribution, rows_to_strings, strings_to_rows
+from ._packed import PackedDistribution
 from .clustering import ClusterModel
 from .distributions import BitString, OutcomeDistribution, _left_to_right_sum, hamming_distance
+from .distributions import rows_to_strings, strings_to_rows
 
 __all__ = [
     "DegenerateMitigationError",
@@ -92,8 +93,9 @@ def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: flo
 
     packed = PackedDistribution(noisy)
     centroid_bits = strings_to_rows(model.centroids, packed.width)
-    arrays = _redistribute_packed(packed, centroid_bits, np.array(model.weights), flip_rate)
-    mitigated = _mitigated_distribution(packed, noisy, centroid_bits, arrays, flip_rate)
+    slots = packed.slots(centroid_bits)
+    arrays = _redistribute_packed(packed, slots, np.array(model.weights), flip_rate)
+    mitigated = _mitigated_distribution(packed, noisy, centroid_bits, slots, arrays, flip_rate)
     # a zero-rate pass explains no flips: it removes nothing
     removed_idx = arrays[1] if flip_rate > 0 else ()
     centroid_set = set(model.centroids)
@@ -109,6 +111,7 @@ def _mitigated_distribution(
     packed: PackedDistribution,
     noisy: OutcomeDistribution,
     centroid_bits: np.ndarray,
+    slots: np.ndarray,
     arrays: tuple | None,
     flip_rate: float,
 ) -> OutcomeDistribution:
@@ -126,13 +129,11 @@ def _mitigated_distribution(
     masses, _removed, centroid_masses, _claim, _rows = arrays
     survivors = np.flatnonzero(masses > 0)
     gained = np.flatnonzero(centroid_masses > 0)
-    unique, first, which = np.unique(
-        centroid_bits[gained], axis=0, return_index=True, return_inverse=True
-    )
+    _, first, which = np.unique(slots[gained], return_index=True, return_inverse=True)
     # bincount adds each bin's masses in centroid order
-    gained_mass = np.bincount(which.ravel(), centroid_masses[gained], len(unique))
+    gained_mass = np.bincount(which, centroid_masses[gained], len(first))
     order = np.argsort(first)
-    rows = np.concatenate([packed.bits[survivors], unique[order]])
+    rows = np.concatenate([packed.bits[survivors], centroid_bits[gained[first[order]]]])
     mass = np.concatenate([masses[survivors], gained_mass[order]])
     total = _left_to_right_sum(mass)
     if total <= 0:
@@ -142,11 +143,11 @@ def _mitigated_distribution(
 
 def _redistribute_packed(
     packed: PackedDistribution,
-    centroid_bits: np.ndarray,
+    slots: np.ndarray,
     cluster_weights: np.ndarray,
     flip_rate: float,
 ):
-    """Array core of the redistribution step.
+    """Array core of the redistribution step for the centroids of ``slots``.
 
     Returns (per-row surviving masses, removed row indices, per-centroid
     masses, per-row raw claims, the input row each centroid equals or -1).
@@ -155,8 +156,8 @@ def _redistribute_packed(
     unnormalized but sum to the input's probability total.
     """
     pr = packed.weights / packed.total
-    hd = packed.distances(centroid_bits)
-    centroid_rows = packed.centroid_rows(centroid_bits)
+    hd = packed.distances(slots)
+    centroid_rows = packed.centroid_rows(slots)
     joint = np.take(_likelihood_table(packed.width, flip_rate), hd)
     joint *= cluster_weights
     seen = centroid_rows >= 0

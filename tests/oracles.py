@@ -8,6 +8,7 @@ evidence rather than tautology.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -140,6 +141,25 @@ def reference_vote_rows(packed, member_mask: np.ndarray, incumbent: np.ndarray) 
     ones = w @ packed.bits[member_mask]
     total = w.sum()
     return np.where(ones * 2 > total, 1, np.where(ones * 2 < total, 0, incumbent)).astype(np.uint8)
+
+
+def reference_value_order(values: list[int]) -> list[int]:
+    """Indices that sort Python-int row values, equal values in index order."""
+    return sorted(range(len(values)), key=values.__getitem__)
+
+
+def reference_match_rows(values: list[int], queries: list[int]) -> list[int]:
+    """Index of the first value equal to each query, or -1, by dict lookup."""
+    first: dict[int, int] = {}
+    for i, v in enumerate(values):
+        first.setdefault(v, i)
+    return [first.get(q, -1) for q in queries]
+
+
+def reference_tally_rows(values: list[int]) -> tuple[list[int], list[int]]:
+    """Distinct values in ascending order and how often each occurs."""
+    tally = sorted(Counter(values).items())
+    return [v for v, _ in tally], [c for _, c in tally]
 
 
 def reference_cluster_packed(packed, k: int, theta: int, max_rounds: int):
@@ -311,8 +331,8 @@ def reference_entropy(dist: OutcomeDistribution) -> float:
     weight, adding left to right in row order."""
     h = 0.0
     for w in dist._weights.tolist():
-        if w > 0:
-            p = w / dist.total
+        p = w / dist.total
+        if p > 0:
             h -= p * math.log2(p)
     return h / dist.width
 

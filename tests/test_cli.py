@@ -665,6 +665,85 @@ class TestTrainAndEstimate:
         assert main(["estimate", "--model", str(model_path), "--features", str(features_path)]) == 2
 
 
+class TestIntegersBeyondFloat:
+    """JSON and CSV integers too large for a float are data errors that
+    name the file and the offender, and nothing is written."""
+
+    FEATURES = {
+        "format": "qemclust-features", "version": 1,
+        "num_qubits": 4, "num_measurements": 2, "num_2q_gates": 3,
+        "num_sx_gates": 5, "num_x_gates": 1, "num_rz_gates": 8,
+        "entropy": 0.1,
+    }
+    CALIBRATION = {
+        "format": "qemclust-calibration", "version": 1,
+        "gate_errors": {"2q": 0.01, "sx": 0.0002, "x": 0.0002, "rz": 0.0},
+        "readout_errors": [0.01, 0.02, 0.01, 0.03],
+    }
+
+    @pytest.fixture()
+    def model_path(self, tmp_path):
+        feats, labels = make_synthetic_corpus(30, seed=14)
+        path = tmp_path / "model.json"
+        qio.save_model(fit_tree_ensemble(feats, labels, n_trees=3, seed=14), str(path))
+        return path
+
+    def _estimate(self, capsys, model_path, features, calibration):
+        paths = []
+        for name, doc in (("features", features), ("calib", calibration)):
+            paths.append(model_path.parent / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        rc = main(["estimate", "--model", str(model_path), "--features", str(paths[0]), "--calibration", str(paths[1])])
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    def test_counts_file(self, tmp_path, capsys):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({
+            "format": "qemclust-counts", "version": 1, "width": 2, "counts": {"00": 3, "01": 10**400},
+        }))
+        out = tmp_path / "out.json"
+        assert main(["mitigate", str(path), "--p", "0.1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "key '01' " in err
+        assert not out.exists()
+
+    def test_calibration_file(self, model_path, capsys):
+        calibration = {**self.CALIBRATION, "gate_errors": {**self.CALIBRATION["gate_errors"], "sx": 10**400}}
+        rc, out, err = self._estimate(capsys, model_path, self.FEATURES, calibration)
+        assert rc == 2 and out == ""
+        assert "calib.json" in err and "'sx'" in err
+
+    def test_features_file(self, model_path, capsys):
+        rc, out, err = self._estimate(capsys, model_path, {**self.FEATURES, "num_qubits": 10**400}, self.CALIBRATION)
+        assert rc == 2 and out == ""
+        assert "features.json" in err and "'num_qubits'" in err
+
+    @pytest.mark.parametrize("field", ["feature", "threshold"])
+    def test_model_file(self, model_path, capsys, field):
+        doc = json.loads(model_path.read_text())
+        doc["trees"][0][field][0] = 10**400
+        model_path.write_text(json.dumps(doc))
+        rc, out, err = self._estimate(capsys, model_path, self.FEATURES, self.CALIBRATION)
+        assert rc == 2 and out == ""
+        assert "model.json" in err
+
+    def test_corpus_file(self, tmp_path, capsys):
+        feats, labels = make_synthetic_corpus(12, seed=3)
+        corpus_path = tmp_path / "corpus.csv"
+        qio.write_corpus(feats, labels, str(corpus_path))
+        lines = corpus_path.read_text().splitlines()
+        row = lines[4].split(",")
+        row[FEATURE_NAMES.index("num_2q_gates")] = "9" * 401
+        lines[4] = ",".join(row)
+        corpus_path.write_text("\n".join(lines) + "\n")
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--corpus", str(corpus_path), "--trees", "2", "--out", str(model_path)]) == 2
+        err = capsys.readouterr().err
+        assert "corpus.csv" in err and "line 5" in err
+        assert not model_path.exists()
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1

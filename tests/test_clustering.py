@@ -21,7 +21,8 @@ from qemclust import (
     sample_shots,
     select_initial_centroids,
 )
-from qemclust._packed import PackedDistribution, match_rows, strings_to_rows
+from qemclust._packed import PackedDistribution, match_rows
+from qemclust.distributions import strings_to_rows
 
 B = BitString.from_text
 
@@ -225,13 +226,21 @@ class TestDistanceCache:
         # with repeats, asked for in batches in any order
         pool = observed + data.draw(st.lists(values, min_size=1, max_size=4))
         calls = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=8), min_size=1, max_size=5))
+        slot_of: dict[int, int] = {}  # row value -> its slot in the first call that asked
         for call in calls:
             centroid_bits = _bit_rows(call, width)
-            hd = packed.distances(centroid_bits)
+            slots = packed.slots(centroid_bits)
+            # equal rows get equal slots, within and across calls, observed
+            # or not; distinct rows get distinct slots
+            for value, slot in zip(call, slots.tolist()):
+                assert slot_of.setdefault(value, slot) == slot
+            assert len(set(slot_of.values())) == len(slot_of)
+            hd = packed.distances(slots)
             assert hd.dtype == np.min_scalar_type(width)
             assert hd.flags.c_contiguous and hd.shape == (len(packed), len(call))
             np.testing.assert_array_equal(hd, packed.hamming_to(centroid_bits))
-            np.testing.assert_array_equal(packed.centroid_rows(centroid_bits), match_rows(packed.bits, centroid_bits))
+            np.testing.assert_array_equal(packed.columns(slots), hd.T)
+            np.testing.assert_array_equal(packed.centroid_rows(slots), match_rows(packed.bits, centroid_bits))
 
     def test_each_distinct_centroid_is_computed_once(self, monkeypatch):
         packed = PackedDistribution(OutcomeDistribution.from_counts({"0000": 5, "0110": 3, "1111": 1}))
@@ -244,9 +253,9 @@ class TestDistanceCache:
 
         monkeypatch.setattr(PackedDistribution, "hamming_to", counting)
         first = _bit_rows([0b0000, 0b1010, 0b0000], 4)
-        packed.distances(first)
-        packed.distances(first[::-1])
-        packed.centroid_rows(_bit_rows([0b1010, 0b1111], 4))
+        packed.slots(first)
+        packed.slots(first[::-1])
+        packed.slots(_bit_rows([0b1010, 0b1111], 4))
         assert asked == [2, 1]
 
 

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_entropy, reference_hellinger
@@ -175,9 +175,14 @@ class TestNormalizedEntropy:
 
     @given(
         st.integers(1, 70),
-        st.lists(st.sampled_from([0.0, 1.0, 3.0]) | st.floats(1e-6, 1e3), min_size=1, max_size=40).filter(any),
+        st.lists(
+            st.sampled_from([0.0, 1.0, 3.0, 5e-324]) | st.floats(1e-6, 1e3) | st.floats(0.0, 1e-300),
+            min_size=1,
+            max_size=40,
+        ).filter(any),
         st.booleans(),
     )
+    @example(1, [3.0, 5e-324], False)  # the second probability underflows to 0
     @settings(max_examples=150, deadline=None)
     def test_matches_the_per_weight_loop(self, width, weights, normalized):
         assume(len(weights) <= 1 << width)
