@@ -136,15 +136,24 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _read_features(args, entropy: float | None = None):
+    """The feature vector from ``--features``, its ESP from ``--calibration``
+    when the record has none; an inconsistent pair names both files."""
+    raw = io.read_features_file(args.features)
+    calibration = io.read_calibration(args.calibration) if args.calibration else None
+    try:
+        return io.build_features(raw, calibration, entropy=entropy)
+    except ValueError as exc:
+        source = args.features if calibration is None else f"{args.features} with {args.calibration}"
+        raise io.DataFormatError(f"{source}: {exc}") from None
+
+
 def _resolve_rate(args, noisy) -> float:
     if args.p is not None:
         rate = args.p
     else:
         model = io.load_model(args.model)
-        raw = io.read_features_file(args.features)
-        calibration = io.read_calibration(args.calibration) if args.calibration else None
-        features = io.build_features(raw, calibration, entropy=normalized_entropy(noisy))
-        rate = model.predict(features)
+        rate = model.predict(_read_features(args, entropy=normalized_entropy(noisy)))
     return min(rate * args.p_scale, 0.5)
 
 
@@ -268,10 +277,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_estimate(args) -> int:
     model = io.load_model(args.model)
-    raw = io.read_features_file(args.features)
-    calibration = io.read_calibration(args.calibration) if args.calibration else None
-    features = io.build_features(raw, calibration)
-    print(format(model.predict(features), ".10g"))
+    print(format(model.predict(_read_features(args)), ".10g"))
     return EXIT_OK
 
 

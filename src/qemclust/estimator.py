@@ -15,6 +15,7 @@ weighted child variance wins; nodes grow until pure.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import reduce
@@ -253,6 +254,81 @@ def _mean_var(values: list[float]) -> tuple[float, float]:
     return mean, _pairwise_sum(list(map(mul, dev, dev))) / n
 
 
+class _PCG64Draws:
+    """``rng.choice(n, size, replace=False)`` and ``rng.uniform(lo, hi)``
+    computed from the raw PCG64 stream, without numpy's per-call
+    wrappers, which cost more than the draws at the tree's sizes.
+
+    The values and the generator state are numpy 2.x's own: ``choice`` is
+    Floyd's algorithm and then a shuffle of the picks, or a tail shuffle
+    of the whole population above 10,000 when ``size > n // 50``; every
+    bounded draw is Lemire's method over ``next_uint32``, which returns
+    the low half of a 64-bit output and keeps the high half for the next
+    call. ``uniform`` is numpy's ``random_uniform``. Call ``sync`` when
+    done, to hand the kept half back to the generator. Populations are at
+    most 2**32.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        assert isinstance(bitgen, np.random.PCG64), type(bitgen)
+        state = bitgen.state
+        self._bitgen = bitgen
+        self._raw = bitgen.random_raw
+        self._random = rng.random
+        self._has_half = bool(state["has_uint32"])
+        self._half = state["uinteger"]  # numpy keeps it after use, so do we
+
+    def _bounded(self, top: int) -> int:
+        """A uniform integer in [0, top], as numpy's
+        ``buffered_bounded_lemire_uint32``."""
+        if top == 0:
+            return 0
+        excl = top + 1
+        threshold = (0xFFFFFFFF - top) % excl  # below excl, so numpy's early exit agrees
+        while True:
+            if self._has_half:  # next_uint32
+                self._has_half = False
+                m = self._half * excl
+            else:
+                word = self._raw()
+                self._has_half, self._half = True, word >> 32
+                m = (word & 0xFFFFFFFF) * excl
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def choice(self, n: int, size: int) -> list[int]:
+        bounded = self._bounded
+        if n > 10000 and size > n // 50:
+            picks = list(range(n))
+            for i in range(n - 1, max(n - size, 1) - 1, -1):
+                j = bounded(i)
+                picks[i], picks[j] = picks[j], picks[i]
+            return picks[n - size :]
+        picks, seen = [], set()
+        for j in range(n - size, n):
+            v = bounded(j)
+            if v in seen:
+                v = j
+            seen.add(v)
+            picks.append(v)
+        for i in range(size - 1, 0, -1):
+            j = bounded(i)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
+
+    def uniform(self, lo: float, hi: float) -> float:
+        span = hi - lo
+        if not -math.inf < span < math.inf:
+            raise OverflowError("high - low range exceeds valid bounds")
+        return lo + span * self._random()
+
+    def sync(self) -> None:
+        state = self._bitgen.state
+        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
+        self._bitgen.state = state
+
+
 def _grow_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -265,9 +341,11 @@ def _grow_tree(
 
     Nodes hold a few to a few hundred rows, too few for numpy calls to pay
     for their dispatch, so the node statistics are Python float
-    arithmetic on column lists with numpy's summation order; the random
-    draws are the same calls in the same order as on arrays.
+    arithmetic on column lists with numpy's summation order, and the
+    random draws are ``_PCG64Draws``: numpy's values in the same order.
     """
+    draws = _PCG64Draws(rng)
+    choice, uniform = draws.choice, draws.uniform
     cols = X.T.tolist()
     labels = y.tolist()
     feature, threshold, left, right = [-1], [0.0], [-1], [-1]
@@ -286,11 +364,10 @@ def _grow_tree(
         if not candidates:
             continue
         if len(candidates) > max_features:
-            picks = rng.choice(len(candidates), size=max_features, replace=False)
-            candidates = [candidates[i] for i in picks.tolist()]
+            candidates = [candidates[i] for i in choice(len(candidates), max_features)]
         best = None
         for f in candidates:
-            t = rng.uniform(lo[f], hi[f])
+            t = uniform(lo[f], hi[f])
             mask = list(map(t.__gt__, node_cols[f]))  # v < t
             n_left = mask.count(True)
             if n_left < min_samples_leaf or n - n_left < min_samples_leaf:
@@ -314,6 +391,7 @@ def _grow_tree(
         value += [0.0, 0.0]
         stack.append((right[node], list(compress(idx, rest)), right_y, *right_stats))
         stack.append((left[node], list(compress(idx, mask)), left_y, *left_stats))
+    draws.sync()
     return _Tree(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),

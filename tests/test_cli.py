@@ -744,6 +744,41 @@ class TestIntegersBeyondFloat:
         assert not model_path.exists()
 
 
+class TestFeaturesInconsistentWithCalibration:
+    """An ESP the calibration cannot give is a data error naming both the
+    features file and the calibration file, and nothing is written."""
+
+    FEATURES = TestIntegersBeyondFloat.FEATURES
+    CALIBRATION = TestIntegersBeyondFloat.CALIBRATION
+    model_path = TestIntegersBeyondFloat.model_path
+
+    @pytest.mark.parametrize("command", ["estimate", "mitigate"])
+    @pytest.mark.parametrize("case", ["measured_qubits", "num_measurements", "gate_kind"])
+    def test_names_both_files(self, tmp_path, capsys, worked_counts, model_path, command, case):
+        features, calibration = dict(self.FEATURES), dict(self.CALIBRATION)
+        if case == "measured_qubits":
+            features["measured_qubits"] = [0, 4]
+        elif case == "num_measurements":  # the default qubits 0..3 against 3 readout rates
+            features["num_measurements"] = 4
+            calibration["readout_errors"] = [0.01, 0.02, 0.01]
+        else:
+            calibration["gate_errors"] = {"2q": 0.01, "sx": 0.0002, "rz": 0.0}
+        features_path, calib_path = tmp_path / "features.json", tmp_path / "calib.json"
+        features_path.write_text(json.dumps(features))
+        calib_path.write_text(json.dumps(calibration))
+        out_path = tmp_path / "out.json"
+        flags = ["--model", str(model_path), "--features", str(features_path), "--calibration", str(calib_path)]
+        if command == "mitigate":
+            argv = ["mitigate", str(worked_counts[0]), *flags, "--out", str(out_path)]
+        else:
+            argv = ["estimate", *flags]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not out_path.exists()
+        assert str(features_path) in err and str(calib_path) in err
+        assert ("gate kind 'x'" if case == "gate_kind" else "qubit") in err
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1

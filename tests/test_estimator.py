@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from qemclust import (
     make_synthetic_corpus,
     SyntheticSpec,
 )
-from qemclust.estimator import _pairwise_sum
+from qemclust.estimator import _PCG64Draws, _pairwise_sum
 
 B = BitString.from_text
 
@@ -333,3 +335,65 @@ class TestTreeKernel:
         X = np.array([f.to_vector() for f in feats])
         model = fit_tree_ensemble(X, labels, n_trees=4, min_samples_leaf=min_samples_leaf, seed=7)
         assert_equals_reference(model, X, labels)
+
+    @pytest.mark.parametrize("max_features", [1, 10, 29])
+    def test_thirty_feature_trees_equal_the_numpy_reference(self, max_features):
+        # wide candidate draws: Floyd collisions and multi-step shuffles;
+        # every third column and the labels take a few tied values, so
+        # nodes lose columns to constancy and the population shrinks
+        rng = np.random.default_rng(max_features)
+        rows = 150
+        X = rng.random((rows, 30)) * 10.0 ** rng.integers(-4, 4, 30)
+        X[:, ::3] = rng.integers(0, 3, (rows, 10))
+        y = rng.choice(rng.uniform(0.0, 0.5, 6), rows)
+        model = fit_tree_ensemble(X, y, n_trees=3, max_features=max_features, seed=max_features)
+        assert_equals_reference(model, X, y)
+
+
+DRAW_OPS = st.lists(
+    st.one_of(
+        st.one_of(st.integers(2, 8), st.integers(1, 64)).flatmap(
+            lambda n: st.tuples(st.just("choice"), st.just(n), st.integers(0, n))
+        ),
+        # bounds near 2**32 make Lemire's rejection likely
+        st.tuples(st.just("choice"), st.integers(2**31, 2**32), st.integers(0, 2)),
+        st.tuples(st.just("uniform"), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)).map(
+            lambda op: ("uniform", min(op[1:]), max(op[1:]))
+        ),
+        st.tuples(st.just("uniform"), st.floats(-1.7e308, -1e308), st.floats(1e308, 1.7e308)),
+    ),
+    max_size=30,
+)
+# above 10,000 numpy tail-shuffles the population when size > n // 50
+TAIL_OP = st.integers(10_001, 12_000).flatmap(
+    lambda n: st.tuples(st.just("choice"), st.just(n), st.integers(n // 50 - 5, n // 50 + 30))
+)
+
+
+class TestDraws:
+    """The tree's draws are numpy's ``Generator.choice(n, size,
+    replace=False)`` and ``Generator.uniform(lo, hi)``, value for value,
+    and leave the generator in numpy's state."""
+
+    @given(ops=DRAW_OPS, tail=TAIL_OP, at=st.integers(0, 30), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_draws_and_state_equal_numpy(self, ops, tail, at, seed):
+        ops.insert(at, tail)
+        want, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = _PCG64Draws(rng)
+        for kind, a, b in ops:
+            if kind == "choice":
+                assert draws.choice(a, b) == want.choice(a, size=b, replace=False).tolist()
+            elif math.isfinite(b - a):
+                assert draws.uniform(a, b).hex() == want.uniform(a, b).hex()
+            else:
+                before = want.bit_generator.state
+                with pytest.raises(OverflowError):
+                    want.uniform(a, b)
+                with pytest.raises(OverflowError):
+                    draws.uniform(a, b)
+                assert want.bit_generator.state == before
+                draws.sync()
+                assert rng.bit_generator.state == before
+        draws.sync()
+        assert rng.bit_generator.state == want.bit_generator.state  # has_uint32 and uinteger too
