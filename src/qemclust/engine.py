@@ -7,8 +7,9 @@ cluster added did not change anything, so it was not needed). k is capped
 by the number of unique bit-strings observed. A fixed-k mode, for callers
 that know the number of dominant outcomes, is the same loop over one k
 with no stop test. Each pass's output stays a probability vector over the
-packed input rows plus a map for voted centroids never observed; the stop
-rule compares these, and distributions are built only when read.
+packed input rows plus a map for voted centroids never observed, read
+from the redistribution kernel's merged result; the stop rule compares
+these, and distributions are built only when read.
 """
 
 from __future__ import annotations
@@ -83,9 +84,8 @@ class IterationRecord:
     to the unmitigated view (with no centroids). ``converged`` and
     ``rounds`` come from the clustering pass, and so does ``duplicates``:
     the number of its centroid rows equal to an earlier one, which an
-    unconverged vote can leave and whose masses merge in the output. The
-    centroids and the output distribution are built the first time they
-    are read.
+    unconverged vote can leave. The centroids and the output distribution
+    are built the first time they are read.
     """
 
     k: int
@@ -121,20 +121,18 @@ class MitigationReport:
         raise LookupError(f"no iteration record for k={self.k_used}")
 
 
-def _iterate(arrays: tuple, slots: np.ndarray) -> tuple[np.ndarray, dict[int, float]]:
+def _iterate(arrays: tuple) -> tuple[np.ndarray, dict[int, float]]:
     """Normalized output of one pass: a probability vector over the input
-    rows plus {cache slot: probability} for centroids never observed.
-    Raises DegenerateMitigationError when no mass survives."""
-    masses, _removed, centroid_masses, _claim, centroid_rows = arrays
-    seen = centroid_rows >= 0
-    vec = masses + np.bincount(centroid_rows[seen], centroid_masses[seen], len(masses))
+    rows plus {cache slot: probability} for centroids never observed."""
+    masses, _removed, _claim, gained = arrays
+    vec = masses.copy()
     extra: dict[int, float] = {}
-    unseen = ~seen & (centroid_masses > 0)
-    for slot, m in zip(slots[unseen].tolist(), centroid_masses[unseen].tolist()):
-        extra[slot] = extra.get(slot, 0.0) + m
+    for _first, m, slot, row in gained:
+        if row >= 0:
+            vec[row] = m
+        else:
+            extra[slot] = m
     total = float(vec.sum()) + _left_to_right_sum(list(extra.values()))
-    if total <= 0:
-        raise DegenerateMitigationError("redistribution removed every bit-string")
     return vec / total, {key: m / total for key, m in extra.items()}
 
 
@@ -173,10 +171,10 @@ def mitigate(noisy: OutcomeDistribution, cfg: MitigationConfig) -> MitigationRep
         duplicates = len(slots) - len(set(slots.tolist()))
         try:
             arrays = _redistribute_packed(packed, slots, weights, cfg.flip_rate)
-            current = _iterate(arrays, slots)
         except DegenerateMitigationError:
-            arrays, current, centroid_bits = None, noisy_view, centroid_bits[:0]
-        output = partial(_mitigated_distribution, packed, noisy, centroid_bits, slots, arrays, cfg.flip_rate)
+            arrays, centroid_bits = None, centroid_bits[:0]
+        current = noisy_view if arrays is None else _iterate(arrays)
+        output = partial(_mitigated_distribution, packed, noisy, centroid_bits, arrays, cfg.flip_rate)
         hf = _fidelity(current, previous)
         records.append(
             IterationRecord(k, hf, arrays is None, converged, rounds, duplicates, centroid_bits, output)

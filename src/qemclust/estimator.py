@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._packed import match_rows, value_order
+from ._packed import value_order
 from .distributions import OutcomeDistribution, normalized_entropy
 from .noise import NoiseSpec, SyntheticSpec, _distinct_rows, apply_bitflip, generate_ideal, sample_shots
 
@@ -156,9 +156,9 @@ def effective_error_rate(ideal: OutcomeDistribution, noisy: OutcomeDistribution)
     order = value_order(rows)
     mode = order[np.argmax(weights[order])]  # the first maximum in value order
     noisy_rows, noisy_weights = noisy._arrays()
-    found = int(match_rows(noisy_rows, rows[mode : mode + 1])[0])
+    hit = (noisy_rows == rows[mode]).all(axis=1)
     p_ideal = float(weights[mode]) / ideal.total
-    p_noisy = float(noisy_weights[found]) / noisy.total if found >= 0 else 0.0
+    p_noisy = float(noisy_weights[hit.argmax()]) / noisy.total if hit.any() else 0.0
     if p_noisy <= 0.0:
         return RATE_MAX
     ratio = p_noisy / p_ideal

@@ -28,6 +28,7 @@ from .estimator import (
     CircuitFeatures,
     TreeEnsemble,
     _Tree,
+    compute_esp,
 )
 
 __all__ = [
@@ -297,11 +298,12 @@ def build_features(
 ) -> CircuitFeatures:
     """Assemble the full vector, deriving ESP from calibration when absent.
 
-    The measured-qubit set defaults to the first ``num_measurements``
-    qubits unless the record lists one explicitly.
+    The measured qubits default to the first ``num_measurements``; a listed
+    set must name that many distinct qubits below ``num_qubits``.
     """
-    from .estimator import compute_esp
-
+    n, mq = raw["num_measurements"], raw.get("measured_qubits")
+    if mq is not None and not (len(mq) == len(set(mq)) == n and all(0 <= q < raw["num_qubits"] for q in mq)):
+        raise ValueError(f"measured_qubits {mq} must be {n} distinct qubits below num_qubits {raw['num_qubits']}")
     esp = raw.get("esp")
     if esp is None:
         if calibration is None:
@@ -314,8 +316,7 @@ def build_features(
             "x": raw["num_x_gates"],
             "rz": raw["num_rz_gates"],
         }
-        measured = raw.get("measured_qubits", range(raw["num_measurements"]))
-        esp = compute_esp(gate_counts, measured, calibration)
+        esp = compute_esp(gate_counts, range(n) if mq is None else mq, calibration)
     ent = raw.get("entropy", entropy)
     if ent is None:
         raise DataFormatError(

@@ -8,7 +8,8 @@ in proportion to the individual joint terms; strings whose entire mass is
 explained away are removed. Because centroids collect the mass that the
 noise smeared off them, a centroid never observed in the input can still
 end up with positive probability, which is the point of voting centroids
-instead of picking observed strings.
+instead of picking observed strings. One pass is ``_redistribute_packed``,
+which alone merges equal centroids and decides that nothing survived.
 """
 
 from __future__ import annotations
@@ -91,11 +92,14 @@ def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: flo
     if not model.centroids:
         raise ValueError("cluster model has no centroids")
 
+    weights = np.array(model.weights, dtype=float)
+    if weights.shape != (model.k,) or not ((weights >= 0.0) & (weights <= 1.0)).all():
+        raise ValueError(f"cluster weights must be one value in [0, 1] per centroid, got {model.weights}")
+
     packed = PackedDistribution(noisy)
     centroid_bits = strings_to_rows(model.centroids, packed.width)
-    slots = packed.slots(centroid_bits)
-    arrays = _redistribute_packed(packed, slots, np.array(model.weights), flip_rate)
-    mitigated = _mitigated_distribution(packed, noisy, centroid_bits, slots, arrays, flip_rate)
+    arrays = _redistribute_packed(packed, packed.slots(centroid_bits), weights, flip_rate)
+    mitigated = _mitigated_distribution(packed, noisy, centroid_bits, arrays, flip_rate)
     # a zero-rate pass explains no flips: it removes nothing
     removed_idx = arrays[1] if flip_rate > 0 else ()
     centroid_set = set(model.centroids)
@@ -103,7 +107,7 @@ def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: flo
     return RedistributionResult(
         mitigated,
         frozenset(strings[i] for i in removed_idx),
-        {b: c for b, c in zip(strings, arrays[3].tolist()) if b not in centroid_set},
+        {b: c for b, c in zip(strings, arrays[2].tolist()) if b not in centroid_set},
     )
 
 
@@ -111,34 +115,21 @@ def _mitigated_distribution(
     packed: PackedDistribution,
     noisy: OutcomeDistribution,
     centroid_bits: np.ndarray,
-    slots: np.ndarray,
     arrays: tuple | None,
     flip_rate: float,
 ) -> OutcomeDistribution:
-    """The mitigated distribution from ``_redistribute_packed``'s arrays.
-
-    Surviving input rows come first in value order, then the centroids
-    that gained mass, in order of first appearance; duplicate centroids
-    (possible in unconverged models) accumulate. A zero-rate channel
-    explains no flips, and ``arrays`` of None marks a degenerate pass:
-    both return the input's probability view bit-exactly. Raises
-    DegenerateMitigationError when no mass survives.
+    """The mitigated distribution of a ``_redistribute_packed`` pass:
+    surviving input rows in value order, then the merged centroids. A
+    zero-rate channel explains no flips, and ``arrays`` of None marks a
+    degenerate pass: both return the input's probability view bit-exactly.
     """
     if arrays is None or flip_rate == 0.0:
         return noisy.normalized()
-    masses, _removed, centroid_masses, _claim, _rows = arrays
+    masses, _removed, _claim, gained = arrays
     survivors = np.flatnonzero(masses > 0)
-    gained = np.flatnonzero(centroid_masses > 0)
-    _, first, which = np.unique(slots[gained], return_index=True, return_inverse=True)
-    # bincount adds each bin's masses in centroid order
-    gained_mass = np.bincount(which, centroid_masses[gained], len(first))
-    order = np.argsort(first)
-    rows = np.concatenate([packed.bits[survivors], centroid_bits[gained[first[order]]]])
-    mass = np.concatenate([masses[survivors], gained_mass[order]])
-    total = _left_to_right_sum(mass)
-    if total <= 0:
-        raise DegenerateMitigationError("redistribution removed every bit-string")
-    return OutcomeDistribution._from_rows(rows, mass / total)
+    rows = np.concatenate([packed.bits[survivors], centroid_bits[[g[0] for g in gained]]])
+    mass = np.concatenate([masses[survivors], [g[1] for g in gained]])
+    return OutcomeDistribution._from_rows(rows, mass / _left_to_right_sum(mass))
 
 
 def _redistribute_packed(
@@ -147,13 +138,15 @@ def _redistribute_packed(
     cluster_weights: np.ndarray,
     flip_rate: float,
 ):
-    """Array core of the redistribution step for the centroids of ``slots``.
+    """One redistribution pass for the centroids of ``slots``.
 
-    Returns (per-row surviving masses, removed row indices, per-centroid
-    masses, per-row raw claims, the input row each centroid equals or -1).
-    Rows equal to a centroid carry mass 0 here, their own mass goes to
-    the centroid, and their claims are meaningless. Masses are
-    unnormalized but sum to the input's probability total.
+    Returns (unnormalized per-row surviving masses, removed row indices,
+    per-row raw claims, gained centroids). Rows equal to a centroid keep
+    mass 0 and meaningless claims; their own mass goes to the first
+    centroid equal to them. Each distinct centroid that gained mass is one
+    (first centroid index, mass, slot, input row or -1) entry, in order of
+    first appearance, whose equal centroids' masses add in centroid order.
+    Raises DegenerateMitigationError when no mass survives.
     """
     pr = packed.weights / packed.total
     hd = packed.distances(slots)
@@ -177,7 +170,15 @@ def _redistribute_packed(
     masses = pr - give
     masses[is_centroid] = 0.0
     removed_idx = np.flatnonzero(~is_centroid & (masses <= 0))
-    # a centroid row's own mass goes to the first centroid equal to it
-    rows, first = np.unique(centroid_rows[seen], return_index=True)
-    centroid_masses[np.flatnonzero(seen)[first]] += pr[rows]
-    return masses, removed_idx, centroid_masses, claim, centroid_rows
+    gained: dict[int, list] = {}  # slot -> [first centroid index, mass, slot, row]
+    for i, (m, slot, row) in enumerate(zip(centroid_masses.tolist(), slots.tolist(), centroid_rows.tolist())):
+        if slot in gained:
+            gained[slot][1] += m
+            continue
+        if row >= 0:
+            m += float(pr[row])  # the row's own mass, to the first centroid equal to it
+        if m > 0:
+            gained[slot] = [i, m, slot, row]
+    if not gained and not (masses > 0).any():
+        raise DegenerateMitigationError("redistribution removed every bit-string")
+    return masses, removed_idx, claim, list(gained.values())

@@ -779,6 +779,38 @@ class TestFeaturesInconsistentWithCalibration:
         assert ("gate kind 'x'" if case == "gate_kind" else "qubit") in err
 
 
+class TestMeasuredQubitsCheckedAgainstTheRecord:
+    """``measured_qubits`` must list ``num_measurements`` distinct qubits
+    below ``num_qubits``, whether or not the ESP comes from calibration."""
+
+    FEATURES = TestIntegersBeyondFloat.FEATURES
+    CALIBRATION = TestIntegersBeyondFloat.CALIBRATION
+    model_path = TestIntegersBeyondFloat.model_path
+
+    @pytest.mark.parametrize("with_calibration", [True, False])
+    @pytest.mark.parametrize("qubits", [[0] * 8, [3], [1, 1], [0, 4]])
+    def test_estimate_rejects(self, tmp_path, capsys, model_path, qubits, with_calibration):
+        features = {**self.FEATURES, "measured_qubits": qubits}
+        features_path, calib_path = tmp_path / "features.json", tmp_path / "calib.json"
+        calib_path.write_text(json.dumps(self.CALIBRATION))
+        flags = ["--calibration", str(calib_path)] if with_calibration else []
+        if not with_calibration:
+            features["esp"] = 0.9
+        features_path.write_text(json.dumps(features))
+        assert main(["estimate", "--model", str(model_path), "--features", str(features_path), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "qubit" in err and str(features_path) in err
+        assert (str(calib_path) in err) == with_calibration
+
+    def test_distinct_qubits_below_num_qubits_accepted(self, tmp_path, capsys, model_path):
+        features_path, calib_path = tmp_path / "features.json", tmp_path / "calib.json"
+        features_path.write_text(json.dumps({**self.FEATURES, "measured_qubits": [3, 1]}))
+        calib_path.write_text(json.dumps(self.CALIBRATION))
+        flags = ["--model", str(model_path), "--features", str(features_path), "--calibration", str(calib_path)]
+        assert main(["estimate", *flags]) == 0
+        assert float(capsys.readouterr().out) > 0
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1

@@ -92,3 +92,9 @@ class TestLayering:
             assert name != "lexsort", ast.unparse(call)
             if name == "unique":
                 assert all(kw.arg != "axis" for kw in call.keywords), ast.unparse(call)
+
+    def test_the_k_loop_never_regroups_centroids(self):
+        # the redistribution kernel merges equal centroids; the engine
+        # reads its merged pass results as they are
+        for name, call in _calls(SRC / "engine.py"):
+            assert name not in ("unique", "bincount"), ast.unparse(call)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from qemclust import (
     redistribute,
     sample_shots,
 )
+from qemclust._packed import PackedDistribution
+from qemclust.redistribution import DegenerateMitigationError, _redistribute_packed
 
 B = BitString.from_text
 
@@ -130,6 +134,59 @@ class TestRedistribute:
         noisy = OutcomeDistribution.from_counts({"00": 1})
         with pytest.raises(ValueError):
             redistribute(noisy, manual_model(3, [B("000")], [1.0]), 0.1)
+
+    @pytest.mark.parametrize("weights", [(math.inf, 0.1), (-0.5, 0.3), (math.nan, 0.3), (1.5, 0.1), (0.5,)])
+    def test_cluster_weights_checked(self, weights):
+        noisy = OutcomeDistribution.from_counts({"000": 50, "111": 40, "001": 10})
+        with pytest.raises(ValueError, match="cluster weights"):
+            redistribute(noisy, manual_model(3, [B("000"), B("111")], weights), 0.1)
+
+    def test_the_pass_kernel_decides_degeneracy(self):
+        # a NaN weight leaves no positive mass anywhere: the kernel, not
+        # its readers, raises
+        packed = PackedDistribution(OutcomeDistribution.from_counts({"00": 3, "01": 1}))
+        slots = packed.slots(np.array([[1, 1]], dtype=np.uint8))
+        with pytest.raises(DegenerateMitigationError):
+            _redistribute_packed(packed, slots, np.array([math.nan]), 0.1)
+
+
+class TestEqualCentroids:
+    """Centroids with equal rows merge into one output entry at the first
+    gaining centroid's place; iteration order and bits recorded from the
+    per-centroid implementation that preceded the merged pass result."""
+
+    CASES = {
+        "observed_duplicate": (
+            {"0000": 60, "0001": 25, "1000": 10, "1111": 5},
+            ["0000", "1111", "0000"], [0.5, 0.2, 0.3], 0.1,
+            [("0001", "0x1.883126e978d51p-3"), ("1000", "0x1.53f7ced916874p-5"),
+             ("0000", "0x1.6eeb702602c91p-1"), ("1111", "0x1.9c8c9320d9947p-5")],
+        ),
+        "unobserved_duplicate": (
+            {"0001": 40, "0010": 30, "1110": 20, "1101": 10},
+            ["0000", "1111", "0000"], [0.4, 0.3, 0.2], 0.15,
+            [("0001", "0x1.601ef73c0c1fdp-2"), ("0010", "0x1.f37121ab4b72cp-3"),
+             ("1101", "0x1.215aaf78feef7p-4"), ("1110", "0x1.5d7a24894c448p-3"),
+             ("0000", "0x1.d2e1ef73c0c20p-4"), ("1111", "0x1.d2e1ef73c0c1ep-5")],
+        ),
+        # the zero-weight 0000 gains nothing, so 1111 is the first gaining
+        # centroid and comes before the 0000 its weighted duplicate brings
+        "zero_weight_first": (
+            {"0001": 40, "0010": 30, "1111": 20, "1101": 10},
+            ["0000", "1111", "0000"], [0.0, 0.4, 0.5], 0.15,
+            [("0001", "0x1.694299d883ba4p-2"), ("0010", "0x1.02dc33721d53dp-2"),
+             ("1101", "0x1.f9984a0e410b7p-5"), ("1111", "0x1.e9c38b04ab607p-3"),
+             ("0000", "0x1.7f318fc504816p-4")],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pinned_order_and_bits(self, case):
+        counts, centroids, weights, rate, expected = self.CASES[case]
+        model = manual_model(4, [B(c) for c in centroids], weights)
+        result = redistribute(OutcomeDistribution.from_counts(counts), model, rate)
+        assert [(b.text, w.hex()) for b, w in result.mitigated.items()] == expected
+        assert not result.removed
 
 
 def _instance(width, dominant, rate, shots, seed):
