@@ -56,7 +56,6 @@ from .noise import (
     sample_shots,
 )
 from .redistribution import (
-    DegenerateMitigationError,
     RedistributionResult,
     joint_probability,
     redistribute,

@@ -95,8 +95,7 @@ class PackedDistribution:
     )
 
     def __init__(self, dist):
-        if dist.total <= 0:
-            raise ValueError("distribution has zero total weight")
+        dist._mass()  # raises unless the weights have a probability view
         rows, weights = dist._arrays()
         order = value_order(rows)
         self.width = dist.width

@@ -1,8 +1,7 @@
 """Command-line surface.
 
 Subcommands: simulate, mitigate, sweep, train, estimate. Exit codes:
-0 success, 1 usage error, 2 data error, 3 mitigation fell back to the
-unmitigated input (degenerate redistribution at the returned iteration).
+0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .noise import NoiseSpec, SyntheticSpec, apply_bitflip, generate_ideal, samp
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-EXIT_DEGENERATE = 3
 
 
 class _UsageError(Exception):
@@ -171,7 +169,10 @@ def _cmd_mitigate(args) -> int:
     report = mitigate(noisy, cfg)
     if args.out:
         io.write_distribution(report.final, args.out)
+    # "degenerate_fallback" and "degenerate" are always false, kept for
+    # report readers until the report format drops them
     doc = {
+        "degenerate_fallback": False,
         "flip_rate": rate,
         "k_used": report.k_used,
         "terminated_by": report.terminated_by,
@@ -179,7 +180,7 @@ def _cmd_mitigate(args) -> int:
             {
                 "k": rec.k,
                 "hf_to_previous": rec.hf_to_previous,
-                "degenerate": rec.degenerate,
+                "degenerate": False,
                 "centroids": [c.text for c in rec.centroids],
                 "converged": rec.converged,
                 "rounds": rec.rounds,
@@ -193,8 +194,6 @@ def _cmd_mitigate(args) -> int:
         doc["hf_noisy"] = hellinger_fidelity(noisy, ideal)
         doc["hf_mitigated"] = hellinger_fidelity(report.final, ideal)
         doc["improvement"] = improvement_ratio(doc["hf_mitigated"], doc["hf_noisy"])
-    degenerate = report.final_record.degenerate
-    doc["degenerate_fallback"] = degenerate
     if args.report:
         io._dump_json(args.report, doc)
     else:
@@ -202,7 +201,7 @@ def _cmd_mitigate(args) -> int:
             f"k_used={report.k_used} terminated_by={report.terminated_by}"
             + (f" improvement={doc['improvement']:.4f}" if "improvement" in doc else "")
         )
-    return EXIT_DEGENERATE if degenerate else EXIT_OK
+    return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:

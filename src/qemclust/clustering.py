@@ -195,8 +195,6 @@ def cluster(dist: OutcomeDistribution, cfg: ClusterConfig) -> ClusterModel:
     rounds (the model is then flagged unconverged). Clusters whose member
     set becomes empty are dropped.
     """
-    if dist.total <= 0:
-        raise ValueError("distribution has zero total weight")
     if cfg.k > len(dist):
         raise ValueError(f"k={cfg.k} exceeds the {len(dist)} unique bit-strings present")
     packed = PackedDistribution(dist)

@@ -88,9 +88,10 @@ class OutcomeDistribution:
     """Sparse distribution over bit-strings of one common width.
 
     Immutable value object: all mutating access goes through constructors.
-    Weights must be nonnegative; ``total`` is their sum, added left to
-    right in iteration order. Operations that need a probability view
-    require ``total > 0``.
+    Weights must be finite and nonnegative; ``total`` is their sum, added
+    left to right in iteration order, and may overflow to inf. Operations
+    that need a probability view require a positive and finite total,
+    checked by ``_mass``.
 
     Stored as a (n, width) 0/1 uint8 bit matrix and a float64 weight
     vector in iteration order; the ``{BitString: weight}`` dict is a cache,
@@ -135,6 +136,12 @@ class OutcomeDistribution:
         if self._store is None:
             self._store = dict(zip(rows_to_strings(self._rows), self._weights.tolist()))
         return self._store
+
+    def _mass(self) -> float:
+        """``total``, for a probability view: raises unless 0 < total < inf."""
+        if not 0 < self._total < math.inf:
+            raise ValueError(f"distribution needs a positive finite total weight, got {self._total}")
+        return self._total
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(bit rows, float64 weights) in iteration order."""
@@ -181,16 +188,12 @@ class OutcomeDistribution:
         return self._entries.get(b, default)
 
     def probability(self, b: BitString) -> float:
-        if self._total <= 0:
-            raise ValueError("distribution has zero total weight")
-        return self._entries.get(b, 0.0) / self._total
+        return self._entries.get(b, 0.0) / self._mass()
 
     def normalized(self) -> "OutcomeDistribution":
         """Probability view: every weight divided by the total."""
-        if self._total <= 0:
-            raise ValueError("distribution has zero total weight")
         rows, weights = self._arrays()
-        out = OutcomeDistribution._from_rows(rows, weights / self._total)
+        out = OutcomeDistribution._from_rows(rows, weights / self._mass())
         out._total = 1.0
         return out
 
@@ -221,9 +224,7 @@ def normalized_entropy(dist: OutcomeDistribution) -> float:
     maximum 1.0 is reached by the uniform distribution over all 2^width
     bit-strings.
     """
-    if dist.total <= 0:
-        raise ValueError("distribution has zero total weight")
-    h, total = 0.0, dist.total
+    h, total = 0.0, dist._mass()
     for w in dist._weights.tolist():
         p = w / total
         if p > 0:  # a positive weight's probability can underflow to 0
@@ -241,13 +242,12 @@ def hellinger_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     """
     if p.width != q.width:
         raise ValueError(f"width mismatch: {p.width} != {q.width}")
-    if p.total <= 0 or q.total <= 0:
-        raise ValueError("distributions must have positive total weight")
     small, big = (p, q) if len(p) <= len(q) else (q, p)
+    small_total, big_total = small._mass(), big._mass()
     found = match_rows(big._rows, small._rows)
     v = np.append(big._weights, 0.0)[found]  # -1 picks the 0.0
     # absent strings and zero weights add sqrt(0) = 0.0, which leaves the sum's bits alone
-    acc = _left_to_right_sum(np.sqrt((small._weights / small.total) * (v / big.total)))
+    acc = _left_to_right_sum(np.sqrt((small._weights / small_total) * (v / big_total)))
     return min(acc * acc, 1.0)
 
 

@@ -9,7 +9,8 @@ that know the number of dominant outcomes, is the same loop over one k
 with no stop test. Each pass's output stays a probability vector over the
 packed input rows plus a map for voted centroids never observed, read
 from the redistribution kernel's merged result; the stop rule compares
-these, and distributions are built only when read.
+these, and distributions are built only when read. A pass conserves mass,
+so every pass has an output and none falls back to the input.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .distributions import (
     rows_to_strings,
 )
 from .noise import NoiseSpec, SyntheticSpec, apply_bitflip, generate_ideal, sample_shots
-from .redistribution import DegenerateMitigationError, _mitigated_distribution, _redistribute_packed
+from .redistribution import _mitigated_distribution, _redistribute_packed
 
 __all__ = [
     "MitigationConfig",
@@ -79,18 +80,18 @@ class IterationRecord:
     """One k-iteration: its output and the fidelity to the previous output.
 
     For k = 1 the fidelity is measured against the noisy input view; it is
-    recorded for diagnostics but never triggers termination. ``degenerate``
-    marks iterations whose redistribution removed everything and fell back
-    to the unmitigated view (with no centroids). ``converged`` and
-    ``rounds`` come from the clustering pass, and so does ``duplicates``:
-    the number of its centroid rows equal to an earlier one, which an
-    unconverged vote can leave. The centroids and the output distribution
-    are built the first time they are read.
+    recorded for diagnostics but never triggers termination. ``converged``
+    and ``rounds`` come from the clustering pass, and so does
+    ``duplicates``: the number of its centroid rows equal to an earlier
+    one, which an unconverged vote can leave. The centroids and the output
+    distribution are built the first time they are read. ``degenerate`` is
+    always False: a pass cannot remove all mass, and the flag is kept for
+    readers of the report's ``degenerate`` field until it is dropped.
     """
 
+    degenerate: ClassVar[bool] = False
     k: int
     hf_to_previous: float
-    degenerate: bool
     converged: bool
     rounds: int
     duplicates: int
@@ -153,8 +154,6 @@ def mitigate(noisy: OutcomeDistribution, cfg: MitigationConfig) -> MitigationRep
     (capped at the unique-string count). Deterministic for identical
     inputs and configuration.
     """
-    if noisy.total <= 0:
-        raise ValueError("distribution has zero total weight")
     packed = PackedDistribution(noisy)
     theta = outlier_threshold(noisy.width, cfg.flip_rate)
     fixed = cfg.fixed_k is not None
@@ -169,16 +168,11 @@ def mitigate(noisy: OutcomeDistribution, cfg: MitigationConfig) -> MitigationRep
         )
         slots = packed.slots(centroid_bits)
         duplicates = len(slots) - len(set(slots.tolist()))
-        try:
-            arrays = _redistribute_packed(packed, slots, weights, cfg.flip_rate)
-        except DegenerateMitigationError:
-            arrays, centroid_bits = None, centroid_bits[:0]
-        current = noisy_view if arrays is None else _iterate(arrays)
+        arrays = _redistribute_packed(packed, slots, weights, cfg.flip_rate)
+        current = _iterate(arrays)
         output = partial(_mitigated_distribution, packed, noisy, centroid_bits, arrays, cfg.flip_rate)
         hf = _fidelity(current, previous)
-        records.append(
-            IterationRecord(k, hf, arrays is None, converged, rounds, duplicates, centroid_bits, output)
-        )
+        records.append(IterationRecord(k, hf, converged, rounds, duplicates, centroid_bits, output))
         if not fixed and k >= 2 and hf > cfg.stop_threshold:
             return MitigationReport(records[-2].distribution, k - 1, tuple(records), "convergence")
         previous = current

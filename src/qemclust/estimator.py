@@ -150,15 +150,14 @@ def effective_error_rate(ideal: OutcomeDistribution, noisy: OutcomeDistribution)
     """
     if ideal.width != noisy.width:
         raise ValueError(f"width mismatch: {ideal.width} != {noisy.width}")
-    if ideal.total <= 0 or noisy.total <= 0:
-        raise ValueError("distributions must have positive total weight")
+    ideal_total, noisy_total = ideal._mass(), noisy._mass()
     rows, weights = ideal._arrays()
     order = value_order(rows)
     mode = order[np.argmax(weights[order])]  # the first maximum in value order
     noisy_rows, noisy_weights = noisy._arrays()
     hit = (noisy_rows == rows[mode]).all(axis=1)
-    p_ideal = float(weights[mode]) / ideal.total
-    p_noisy = float(noisy_weights[hit.argmax()]) / noisy.total if hit.any() else 0.0
+    p_ideal = float(weights[mode]) / ideal_total
+    p_noisy = float(noisy_weights[hit.argmax()]) / noisy_total if hit.any() else 0.0
     if p_noisy <= 0.0:
         return RATE_MAX
     ratio = p_noisy / p_ideal

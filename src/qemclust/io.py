@@ -122,9 +122,9 @@ def _read_weights(
     Returns the JSON document and the distribution, in file-key order.
     Every weight must be of one of ``types`` (JSON values, so ``bool`` is
     not ``int``), finite and >= 0 (``name`` and ``rule`` word the error),
-    and one must be positive. All keys are checked at once on their
-    joined text, all values in one pass; only a failure looks at single
-    entries, to name the first bad one.
+    and their sum must be positive and finite. All keys are checked at
+    once on their joined text, all values in one pass; only a failure
+    looks at single entries, to name the first bad one.
     """
     doc = _load_json(path, expected_format, doc)
     width = doc.get("width")
@@ -150,8 +150,10 @@ def _read_weights(
             if type(val) not in types or not 0 <= _float(val) < math.inf:
                 raise DataFormatError(f"{path}: {name} for key {key!r} must be {rule}")
     dist = OutcomeDistribution._from_rows(bits.reshape(-1, width), w)
-    if dist.total <= 0:
-        raise DataFormatError(f"{path}: at least one {name} must be positive")
+    try:
+        dist._mass()
+    except ValueError:
+        raise DataFormatError(f"{path}: the {name} values must sum to a positive finite number") from None
     return doc, dist
 
 

@@ -100,8 +100,7 @@ def sample_shots(dist: OutcomeDistribution, shots: int, seed=None) -> OutcomeDis
     """
     if shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots}")
-    if dist.total <= 0:
-        raise ValueError("distribution has zero total weight")
+    dist._mass()  # raises unless the weights have a probability view
     rng = np.random.default_rng(seed)
     rows, weights = dist._arrays()
     order = value_order(rows)
@@ -121,8 +120,7 @@ def apply_bitflip(shots_dist: OutcomeDistribution, noise: NoiseSpec) -> OutcomeD
     """
     if not shots_dist.is_integral():
         raise ValueError("apply_bitflip expects an integer-count distribution")
-    if shots_dist.total <= 0:
-        raise ValueError("distribution has zero total weight")
+    shots_dist._mass()  # raises unless the weights have a probability view
     rng = np.random.default_rng(noise.seed)
     rows, weights = shots_dist._arrays()
     order = value_order(rows)

@@ -9,7 +9,9 @@ explained away are removed. Because centroids collect the mass that the
 noise smeared off them, a centroid never observed in the input can still
 end up with positive probability, which is the point of voting centroids
 instead of picking observed strings. One pass is ``_redistribute_packed``,
-which alone merges equal centroids and decides that nothing survived.
+which alone merges equal centroids. A pass conserves the input's mass:
+each claimed string's shares sum to 1 and a centroid string's own mass
+moves to its centroid, so some mass always survives.
 """
 
 from __future__ import annotations
@@ -25,15 +27,10 @@ from .distributions import BitString, OutcomeDistribution, _left_to_right_sum, h
 from .distributions import rows_to_strings, strings_to_rows
 
 __all__ = [
-    "DegenerateMitigationError",
     "RedistributionResult",
     "joint_probability",
     "redistribute",
 ]
-
-
-class DegenerateMitigationError(ValueError):
-    """Raised when redistribution leaves no bit-string with positive mass."""
 
 
 @dataclass(frozen=True)
@@ -79,16 +76,12 @@ def _likelihood_table(width: int, flip_rate: float) -> np.ndarray:
 def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: float) -> RedistributionResult:
     """Reassign noise-explained mass from the support onto the centroids.
 
-    Returns the renormalized probability view. Raises
-    DegenerateMitigationError when nothing survives (callers fall back to
-    the unmitigated input).
+    Returns the renormalized probability view.
     """
     if noisy.width != model.width:
         raise ValueError(f"width mismatch: {noisy.width} != {model.width}")
     if not 0.0 <= flip_rate <= 0.5:
         raise ValueError(f"flip_rate must lie in [0, 0.5], got {flip_rate}")
-    if noisy.total <= 0:
-        raise ValueError("distribution has zero total weight")
     if not model.centroids:
         raise ValueError("cluster model has no centroids")
 
@@ -115,15 +108,15 @@ def _mitigated_distribution(
     packed: PackedDistribution,
     noisy: OutcomeDistribution,
     centroid_bits: np.ndarray,
-    arrays: tuple | None,
+    arrays: tuple,
     flip_rate: float,
 ) -> OutcomeDistribution:
     """The mitigated distribution of a ``_redistribute_packed`` pass:
     surviving input rows in value order, then the merged centroids. A
-    zero-rate channel explains no flips, and ``arrays`` of None marks a
-    degenerate pass: both return the input's probability view bit-exactly.
+    zero-rate channel explains no flips, so it returns the input's
+    probability view bit-exactly.
     """
-    if arrays is None or flip_rate == 0.0:
+    if flip_rate == 0.0:
         return noisy.normalized()
     masses, _removed, _claim, gained = arrays
     survivors = np.flatnonzero(masses > 0)
@@ -146,7 +139,6 @@ def _redistribute_packed(
     centroid equal to them. Each distinct centroid that gained mass is one
     (first centroid index, mass, slot, input row or -1) entry, in order of
     first appearance, whose equal centroids' masses add in centroid order.
-    Raises DegenerateMitigationError when no mass survives.
     """
     pr = packed.weights / packed.total
     hd = packed.distances(slots)
@@ -179,6 +171,4 @@ def _redistribute_packed(
             m += float(pr[row])  # the row's own mass, to the first centroid equal to it
         if m > 0:
             gained[slot] = [i, m, slot, row]
-    if not gained and not (masses > 0).any():
-        raise DegenerateMitigationError("redistribution removed every bit-string")
     return masses, removed_idx, claim, list(gained.values())

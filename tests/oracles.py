@@ -216,10 +216,9 @@ def brute_force_mitigate(
     Runs k = 1, 2, ... up to the number of distinct strings (or the one
     capped fixed k) and stops at the first k >= 2 whose output has Hellinger
     fidelity above ``stop_threshold`` to the previous output, returning the
-    previous one. A pass that leaves no mass falls back to the input's
-    probability view and lists no centroids. Returns ``k_used``,
-    ``terminated_by``, ``centroids`` and ``final`` (a probability map) of
-    the returned pass, and every pass's ``hfs``.
+    previous one. A pass conserves mass, so some always survives. Returns
+    ``k_used``, ``terminated_by``, ``centroids`` and ``final`` (a
+    probability map) of the returned pass, and every pass's ``hfs``.
     """
     view = {b: w / noisy.total for b, w in noisy.items()}
     ks = [min(fixed_k, len(noisy))] if fixed_k is not None else range(1, len(noisy) + 1)
@@ -229,10 +228,8 @@ def brute_force_mitigate(
         model = scalar_cluster(noisy, k, flip_rate, max_rounds)
         masses, _removed, _claims = brute_force_redistribute(noisy, model, flip_rate)
         total = sum(masses.values())
-        if total > 0:
-            out, centroids = {b: m / total for b, m in masses.items()}, model.centroids
-        else:
-            out, centroids = view, ()
+        assert total > 0
+        out, centroids = {b: m / total for b, m in masses.items()}, model.centroids
         hf = scalar_hellinger(out, previous)
         passes.append((k, centroids, out, hf))
         if fixed_k is None and k >= 2 and hf > stop_threshold:

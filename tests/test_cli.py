@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import random
 
 import numpy as np
@@ -7,13 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qemclust.engine as engine
 from qemclust import cli
 from qemclust import io as qio
 from qemclust import (
     FEATURE_NAMES,
     BitString,
-    DegenerateMitigationError,
     NoiseSpec,
     OutcomeDistribution,
     SyntheticSpec,
@@ -213,9 +212,12 @@ class TestWeightMapWriter:
         qio.write_distribution(dist, str(path))
         expected = self._expected("qemclust-distribution", "probabilities", width, weights)
         assert path.read_bytes() == expected
-        if dist.total > 0:
+        if 0 < dist.total < math.inf:
             qio.write_distribution(qio.read_distribution(str(path)), str(path))
             assert path.read_bytes() == expected
+        else:  # no probability view: the reader names the file
+            with pytest.raises(qio.DataFormatError, match=str(path)):
+                qio.read_distribution(str(path))
 
 
 class TestDistributionFiles:
@@ -398,16 +400,6 @@ class TestMitigateCommand:
 
     def test_missing_counts_file_is_data_error(self):
         assert main(["mitigate", "/nonexistent.json", "--p", "0.1"]) == 2
-
-    def test_degenerate_fallback_exit_code(self, worked_counts, monkeypatch):
-        noisy_path, _ = worked_counts
-
-        def explode(*args, **kwargs):
-            raise DegenerateMitigationError("forced")
-
-        monkeypatch.setattr(engine, "_redistribute_packed", explode)
-        rc = main(["mitigate", str(noisy_path), "--p", "0.15"])
-        assert rc == 3
 
     def test_model_driven_rate(self, worked_counts, tmp_path):
         noisy_path, _ = worked_counts
@@ -742,6 +734,38 @@ class TestIntegersBeyondFloat:
         err = capsys.readouterr().err
         assert "corpus.csv" in err and "line 5" in err
         assert not model_path.exists()
+
+
+class TestTotalsBeyondFloat:
+    """Counts and probabilities, each finite, whose sum overflows a float
+    have no probability view: a data error naming the file, and nothing
+    is written."""
+
+    def test_counts_file(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "format": "qemclust-counts", "version": 1, "width": 2,
+            "counts": {"00": 10**308, "01": 10**308, "11": 5},
+        }))
+        out, report = tmp_path / "o.json", tmp_path / "r.json"
+        assert main(["mitigate", str(path), "--p", "0.1", "--out", str(out), "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "positive finite" in err
+        assert not out.exists() and not report.exists()
+
+    def test_hf_against_distribution_file(self, worked_counts, tmp_path, capsys):
+        noisy_path, _ = worked_counts
+        ideal = tmp_path / "ideal.json"
+        ideal.write_text(json.dumps({
+            "format": "qemclust-distribution", "version": 1, "width": 6,
+            "probabilities": {"111000": 1e308, "011010": 1e308},
+        }))
+        report = tmp_path / "r.json"
+        argv = ["mitigate", str(noisy_path), "--p", "0.15", "--hf-against", str(ideal), "--report", str(report)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(ideal) in err and "positive finite" in err
+        assert not report.exists()
 
 
 class TestFeaturesInconsistentWithCalibration:

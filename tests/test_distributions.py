@@ -11,11 +11,17 @@ from oracles import reference_entropy, reference_hellinger
 
 from qemclust import (
     BitString,
+    MitigationConfig,
+    NoiseSpec,
     OutcomeDistribution,
+    apply_bitflip,
+    effective_error_rate,
     hamming_distance,
     hellinger_fidelity,
     improvement_ratio,
+    mitigate,
     normalized_entropy,
+    sample_shots,
 )
 
 B = BitString.from_text
@@ -93,6 +99,26 @@ class TestOutcomeDistribution:
         d = OutcomeDistribution(2, {B("00"): 0.0})
         with pytest.raises(ValueError):
             d.normalized()
+
+    @pytest.mark.parametrize("use", [
+        lambda d: mitigate(d, MitigationConfig(0.1)),
+        lambda d: d.normalized(),
+        lambda d: d.probability(B("0")),
+        lambda d: hellinger_fidelity(d, OutcomeDistribution(1, {B("0"): 1.0})),
+        lambda d: hellinger_fidelity(OutcomeDistribution(1, {B("0"): 1.0}), d),
+        normalized_entropy,
+        lambda d: effective_error_rate(d, d),
+        lambda d: sample_shots(d, 10, seed=0),
+        lambda d: apply_bitflip(d, NoiseSpec(0.1, 0)),
+    ], ids=["mitigate", "normalized", "probability", "hellinger", "hellinger_other_side",
+            "normalized_entropy", "effective_error_rate", "sample_shots", "apply_bitflip"])
+    def test_an_overflowing_total_has_no_probability_view(self, use):
+        # building it is legal (writers need that); reading it as
+        # probabilities is not
+        dist = OutcomeDistribution(1, {B("0"): 1e308, B("1"): 1e308})
+        assert dist.total == math.inf
+        with pytest.raises(ValueError, match="positive finite"):
+            use(dist)
 
     @given(distributions(5))
     def test_probability_view_sums_to_one(self, dist):

@@ -11,7 +11,6 @@ from oracles import brute_force_mitigate
 from qemclust import (
     BitString,
     ClusterConfig,
-    DegenerateMitigationError,
     ExperimentRecord,
     MitigationConfig,
     NoiseSpec,
@@ -106,16 +105,6 @@ class TestMitigateIterative:
     def test_hf_values_recorded_in_unit_interval(self):
         report = mitigate(worked_noisy(3), MitigationConfig(0.15, 0.9))
         assert all(0.0 <= rec.hf_to_previous <= 1.0 for rec in report.iterations)
-
-    def test_degenerate_iterations_fall_back_to_input(self, monkeypatch):
-        def explode(*args, **kwargs):
-            raise DegenerateMitigationError("forced")
-
-        monkeypatch.setattr(engine, "_redistribute_packed", explode)
-        noisy = OutcomeDistribution.from_counts({"01": 5, "10": 3})
-        report = mitigate(noisy, MitigationConfig(0.2, stop_threshold=0.9))
-        assert report.final == noisy.normalized()
-        assert all(rec.degenerate for rec in report.iterations)
 
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_joint, brute_force_redistribute
@@ -21,7 +21,8 @@ from qemclust import (
     sample_shots,
 )
 from qemclust._packed import PackedDistribution
-from qemclust.redistribution import DegenerateMitigationError, _redistribute_packed
+from qemclust.distributions import strings_to_rows
+from qemclust.redistribution import _redistribute_packed
 
 B = BitString.from_text
 
@@ -141,13 +142,31 @@ class TestRedistribute:
         with pytest.raises(ValueError, match="cluster weights"):
             redistribute(noisy, manual_model(3, [B("000"), B("111")], weights), 0.1)
 
-    def test_the_pass_kernel_decides_degeneracy(self):
-        # a NaN weight leaves no positive mass anywhere: the kernel, not
-        # its readers, raises
-        packed = PackedDistribution(OutcomeDistribution.from_counts({"00": 3, "01": 1}))
-        slots = packed.slots(np.array([[1, 1]], dtype=np.uint8))
-        with pytest.raises(DegenerateMitigationError):
-            _redistribute_packed(packed, slots, np.array([math.nan]), 0.1)
+
+class TestMassConservation:
+    """A pass moves mass and never destroys it: the surviving row masses
+    plus the gained centroid masses sum to 1, so every pass has an output."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_surviving_plus_gained_mass_is_one(self, data):
+        width = data.draw(st.integers(min_value=1, max_value=6))
+        value = st.integers(min_value=0, max_value=(1 << width) - 1)
+        observed = data.draw(st.lists(value, min_size=1, max_size=12, unique=True))
+        count = st.one_of(st.sampled_from([0.0, 1e-300, 1.0, 1e300]), st.integers(0, 1000).map(float))
+        counts = data.draw(st.lists(count, min_size=len(observed), max_size=len(observed)))
+        assume(any(c > 0 for c in counts))
+        # observed and unobserved centroids, duplicates allowed
+        centroids = data.draw(st.lists(st.one_of(st.sampled_from(observed), value), min_size=1, max_size=6))
+        unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+        weights = data.draw(st.lists(unit, min_size=len(centroids), max_size=len(centroids)))
+        rate = data.draw(st.one_of(st.sampled_from([0.0, 0.5]), st.floats(min_value=0.0, max_value=0.5)))
+
+        dist = OutcomeDistribution(width, {BitString(v, width): c for v, c in zip(observed, counts)})
+        packed = PackedDistribution(dist)
+        slots = packed.slots(strings_to_rows([BitString(v, width) for v in centroids], width))
+        masses, _removed, _claim, gained = _redistribute_packed(packed, slots, np.array(weights), rate)
+        assert math.fsum([*masses.tolist(), *(g[1] for g in gained)]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEqualCentroids:
