@@ -23,7 +23,16 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PackedDistribution", "match_rows", "tally_rows", "value_order"]
+__all__ = ["PackedDistribution", "match_rows", "tally_rows", "value_order", "view_total"]
+
+
+def view_total(total: float) -> float:
+    """``total``, if it can divide weights into probabilities: raises
+    ValueError unless 0 < total < inf. Each such divisor is checked as it
+    adds, since near the float limit one order can overflow and another not."""
+    if not 0 < total < np.inf:
+        raise ValueError(f"distribution needs a positive finite total weight, got {total}")
+    return total
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
@@ -95,14 +104,14 @@ class PackedDistribution:
     )
 
     def __init__(self, dist):
-        dist._mass()  # raises unless the weights have a probability view
         rows, weights = dist._arrays()
         order = value_order(rows)
         self.width = dist.width
         self.weights = weights[order]
         self.bits = rows[order]
         self.words = _pack_words(self.bits)
-        self.total = float(self.weights.sum())
+        with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+            self.total = view_total(float(self.weights.sum()))
         self._top_order: np.ndarray | None = None
         # distance cache: row bytes -> slot; row ``slot`` of ``_columns``
         # (grown by doubling) is that centroid's distance column, and

@@ -166,11 +166,11 @@ def _cmd_mitigate(args) -> int:
     noisy, _meta = io.read_counts(args.counts)
     rate = _resolve_rate(args, noisy)
     cfg = MitigationConfig(flip_rate=rate, stop_threshold=args.delta, fixed_k=args.fixed_k)
+    ideal = io.read_any_distribution(args.hf_against) if args.hf_against else None
     report = mitigate(noisy, cfg)
     if args.out:
         io.write_distribution(report.final, args.out)
-    # "degenerate_fallback" and "degenerate" are always false, kept for
-    # report readers until the report format drops them
+    # the always-false degenerate flags stay until the report format drops them
     doc = {
         "degenerate_fallback": False,
         "flip_rate": rate,
@@ -189,8 +189,7 @@ def _cmd_mitigate(args) -> int:
             for rec in report.iterations
         ],
     }
-    if args.hf_against:
-        ideal = io.read_any_distribution(args.hf_against)
+    if ideal is not None:
         doc["hf_noisy"] = hellinger_fidelity(noisy, ideal)
         doc["hf_mitigated"] = hellinger_fidelity(report.final, ideal)
         doc["improvement"] = improvement_ratio(doc["hf_mitigated"], doc["hf_noisy"])

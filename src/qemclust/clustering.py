@@ -127,7 +127,8 @@ def _vote_rows(packed: PackedDistribution, member_idx: np.ndarray, incumbent: np
     w = packed.weights[member_idx]
     ones = w @ packed.bits[member_idx]
     total = w.sum()
-    return np.where(ones * 2 > total, 1, np.where(ones * 2 < total, 0, incumbent)).astype(np.uint8)
+    with np.errstate(over="ignore"):  # twice a sum past half the float range is inf, which still compares right
+        return np.where(ones * 2 > total, 1, np.where(ones * 2 < total, 0, incumbent)).astype(np.uint8)
 
 
 def _assign(

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from ._packed import _pack_words, match_rows
+from ._packed import _pack_words, match_rows, view_total
 
 __all__ = [
     "BitString",
@@ -139,9 +139,7 @@ class OutcomeDistribution:
 
     def _mass(self) -> float:
         """``total``, for a probability view: raises unless 0 < total < inf."""
-        if not 0 < self._total < math.inf:
-            raise ValueError(f"distribution needs a positive finite total weight, got {self._total}")
-        return self._total
+        return view_total(self._total)
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(bit rows, float64 weights) in iteration order."""

@@ -85,8 +85,7 @@ class IterationRecord:
     ``duplicates``: the number of its centroid rows equal to an earlier
     one, which an unconverged vote can leave. The centroids and the output
     distribution are built the first time they are read. ``degenerate`` is
-    always False: a pass cannot remove all mass, and the flag is kept for
-    readers of the report's ``degenerate`` field until it is dropped.
+    always False (a pass conserves mass), kept until the report drops it.
     """
 
     degenerate: ClassVar[bool] = False

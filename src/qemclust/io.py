@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._packed import value_order
+from ._packed import PackedDistribution, value_order
 from .distributions import OutcomeDistribution
 from .engine import ExperimentRecord, SweepCell, cell_means
 from .estimator import (
@@ -122,9 +122,9 @@ def _read_weights(
     Returns the JSON document and the distribution, in file-key order.
     Every weight must be of one of ``types`` (JSON values, so ``bool`` is
     not ``int``), finite and >= 0 (``name`` and ``rule`` word the error),
-    and their sum must be positive and finite. All keys are checked at
-    once on their joined text, all values in one pass; only a failure
-    looks at single entries, to name the first bad one.
+    and their sums in file and in value order positive and finite. All
+    keys are checked at once on their joined text, all values in one pass;
+    only a failure looks at single entries, to name the first bad one.
     """
     doc = _load_json(path, expected_format, doc)
     width = doc.get("width")
@@ -152,6 +152,7 @@ def _read_weights(
     dist = OutcomeDistribution._from_rows(bits.reshape(-1, width), w)
     try:
         dist._mass()
+        PackedDistribution(dist)
     except ValueError:
         raise DataFormatError(f"{path}: the {name} values must sum to a positive finite number") from None
     return doc, dist

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._packed import tally_rows, value_order
+from ._packed import PackedDistribution, tally_rows
 from .distributions import OutcomeDistribution
 
 __all__ = [
@@ -100,14 +100,10 @@ def sample_shots(dist: OutcomeDistribution, shots: int, seed=None) -> OutcomeDis
     """
     if shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots}")
-    dist._mass()  # raises unless the weights have a probability view
-    rng = np.random.default_rng(seed)
-    rows, weights = dist._arrays()
-    order = value_order(rows)
-    p = weights[order]
-    counts = rng.multinomial(shots, p / p.sum())
+    packed = PackedDistribution(dist)
+    counts = np.random.default_rng(seed).multinomial(shots, packed.weights / packed.total)
     seen = counts > 0
-    return OutcomeDistribution._from_rows(rows[order[seen]], counts[seen].astype(np.float64))
+    return OutcomeDistribution._from_rows(packed.bits[seen], counts[seen].astype(np.float64))
 
 
 def apply_bitflip(shots_dist: OutcomeDistribution, noise: NoiseSpec) -> OutcomeDistribution:
@@ -120,11 +116,9 @@ def apply_bitflip(shots_dist: OutcomeDistribution, noise: NoiseSpec) -> OutcomeD
     """
     if not shots_dist.is_integral():
         raise ValueError("apply_bitflip expects an integer-count distribution")
-    shots_dist._mass()  # raises unless the weights have a probability view
+    packed = PackedDistribution(shots_dist)
     rng = np.random.default_rng(noise.seed)
-    rows, weights = shots_dist._arrays()
-    order = value_order(rows)
-    source = np.repeat(rows[order], np.rint(weights[order]).astype(np.int64), axis=0)
+    source = np.repeat(packed.bits, np.rint(packed.weights).astype(np.int64), axis=0)
     if noise.flip_rate > 0:
         flips = rng.random(source.shape) < noise.flip_rate
         source = source ^ flips.astype(np.uint8)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -741,17 +742,32 @@ class TestTotalsBeyondFloat:
     have no probability view: a data error naming the file, and nothing
     is written."""
 
-    def test_counts_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("counts", [
+        {"00": 10**308, "01": 10**308, "11": 5},
+        # the sum is the largest float in file order, but the mitigation
+        # kernels add in value order, where it overflows
+        {"11": int(sys.float_info.max), "00": 2**969, "01": 2**969},
+    ], ids=["in_any_order", "in_value_order"])
+    def test_counts_file(self, tmp_path, capsys, counts):
         path = tmp_path / "big.json"
-        path.write_text(json.dumps({
-            "format": "qemclust-counts", "version": 1, "width": 2,
-            "counts": {"00": 10**308, "01": 10**308, "11": 5},
-        }))
+        path.write_text(json.dumps({"format": "qemclust-counts", "version": 1, "width": 2, "counts": counts}))
         out, report = tmp_path / "o.json", tmp_path / "r.json"
         assert main(["mitigate", str(path), "--p", "0.1", "--out", str(out), "--report", str(report)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "positive finite" in err
         assert not out.exists() and not report.exists()
+
+    def test_counts_near_the_limit_mitigate(self, tmp_path):
+        # a finite total close to the largest float is valid input: it
+        # mitigates without a numpy overflow warning (an error under pytest)
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({
+            "format": "qemclust-counts", "version": 1, "width": 2,
+            "counts": {"11": int(1.7e308), "00": 5, "01": 3},
+        }))
+        out = tmp_path / "o.json"
+        assert main(["mitigate", str(path), "--p", "0.1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["probabilities"] == {"11": 1.0}
 
     def test_hf_against_distribution_file(self, worked_counts, tmp_path, capsys):
         noisy_path, _ = worked_counts
@@ -760,12 +776,13 @@ class TestTotalsBeyondFloat:
             "format": "qemclust-distribution", "version": 1, "width": 6,
             "probabilities": {"111000": 1e308, "011010": 1e308},
         }))
-        report = tmp_path / "r.json"
-        argv = ["mitigate", str(noisy_path), "--p", "0.15", "--hf-against", str(ideal), "--report", str(report)]
+        out, report = tmp_path / "o.json", tmp_path / "r.json"
+        argv = ["mitigate", str(noisy_path), "--p", "0.15", "--hf-against", str(ideal),
+                "--out", str(out), "--report", str(report)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert str(ideal) in err and "positive finite" in err
-        assert not report.exists()
+        assert not out.exists() and not report.exists()
 
 
 class TestFeaturesInconsistentWithCalibration:

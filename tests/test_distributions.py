@@ -11,16 +11,19 @@ from oracles import reference_entropy, reference_hellinger
 
 from qemclust import (
     BitString,
+    ClusterConfig,
     MitigationConfig,
     NoiseSpec,
     OutcomeDistribution,
     apply_bitflip,
+    cluster,
     effective_error_rate,
     hamming_distance,
     hellinger_fidelity,
     improvement_ratio,
     mitigate,
     normalized_entropy,
+    qubitwise_majority_vote,
     sample_shots,
 )
 
@@ -117,6 +120,22 @@ class TestOutcomeDistribution:
         # probabilities is not
         dist = OutcomeDistribution(1, {B("0"): 1e308, B("1"): 1e308})
         assert dist.total == math.inf
+        with pytest.raises(ValueError, match="positive finite"):
+            use(dist)
+
+    @pytest.mark.parametrize("use", [
+        lambda d: mitigate(d, MitigationConfig(0.1)),
+        lambda d: cluster(d, ClusterConfig(1, 0.1)),
+        qubitwise_majority_vote,
+        lambda d: sample_shots(d, 10, seed=0),
+    ], ids=["mitigate", "cluster", "majority_vote", "sample_shots"])
+    def test_a_total_that_overflows_in_value_order_has_no_probability_view(self, use):
+        # added in iteration order the total is the largest float, but the
+        # packed kernels and the sampler add in value order, where the two
+        # small weights come first and push the sum past it
+        big, small = float(np.finfo(np.float64).max), 2.0**969
+        dist = OutcomeDistribution(2, {B("11"): big, B("00"): small, B("01"): small})
+        assert dist.total == big
         with pytest.raises(ValueError, match="positive finite"):
             use(dist)
 
