@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from ._packed import _pack_words, match_rows, view_total
+from ._packed import SortedView, _pack_words, match_rows, sorted_view, view_total
 
 __all__ = [
     "BitString",
@@ -96,10 +96,12 @@ class OutcomeDistribution:
     Stored as a (n, width) 0/1 uint8 bit matrix and a float64 weight
     vector in iteration order; the ``{BitString: weight}`` dict is a cache,
     kept from the mapping given to the constructor or made on first
-    dict-style access.
+    dict-style access, and so is the value-sorted view (``_sorted``),
+    handed over by the code that built the distribution or made on first
+    use.
     """
 
-    __slots__ = ("_width", "_store", "_rows", "_weights", "_total")
+    __slots__ = ("_width", "_store", "_rows", "_weights", "_total", "_view")
 
     def __init__(self, width: int, entries: Mapping[BitString, float]):
         if width < 1:
@@ -112,11 +114,15 @@ class OutcomeDistribution:
         self._set(strings_to_rows(store, width), weights, store)
 
     @classmethod
-    def _from_rows(cls, rows: np.ndarray, weights: np.ndarray) -> "OutcomeDistribution":
+    def _from_rows(cls, rows: np.ndarray, weights: np.ndarray, words=None) -> "OutcomeDistribution":
         """Distribution over the distinct rows of a (n, width) 0/1 uint8
-        matrix, iterated in row order, with float64 ``weights``."""
+        matrix, iterated in row order, with float64 ``weights``. Rows given
+        with their packed ``words`` are in value order: they are their own
+        sorted view."""
         out = cls.__new__(cls)
         out._set(rows, weights, None)
+        if words is not None:
+            out._view = SortedView.of(None, rows, words, weights)
         return out
 
     def _set(self, rows: np.ndarray, weights: np.ndarray, store: dict | None) -> None:
@@ -130,6 +136,7 @@ class OutcomeDistribution:
         self._store = store
         self._rows, self._weights = rows, weights
         self._total = _left_to_right_sum(weights)
+        self._view = None
 
     @property
     def _entries(self) -> dict[BitString, float]:
@@ -144,6 +151,12 @@ class OutcomeDistribution:
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(bit rows, float64 weights) in iteration order."""
         return self._rows, self._weights
+
+    def _sorted(self) -> SortedView:
+        """The rows and weights in value order, with the rows' words."""
+        if self._view is None:
+            self._view = sorted_view(self._rows, self._weights)
+        return self._view
 
     @classmethod
     def from_counts(cls, counts: Mapping[str, float], width: int | None = None) -> "OutcomeDistribution":
@@ -242,7 +255,7 @@ def hellinger_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
         raise ValueError(f"width mismatch: {p.width} != {q.width}")
     small, big = (p, q) if len(p) <= len(q) else (q, p)
     small_total, big_total = small._mass(), big._mass()
-    found = match_rows(big._rows, small._rows)
+    found = match_rows(big._rows, small._rows, big._view)
     v = np.append(big._weights, 0.0)[found]  # -1 picks the 0.0
     # absent strings and zero weights add sqrt(0) = 0.0, which leaves the sum's bits alone
     acc = _left_to_right_sum(np.sqrt((small._weights / small_total) * (v / big_total)))

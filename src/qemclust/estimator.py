@@ -25,7 +25,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._packed import value_order
 from .distributions import OutcomeDistribution, normalized_entropy
 from .noise import NoiseSpec, SyntheticSpec, _distinct_rows, apply_bitflip, generate_ideal, sample_shots
 
@@ -151,12 +150,11 @@ def effective_error_rate(ideal: OutcomeDistribution, noisy: OutcomeDistribution)
     if ideal.width != noisy.width:
         raise ValueError(f"width mismatch: {ideal.width} != {noisy.width}")
     ideal_total, noisy_total = ideal._mass(), noisy._mass()
-    rows, weights = ideal._arrays()
-    order = value_order(rows)
-    mode = order[np.argmax(weights[order])]  # the first maximum in value order
+    view = ideal._sorted()
+    mode = np.argmax(view.weights)  # the first maximum in value order
     noisy_rows, noisy_weights = noisy._arrays()
-    hit = (noisy_rows == rows[mode]).all(axis=1)
-    p_ideal = float(weights[mode]) / ideal_total
+    hit = (noisy_rows == view.bits[mode]).all(axis=1)
+    p_ideal = float(view.weights[mode]) / ideal_total
     p_noisy = float(noisy_weights[hit.argmax()]) / noisy_total if hit.any() else 0.0
     if p_noisy <= 0.0:
         return RATE_MAX
@@ -526,10 +524,10 @@ def _spiked_ideal(width: int, rng: np.random.Generator) -> OutcomeDistribution:
     """
     spike = float(rng.uniform(0.3, 0.6))
     d_tail = int(rng.integers(1 << max(width - 2, 1), (1 << max(width - 1, 1)) + 1))
-    rows = _distinct_rows(rng, width, d_tail + 1)
+    rows, words = _distinct_rows(rng, width, d_tail + 1)
     weights = np.full(d_tail + 1, (1.0 - spike) / d_tail)
     weights[int(rng.integers(0, d_tail + 1))] = spike
-    return OutcomeDistribution._from_rows(rows, weights)
+    return OutcomeDistribution._from_rows(rows, weights, words)
 
 
 def make_synthetic_corpus(

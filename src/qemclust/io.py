@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._packed import PackedDistribution, value_order
+from ._packed import view_total
 from .distributions import OutcomeDistribution
 from .engine import ExperimentRecord, SweepCell, cell_means
 from .estimator import (
@@ -152,7 +153,7 @@ def _read_weights(
     dist = OutcomeDistribution._from_rows(bits.reshape(-1, width), w)
     try:
         dist._mass()
-        PackedDistribution(dist)
+        view_total(dist._sorted().total)
     except ValueError:
         raise DataFormatError(f"{path}: the {name} values must sum to a positive finite number") from None
     return doc, dist
@@ -165,12 +166,11 @@ def _dump_weights(path: str, doc: dict, field: str, dist: OutcomeDistribution, a
     as float reprs, as the json encoder writes them."""
     text = json.dumps({**doc, field: {}}, indent=2, sort_keys=True)
     if len(dist):
-        rows, weights = dist._arrays()
-        order = value_order(rows)
-        text_keys = (rows[order] + ord("0")).tobytes().decode("ascii")
+        view = dist._sorted()
+        text_keys = (view.bits + ord("0")).tobytes().decode("ascii")
         width = dist.width
         keys = [text_keys[i : i + width] for i in range(0, len(text_keys), width)]
-        values = weights[order].tolist()
+        values = view.weights.tolist()
         if as_int:
             values = map(round, values)
         block = ",\n    ".join([f'"{k}": {v!r}' for k, v in zip(keys, values)])
@@ -401,23 +401,57 @@ def save_model(model: TreeEnsemble, path: str) -> None:
     _dump_json(path, doc)
 
 
+# the fields of ``_Tree``, in its order, with their dtypes
+_TREE_FIELDS = {
+    "feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64, "value": np.float64,
+}
+
+
+def _read_trees(docs: list, n_features: int) -> tuple[_Tree, ...]:
+    """Flat trees from their JSON objects, each field read for all trees at
+    once. Raises ValueError on what would make ``predict`` loop, index out
+    of range or return a non-rate: a tree with no nodes or with fields of
+    unequal length, a feature outside [-1, n_features), a split whose
+    child is not a later node of its tree, a non-finite threshold or a
+    value outside [RATE_MIN, RATE_MAX]."""
+    if not docs:
+        raise ValueError("the model has no trees")
+    columns = [[t[name] for t in docs] for name in _TREE_FIELDS]
+    lengths = np.array([[len(c) if type(c) is list else -1 for c in column] for column in columns])
+    short = (lengths != lengths[0]).any(axis=0) | (lengths[0] <= 0)
+    if short.any():
+        raise ValueError(f"tree {int(short.argmax())}: node arrays must be nonempty lists of equal length")
+    sizes = lengths[0]
+    ends = np.cumsum(sizes)
+    feature, threshold, left, right, value = arrays = [
+        np.fromiter(chain.from_iterable(column), dtype=dtype, count=ends[-1])
+        for column, dtype in zip(columns, _TREE_FIELDS.values())
+    ]
+    size = np.repeat(sizes, sizes)
+    node = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+    faults = {
+        f"feature must lie in [-1, {n_features})": (feature < -1) | (feature >= n_features),
+        "a split's children must be later nodes of its tree": (feature >= 0)
+        & ~((node < left) & (left < size) & (node < right) & (right < size)),
+        "threshold must be finite": ~np.isfinite(threshold),
+        f"value must lie in [{RATE_MIN}, {RATE_MAX}]": ~((value >= RATE_MIN) & (value <= RATE_MAX)),
+    }
+    for message, bad in faults.items():
+        if bad.any():
+            j = int(bad.argmax())
+            raise ValueError(f"tree {int(np.searchsorted(ends, j, side='right'))} node {int(node[j])}: {message}")
+    bounds = zip([0, *ends[:-1].tolist()], ends.tolist())
+    return tuple(_Tree(*(a[start:end] for a in arrays)) for start, end in bounds)
+
+
 def load_model(path: str) -> TreeEnsemble:
     doc = _load_json(path, MODEL_FORMAT)
     try:
         hp = doc["hyperparameters"]
-        trees = tuple(
-            _Tree(
-                feature=np.array(t["feature"], dtype=np.int64),
-                threshold=np.array(t["threshold"], dtype=np.float64),
-                left=np.array(t["left"], dtype=np.int64),
-                right=np.array(t["right"], dtype=np.int64),
-                value=np.array(t["value"], dtype=np.float64),
-            )
-            for t in doc["trees"]
-        )
+        feature_names = tuple(doc["feature_names"])
         return TreeEnsemble(
-            trees=trees,
-            feature_names=tuple(doc["feature_names"]),
+            trees=_read_trees(doc["trees"], len(feature_names)),
+            feature_names=feature_names,
             n_trees=int(hp["n_trees"]),
             min_samples_leaf=int(hp["min_samples_leaf"]),
             max_features=int(hp["max_features"]),

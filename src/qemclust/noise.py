@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._packed import PackedDistribution, tally_rows
+from ._packed import PackedDistribution, _tally
 from .distributions import OutcomeDistribution
 
 __all__ = [
@@ -55,9 +55,9 @@ class NoiseSpec:
             raise ValueError(f"flip_rate must lie in [0, 0.5], got {self.flip_rate}")
 
 
-def _distinct_rows(rng: np.random.Generator, width: int, count: int) -> np.ndarray:
+def _distinct_rows(rng: np.random.Generator, width: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` distinct uniform random width-bit rows in ascending value
-    order, as a (count, width) uint8 matrix.
+    order, as a (count, width) uint8 matrix, and their packed words.
 
     Draws the missing number of strings until ``count`` are distinct: one
     integer draw per string while 2^width fits an int64, one draw per bit
@@ -69,13 +69,14 @@ def _distinct_rows(rng: np.random.Generator, width: int, count: int) -> np.ndarr
         values: set[int] = set()
         while len(values) < count:
             values.update(rng.integers(0, 1 << width, size=count - len(values)).tolist())
+        ints = np.array(sorted(values))
         shifts = np.arange(width - 1, -1, -1)
-        return ((np.array(sorted(values))[:, None] >> shifts) & 1).astype(np.uint8)
+        return ((ints[:, None] >> shifts) & 1).astype(np.uint8), ints.astype(np.uint64).reshape(-1, 1)
     rows = np.empty((0, width), dtype=np.uint8)
     while len(rows) < count:
         draw = rng.integers(0, 2, size=(count - len(rows), width), dtype=np.uint8)
-        rows = tally_rows(np.concatenate([rows, draw]))[0]
-    return rows
+        rows, words, _counts = _tally(np.concatenate([rows, draw]))
+    return rows, words
 
 
 def generate_ideal(spec: SyntheticSpec) -> OutcomeDistribution:
@@ -86,9 +87,9 @@ def generate_ideal(spec: SyntheticSpec) -> OutcomeDistribution:
     ascending value order. Deterministic given the seed.
     """
     rng = np.random.default_rng(spec.seed)
-    rows = _distinct_rows(rng, spec.width, spec.num_dominant)
+    rows, words = _distinct_rows(rng, spec.width, spec.num_dominant)
     probs = rng.uniform(size=spec.num_dominant)
-    return OutcomeDistribution._from_rows(rows, probs / probs.sum())
+    return OutcomeDistribution._from_rows(rows, probs / probs.sum(), words)
 
 
 def sample_shots(dist: OutcomeDistribution, shots: int, seed=None) -> OutcomeDistribution:
@@ -103,7 +104,7 @@ def sample_shots(dist: OutcomeDistribution, shots: int, seed=None) -> OutcomeDis
     packed = PackedDistribution(dist)
     counts = np.random.default_rng(seed).multinomial(shots, packed.weights / packed.total)
     seen = counts > 0
-    return OutcomeDistribution._from_rows(packed.bits[seen], counts[seen].astype(np.float64))
+    return OutcomeDistribution._from_rows(packed.bits[seen], counts[seen].astype(np.float64), packed.words[seen])
 
 
 def apply_bitflip(shots_dist: OutcomeDistribution, noise: NoiseSpec) -> OutcomeDistribution:
@@ -122,5 +123,5 @@ def apply_bitflip(shots_dist: OutcomeDistribution, noise: NoiseSpec) -> OutcomeD
     if noise.flip_rate > 0:
         flips = rng.random(source.shape) < noise.flip_rate
         source = source ^ flips.astype(np.uint8)
-    rows, tally = tally_rows(source)
-    return OutcomeDistribution._from_rows(rows, tally.astype(np.float64))
+    rows, words, tally = _tally(source)
+    return OutcomeDistribution._from_rows(rows, tally.astype(np.float64), words)

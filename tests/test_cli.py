@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qemclust import cli
+from qemclust import _packed, cli, distributions
 from qemclust import io as qio
 from qemclust import (
     FEATURE_NAMES,
@@ -298,6 +298,60 @@ class TestModelFiles:
         qio.save_model(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    # one split on entropy (feature 6) into two leaves, and a leaf-only tree
+    TREES = [
+        {"feature": [6, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1], "right": [2, -1, -1],
+         "value": [0.02, 0.01, 0.03]},
+        {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [0.05]},
+    ]
+    FEATURES = {
+        "format": "qemclust-features", "version": 1, "num_qubits": 4, "num_measurements": 2,
+        "num_2q_gates": 3, "num_sx_gates": 5, "num_x_gates": 1, "num_rz_gates": 8, "entropy": 0.7, "esp": 0.9,
+    }
+
+    def _estimate(self, tmp_path, capsys, trees):
+        model, features = tmp_path / "model.json", tmp_path / "features.json"
+        model.write_text(json.dumps({
+            "format": "qemclust-extratrees", "version": 1, "feature_names": list(FEATURE_NAMES),
+            "hyperparameters": {"n_trees": len(trees), "min_samples_leaf": 1, "max_features": 8, "seed": 0},
+            "feature_importances": [0.0] * 6 + [1.0, 0.0], "trees": trees,
+        }))
+        features.write_text(json.dumps(self.FEATURES))
+        rc = main(["estimate", "--model", str(model), "--features", str(features)])
+        out, err = capsys.readouterr()
+        return rc, out, err, model
+
+    def test_hand_built_model_predicts(self, tmp_path, capsys):
+        rc, out, _, _ = self._estimate(tmp_path, capsys, self.TREES)
+        assert rc == 0 and float(out) == pytest.approx((0.03 + 0.05) / 2)
+
+    @pytest.mark.parametrize("tree, fields, message", [
+        (0, {"value": [0.02, 0.01]}, "equal length"),
+        (1, {"left": []}, "equal length"),
+        (0, {"feature": [8, -1, -1]}, "feature must lie in"),
+        (0, {"feature": [6, -2, -1]}, "feature must lie in"),
+        (0, {"left": [0, -1, -1]}, "later nodes"),  # a split looping to itself
+        (0, {"feature": [6, 6, -1], "left": [1, 2, -1], "right": [2, 0, -1]}, "later nodes"),
+        (0, {"right": [3, -1, -1]}, "later nodes"),
+        (0, {"left": [-1, -1, -1]}, "later nodes"),
+        (0, {"threshold": [math.nan, 0.0, 0.0]}, "threshold must be finite"),
+        (1, {"threshold": [math.inf]}, "threshold must be finite"),
+        (0, {"value": [0.02, math.nan, 0.03]}, "value must lie in"),
+        (0, {"value": [0.02, 0.01, 0.6]}, "value must lie in"),
+        (1, {"value": [-0.01]}, "value must lie in"),
+    ], ids=["unequal", "empty", "feature-high", "feature-low", "self-loop", "back-edge", "child-out-of-range",
+            "split-without-child", "nan-threshold", "inf-threshold", "nan-value", "value-high", "value-low"])
+    def test_malformed_tree_is_a_data_error(self, tmp_path, capsys, tree, fields, message):
+        trees = json.loads(json.dumps(self.TREES))
+        trees[tree].update(fields)
+        rc, out, err, model = self._estimate(tmp_path, capsys, trees)
+        assert rc == 2 and out == ""
+        assert f"{model}: malformed model file (tree {tree}" in err and message in err
+
+    def test_model_without_trees_is_a_data_error(self, tmp_path, capsys):
+        rc, out, err, model = self._estimate(tmp_path, capsys, [])
+        assert rc == 2 and out == "" and f"{model}: malformed model file (the model has no trees)" in err
+
 
 class TestSimulateCommand:
     def test_deterministic_files(self, tmp_path):
@@ -489,6 +543,40 @@ class TestMitigateCommand:
         assert rc == 0
         assert loaded.count(str(ideal_path)) == 1
         assert "hf_mitigated" in json.loads(report.read_text())
+
+    @pytest.mark.parametrize("width", [14, 70])
+    def test_input_rows_are_packed_and_sorted_once(self, tmp_path, monkeypatch, width):
+        # the reader's total check builds the input's sorted view, and the
+        # engine and the writer reuse it
+        rng = np.random.default_rng(width)
+        noisy = apply_bitflip(sample_shots(generate_ideal(SyntheticSpec(width, 3, rng)), 2000, rng), NoiseSpec(0.02, rng))
+        counts = {b.text: round(w) for b, w in noisy.items()}
+        keys = list(counts)
+        random.Random(width).shuffle(keys)  # file order is not value order
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({
+            "format": "qemclust-counts", "version": 1, "width": width, "counts": {k: counts[k] for k in keys},
+        }))
+        input_rows = sorted(k.encode() for k in keys)
+        pack, row_keys = _packed._pack_words, _packed._row_keys
+        input_words = sorted(w.tobytes() for w in pack(np.array([[c == "1" for c in k] for k in keys], dtype=np.uint8)))
+        packed, keyed = [], []
+
+        def counting_pack(bits):
+            packed.append(sorted((row + ord("0")).tobytes() for row in bits) == input_rows)
+            return pack(bits)
+
+        def counting_keys(words):
+            keyed.append(sorted(w.tobytes() for w in words) == input_words)
+            return row_keys(words)
+
+        monkeypatch.setattr(_packed, "_pack_words", counting_pack)
+        monkeypatch.setattr(distributions, "_pack_words", counting_pack)
+        monkeypatch.setattr(_packed, "_row_keys", counting_keys)
+        out, report = tmp_path / "out.json", tmp_path / "report.json"
+        assert main(["mitigate", str(path), "--p", "0.02", "--out", str(out), "--report", str(report)]) == 0
+        assert set(json.loads(out.read_text())["probabilities"]) != set(keys)  # the output's rows are not the input's
+        assert packed.count(True) == 1 and keyed.count(True) == 1
 
 
 class TestSweepCommand:

@@ -171,6 +171,21 @@ class TestMitigateIterative:
         assert hashlib.sha256(lines.encode()).hexdigest() == self.PINNED_FINAL
         assert [rec.hf_to_previous.hex() for rec in report.iterations] == self.PINNED_HF
 
+    # float.hex of (hf_noisy, hf_mitigated) of the 100-qubit fixed-k sweep
+    # cell at base seeds 0, 1 and 2: the simulator's tallies hand their
+    # sorted views to the engine and to both fidelities
+    PINNED_WIDE = [
+        ("0x1.6fafd770d7304p-8", "0x1.01902da4168c3p-5"),
+        ("0x1.73e4e55d133e4p-8", "0x1.f9806d37435f3p-6"),
+        ("0x1.7fb9c23b204eep-8", "0x1.0866958c10d6dp-5"),
+    ]
+
+    def test_exact_bits_of_a_wide_trial(self):
+        cell = SweepCell(100, 2, 0.05, fixed_k=2, shots=8192)
+        records = [run_trial(cell, 0, seed) for seed in range(3)]
+        assert all(rec.k_used == 2 and not rec.error for rec in records)
+        assert [(rec.hf_noisy.hex(), rec.hf_mitigated.hex()) for rec in records] == self.PINNED_WIDE
+
     @pytest.mark.parametrize("fixed_k", [None, 3])
     def test_outputs_are_built_only_when_read(self, monkeypatch, fixed_k):
         built = []

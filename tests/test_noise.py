@@ -29,7 +29,7 @@ from qemclust import (
     run_trial,
     sample_shots,
 )
-from qemclust._packed import tally_rows
+from qemclust._packed import _pack_words, tally_rows
 from qemclust.cli import main
 from qemclust.estimator import _spiked_ideal
 from qemclust.noise import _distinct_rows
@@ -87,9 +87,10 @@ class TestArrayDrawsMatchSetDraws:
     @settings(max_examples=60, deadline=None)
     def test_distinct_rows_tops_up_above_62_bits(self, width, count, seed):
         rng, want_rng = _FewFreeBits(seed), _FewFreeBits(seed)
-        rows = _distinct_rows(rng, width, count)
+        rows, words = _distinct_rows(rng, width, count)
         want = rows_of(reference_distinct_values(want_rng, width, count), width)
         assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+        assert words.tobytes() == _pack_words(want).tobytes()
         assert rng.rng.bit_generator.state == want_rng.rng.bit_generator.state
 
     @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))

@@ -1,5 +1,6 @@
-"""The row key against Python-int references, and the layering rules that
-keep ordering and matching of bit rows inside ``_packed``."""
+"""The row key against Python-int references, the sorted views the
+simulator hands over, and the layering rules that keep ordering and
+matching of bit rows inside ``_packed``."""
 
 import ast
 from pathlib import Path
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_match_rows, reference_tally_rows, reference_value_order
-from qemclust._packed import match_rows, tally_rows, value_order
+from qemclust import NoiseSpec, OutcomeDistribution, SyntheticSpec, apply_bitflip, generate_ideal, sample_shots
+from qemclust._packed import _pack_words, _unpack_words, match_rows, sorted_view, tally_rows, value_order
+from qemclust.estimator import _spiked_ideal
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qemclust"
 
@@ -67,6 +70,101 @@ class TestRowKeyMatchesPythonInts:
         rows, counts = tally_rows(_rows(values, width))
         assert rows.dtype == np.uint8 and rows.shape == (len(counts), width)
         assert (_values(rows), counts.tolist()) == reference_tally_rows(values)
+
+
+def _word_rows(rng, width: int, n: int, pool: int) -> np.ndarray:
+    """(n, words) uint64 rows whose every word is one of ``pool`` draws for
+    its position, so rows share leading and trailing words. Every word
+    below the top one is even."""
+    n_words = -(-width // 64)
+    pools = rng.integers(0, 2**64, size=(n_words, pool), dtype=np.uint64) & ~np.uint64(1)
+    pools[0] = rng.integers(0, 2 ** (width - 64 * (n_words - 1)), size=pool, dtype=np.uint64)
+    return np.column_stack([rng.choice(pools[j], size=n) for j in range(n_words)])
+
+
+def _ints(words: np.ndarray) -> list[int]:
+    values = words[:, 0].tolist()
+    for column in words[:, 1:].T.tolist():
+        values = [(v << 64) | w for v, w in zip(values, column)]
+    return values
+
+
+class TestMatchRowsAtScale:
+    """Thousands of distinct rows of three to five words, duplicates on
+    both sides, and queries that all hit, all miss, or both; the smaller
+    side is the rows or the queries, and the rows' words come from a
+    sorted view or are packed."""
+
+    @pytest.mark.parametrize("view", [False, True], ids=["packed", "view"])
+    @pytest.mark.parametrize("smaller", ["queries", "rows"])
+    @pytest.mark.parametrize("queries", ["hit", "miss", "mixed"])
+    @pytest.mark.parametrize("width", [129, 192, 300])
+    def test_matches_python_ints(self, width, queries, smaller, view):
+        rng = np.random.default_rng(width)
+        n, m = (6000, 2000) if smaller == "queries" else (2000, 6000)
+        base = _word_rows(rng, width, n, 40)
+        rows = base[rng.integers(0, n, size=n)]  # repeats
+        hits = rows[rng.integers(0, n, size=m)]
+        # a row with one lower word made odd: equal to no row, but sharing
+        # every other word with one
+        misses = rows[rng.integers(0, n, size=m)]
+        misses[np.arange(m), rng.integers(1, rows.shape[1], size=m)] |= np.uint64(1)
+        picked = {"hit": hits, "miss": misses, "mixed": np.where(rng.random(m)[:, None] < 0.5, hits, misses)}[queries]
+        values, query_values = _ints(rows), _ints(picked)
+        assert 1000 < len(set(values)) < n and len(set(query_values)) < m
+        bits, query_bits = _unpack_words(rows, width), _unpack_words(picked, width)
+        sorted_rows = sorted_view(bits, np.ones(n)) if view else None
+        found = match_rows(bits, query_bits, sorted_rows)
+        want = reference_match_rows(values, query_values)
+        assert found.tolist() == want
+        assert {"hit": min(want) >= 0, "miss": max(want) == -1, "mixed": min(want) == -1 < max(want)}[queries]
+
+
+def _assert_view_is_recomputed(dist: OutcomeDistribution) -> None:
+    """The distribution's cached view equals one built from scratch."""
+    view = dist._view
+    assert view is not None
+    rows, weights = dist._arrays()
+    order = value_order(rows)
+    if view.order is None:  # in order already: the distribution's own arrays
+        assert order.tolist() == list(range(len(rows)))
+        assert view.bits is rows and view.weights is weights
+    else:
+        assert view.order.tolist() == order.tolist()
+    assert view.bits.dtype == np.uint8 and view.bits.shape == rows.shape
+    assert view.bits.tobytes() == rows[order].tobytes()
+    want = _pack_words(rows[order])
+    assert view.words.dtype == np.uint64 and view.words.flags.c_contiguous
+    assert view.words.shape == want.shape and view.words.tobytes() == want.tobytes()
+    assert view.weights.dtype == np.float64 and view.weights.tobytes() == weights[order].tobytes()
+    assert view.total.hex() == float(weights[order].sum()).hex()
+
+
+class TestSortedViews:
+    @pytest.mark.parametrize("width", [1, 14, 62, 63, 64, 65, 100, 300])
+    def test_the_simulator_hands_over_its_views(self, width):
+        rng = np.random.default_rng(width)
+        ideal = generate_ideal(SyntheticSpec(width, min(5, 2**width), rng))
+        counts = sample_shots(ideal, 400, rng)
+        noisy = apply_bitflip(counts, NoiseSpec(0.1, rng))
+        for dist in (ideal, counts, noisy):
+            _assert_view_is_recomputed(dist)
+            assert dist._view.order is None
+
+    @pytest.mark.parametrize("width", [2, 6, 12])
+    def test_the_corpus_ideal_hands_over_its_view(self, width):
+        _assert_view_is_recomputed(_spiked_ideal(width, np.random.default_rng(width)))
+
+    @pytest.mark.parametrize("width", [1, 14, 64, 65, 300])
+    def test_a_view_is_built_once_on_first_use(self, width):
+        rng = np.random.default_rng(width)
+        rows = _unpack_words(np.unique(_word_rows(rng, width, 50, 3), axis=0), width)
+        for order in (np.arange(len(rows)), rng.permutation(len(rows))):
+            dist = OutcomeDistribution._from_rows(rows[order], rng.random(len(rows)))
+            assert dist._view is None
+            view = dist._sorted()
+            _assert_view_is_recomputed(dist)
+            assert dist._sorted() is view
 
 
 def _calls(path: Path):
