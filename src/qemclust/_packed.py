@@ -5,24 +5,25 @@ Bit rows are (n, width) 0/1 uint8 matrices. This module alone decides
 how they are ordered and matched, at any width, and it knows nothing of
 ``BitString`` (the conversions live in ``distributions``). It owns three
 mechanisms: one 1-D row key (``_row_keys``) that orders like the rows'
-values, for sorting, dedupe and lookup; one value-sorted view per
-distribution (``SortedView``), built at most once; and one cache slot per
-distinct centroid row per run (``PackedDistribution.slots``, the only
-code that keys rows by their bytes).
+values, for sorting, dedupe and lookup (``match_rows`` sorts only its
+queries); one value-sorted view per distribution (``SortedView``, built
+only by ``sorted_view``, at most once); and one cache slot per distinct
+centroid row per run (``PackedDistribution.slots``, the only code that
+keys rows by their bytes).
 
 A sorted view holds a distribution's rows in value order, the same rows
 packed into big-endian uint64 words, and its weights in that order. Code
 that already holds sorted rows and their words (the simulator's tallies)
-hands the view over; every other distribution sorts once, on first use.
-A packed distribution wraps the view for one mitigation run and adds the
-run's distance cache. Majority votes read the bit matrix; Hamming
-distances are XOR plus popcount over the words. A slot holds its
-centroid's distance column, computed in one Hamming pass per run in the
-smallest unsigned dtype that holds the width, and the input row equal to
-it. ``distances`` hands the columns out as a C-ordered (n, k) matrix;
-that layout is part of the output bits, because the redistribution
-step's row sums and its matrix-vector product add in an order that
-depends on it.
+hands them over and nothing is sorted; every other distribution sorts
+once, on first use. A packed distribution wraps the view for one
+mitigation run and adds the run's distance cache. Majority votes read
+the bit matrix; Hamming distances are XOR plus popcount over the words.
+A slot holds its centroid's distance column, computed in one Hamming
+pass per run in the smallest unsigned dtype that holds the width, and
+the input row equal to it. ``distances`` hands the columns out as a
+C-ordered (n, k) matrix; that layout is part of the output bits, because
+the redistribution step's row sums and its matrix-vector product add in
+an order that depends on it.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "PackedDistribution", "SortedView", "match_rows", "sorted_view", "tally_rows", "value_order", "view_total",
-]
+__all__ = ["PackedDistribution", "SortedView", "match_rows", "sorted_view", "view_total"]
 
 
 def view_total(total: float) -> float:
@@ -73,43 +72,28 @@ def _row_keys(words: np.ndarray) -> tuple[np.ndarray, list]:
     return key, tables
 
 
-def _sort_order(words: np.ndarray) -> np.ndarray:
-    return np.argsort(_row_keys(words)[0], kind="stable")
-
-
-def value_order(bits: np.ndarray) -> np.ndarray:
-    """Row indices that sort a (n, width) 0/1 matrix by value, stably."""
-    return _sort_order(_pack_words(bits))
-
-
 class SortedView(NamedTuple):
-    """A distribution's rows in value order: ``order``, the row indices
-    that sort them stably (None when they are in order already, and then
-    ``bits`` and ``weights`` are the distribution's own arrays), the
-    sorted bit rows, their ``_pack_words``, the sorted weights, and
-    ``total``, the weights' sum in that order (inf when it overflows)."""
+    """A distribution's rows in value order: the bit rows, their
+    ``_pack_words``, the weights in that order, and ``total``, the weights'
+    sum in that order (inf when it overflows)."""
 
-    order: np.ndarray | None
     bits: np.ndarray
     words: np.ndarray
     weights: np.ndarray
     total: float
 
-    @classmethod
-    def of(cls, order, bits: np.ndarray, words: np.ndarray, weights: np.ndarray) -> "SortedView":
-        """The view of sorted arrays, with ``total`` added in their order."""
-        with np.errstate(over="ignore"):  # an overflowing total is legal until something divides by it
-            return cls(order, bits, words, weights, float(weights.sum()))
 
-
-def sorted_view(rows: np.ndarray, weights: np.ndarray) -> SortedView:
-    """The value-sorted view of distinct rows and their weights; the rows
-    are packed and sorted once, and not copied when already in order."""
-    words = _pack_words(rows)
-    order = _sort_order(words)
-    if (order[1:] > order[:-1]).all():
-        return SortedView.of(None, rows, words, weights)
-    return SortedView.of(order, rows[order], words[order], weights[order])
+def sorted_view(rows: np.ndarray, weights: np.ndarray, words: np.ndarray | None = None) -> SortedView:
+    """The value-sorted view of distinct rows and their weights. Rows given
+    with their ``words`` are in value order already; other rows are packed
+    and sorted once, and not copied when already in order."""
+    if words is None:
+        words = _pack_words(rows)
+        order = np.argsort(_row_keys(words)[0])  # distinct rows have distinct keys
+        if not (order[1:] > order[:-1]).all():
+            rows, words, weights = rows[order], words[order], weights[order]
+    with np.errstate(over="ignore"):  # an overflowing total is legal until something divides by it
+        return SortedView(rows, words, weights, float(weights.sum()))
 
 
 def _find(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,11 +104,20 @@ def _find(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pos, table[pos] == values
 
 
-def _lookup(words: np.ndarray, tables: list, distinct: np.ndarray, m: int) -> np.ndarray:
-    """Index in the sorted ``distinct`` keys of each row of ``words``, or
-    -1, under the fold ``tables`` that ``_row_keys`` built for m other
-    rows. A row drops out at its first word that no row of the tables has."""
-    ids = np.full(len(words), -1, dtype=np.intp)
+def match_rows(words: np.ndarray, query_words: np.ndarray) -> np.ndarray:
+    """Index of the row of ``words`` equal to each row of ``query_words``,
+    or -1. The rows of ``words`` must be distinct.
+
+    Only the m queries are sorted: they get ``_row_keys``, whose ranks stay
+    below m at every fold, and the n rows of ``words`` are looked up in the
+    same fold tables by ``searchsorted``, in O(n + m log m + n log m). A
+    row drops out at its first word that no query has.
+    """
+    if not len(words) or not len(query_words):
+        return np.full(len(query_words), -1, dtype=np.intp)
+    m = len(query_words)
+    key, tables = _row_keys(query_words)
+    distinct, inverse = np.unique(key, return_inverse=True)
     live = np.arange(len(words))
     key = words[:, 0]
     for j, (prefix, column) in enumerate(tables, start=1):
@@ -133,34 +126,9 @@ def _lookup(words: np.ndarray, tables: list, distinct: np.ndarray, m: int) -> np
         sub, hit = _find(column, words[live, j])
         live, key = live[hit], rank[hit] * m + sub[hit]
     pos, hit = _find(distinct, key)
-    ids[live[hit]] = pos[hit]
-    return ids
-
-
-def match_rows(bits: np.ndarray, queries: np.ndarray, view: SortedView | None = None) -> np.ndarray:
-    """Index of the first row of ``bits`` equal to each query row, or -1.
-
-    ``view``, a sorted view of ``bits``, lends its words in place of
-    packing them again. Only the smaller side is sorted: its rows get
-    ``_row_keys``, whose ranks stay below its size m at every fold, and
-    the other side's words are looked up in the same fold tables by
-    ``searchsorted``, in O(n + m log m + n log m).
-    """
-    words = _pack_words(bits) if view is None else view.words
-    index = np.arange(len(bits)) if view is None or view.order is None else view.order
-    query_words = _pack_words(queries)
-    if not len(words) or not len(query_words):
-        return np.full(len(queries), -1, dtype=np.intp)
-    small, large = (query_words, words) if len(query_words) <= len(words) else (words, query_words)
-    key, tables = _row_keys(small)
-    distinct, inverse = np.unique(key, return_inverse=True)
-    ids = _lookup(large, tables, distinct, len(small))
-    bit_ids, query_ids = (ids, inverse) if small is query_words else (inverse, ids)
-    first = np.full(len(distinct), len(bits), dtype=np.intp)  # len(bits): no row of bits has this key
-    hit = bit_ids >= 0
-    np.minimum.at(first, bit_ids[hit], index[hit])
-    found = first[query_ids]
-    return np.where((query_ids >= 0) & (found < len(bits)), found, -1)
+    row = np.full(len(distinct), -1, dtype=np.intp)
+    row[pos[hit]] = live[hit]
+    return row[inverse]
 
 
 def _unpack_words(words: np.ndarray, width: int) -> np.ndarray:
@@ -182,12 +150,6 @@ def _tally(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         key = prefix[key // n]
     words = np.column_stack([key, *columns])
     return _unpack_words(words, bits.shape[1]), words, counts
-
-
-def tally_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a 0/1 matrix in ascending value order, with counts."""
-    rows, _words, counts = _tally(bits)
-    return rows, counts
 
 
 class PackedDistribution:

@@ -295,10 +295,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (io.DataFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # io.DataFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

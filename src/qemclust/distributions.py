@@ -122,7 +122,7 @@ class OutcomeDistribution:
         out = cls.__new__(cls)
         out._set(rows, weights, None)
         if words is not None:
-            out._view = SortedView.of(None, rows, words, weights)
+            out._view = sorted_view(rows, weights, words)
         return out
 
     def _set(self, rows: np.ndarray, weights: np.ndarray, store: dict | None) -> None:
@@ -255,8 +255,10 @@ def hellinger_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
         raise ValueError(f"width mismatch: {p.width} != {q.width}")
     small, big = (p, q) if len(p) <= len(q) else (q, p)
     small_total, big_total = small._mass(), big._mass()
-    found = match_rows(big._rows, small._rows, big._view)
-    v = np.append(big._weights, 0.0)[found]  # -1 picks the 0.0
+    view = big._view
+    words, weights = (_pack_words(big._rows), big._weights) if view is None else (view.words, view.weights)
+    found = match_rows(words, _pack_words(small._rows))
+    v = np.append(weights, 0.0)[found]  # -1 picks the 0.0
     # absent strings and zero weights add sqrt(0) = 0.0, which leaves the sum's bits alone
     acc = _left_to_right_sum(np.sqrt((small._weights / small_total) * (v / big_total)))
     return min(acc * acc, 1.0)

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from itertools import chain
+from operator import countOf
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -411,9 +412,10 @@ def _read_trees(docs: list, n_features: int) -> tuple[_Tree, ...]:
     """Flat trees from their JSON objects, each field read for all trees at
     once. Raises ValueError on what would make ``predict`` loop, index out
     of range or return a non-rate: a tree with no nodes or with fields of
-    unequal length, a feature outside [-1, n_features), a split whose
-    child is not a later node of its tree, a non-finite threshold or a
-    value outside [RATE_MIN, RATE_MAX]."""
+    unequal length, a ``feature``, ``left`` or ``right`` that is not a JSON
+    integer, a feature outside [-1, n_features), a split whose child is
+    not a later node of its tree, a non-finite threshold or a value
+    outside [RATE_MIN, RATE_MAX]."""
     if not docs:
         raise ValueError("the model has no trees")
     columns = [[t[name] for t in docs] for name in _TREE_FIELDS]
@@ -423,12 +425,21 @@ def _read_trees(docs: list, n_features: int) -> tuple[_Tree, ...]:
         raise ValueError(f"tree {int(short.argmax())}: node arrays must be nonempty lists of equal length")
     sizes = lengths[0]
     ends = np.cumsum(sizes)
-    feature, threshold, left, right, value = arrays = [
-        np.fromiter(chain.from_iterable(column), dtype=dtype, count=ends[-1])
-        for column, dtype in zip(columns, _TREE_FIELDS.values())
-    ]
     size = np.repeat(sizes, sizes)
     node = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+
+    def fault(bad: np.ndarray, message: str) -> ValueError:
+        j = int(bad.argmax())
+        return ValueError(f"tree {int(np.searchsorted(ends, j, side='right'))} node {int(node[j])}: {message}")
+
+    arrays = []
+    for (name, dtype), column in zip(_TREE_FIELDS.items(), columns):
+        # the int64 cast would read 0.5 and 3.0 as integers, and true or "1" as 1
+        if dtype is np.int64 and countOf(map(type, chain.from_iterable(column)), int) != ends[-1]:
+            bad = np.array([type(v) is not int for v in chain.from_iterable(column)])
+            raise fault(bad, f"{name} must be an integer")
+        arrays.append(np.fromiter(chain.from_iterable(column), dtype=dtype, count=ends[-1]))
+    feature, threshold, left, right, value = arrays
     faults = {
         f"feature must lie in [-1, {n_features})": (feature < -1) | (feature >= n_features),
         "a split's children must be later nodes of its tree": (feature >= 0)
@@ -438,8 +449,7 @@ def _read_trees(docs: list, n_features: int) -> tuple[_Tree, ...]:
     }
     for message, bad in faults.items():
         if bad.any():
-            j = int(bad.argmax())
-            raise ValueError(f"tree {int(np.searchsorted(ends, j, side='right'))} node {int(node[j])}: {message}")
+            raise fault(bad, message)
     bounds = zip([0, *ends[:-1].tolist()], ends.tolist())
     return tuple(_Tree(*(a[start:end] for a in arrays)) for start, end in bounds)
 
@@ -448,15 +458,20 @@ def load_model(path: str) -> TreeEnsemble:
     doc = _load_json(path, MODEL_FORMAT)
     try:
         hp = doc["hyperparameters"]
-        feature_names = tuple(doc["feature_names"])
+        names, importances = doc["feature_names"], doc["feature_importances"]
+        if type(names) is not list or not all(type(n) is str for n in names):
+            raise ValueError("feature_names must be a list of strings")
+        if type(importances) is not list or len(importances) != len(names) or not all(map(_is_number, importances)):
+            raise ValueError("feature_importances must be a list of numbers, one per feature name")
+        params = {key: hp[key] for key in ("n_trees", "min_samples_leaf", "max_features", "seed")}
+        for key, v in params.items():
+            if not _is_int(v):
+                raise ValueError(f"hyperparameter {key} must be an integer")
         return TreeEnsemble(
-            trees=_read_trees(doc["trees"], len(feature_names)),
-            feature_names=feature_names,
-            n_trees=int(hp["n_trees"]),
-            min_samples_leaf=int(hp["min_samples_leaf"]),
-            max_features=int(hp["max_features"]),
-            seed=int(hp["seed"]),
-            importances=tuple(float(v) for v in doc["feature_importances"]),
+            trees=_read_trees(doc["trees"], len(names)),
+            feature_names=tuple(names),
+            importances=tuple(map(float, importances)),
+            **params,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed model file ({exc})") from None

@@ -65,10 +65,6 @@ def joint_probability(b: BitString, centroid: BitString, cluster_weight: float, 
 
 
 def _likelihood_table(width: int, flip_rate: float) -> np.ndarray:
-    if flip_rate == 0.0:
-        table = np.zeros(width + 1)
-        table[0] = 1.0
-        return table
     h = np.arange(width + 1)
     return (1.0 - flip_rate) ** (width - h) * flip_rate**h
 

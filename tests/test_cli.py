@@ -309,13 +309,19 @@ class TestModelFiles:
         "num_2q_gates": 3, "num_sx_gates": 5, "num_x_gates": 1, "num_rz_gates": 8, "entropy": 0.7, "esp": 0.9,
     }
 
-    def _estimate(self, tmp_path, capsys, trees):
+    def _estimate(self, tmp_path, capsys, trees, **fields):
         model, features = tmp_path / "model.json", tmp_path / "features.json"
-        model.write_text(json.dumps({
+        doc = {
             "format": "qemclust-extratrees", "version": 1, "feature_names": list(FEATURE_NAMES),
             "hyperparameters": {"n_trees": len(trees), "min_samples_leaf": 1, "max_features": 8, "seed": 0},
             "feature_importances": [0.0] * 6 + [1.0, 0.0], "trees": trees,
-        }))
+        }
+        for key, value in fields.items():
+            if key in doc["hyperparameters"]:
+                doc["hyperparameters"][key] = value
+            else:
+                doc[key] = value
+        model.write_text(json.dumps(doc))
         features.write_text(json.dumps(self.FEATURES))
         rc = main(["estimate", "--model", str(model), "--features", str(features)])
         out, err = capsys.readouterr()
@@ -339,8 +345,15 @@ class TestModelFiles:
         (0, {"value": [0.02, math.nan, 0.03]}, "value must lie in"),
         (0, {"value": [0.02, 0.01, 0.6]}, "value must lie in"),
         (1, {"value": [-0.01]}, "value must lie in"),
+        # JSON integers only: an int64 cast would read these as 0, 1, 1, 3 and 1
+        (0, {"feature": [0.5, -1, -1]}, "node 0: feature must be an integer"),
+        (1, {"feature": [True]}, "node 0: feature must be an integer"),
+        (0, {"left": ["1", -1, -1]}, "node 0: left must be an integer"),
+        (0, {"left": [1, -1, -1], "right": [3.0, -1, -1]}, "node 0: right must be an integer"),
+        (0, {"right": [2, -1, True]}, "node 2: right must be an integer"),
     ], ids=["unequal", "empty", "feature-high", "feature-low", "self-loop", "back-edge", "child-out-of-range",
-            "split-without-child", "nan-threshold", "inf-threshold", "nan-value", "value-high", "value-low"])
+            "split-without-child", "nan-threshold", "inf-threshold", "nan-value", "value-high", "value-low",
+            "feature-float", "feature-bool", "left-string", "right-float", "right-bool"])
     def test_malformed_tree_is_a_data_error(self, tmp_path, capsys, tree, fields, message):
         trees = json.loads(json.dumps(self.TREES))
         trees[tree].update(fields)
@@ -351,6 +364,24 @@ class TestModelFiles:
     def test_model_without_trees_is_a_data_error(self, tmp_path, capsys):
         rc, out, err, model = self._estimate(tmp_path, capsys, [])
         assert rc == 2 and out == "" and f"{model}: malformed model file (the model has no trees)" in err
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"n_trees": 2.7}, "hyperparameter n_trees must be an integer"),
+        ({"min_samples_leaf": True}, "hyperparameter min_samples_leaf must be an integer"),
+        ({"max_features": "8"}, "hyperparameter max_features must be an integer"),
+        ({"seed": 0.0}, "hyperparameter seed must be an integer"),
+        ({"feature_names": "abcdefgh"}, "feature_names must be a list of strings"),
+        ({"feature_names": [*FEATURE_NAMES[:7], 7]}, "feature_names must be a list of strings"),
+        ({"feature_importances": ["0.5"] * 8}, "feature_importances must be a list of numbers"),
+        ({"feature_importances": [0.5, True] * 4}, "feature_importances must be a list of numbers"),
+        ({"feature_importances": [0.5] * 7}, "one per feature name"),
+        ({"feature_importances": {"entropy": 1.0}}, "feature_importances must be a list of numbers"),
+    ], ids=["n_trees-float", "min_samples_leaf-bool", "max_features-string", "seed-float", "names-string",
+            "names-number", "importances-strings", "importances-bool", "importances-short", "importances-object"])
+    def test_malformed_model_fields_are_a_data_error(self, tmp_path, capsys, fields, message):
+        rc, out, err, model = self._estimate(tmp_path, capsys, self.TREES, **fields)
+        assert rc == 2 and out == ""
+        assert f"{model}: malformed model file (" in err and message in err
 
 
 class TestSimulateCommand:

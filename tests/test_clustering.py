@@ -21,7 +21,7 @@ from qemclust import (
     sample_shots,
     select_initial_centroids,
 )
-from qemclust._packed import PackedDistribution, match_rows
+from qemclust._packed import PackedDistribution, _pack_words, match_rows
 from qemclust.distributions import strings_to_rows
 
 B = BitString.from_text
@@ -240,7 +240,8 @@ class TestDistanceCache:
             assert hd.flags.c_contiguous and hd.shape == (len(packed), len(call))
             np.testing.assert_array_equal(hd, packed.hamming_to(centroid_bits))
             np.testing.assert_array_equal(packed.columns(slots), hd.T)
-            np.testing.assert_array_equal(packed.centroid_rows(slots), match_rows(packed.bits, centroid_bits))
+            want = match_rows(packed.words, _pack_words(centroid_bits))
+            np.testing.assert_array_equal(packed.centroid_rows(slots), want)
 
     def test_each_distinct_centroid_is_computed_once(self, monkeypatch):
         packed = PackedDistribution(OutcomeDistribution.from_counts({"0000": 5, "0110": 3, "1111": 1}))

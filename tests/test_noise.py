@@ -29,7 +29,7 @@ from qemclust import (
     run_trial,
     sample_shots,
 )
-from qemclust._packed import _pack_words, tally_rows
+from qemclust._packed import _pack_words, _tally
 from qemclust.cli import main
 from qemclust.estimator import _spiked_ideal
 from qemclust.noise import _distinct_rows
@@ -277,7 +277,7 @@ class TestNoBitStrings:
     def test_tally_rows_are_compact_copies(self, width):
         bits = np.random.default_rng(width).integers(0, 2, size=(500, width), dtype=np.uint8)
         bits[::2] = bits[0]  # repeats
-        rows, counts = tally_rows(bits)
+        rows, _words, counts = _tally(bits)
         assert rows.dtype == np.uint8 and rows.shape == (len(counts), width)
         assert rows.flags.c_contiguous
         # not a view into a wider buffer that would stay alive with the rows

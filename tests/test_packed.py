@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from oracles import reference_match_rows, reference_tally_rows, reference_value_order
 from qemclust import NoiseSpec, OutcomeDistribution, SyntheticSpec, apply_bitflip, generate_ideal, sample_shots
-from qemclust._packed import _pack_words, _unpack_words, match_rows, sorted_view, tally_rows, value_order
+from qemclust._packed import __all__ as PACKED_EXPORTS
+from qemclust._packed import _pack_words, _tally, _unpack_words, match_rows, sorted_view
 from qemclust.estimator import _spiked_ideal
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qemclust"
@@ -54,22 +55,27 @@ class TestRowKeyMatchesPythonInts:
     @settings(max_examples=300, deadline=None)
     def test_value_order(self, case):
         width, values, _ = case
-        assert value_order(_rows(values, width)).tolist() == reference_value_order(values)
+        values = list(dict.fromkeys(values))  # a distribution's rows are distinct
+        view = sorted_view(_rows(values, width), np.arange(len(values), dtype=np.float64))
+        assert view.weights.astype(int).tolist() == reference_value_order(values)
+        assert _values(view.bits) == _ints(view.words) == sorted(values)
 
     @given(row_values())
     @settings(max_examples=300, deadline=None)
     def test_match_rows(self, case):
         width, values, queries = case
-        found = match_rows(_rows(values, width), _rows(queries, width))
+        values = list(dict.fromkeys(values))  # distinct rows; queries may repeat
+        found = match_rows(_pack_words(_rows(values, width)), _pack_words(_rows(queries, width)))
         assert found.tolist() == reference_match_rows(values, queries)
 
     @given(row_values())
     @settings(max_examples=300, deadline=None)
     def test_tally_rows(self, case):
         width, values, _ = case
-        rows, counts = tally_rows(_rows(values, width))
+        rows, words, counts = _tally(_rows(values, width))
         assert rows.dtype == np.uint8 and rows.shape == (len(counts), width)
         assert (_values(rows), counts.tolist()) == reference_tally_rows(values)
+        assert words.tobytes() == _pack_words(rows).tobytes()
 
 
 def _word_rows(rng, width: int, n: int, pool: int) -> np.ndarray:
@@ -90,10 +96,10 @@ def _ints(words: np.ndarray) -> list[int]:
 
 
 class TestMatchRowsAtScale:
-    """Thousands of distinct rows of three to five words, duplicates on
-    both sides, and queries that all hit, all miss, or both; the smaller
-    side is the rows or the queries, and the rows' words come from a
-    sorted view or are packed."""
+    """Thousands of distinct rows of three to five words, repeated
+    queries that all hit, all miss, or both; the smaller side is the rows
+    or the queries, and the rows' words come from a sorted view or are
+    packed in the order they were drawn."""
 
     @pytest.mark.parametrize("view", [False, True], ids=["packed", "view"])
     @pytest.mark.parametrize("smaller", ["queries", "rows"])
@@ -102,19 +108,19 @@ class TestMatchRowsAtScale:
     def test_matches_python_ints(self, width, queries, smaller, view):
         rng = np.random.default_rng(width)
         n, m = (6000, 2000) if smaller == "queries" else (2000, 6000)
-        base = _word_rows(rng, width, n, 40)
-        rows = base[rng.integers(0, n, size=n)]  # repeats
-        hits = rows[rng.integers(0, n, size=m)]
+        drawn = _word_rows(rng, width, n, 40)
+        rows = drawn[np.sort(np.unique(drawn, axis=0, return_index=True)[1])]  # distinct, in drawn order
+        hits = rows[rng.integers(0, len(rows), size=m)]
         # a row with one lower word made odd: equal to no row, but sharing
         # every other word with one
-        misses = rows[rng.integers(0, n, size=m)]
+        misses = rows[rng.integers(0, len(rows), size=m)]
         misses[np.arange(m), rng.integers(1, rows.shape[1], size=m)] |= np.uint64(1)
         picked = {"hit": hits, "miss": misses, "mixed": np.where(rng.random(m)[:, None] < 0.5, hits, misses)}[queries]
+        if view:
+            rows = sorted_view(_unpack_words(rows, width), np.ones(len(rows))).words
         values, query_values = _ints(rows), _ints(picked)
-        assert 1000 < len(set(values)) < n and len(set(query_values)) < m
-        bits, query_bits = _unpack_words(rows, width), _unpack_words(picked, width)
-        sorted_rows = sorted_view(bits, np.ones(n)) if view else None
-        found = match_rows(bits, query_bits, sorted_rows)
+        assert len(set(values)) == len(values) > 1000 and len(set(query_values)) < m
+        found = match_rows(rows, picked)
         want = reference_match_rows(values, query_values)
         assert found.tolist() == want
         assert {"hit": min(want) >= 0, "miss": max(want) == -1, "mixed": min(want) == -1 < max(want)}[queries]
@@ -125,12 +131,9 @@ def _assert_view_is_recomputed(dist: OutcomeDistribution) -> None:
     view = dist._view
     assert view is not None
     rows, weights = dist._arrays()
-    order = value_order(rows)
-    if view.order is None:  # in order already: the distribution's own arrays
-        assert order.tolist() == list(range(len(rows)))
+    order = reference_value_order(_values(rows))
+    if order == list(range(len(rows))):  # in order already: the distribution's own arrays
         assert view.bits is rows and view.weights is weights
-    else:
-        assert view.order.tolist() == order.tolist()
     assert view.bits.dtype == np.uint8 and view.bits.shape == rows.shape
     assert view.bits.tobytes() == rows[order].tobytes()
     want = _pack_words(rows[order])
@@ -149,7 +152,7 @@ class TestSortedViews:
         noisy = apply_bitflip(counts, NoiseSpec(0.1, rng))
         for dist in (ideal, counts, noisy):
             _assert_view_is_recomputed(dist)
-            assert dist._view.order is None
+            assert dist._view.bits is dist._rows
 
     @pytest.mark.parametrize("width", [2, 6, 12])
     def test_the_corpus_ideal_hands_over_its_view(self, width):
@@ -183,6 +186,15 @@ class TestLayering:
                 assert node.level == 0 and not (node.module or "").startswith("qemclust"), ast.unparse(node)
             elif isinstance(node, ast.Import):
                 assert not any(a.name.startswith("qemclust") for a in node.names), ast.unparse(node)
+
+    def test_every_export_is_used_by_the_package(self):
+        # an export that only tests import is test scaffolding in src/
+        imported = set()
+        for path in SRC.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.module in ("_packed", "qemclust._packed"):
+                    imported.update(a.name for a in node.names)
+        assert sorted(set(PACKED_EXPORTS) - imported) == []
 
     @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
     def test_rows_are_ordered_and_matched_by_the_row_key(self, path):

@@ -22,7 +22,7 @@ from qemclust import (
 )
 from qemclust._packed import PackedDistribution
 from qemclust.distributions import strings_to_rows
-from qemclust.redistribution import _redistribute_packed
+from qemclust.redistribution import _likelihood_table, _redistribute_packed
 
 B = BitString.from_text
 
@@ -42,9 +42,20 @@ def manual_model(width, centroids, weights):
     )
 
 
+def _assert_zero_rate_table():
+    """At rate 0 the general formula gives [1, 0, ..., 0] exactly, since
+    0.0 ** 0 is 1.0, and raises no floating-point error."""
+    for width in (1, 14, 64, 65, 300):
+        want = np.zeros(width + 1)
+        want[0] = 1.0
+        with np.errstate(all="raise"):
+            assert _likelihood_table(width, 0.0).tobytes() == want.tobytes()
+
+
 class TestJointProbability:
     def test_zero_rate_identity(self):
         assert joint_probability(B("1010"), B("1010"), 0.7, 0.0) == 0.7
+        _assert_zero_rate_table()
 
     def test_hand_arithmetic(self):
         got = joint_probability(B("111000"), B("011010"), 0.5, 0.15)
@@ -52,6 +63,7 @@ class TestJointProbability:
 
     def test_zero_rate_kills_nonzero_distance(self):
         assert joint_probability(B("10"), B("11"), 0.9, 0.0) == 0.0
+        _assert_zero_rate_table()
 
     @given(
         st.integers(min_value=1, max_value=16).flatmap(
@@ -83,6 +95,7 @@ class TestRedistribute:
         result = redistribute(noisy, model, 0.0)
         assert result.mitigated == noisy.normalized()
         assert not result.removed
+        _assert_zero_rate_table()
 
     def test_fully_explained_string_is_removed(self):
         # a string one flip from the only centroid whose probability is
