@@ -164,17 +164,25 @@ def _dump_weights(path: str, doc: dict, field: str, dist: OutcomeDistribution, a
     """Write ``doc`` with ``field`` mapping each bit-string of ``dist`` to
     its weight in value order, byte for byte as ``_dump_json`` writes the
     same document. Counts are written as ints (``as_int``), probabilities
-    as float reprs, as the json encoder writes them."""
+    as float reprs, as the json encoder writes them.
+
+    Every entry is a row of one byte template, ``,\\n    "<bits>": %s``,
+    filled by one ``%``; each distinct weight (by its bits, so -0.0 is not
+    0.0) is formatted once."""
     text = json.dumps({**doc, field: {}}, indent=2, sort_keys=True)
     if len(dist):
         view = dist._sorted()
-        text_keys = (view.bits + ord("0")).tobytes().decode("ascii")
-        width = dist.width
-        keys = [text_keys[i : i + width] for i in range(0, len(text_keys), width)]
-        values = view.weights.tolist()
-        if as_int:
-            values = map(round, values)
-        block = ",\n    ".join([f'"{k}": {v!r}' for k, v in zip(keys, values)])
+        n, width = view.bits.shape
+        template = np.empty((n, width + 12), dtype=np.uint8)
+        template[:, :7] = np.frombuffer(b',\n    "', dtype=np.uint8)
+        template[:, 7:-5] = view.bits + ord("0")  # only 0s and 1s: no other '%'
+        template[:, -5:] = np.frombuffer(b'": %s', dtype=np.uint8)
+        weights = np.rint(view.weights) if as_int else view.weights
+        distinct, inverse = np.unique(weights.view(np.uint64), return_inverse=True)
+        values = distinct.view(np.float64).tolist()
+        # str(int(v)) of the rint is repr(round(v)): both round half to even
+        texts = np.array(list(map(str, map(int, values)) if as_int else map(repr, values)), dtype=object)
+        block = (template.tobytes().decode("ascii") % tuple(texts[inverse]))[6:]
         # top-level keys sit at indent 2; nested ones are deeper and string
         # values hold no raw newline, so this placeholder is unique
         head, tail = text.split(f'\n  "{field}": {{}}')
@@ -406,6 +414,8 @@ def save_model(model: TreeEnsemble, path: str) -> None:
 _TREE_FIELDS = {
     "feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64, "value": np.float64,
 }
+# the JSON types each dtype reads (the usual one last), and their name
+_JSON_TYPES = {np.int64: ((int,), "an integer"), np.float64: ((int, float), "a number")}
 
 
 def _read_trees(docs: list, n_features: int) -> tuple[_Tree, ...]:
@@ -413,9 +423,10 @@ def _read_trees(docs: list, n_features: int) -> tuple[_Tree, ...]:
     once. Raises ValueError on what would make ``predict`` loop, index out
     of range or return a non-rate: a tree with no nodes or with fields of
     unequal length, a ``feature``, ``left`` or ``right`` that is not a JSON
-    integer, a feature outside [-1, n_features), a split whose child is
-    not a later node of its tree, a non-finite threshold or a value
-    outside [RATE_MIN, RATE_MAX]."""
+    integer, a ``threshold`` or ``value`` that is not a JSON number, a
+    feature outside [-1, n_features), a split whose child is not a later
+    node of its tree, a non-finite threshold or a value outside
+    [RATE_MIN, RATE_MAX]."""
     if not docs:
         raise ValueError("the model has no trees")
     columns = [[t[name] for t in docs] for name in _TREE_FIELDS]
@@ -434,10 +445,12 @@ def _read_trees(docs: list, n_features: int) -> tuple[_Tree, ...]:
 
     arrays = []
     for (name, dtype), column in zip(_TREE_FIELDS.items(), columns):
-        # the int64 cast would read 0.5 and 3.0 as integers, and true or "1" as 1
-        if dtype is np.int64 and countOf(map(type, chain.from_iterable(column)), int) != ends[-1]:
-            bad = np.array([type(v) is not int for v in chain.from_iterable(column)])
-            raise fault(bad, f"{name} must be an integer")
+        # the casts would read 0.5 and 3.0 as integers, true as 1 and "1" as 1 or 1.0
+        types, rule = _JSON_TYPES[dtype]
+        if countOf(map(type, chain.from_iterable(column)), types[-1]) != ends[-1]:
+            bad = np.array([type(v) not in types for v in chain.from_iterable(column)])
+            if bad.any():
+                raise fault(bad, f"{name} must be {rule}")
         arrays.append(np.fromiter(chain.from_iterable(column), dtype=dtype, count=ends[-1]))
     feature, threshold, left, right, value = arrays
     faults = {

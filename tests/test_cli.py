@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import itertools
 import json
 import math
 import random
@@ -147,7 +149,7 @@ class TestCountsFiles:
 
 @st.composite
 def weight_maps(draw):
-    width = draw(st.integers(min_value=1, max_value=70))
+    width = draw(st.one_of(st.sampled_from([1, 64, 65, 300]), st.integers(min_value=1, max_value=70)))
     values = draw(st.lists(st.integers(min_value=0, max_value=2**width - 1), unique=True, max_size=40))
     return width, draw(st.permutations(values))
 
@@ -167,6 +169,11 @@ class TestWeightMapWriter:
     """``write_counts`` and ``write_distribution`` write what
     ``json.dump(doc, indent=2, sort_keys=True)`` writes for the document."""
 
+    # few distinct values, so weights repeat; -0.0 is written as such
+    PROBS = [0.0, -0.0, 5e-324, 1e-300, 1e-5, 0.1, 1.0, 1e16, 1e300]
+    # float counts: signed zeros, near-integral values and integers >= 2**63
+    COUNTS = [0.0, -0.0, 1.0, 2.9999999999, 3.0000000001, 2.0**53, 1e16, 1e20, 2.0**63, 2.0**64, 1e300]
+
     @staticmethod
     def _expected(fmt, field, width, weights, metadata=None):
         doc = {
@@ -184,12 +191,14 @@ class TestWeightMapWriter:
     def test_counts_bytes(self, tmp_path_factory, keys, data, metadata):
         width, values = keys
         counts = data.draw(st.lists(
-            st.integers(min_value=0, max_value=2**53), min_size=len(values), max_size=len(values),
+            st.one_of(st.integers(min_value=0, max_value=2**53), st.sampled_from(self.COUNTS)),
+            min_size=len(values), max_size=len(values),
         ))
         weights = dict(zip(values, counts))
         path = tmp_path_factory.mktemp("counts") / "c.json"
         dist = OutcomeDistribution(width, {BitString(v, width): c for v, c in weights.items()})
         qio.write_counts(dist, str(path), metadata)
+        weights = {v: round(c) for v, c in weights.items()}
         expected = self._expected("qemclust-counts", "counts", width, weights, metadata)
         assert path.read_bytes() == expected
         if dist.total > 0:  # the array-built distribution the reader returns
@@ -201,10 +210,7 @@ class TestWeightMapWriter:
     def test_distribution_bytes(self, tmp_path_factory, keys, data):
         width, values = keys
         probs = data.draw(st.lists(
-            st.one_of(
-                st.sampled_from([0.0, 5e-324, 1e-300, 0.1, 1.0, 1e300]),
-                st.floats(min_value=0.0, max_value=1e308),
-            ),
+            st.one_of(st.sampled_from(self.PROBS), st.floats(min_value=0.0, max_value=1e308)),
             min_size=len(values), max_size=len(values),
         ))
         weights = dict(zip(values, probs))
@@ -219,6 +225,22 @@ class TestWeightMapWriter:
         else:  # no probability view: the reader names the file
             with pytest.raises(qio.DataFormatError, match=str(path)):
                 qio.read_distribution(str(path))
+
+    @pytest.mark.parametrize("width", [1, 64, 65, 300])
+    def test_signed_zeros_side_by_side(self, tmp_path, width):
+        # the cycled weights give the first two keys 0.0 and -0.0, and repeat
+        rng = random.Random(width)
+        values = sorted({rng.getrandbits(width) for _ in range(60)} | {0, 1})
+        path = tmp_path / "w.json"
+        counts = dict(zip(values, itertools.cycle(self.COUNTS)))
+        qio.write_counts(OutcomeDistribution(width, {BitString(v, width): c for v, c in counts.items()}), str(path))
+        counts = {v: round(c) for v, c in counts.items()}
+        assert path.read_bytes() == self._expected("qemclust-counts", "counts", width, counts)
+        probs = dict(zip(values, itertools.cycle(self.PROBS)))
+        qio.write_distribution(OutcomeDistribution(width, {BitString(v, width): p for v, p in probs.items()}), str(path))
+        assert path.read_bytes() == self._expected("qemclust-distribution", "probabilities", width, probs)
+        first, second = (format(v, f"0{width}b") for v in values[:2])
+        assert f'"{first}": 0.0,\n    "{second}": -0.0' in path.read_text()
 
 
 class TestDistributionFiles:
@@ -351,15 +373,26 @@ class TestModelFiles:
         (0, {"left": ["1", -1, -1]}, "node 0: left must be an integer"),
         (0, {"left": [1, -1, -1], "right": [3.0, -1, -1]}, "node 0: right must be an integer"),
         (0, {"right": [2, -1, True]}, "node 2: right must be an integer"),
+        # JSON numbers only: a float64 cast would read these as 12.09..., 0.01 and 0.0
+        (0, {"threshold": ["12.096303854170237", 0.0, 0.0]}, "node 0: threshold must be a number"),
+        (0, {"value": [0.02, "0.01", 0.03]}, "node 1: value must be a number"),
+        (0, {"threshold": [False, 0.0, 0.0]}, "node 0: threshold must be a number"),
     ], ids=["unequal", "empty", "feature-high", "feature-low", "self-loop", "back-edge", "child-out-of-range",
             "split-without-child", "nan-threshold", "inf-threshold", "nan-value", "value-high", "value-low",
-            "feature-float", "feature-bool", "left-string", "right-float", "right-bool"])
+            "feature-float", "feature-bool", "left-string", "right-float", "right-bool", "threshold-string",
+            "value-string", "threshold-bool"])
     def test_malformed_tree_is_a_data_error(self, tmp_path, capsys, tree, fields, message):
         trees = json.loads(json.dumps(self.TREES))
         trees[tree].update(fields)
         rc, out, err, model = self._estimate(tmp_path, capsys, trees)
         assert rc == 2 and out == ""
         assert f"{model}: malformed model file (tree {tree}" in err and message in err
+
+    def test_integer_thresholds_and_values_are_numbers(self, tmp_path, capsys):
+        trees = json.loads(json.dumps(self.TREES))
+        trees[0].update(threshold=[1, 0, 0], value=[0, 0.01, 0])  # entropy 0.7 < 1: the left leaf
+        rc, out, _, _ = self._estimate(tmp_path, capsys, trees)
+        assert rc == 0 and float(out) == pytest.approx((0.01 + 0.05) / 2)
 
     def test_model_without_trees_is_a_data_error(self, tmp_path, capsys):
         rc, out, err, model = self._estimate(tmp_path, capsys, [])
@@ -425,6 +458,34 @@ class TestSimulateCommand:
             "--out-ideal", str(tmp_path / "i.json"), "--out-noisy", str(tmp_path / "n.json"),
         ])
         assert rc == 2
+
+
+class TestPinnedFileBytes:
+    """The sha256 of every file of one seeded instance at the headline size
+    (14 qubits, d=16, p=0.15, 8192 shots): ``simulate --no-timestamp`` and
+    then ``mitigate --out --report --hf-against``."""
+
+    SHA256 = {
+        "ideal": "19216a7b20fd45c345d80d080115bb168a7ed78f6612f97e5a7e1f4585840ae7",
+        "noisy": "be3f7aa0baaf33656e1d76dbe26e8fb53a76331aa116ea1e74b52f69b93ab13d",
+        "probs": "59a5bde6dbdf320ae27fcff028b95c4465161576e73bfa58a4fd3ac761680e75",
+        "out": "f5f394d2e35be39bc7a97e18899699a137084b09adcb86917c43a726cc582bc4",
+        "report": "dfa96987fa48b88ba52346a98241907c72c95d849dbb6ab83241870a0fedbe40",
+    }
+
+    def test_headline_instance(self, tmp_path):
+        path = {name: str(tmp_path / f"{name}.json") for name in self.SHA256}
+        assert main([
+            "--seed", "7", "simulate", "--n", "14", "--d", "16", "--p", "0.15", "--shots", "8192",
+            "--no-timestamp", "--out-ideal", path["ideal"], "--out-noisy", path["noisy"],
+            "--out-probs", path["probs"],
+        ]) == 0
+        assert main([
+            "mitigate", path["noisy"], "--p", "0.15", "--out", path["out"], "--report", path["report"],
+            "--hf-against", path["probs"],
+        ]) == 0
+        digests = {name: hashlib.sha256(open(p, "rb").read()).hexdigest() for name, p in path.items()}
+        assert digests == self.SHA256
 
 
 class TestMitigateCommand:

@@ -203,6 +203,14 @@ class TestLayering:
             if name == "unique":
                 assert all(kw.arg != "axis" for kw in call.keywords), ast.unparse(call)
 
+    def test_the_weight_map_writer_has_no_per_entry_loop(self):
+        # every entry is a row of one byte template filled by one %; only
+        # the distinct weights are formatted, by map
+        tree = ast.parse((SRC / "io.py").read_text(encoding="utf-8"))
+        func = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_dump_weights")
+        loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        assert [ast.unparse(n) for n in ast.walk(func) if isinstance(n, loops)] == []
+
     def test_the_k_loop_never_regroups_centroids(self):
         # the redistribution kernel merges equal centroids; the engine
         # reads its merged pass results as they are
