@@ -18,12 +18,11 @@ hands them over and nothing is sorted; every other distribution sorts
 once, on first use. A packed distribution wraps the view for one
 mitigation run and adds the run's distance cache. Majority votes read
 the bit matrix; Hamming distances are XOR plus popcount over the words.
-A slot holds its centroid's distance column, computed in one Hamming
-pass per run in the smallest unsigned dtype that holds the width, and
-the input row equal to it. ``distances`` hands the columns out as a
-C-ordered (n, k) matrix; that layout is part of the output bits, because
-the redistribution step's row sums and its matrix-vector product add in
-an order that depends on it.
+A slot holds its centroid's distances to every row, computed in one
+Hamming pass per run in the smallest unsigned dtype that holds the
+width, and the input row equal to it. ``columns`` stacks the distances
+of k slots into a (k, n) matrix, the layout both clustering and
+redistribution work in.
 """
 
 from __future__ import annotations
@@ -219,11 +218,6 @@ class PackedDistribution:
     def columns(self, slots: np.ndarray) -> np.ndarray:
         """(k, n) Hamming distances, one row per slot."""
         return self._columns[slots]
-
-    def distances(self, slots: np.ndarray) -> np.ndarray:
-        """C-ordered (n, k) Hamming distances between every row and the
-        centroid row of every slot."""
-        return np.ascontiguousarray(self._columns[slots].T)
 
     def centroid_rows(self, slots: np.ndarray) -> np.ndarray:
         """The input row equal to each slot's centroid row, or -1."""

@@ -11,7 +11,10 @@ end up with positive probability, which is the point of voting centroids
 instead of picking observed strings. One pass is ``_redistribute_packed``,
 which alone merges equal centroids. A pass conserves the input's mass:
 each claimed string's shares sum to 1 and a centroid string's own mass
-moves to its centroid, so some mass always survives.
+moves to its centroid, so some mass always survives. A pass calls no
+BLAS kernel, so it adds in one order on every CPU: a string's claim adds
+its joint terms in centroid order, and a centroid's gain is numpy's
+pairwise sum of its scaled (k, n) cache row, over strings in value order.
 """
 
 from __future__ import annotations
@@ -65,8 +68,11 @@ def joint_probability(b: BitString, centroid: BitString, cluster_weight: float, 
 
 
 def _likelihood_table(width: int, flip_rate: float) -> np.ndarray:
-    h = np.arange(width + 1)
-    return (1.0 - flip_rate) ** (width - h) * flip_rate**h
+    # running products, since numpy's vector power rounds differently per CPU
+    powers = np.full((2, width + 1), [[1.0 - flip_rate], [flip_rate]])
+    powers[:, 0] = 1.0
+    np.cumprod(powers, axis=1, out=powers)
+    return powers[0, ::-1] * powers[1]
 
 
 def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: float) -> RedistributionResult:
@@ -137,23 +143,19 @@ def _redistribute_packed(
     first appearance, whose equal centroids' masses add in centroid order.
     """
     pr = packed.weights / packed.total
-    hd = packed.distances(slots)
     centroid_rows = packed.centroid_rows(slots)
-    joint = np.take(_likelihood_table(packed.width, flip_rate), hd)
-    joint *= cluster_weights
-    seen = centroid_rows >= 0
+    joint = np.take(_likelihood_table(packed.width, flip_rate), packed.columns(slots))
+    joint *= cluster_weights[:, None]
     is_centroid = np.zeros(len(pr), dtype=bool)
-    is_centroid[centroid_rows[seen]] = True
+    is_centroid[centroid_rows[centroid_rows >= 0]] = True
 
-    claim = joint.sum(axis=1)
+    claim = joint.sum(axis=0)
     give = np.minimum(claim, pr)
     give[is_centroid] = 0.0
     # split each string's surrendered mass across centroids in proportion
-    # to their individual joint terms
-    with np.errstate(invalid="ignore"):
-        share = joint / claim[:, None]
-    share[claim == 0] = 0.0  # 0/0: a row no centroid claims gives nothing
-    centroid_masses = give @ share
+    # to their individual joint terms; a row no centroid claims gives nothing
+    joint *= np.divide(give, claim, out=np.zeros_like(give), where=claim > 0)
+    centroid_masses = joint.sum(axis=1)
 
     masses = pr - give
     masses[is_centroid] = 0.0

@@ -3,14 +3,19 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import platform
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qemclust
 from qemclust import _packed, cli, distributions
 from qemclust import io as qio
 from qemclust import (
@@ -469,8 +474,8 @@ class TestPinnedFileBytes:
         "ideal": "19216a7b20fd45c345d80d080115bb168a7ed78f6612f97e5a7e1f4585840ae7",
         "noisy": "be3f7aa0baaf33656e1d76dbe26e8fb53a76331aa116ea1e74b52f69b93ab13d",
         "probs": "59a5bde6dbdf320ae27fcff028b95c4465161576e73bfa58a4fd3ac761680e75",
-        "out": "f5f394d2e35be39bc7a97e18899699a137084b09adcb86917c43a726cc582bc4",
-        "report": "dfa96987fa48b88ba52346a98241907c72c95d849dbb6ab83241870a0fedbe40",
+        "out": "f03e314846c27618313012ddc75bf7d9a892332fd101f79fe7a5864c690b0eff",
+        "report": "8ab0f3fde388c1f3859aa79b7b19da03832fe544c75bcad4856dc8a44499acc3",
     }
 
     def test_headline_instance(self, tmp_path):
@@ -486,6 +491,46 @@ class TestPinnedFileBytes:
         ]) == 0
         digests = {name: hashlib.sha256(open(p, "rb").read()).hexdigest() for name, p in path.items()}
         assert digests == self.SHA256
+
+
+def _dynamic_openblas_simd() -> list[str] | None:
+    """The SIMD extensions numpy dispatches to on this machine, if numpy
+    links an OpenBLAS that picks its kernel at run time on x86_64; else None."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    if platform.machine() not in ("x86_64", "AMD64") or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return None
+    return config["SIMD Extensions"].get("found", [])
+
+
+class TestKernelIndependence:
+    """The pinned headline instance's mitigated files come out byte-equal
+    from a child on this CPU's own kernels and from a child that looks
+    like a pre-AVX CPU: OpenBLAS forced to its Prescott kernels and numpy
+    to its baseline SIMD. Only the children's environments change."""
+
+    def test_headline_bytes_do_not_depend_on_the_cpu_kernels(self, tmp_path):
+        simd = _dynamic_openblas_simd()
+        if simd is None:
+            pytest.skip("needs numpy with a DYNAMIC_ARCH OpenBLAS on x86_64")
+        noisy = str(tmp_path / "noisy.json")
+        assert main([
+            "--seed", "7", "simulate", "--n", "14", "--d", "16", "--p", "0.15", "--shots", "8192",
+            "--no-timestamp", "--out-ideal", str(tmp_path / "ideal.json"), "--out-noisy", noisy,
+        ]) == 0
+        src = str(Path(qemclust.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        old_cpu = {"OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": " ".join(simd)}
+        files = []
+        for name, extra in (("default", {}), ("prescott", old_cpu)):
+            out, report = tmp_path / f"{name}.out.json", tmp_path / f"{name}.report.json"
+            subprocess.run(
+                [sys.executable, "-m", "qemclust.cli", "mitigate", noisy, "--p", "0.15",
+                 "--out", str(out), "--report", str(report)],
+                env={**env, **extra}, check=True,
+            )
+            files.append((out.read_bytes(), report.read_bytes()))
+        assert files[0] == files[1]
 
 
 class TestMitigateCommand:

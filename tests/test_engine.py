@@ -151,13 +151,13 @@ class TestMitigateIterative:
 
     # sha256 of the "<bits> <float.hex>" lines of the final output in value
     # order, and float.hex of every hf_to_previous, of a run whose passes
-    # reach k = 12. The pass's row sums and its gemv add in an order that
-    # depends on the distance matrix's layout, so these pin that layout.
-    PINNED_FINAL = "af28c9b2dd104c5bbca347d911c5dd14fd95d19fc9f6b2deb78ff38209281e95"
+    # reach k = 12. They pin the pass's summation order, which no BLAS
+    # kernel chooses, so they hold on every CPU.
+    PINNED_FINAL = "fe59f4ef9f586d9fc30e0b8869fd356ff75425b89bc78e17c6f6c723725d9515"
     PINNED_HF = [
         "0x1.ce8c3caf76a3ap-1", "0x1.dbbf2fe0b7cc5p-1", "0x1.e6f567f897c2ap-1", "0x1.db5f79421b422p-1",
-        "0x1.e3b9df4cb7ccdp-1", "0x1.f2e5e5ddcf12ep-1", "0x1.f37eff1885792p-1", "0x1.fa2d774def4aep-1",
-        "0x1.f76d767886307p-1", "0x1.f8e9fb6572fe5p-1", "0x1.faaabbca44f82p-1", "0x1.fba21b49ed3e5p-1",
+        "0x1.e3b9df4cb7cd1p-1", "0x1.f2e5e5ddcf132p-1", "0x1.f37eff1885796p-1", "0x1.fa2d774def4aep-1",
+        "0x1.f76d767886303p-1", "0x1.f8e9fb6572fe5p-1", "0x1.faaabbca44f82p-1", "0x1.fba21b49ed3e5p-1",
     ]
 
     @pytest.mark.parametrize("normalized", [False, True])
@@ -175,9 +175,9 @@ class TestMitigateIterative:
     # cell at base seeds 0, 1 and 2: the simulator's tallies hand their
     # sorted views to the engine and to both fidelities
     PINNED_WIDE = [
-        ("0x1.6fafd770d7304p-8", "0x1.01902da4168c3p-5"),
-        ("0x1.73e4e55d133e4p-8", "0x1.f9806d37435f3p-6"),
-        ("0x1.7fb9c23b204eep-8", "0x1.0866958c10d6dp-5"),
+        ("0x1.6fafd770d7304p-8", "0x1.01902da416861p-5"),
+        ("0x1.73e4e55d133e4p-8", "0x1.f9806d37435cep-6"),
+        ("0x1.7fb9c23b204eep-8", "0x1.0866958c10d68p-5"),
     ]
 
     def test_exact_bits_of_a_wide_trial(self):

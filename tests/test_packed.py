@@ -178,7 +178,33 @@ def _calls(path: Path):
             yield getattr(func, "attr", getattr(func, "id", None)), node
 
 
+BLAS_CALLS = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot"}
+
+
+def _blas_products(path: Path):
+    """(enclosing function, source) of every BLAS-style product in a
+    source file: ``@``, ``@=`` and the numpy product calls."""
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield func, ast.unparse(node)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in BLAS_CALLS:
+            yield func, ast.unparse(node)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+
+    yield from visit(ast.parse(path.read_text(encoding="utf-8")), None)
+
+
 class TestLayering:
+    def test_the_only_blas_product_is_the_vote(self):
+        # a BLAS kernel's summation order depends on the CPU; the vote's
+        # product is exact for counts, and nothing else may call one
+        found = [(path.name, func, code) for path in sorted(SRC.glob("*.py")) for func, code in _blas_products(path)]
+        assert found == [("clustering.py", "_vote_rows", "w @ packed.bits[member_idx]")]
+
     def test_packed_imports_nothing_from_the_package(self):
         tree = ast.parse((SRC / "_packed.py").read_text(encoding="utf-8"))
         for node in ast.walk(tree):

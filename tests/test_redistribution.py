@@ -185,7 +185,9 @@ class TestMassConservation:
 class TestEqualCentroids:
     """Centroids with equal rows merge into one output entry at the first
     gaining centroid's place; iteration order and bits recorded from the
-    per-centroid implementation that preceded the merged pass result."""
+    per-centroid implementation that preceded the merged pass result, and
+    the unobserved duplicate's merged 0000 re-recorded from the BLAS-free
+    pass (2 ulps lower: it is now exactly twice 1111)."""
 
     CASES = {
         "observed_duplicate": (
@@ -199,7 +201,7 @@ class TestEqualCentroids:
             ["0000", "1111", "0000"], [0.4, 0.3, 0.2], 0.15,
             [("0001", "0x1.601ef73c0c1fdp-2"), ("0010", "0x1.f37121ab4b72cp-3"),
              ("1101", "0x1.215aaf78feef7p-4"), ("1110", "0x1.5d7a24894c448p-3"),
-             ("0000", "0x1.d2e1ef73c0c20p-4"), ("1111", "0x1.d2e1ef73c0c1ep-5")],
+             ("0000", "0x1.d2e1ef73c0c1ep-4"), ("1111", "0x1.d2e1ef73c0c1ep-5")],
         ),
         # the zero-weight 0000 gains nothing, so 1111 is the first gaining
         # centroid and comes before the 0000 its weighted duplicate brings
