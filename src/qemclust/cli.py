@@ -17,6 +17,7 @@ from . import io
 from .distributions import hellinger_fidelity, improvement_ratio, normalized_entropy
 from .engine import MitigationConfig, SweepCell, mitigate, sweep
 from .estimator import cross_validate, fit_tree_ensemble, make_synthetic_corpus
+from .noise import RATE_MAX, RATE_RANGE, is_rate
 from .noise import NoiseSpec, SyntheticSpec, apply_bitflip, generate_ideal, sample_shots
 
 EXIT_OK = 0
@@ -48,7 +49,7 @@ def _ranged(parse, ok, expected: str):
 
 
 _SEED = _ranged(int, lambda v: v >= 0, "be a non-negative integer")
-_RATE = _ranged(float, lambda v: 0.0 <= v <= 0.5, "lie in [0, 0.5]")
+_RATE = _ranged(float, is_rate, f"lie in {RATE_RANGE}")
 _SCALE = _ranged(float, lambda v: 0.0 <= v < float("inf"), "be a finite number >= 0")
 _THRESHOLD = _ranged(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 _COUNT = _ranged(int, lambda v: v >= 1, "be at least 1")
@@ -146,13 +147,25 @@ def _read_features(args, entropy: float | None = None):
         raise io.DataFormatError(f"{source}: {exc}") from None
 
 
+def _predict_rate(args, entropy: float | None = None) -> float:
+    """The ``--model`` estimate for ``--features``; a model that cannot
+    read the feature vector is a data error naming the model file."""
+    model = io.load_model(args.model)
+    features = _read_features(args, entropy)
+    try:
+        return model.predict(features)
+    except ValueError as exc:
+        raise io.DataFormatError(f"{args.model}: {exc}") from None
+
+
 def _resolve_rate(args, noisy) -> float:
-    if args.p is not None:
-        rate = args.p
-    else:
-        model = io.load_model(args.model)
-        rate = model.predict(_read_features(args, entropy=normalized_entropy(noisy)))
-    return min(rate * args.p_scale, 0.5)
+    """The rate times ``--p-scale``, clamped to the rate range; a clamp is
+    reported on stderr."""
+    rate = args.p if args.p is not None else _predict_rate(args, normalized_entropy(noisy))
+    requested = rate * args.p_scale
+    if requested > RATE_MAX:
+        print(f"warning: requested rate {requested!r} is clamped to {RATE_MAX!r}", file=sys.stderr)
+    return min(requested, RATE_MAX)
 
 
 def _cmd_mitigate(args) -> int:
@@ -164,9 +177,13 @@ def _cmd_mitigate(args) -> int:
         if args.model is None and getattr(args, flag) is not None:
             raise _UsageError(f"--{flag} requires --model")
     noisy, _meta = io.read_counts(args.counts)
+    ideal = io.read_any_distribution(args.hf_against) if args.hf_against else None
+    if ideal is not None and ideal.width != noisy.width:
+        raise io.DataFormatError(
+            f"{args.hf_against}: width {ideal.width} does not match width {noisy.width} of {args.counts}"
+        )
     rate = _resolve_rate(args, noisy)
     cfg = MitigationConfig(flip_rate=rate, stop_threshold=args.delta, fixed_k=args.fixed_k)
-    ideal = io.read_any_distribution(args.hf_against) if args.hf_against else None
     report = mitigate(noisy, cfg)
     if args.out:
         io.write_distribution(report.final, args.out)
@@ -274,8 +291,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    model = io.load_model(args.model)
-    print(format(model.predict(_read_features(args)), ".10g"))
+    print(format(_predict_rate(args), ".10g"))
     return EXIT_OK
 
 

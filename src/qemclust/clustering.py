@@ -17,6 +17,7 @@ import numpy as np
 
 from ._packed import PackedDistribution
 from .distributions import BitString, OutcomeDistribution, rows_to_strings, strings_to_rows
+from .noise import check_rate
 
 __all__ = [
     "ClusterConfig",
@@ -43,8 +44,7 @@ def outlier_threshold(width: int, flip_rate: float) -> int:
     """
     if width < 1:
         raise ValueError(f"width must be positive, got {width}")
-    if not 0.0 <= flip_rate <= 0.5:
-        raise ValueError(f"flip_rate must lie in [0, 0.5], got {flip_rate}")
+    check_rate(flip_rate)
     return math.ceil(round(2.0 * width * flip_rate * (1.0 - flip_rate), 12))
 
 
@@ -57,8 +57,7 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
-        if not 0.0 <= self.flip_rate <= 0.5:
-            raise ValueError(f"flip_rate must lie in [0, 0.5], got {self.flip_rate}")
+        check_rate(self.flip_rate)
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be positive, got {self.max_rounds}")
 

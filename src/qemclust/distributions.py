@@ -159,13 +159,11 @@ class OutcomeDistribution:
         return self._view
 
     @classmethod
-    def from_counts(cls, counts: Mapping[str, float], width: int | None = None) -> "OutcomeDistribution":
-        """Build from textual keys, inferring the width when not given."""
-        if width is None:
-            if not counts:
-                raise ValueError("cannot infer width from an empty mapping")
-            width = len(next(iter(counts)))
-        return cls(width, {BitString.from_text(k): v for k, v in counts.items()})
+    def from_counts(cls, counts: Mapping[str, float]) -> "OutcomeDistribution":
+        """Build from textual keys; the first key's length is the width."""
+        if not counts:
+            raise ValueError("cannot infer width from an empty mapping")
+        return cls(len(next(iter(counts))), {BitString.from_text(k): v for k, v in counts.items()})
 
     @property
     def width(self) -> int:
@@ -208,9 +206,9 @@ class OutcomeDistribution:
         out._total = 1.0
         return out
 
-    def is_integral(self, tol: float = 1e-9) -> bool:
-        """True when every weight is (numerically) a nonnegative integer."""
-        return bool(np.all(np.abs(self._weights - np.rint(self._weights)) <= tol))
+    def is_integral(self) -> bool:
+        """True when every weight is within 1e-9 of a nonnegative integer."""
+        return bool(np.all(np.abs(self._weights - np.rint(self._weights)) <= 1e-9))
 
 
 def _left_to_right_sum(values) -> float:
@@ -264,8 +262,8 @@ def hellinger_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     return min(acc * acc, 1.0)
 
 
-def improvement_ratio(hf_mitigated: float, hf_noisy: float, epsilon: float = 0.01) -> float:
-    """Regularized fidelity ratio (hf_mitigated + eps) / (hf_noisy + eps).
+def improvement_ratio(hf_mitigated: float, hf_noisy: float) -> float:
+    """Regularized fidelity ratio (hf_mitigated + 0.01) / (hf_noisy + 0.01).
 
     Values above 1 mean mitigation helped. The regularization constant
     keeps ratios finite when fidelities approach zero and makes geometric
@@ -273,6 +271,4 @@ def improvement_ratio(hf_mitigated: float, hf_noisy: float, epsilon: float = 0.0
     """
     if not 0.0 <= hf_mitigated <= 1.0 or not 0.0 <= hf_noisy <= 1.0:
         raise ValueError("fidelities must lie in [0, 1]")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return (hf_mitigated + epsilon) / (hf_noisy + epsilon)
+    return (hf_mitigated + 0.01) / (hf_noisy + 0.01)

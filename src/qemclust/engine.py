@@ -33,7 +33,7 @@ from .distributions import (
     improvement_ratio,
     rows_to_strings,
 )
-from .noise import NoiseSpec, SyntheticSpec, apply_bitflip, generate_ideal, sample_shots
+from .noise import NoiseSpec, SyntheticSpec, apply_bitflip, check_rate, generate_ideal, sample_shots
 from .redistribution import _mitigated_distribution, _redistribute_packed
 
 __all__ = [
@@ -63,8 +63,7 @@ class MitigationConfig:
     max_rounds: int = 100
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.flip_rate <= 0.5:
-            raise ValueError(f"flip_rate must lie in [0, 0.5], got {self.flip_rate}")
+        check_rate(self.flip_rate)
         if not 0.0 < self.stop_threshold < 1.0:
             raise ValueError(
                 f"stop_threshold must lie in (0, 1), got {self.stop_threshold}"
@@ -227,7 +226,7 @@ def trial_seed(base_seed: int, trial: int) -> int:
     return base_seed ^ trial
 
 
-def run_trial(cell: SweepCell, trial: int, base_seed: int, epsilon: float = 0.01) -> ExperimentRecord:
+def run_trial(cell: SweepCell, trial: int, base_seed: int) -> ExperimentRecord:
     """Generate one synthetic instance for the cell, mitigate and score it."""
     seed = trial_seed(base_seed, trial)
     try:
@@ -251,7 +250,7 @@ def run_trial(cell: SweepCell, trial: int, base_seed: int, epsilon: float = 0.01
             seed=seed,
             hf_noisy=hf_noisy,
             hf_mitigated=hf_mit,
-            improvement=improvement_ratio(hf_mit, hf_noisy, epsilon),
+            improvement=improvement_ratio(hf_mit, hf_noisy),
             k_used=report.k_used,
             terminated_by=report.terminated_by,
             wall_time_s=wall,
@@ -271,13 +270,7 @@ def run_trial(cell: SweepCell, trial: int, base_seed: int, epsilon: float = 0.01
         )
 
 
-def sweep(
-    cells: Iterable[SweepCell],
-    trials: int,
-    base_seed: int = 0,
-    epsilon: float = 0.01,
-    workers: int = 1,
-) -> list[ExperimentRecord]:
+def sweep(cells: Iterable[SweepCell], trials: int, base_seed: int = 0, workers: int = 1) -> list[ExperimentRecord]:
     """Run every (cell, trial) pair; optionally across a process pool.
 
     Results are returned in canonical (cell order, trial) order regardless
@@ -289,11 +282,11 @@ def sweep(
     cells = list(cells)
     jobs = [(cell, t) for cell in cells for t in range(trials)]
     if workers <= 1:
-        return [run_trial(cell, t, base_seed, epsilon) for cell, t in jobs]
+        return [run_trial(cell, t, base_seed) for cell, t in jobs]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_trial, cell, t, base_seed, epsilon) for cell, t in jobs]
+        futures = [pool.submit(run_trial, cell, t, base_seed) for cell, t in jobs]
         return [f.result() for f in futures]
 
 

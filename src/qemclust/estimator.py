@@ -25,7 +25,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._packed import match_rows
 from .distributions import OutcomeDistribution, normalized_entropy
+from .noise import RATE_MAX, RATE_MIN  # re-exported: labels and predictions lie in this range
 from .noise import NoiseSpec, SyntheticSpec, _distinct_rows, apply_bitflip, generate_ideal, sample_shots
 
 __all__ = [
@@ -54,11 +56,6 @@ FEATURE_NAMES = (
     "entropy",
     "esp",
 )
-
-# Symmetric bit-flip rates above 0.5 are unidentifiable, so both labels
-# and predictions are clamped to this range.
-RATE_MIN = 0.0
-RATE_MAX = 0.5
 
 
 @dataclass(frozen=True)
@@ -150,18 +147,12 @@ def effective_error_rate(ideal: OutcomeDistribution, noisy: OutcomeDistribution)
     if ideal.width != noisy.width:
         raise ValueError(f"width mismatch: {ideal.width} != {noisy.width}")
     ideal_total, noisy_total = ideal._mass(), noisy._mass()
-    view = ideal._sorted()
+    view, noisy_view = ideal._sorted(), noisy._sorted()
     mode = np.argmax(view.weights)  # the first maximum in value order
-    noisy_rows, noisy_weights = noisy._arrays()
-    hit = (noisy_rows == view.bits[mode]).all(axis=1)
+    row = match_rows(noisy_view.words, view.words[mode : mode + 1])[0]
     p_ideal = float(view.weights[mode]) / ideal_total
-    p_noisy = float(noisy_weights[hit.argmax()]) / noisy_total if hit.any() else 0.0
-    if p_noisy <= 0.0:
-        return RATE_MAX
-    ratio = p_noisy / p_ideal
-    if ratio >= 1.0:
-        return RATE_MIN
-    return min(max(1.0 - ratio ** (1.0 / ideal.width), RATE_MIN), RATE_MAX)
+    p_noisy = float(noisy_view.weights[row]) / noisy_total if row >= 0 else 0.0
+    return min(max(1.0 - (p_noisy / p_ideal) ** (1.0 / ideal.width), RATE_MIN), RATE_MAX)
 
 
 @dataclass(frozen=True)
@@ -217,6 +208,9 @@ class TreeEnsemble:
         return np.clip(acc / len(self.trees), RATE_MIN, RATE_MAX)
 
     def predict(self, features: CircuitFeatures) -> float:
+        """The rate for one circuit; the model's columns must be ``FEATURE_NAMES``."""
+        if self.feature_names != FEATURE_NAMES:
+            raise ValueError(f"model features {list(self.feature_names)} are not {list(FEATURE_NAMES)}")
         return float(self.predict_matrix(features.to_vector()[None, :])[0])
 
     def feature_importance(self) -> dict[str, float]:
@@ -530,18 +524,16 @@ def _spiked_ideal(width: int, rng: np.random.Generator) -> OutcomeDistribution:
     return OutcomeDistribution._from_rows(rows, weights, words)
 
 
-def make_synthetic_corpus(
-    n_samples: int, seed: int = 0, shots: int = 16384
-) -> tuple[list[CircuitFeatures], np.ndarray]:
+def make_synthetic_corpus(n_samples: int, seed: int = 0) -> tuple[list[CircuitFeatures], np.ndarray]:
     """Desk-scale training corpus from the bit-flip simulator.
 
     Each sample draws a circuit profile (qubit count, measured subset,
     gate counts) and a calibration snapshot from documented ranges, sets
     the true flip rate from the per-measured-qubit success budget implied
-    by the ESP, then labels the sample by running the simulator and
-    inverting the mode damping. Gate-count ranges: 2q 5-150, sx 10-300,
-    x 0-40, rz 20-400; error ranges: 2q 0.002-0.02, sx/x 1e-4-1e-3,
-    rz 0 (virtual), readout 0.005-0.05.
+    by the ESP, then labels the sample by running the simulator on 16,384
+    shots and inverting the mode damping. Gate-count ranges: 2q 5-150,
+    sx 10-300, x 0-40, rz 20-400; error ranges: 2q 0.002-0.02, sx/x
+    1e-4-1e-3, rz 0 (virtual), readout 0.005-0.05.
 
     Three quarters of the ideals are low-entropy (1-4 dominant strings);
     the rest are spiked high-entropy outputs, which keeps the entropy
@@ -577,7 +569,7 @@ def make_synthetic_corpus(
             ideal = _spiked_ideal(num_meas, rng)
         else:
             ideal = generate_ideal(SyntheticSpec(num_meas, int(rng.integers(1, 5)), rng))
-        noisy = apply_bitflip(sample_shots(ideal, shots, rng), NoiseSpec(true_rate, rng))
+        noisy = apply_bitflip(sample_shots(ideal, 16384, rng), NoiseSpec(true_rate, rng))
         features.append(
             CircuitFeatures(
                 num_qubits=num_qubits,

@@ -480,8 +480,18 @@ def load_model(path: str) -> TreeEnsemble:
         for key, v in params.items():
             if not _is_int(v):
                 raise ValueError(f"hyperparameter {key} must be an integer")
+        trees = _read_trees(doc["trees"], len(names))
+        rules = {
+            "n_trees": (params["n_trees"] == len(trees), f"equal the number of trees, {len(trees)}"),
+            "min_samples_leaf": (params["min_samples_leaf"] >= 1, "be >= 1"),
+            "max_features": (1 <= params["max_features"] <= len(names), f"lie in [1, {len(names)}]"),
+            "seed": (params["seed"] >= 0, "be >= 0"),
+        }
+        for key, (ok, rule) in rules.items():
+            if not ok:
+                raise ValueError(f"hyperparameter {key} must {rule}, got {params[key]}")
         return TreeEnsemble(
-            trees=_read_trees(doc["trees"], len(names)),
+            trees=trees,
             feature_names=tuple(names),
             importances=tuple(map(float, importances)),
             **params,

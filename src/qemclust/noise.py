@@ -16,12 +16,33 @@ from ._packed import PackedDistribution, _tally
 from .distributions import OutcomeDistribution
 
 __all__ = [
+    "RATE_MIN",
+    "RATE_MAX",
+    "is_rate",
+    "check_rate",
     "SyntheticSpec",
     "NoiseSpec",
     "generate_ideal",
     "sample_shots",
     "apply_bitflip",
 ]
+
+
+# Symmetric bit-flip rates above 0.5 are unidentifiable: p and 1 - p are one
+# channel up to relabelling the bits. Rates are taken and predicted in this range.
+RATE_MIN, RATE_MAX = 0.0, 0.5
+RATE_RANGE = f"[{RATE_MIN:g}, {RATE_MAX:g}]"
+
+
+def is_rate(value: float) -> bool:
+    """Whether ``value`` lies in [RATE_MIN, RATE_MAX]; NaN does not."""
+    return RATE_MIN <= value <= RATE_MAX
+
+
+def check_rate(value: float) -> None:
+    """Raise ValueError, with the package's one rate message, unless ``is_rate(value)``."""
+    if not is_rate(value):
+        raise ValueError(f"flip_rate must lie in {RATE_RANGE}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +72,7 @@ class NoiseSpec:
     seed: object = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.flip_rate <= 0.5:
-            raise ValueError(f"flip_rate must lie in [0, 0.5], got {self.flip_rate}")
+        check_rate(self.flip_rate)
 
 
 def _distinct_rows(rng: np.random.Generator, width: int, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,7 @@ from ._packed import PackedDistribution
 from .clustering import ClusterModel
 from .distributions import BitString, OutcomeDistribution, _left_to_right_sum, hamming_distance
 from .distributions import rows_to_strings, strings_to_rows
+from .noise import check_rate
 
 __all__ = [
     "RedistributionResult",
@@ -59,8 +60,7 @@ def joint_probability(b: BitString, centroid: BitString, cluster_weight: float, 
     """
     if b.width != centroid.width:
         raise ValueError(f"width mismatch: {b.width} != {centroid.width}")
-    if not 0.0 <= flip_rate <= 0.5:
-        raise ValueError(f"flip_rate must lie in [0, 0.5], got {flip_rate}")
+    check_rate(flip_rate)
     if not 0.0 <= cluster_weight <= 1.0:
         raise ValueError(f"cluster_weight must lie in [0, 1], got {cluster_weight}")
     table = _likelihood_table(b.width, flip_rate)
@@ -82,8 +82,7 @@ def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: flo
     """
     if noisy.width != model.width:
         raise ValueError(f"width mismatch: {noisy.width} != {model.width}")
-    if not 0.0 <= flip_rate <= 0.5:
-        raise ValueError(f"flip_rate must lie in [0, 0.5], got {flip_rate}")
+    check_rate(flip_rate)
     if not model.centroids:
         raise ValueError("cluster model has no centroids")
 

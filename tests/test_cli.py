@@ -21,6 +21,7 @@ from qemclust import io as qio
 from qemclust import (
     FEATURE_NAMES,
     BitString,
+    CalibrationSnapshot,
     NoiseSpec,
     OutcomeDistribution,
     SyntheticSpec,
@@ -302,6 +303,17 @@ class TestFeatureAndCalibrationFiles:
         path.write_text(json.dumps(self.FEATURES))
         assert qio.read_features_file(str(path))["measured_qubits"] == [0, 1]
 
+    def test_calibration_round_trip(self, tmp_path):
+        calibration = CalibrationSnapshot(
+            gate_errors={"2q": 0.013, "sx": 0.00021, "x": 1 / 3, "rz": 0.0},
+            readout_errors=(0.01, 0.1 + 0.2, 0.0, 1.0),
+        )
+        first, second = tmp_path / "c1.json", tmp_path / "c2.json"
+        qio.write_calibration(calibration, str(first))
+        assert qio.read_calibration(str(first)) == calibration
+        qio.write_calibration(qio.read_calibration(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
+
     def test_boolean_calibration_rate_rejected(self, tmp_path):
         path = tmp_path / "calib.json"
         path.write_text(json.dumps({
@@ -414,12 +426,48 @@ class TestModelFiles:
         ({"feature_importances": [0.5, True] * 4}, "feature_importances must be a list of numbers"),
         ({"feature_importances": [0.5] * 7}, "one per feature name"),
         ({"feature_importances": {"entropy": 1.0}}, "feature_importances must be a list of numbers"),
+        ({"n_trees": -7}, "hyperparameter n_trees must equal the number of trees, 2, got -7"),
+        ({"n_trees": 3}, "hyperparameter n_trees must equal the number of trees, 2, got 3"),
+        ({"min_samples_leaf": 0}, "hyperparameter min_samples_leaf must be >= 1, got 0"),
+        ({"max_features": 99}, "hyperparameter max_features must lie in [1, 8], got 99"),
+        ({"max_features": 0}, "hyperparameter max_features must lie in [1, 8], got 0"),
+        ({"seed": -3}, "hyperparameter seed must be >= 0, got -3"),
     ], ids=["n_trees-float", "min_samples_leaf-bool", "max_features-string", "seed-float", "names-string",
-            "names-number", "importances-strings", "importances-bool", "importances-short", "importances-object"])
+            "names-number", "importances-strings", "importances-bool", "importances-short", "importances-object",
+            "n_trees-negative", "n_trees-miscounted", "min_samples_leaf-zero", "max_features-high",
+            "max_features-zero", "seed-negative"])
     def test_malformed_model_fields_are_a_data_error(self, tmp_path, capsys, fields, message):
         rc, out, err, model = self._estimate(tmp_path, capsys, self.TREES, **fields)
         assert rc == 2 and out == ""
         assert f"{model}: malformed model file (" in err and message in err
+
+    @pytest.mark.parametrize("names", [
+        [*FEATURE_NAMES[:6], "esp", "entropy"],
+        list(FEATURE_NAMES[:7]),
+    ], ids=["entropy-esp-swapped", "seven-names"])
+    def test_model_for_other_features_is_a_data_error(self, tmp_path, capsys, names):
+        fields = {"feature_names": names, "feature_importances": [0.0] * len(names), "max_features": 2}
+        rc, out, err, model = self._estimate(tmp_path, capsys, self.TREES, **fields)
+        assert rc == 2 and out == ""
+        assert f"{model}: model features {names} are not {list(FEATURE_NAMES)}" in err
+
+    def test_mitigate_with_a_model_for_other_features_is_a_data_error(self, worked_counts, tmp_path, capsys):
+        noisy_path, _ = worked_counts
+        names = [*FEATURE_NAMES[:6], "esp", "entropy"]
+        self._estimate(tmp_path, capsys, self.TREES, feature_names=names)
+        model, features, out = tmp_path / "model.json", tmp_path / "features.json", tmp_path / "o.json"
+        rc = main(["mitigate", str(noisy_path), "--model", str(model), "--features", str(features), "--out", str(out)])
+        assert rc == 2 and f"{model}: model features" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_for_other_features_still_predicts_a_matrix(self, tmp_path):
+        X = np.array([[0.0] * 6 + [0.7, 0.9], [0.0] * 6 + [0.3, 0.9]])
+        model = fit_tree_ensemble(X[:, :7], [0.01, 0.03], n_trees=2, seed=0)
+        path = tmp_path / "model.json"
+        qio.save_model(model, str(path))
+        loaded = qio.load_model(str(path))
+        assert loaded.feature_names == tuple(f"f{i}" for i in range(7))
+        assert np.array_equal(loaded.predict_matrix(X[:, :7]), model.predict_matrix(X[:, :7]))
 
 
 class TestSimulateCommand:
@@ -571,6 +619,35 @@ class TestMitigateCommand:
         ])
         assert rc == 0
         assert json.loads(report.read_text())["flip_rate"] == pytest.approx(0.15)
+
+    def test_clamped_rate_is_reported(self, worked_counts, capsys):
+        noisy_path, _ = worked_counts
+        assert main(["mitigate", str(noisy_path), "--p", "0.5"]) == 0
+        at_max = capsys.readouterr()
+        assert main(["mitigate", str(noisy_path), "--p", "0.4", "--p-scale", "1.5"]) == 0
+        clamped = capsys.readouterr()
+        assert at_max.err == "" and clamped.out == at_max.out
+        assert clamped.err == f"warning: requested rate {0.4 * 1.5!r} is clamped to 0.5\n"
+
+    def test_unclamped_rate_is_not_reported(self, worked_counts, tmp_path, capsys):
+        noisy_path, _ = worked_counts
+        report = tmp_path / "r.json"
+        assert main(["mitigate", str(noisy_path), "--p", "0.25", "--p-scale", "2", "--report", str(report)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert json.loads(report.read_text())["flip_rate"] == 0.5
+
+    def test_hf_against_width_is_checked_before_any_work(self, worked_counts, tmp_path, capsys, monkeypatch):
+        noisy_path, _ = worked_counts
+        ideal = tmp_path / "ideal10.json"
+        qio.write_distribution(OutcomeDistribution.from_counts({"0" * 10: 1.0}), str(ideal))
+        monkeypatch.setattr(cli, "mitigate", lambda *args: pytest.fail("mitigated before the width check"))
+        out, report = tmp_path / "o.json", tmp_path / "r.json"
+        argv = ["mitigate", str(noisy_path), "--p", "0.15", "--hf-against", str(ideal),
+                "--out", str(out), "--report", str(report)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {ideal}: width 10 does not match width 6 of {noisy_path}\n"
+        assert not out.exists() and not report.exists()
 
     def test_requires_exactly_one_rate_source(self, worked_counts):
         noisy_path, _ = worked_counts

@@ -16,19 +16,26 @@ from oracles import (
 
 from qemclust import (
     BitString,
+    ClusterConfig,
+    MitigationConfig,
     NoiseSpec,
     OutcomeDistribution,
     SweepCell,
     SyntheticSpec,
     apply_bitflip,
+    cluster,
     generate_ideal,
     hamming_distance,
     hellinger_fidelity,
+    joint_probability,
     make_synthetic_corpus,
     normalized_entropy,
+    outlier_threshold,
+    redistribute,
     run_trial,
     sample_shots,
 )
+from qemclust import io as qio
 from qemclust._packed import _pack_words, _tally
 from qemclust.cli import main
 from qemclust.estimator import _spiked_ideal
@@ -311,3 +318,60 @@ class TestNoiseSpecValidation:
             NoiseSpec(0.6)
         with pytest.raises(ValueError):
             NoiseSpec(-0.01)
+
+
+class TestRateRule:
+    """Every entry point that takes a bit-flip rate applies the one rule of
+    ``noise``: [0, 0.5], NaN excluded, with one message."""
+
+    COUNTS = OutcomeDistribution.from_counts({"0000": 50, "0001": 7, "0100": 5, "1111": 30, "1110": 8})
+    MODEL = cluster(COUNTS, ClusterConfig(k=2, flip_rate=0.1))
+    LIBRARY = {
+        "NoiseSpec": lambda p: NoiseSpec(p),
+        "ClusterConfig": lambda p: ClusterConfig(k=1, flip_rate=p),
+        "MitigationConfig": lambda p: MitigationConfig(flip_rate=p),
+        "outlier_threshold": lambda p: outlier_threshold(4, p),
+        "joint_probability": lambda p: joint_probability(B("0001"), B("0000"), 0.5, p),
+        "redistribute": lambda p: redistribute(TestRateRule.COUNTS, TestRateRule.MODEL, p),
+    }
+    CLI = ["simulate --p", "mitigate --p", "sweep --p", "sweep --pe"]
+    REJECTED = ["0.5000001", "-0.1", "nan"]
+    ACCEPTED = ["0.0", "0.5"]
+
+    @staticmethod
+    def _argv(tmp_path, entry: str, text: str) -> list[str]:
+        command, flag = entry.split()
+        if command == "simulate":
+            out = ["--out-ideal", str(tmp_path / "i.json"), "--out-noisy", str(tmp_path / "n.json")]
+            return ["simulate", "--n", "4", "--d", "2", "--shots", "64", "--p", text, *out]
+        if command == "mitigate":
+            counts = tmp_path / "counts.json"
+            qio.write_counts(TestRateRule.COUNTS, str(counts))
+            return ["mitigate", str(counts), "--p", text]
+        rates = ["--p", text] if flag == "--p" else ["--p", "0.1", "--pe", text]
+        grid = ["--n", "4", "--d", "2", "--shots", "64", "--trials", "1"]
+        return ["sweep", *grid, *rates, "--out", str(tmp_path / "sweep.csv")]
+
+    @pytest.mark.parametrize("text", REJECTED)
+    @pytest.mark.parametrize("entry", LIBRARY)
+    def test_library_rejects(self, entry, text):
+        with pytest.raises(ValueError) as err:
+            self.LIBRARY[entry](float(text))
+        assert str(err.value) == f"flip_rate must lie in [0, 0.5], got {float(text)}"
+
+    @pytest.mark.parametrize("text", ACCEPTED)
+    @pytest.mark.parametrize("entry", LIBRARY)
+    def test_library_accepts(self, entry, text):
+        self.LIBRARY[entry](float(text))
+
+    @pytest.mark.parametrize("text", REJECTED)
+    @pytest.mark.parametrize("entry", CLI)
+    def test_cli_rejects(self, tmp_path, capsys, entry, text):
+        assert main(self._argv(tmp_path, entry, text)) == 1
+        assert f"argument {entry.split()[1]}: must lie in [0, 0.5], got {text}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ACCEPTED)
+    @pytest.mark.parametrize("entry", CLI)
+    def test_cli_accepts(self, tmp_path, capsys, entry, text):
+        assert main(self._argv(tmp_path, entry, text)) == 0
+        assert capsys.readouterr().err == ""

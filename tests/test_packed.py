@@ -205,6 +205,17 @@ class TestLayering:
         found = [(path.name, func, code) for path in sorted(SRC.glob("*.py")) for func, code in _blas_products(path)]
         assert found == [("clustering.py", "_vote_rows", "w @ packed.bits[member_idx]")]
 
+    def test_the_rate_bound_has_one_owner(self):
+        # noise owns the bit-flip rate range (RATE_MAX, is_rate, check_rate)
+        found = [
+            (path.name, node.lineno)
+            for path in sorted(SRC.glob("*.py"))
+            if path.name != "noise.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 0.5
+        ]
+        assert found == []
+
     def test_packed_imports_nothing_from_the_package(self):
         tree = ast.parse((SRC / "_packed.py").read_text(encoding="utf-8"))
         for node in ast.walk(tree):
