@@ -186,9 +186,13 @@ class PackedDistribution:
         return self._top_order
 
     def hamming_to(self, centroid_bits: np.ndarray) -> np.ndarray:
-        """(n, k) Hamming distances between every row and every centroid row."""
-        diff = self.words[:, None, :] ^ _pack_words(centroid_bits)[None, :, :]
-        return np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
+        """(n, k) Hamming distances between every row and every centroid row,
+        the ``.T`` of a (k, n) array in the cache's dtype summed word by word."""
+        cw = _pack_words(centroid_bits)
+        hd = np.zeros((len(cw), len(self)), dtype=self._columns.dtype)
+        for j in range(cw.shape[1]):
+            hd += np.bitwise_count(cw[:, j : j + 1] ^ self.words[:, j])
+        return hd.T
 
     def slots(self, centroid_bits: np.ndarray) -> np.ndarray:
         """Cache slot of each centroid row: equal rows, and only they, get
@@ -200,7 +204,7 @@ class PackedDistribution:
             if key not in self._slot:
                 fresh.setdefault(key, i)
         if fresh:
-            hd = self.hamming_to(centroid_bits[list(fresh.values())])
+            rows = self.hamming_to(centroid_bits[list(fresh.values())]).T
             used = len(self._slot)
             if used + len(fresh) > len(self._columns):
                 capacity = max(2 * len(self._columns), used + len(fresh))
@@ -208,9 +212,9 @@ class PackedDistribution:
                 grown[:used] = self._columns[:used]
                 self._columns = grown
                 self._zero_row = np.resize(self._zero_row, capacity)
-            self._columns[used : used + len(fresh)] = hd.T
-            zero = hd == 0
-            self._zero_row[used : used + len(fresh)] = np.where(zero.any(axis=0), zero.argmax(axis=0), -1)
+            self._columns[used : used + len(fresh)] = rows
+            zero = rows == 0
+            self._zero_row[used : used + len(fresh)] = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
             for j, key in enumerate(fresh):
                 self._slot[key] = used + j
         return np.array([self._slot[key] for key in keys], dtype=np.intp)

@@ -4,7 +4,9 @@ Clusters are seeded from the highest-weight bit-strings, shots are
 assigned to the nearest centroid in Hamming distance, strings farther
 than the noise-derived outlier threshold stay unassigned, and centroids
 are updated by a shot-weighted per-qubit majority vote until they stop
-moving. Every tie-break is a total order, so the result is deterministic.
+moving: a round reads the run's (k, n) distance cache and votes every
+cluster from one (k, n) weight-share product. Every tie-break is a total
+order, so the result is deterministic.
 """
 
 from __future__ import annotations
@@ -118,32 +120,36 @@ def qubitwise_majority_vote(
     if incumbent is not None and incumbent.width != width:
         raise ValueError("incumbent width does not match members")
     packed = PackedDistribution(dist)
-    tie_row = strings_to_rows([BitString(0, width) if incumbent is None else incumbent], width)[0]
-    return rows_to_strings(_vote_rows(packed, np.arange(len(packed)), tie_row)[None, :])[0]
+    tie_row = strings_to_rows([BitString(0, width) if incumbent is None else incumbent], width)
+    n = len(packed)
+    return rows_to_strings(_vote(packed, np.arange(n), np.array([0, n]), np.array([packed.total]), tie_row))[0]
 
 
-def _vote_rows(packed: PackedDistribution, member_idx: np.ndarray, incumbent: np.ndarray) -> np.ndarray:
-    w = packed.weights[member_idx]
+def _vote(
+    packed: PackedDistribution, members: np.ndarray, bounds: np.ndarray, totals: np.ndarray, incumbents: np.ndarray
+) -> np.ndarray:
+    """Per-qubit majority row of every cluster ``members[bounds[i]:bounds[i + 1]]``
+    of weight ``totals[i]``, exact ties broken by ``incumbents[i]``."""
+    share = np.zeros((len(incumbents), len(packed)))
+    share[np.repeat(np.arange(len(incumbents)), np.diff(bounds)), members] = packed.weights[members]
     # the one BLAS product: exact for counts, so only an exact near-tie of a
-    # probability vote can depend on the kernel. Slower on a 2-vCPU AVX-512
-    # x86_64: np.add.reduceat (2.2 against 1.0 ms, 8,000 rows of width 100,
-    # two clusters) and einsum (5.2 against 3.3 us, one 12-row cluster)
-    ones = w @ packed.bits[member_idx]
-    total = w.sum()
+    # probability vote can depend on the kernel's summation order
     with np.errstate(over="ignore"):  # twice a sum past half the float range is inf, which still compares right
-        return np.where(ones * 2 > total, 1, np.where(ones * 2 < total, 0, incumbent)).astype(np.uint8)
+        twice, total = 2 * (share @ packed.bits.astype(np.float64)), totals[:, None]
+        return np.where(twice > total, 1, np.where(twice < total, 0, incumbents)).astype(np.uint8)
 
 
 def _assign(
-    packed: PackedDistribution, centroids: np.ndarray, theta: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest centroid and outlier flag of every row, plus the members of
-    each cluster: the non-outlier rows, stably sorted by cluster, so
-    cluster ``i`` is ``members[bounds[i]:bounds[i + 1]]`` in row order."""
-    k = len(centroids)
+    packed: PackedDistribution, slots: np.ndarray, theta: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest centroid (``slots[i]`` caches centroid ``i``) and outlier flag
+    of every row, the members of each cluster: the non-outlier rows, stably
+    sorted by cluster, so cluster ``i`` is ``members[bounds[i]:bounds[i + 1]]``
+    in row order, and each cluster's weight, its members' pairwise sum."""
+    k = len(slots)
     # distance * k + centroid index: the smallest key per row is the
     # nearest centroid, ties resolved to the lowest index
-    key = packed.columns(packed.slots(centroids)).astype(np.min_scalar_type((packed.width + 1) * k))
+    key = packed.columns(slots).astype(np.min_scalar_type((packed.width + 1) * k))
     key *= k
     key += np.arange(k, dtype=key.dtype)[:, None]
     first = key.min(axis=0)
@@ -154,42 +160,38 @@ def _assign(
     labels = nearest[kept].astype(np.min_scalar_type(k))
     members = kept[np.argsort(labels, kind="stable")]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=k))])
-    return nearest, outlier, members, bounds
+    w = packed.weights[members]
+    totals = np.array([w[a:b].sum() for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
+    return nearest, outlier, members, bounds, totals
 
 
 def _cluster_packed(
     packed: PackedDistribution, k: int, theta: int, max_rounds: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool, int, np.ndarray]:
     """Core loop over the packed arrays.
 
     Returns (centroid_bits, cluster_weights, nearest, outlier_mask,
-    converged, rounds); ``nearest`` holds the per-string cluster index,
-    meaningful where ``outlier_mask`` is False.
+    converged, rounds, slots); ``nearest`` holds the per-string cluster
+    index, meaningful where ``outlier_mask`` is False.
     """
     centroids = packed.bits[packed.top_order()[:k]].copy()
     converged = False
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        nearest, outlier, members, bounds = _assign(packed, centroids, theta)
-        new_rows = [
-            _vote_rows(packed, members[bounds[i] : bounds[i + 1]], centroids[i])
-            for i in range(len(centroids))
-            if bounds[i + 1] > bounds[i]  # an empty cluster is dropped, k shrinks
-        ]
-        if not new_rows:
+        slots = packed.slots(centroids)
+        nearest, outlier, members, bounds, totals = _assign(packed, slots, theta)
+        voted = _vote(packed, members, bounds, totals, centroids)[bounds[1:] > bounds[:-1]]  # empty clusters drop
+        if not len(voted):
             break  # every cluster starved; keep the previous centroids
-        new_centroids = np.array(new_rows, dtype=np.uint8)
-        if new_centroids.shape == centroids.shape and (new_centroids == centroids).all():
+        if voted.shape == centroids.shape and (voted == centroids).all():
             converged = True
             break
-        centroids = new_centroids
+        centroids = voted
     if not converged:
         # realign assignments with the final centroid list
-        nearest, outlier, members, bounds = _assign(packed, centroids, theta)
-    weights = np.array(
-        [packed.weights[members[bounds[i] : bounds[i + 1]]].sum() for i in range(len(centroids))]
-    ) / packed.total
-    return centroids, weights, nearest, outlier, converged, rounds
+        slots = packed.slots(centroids)
+        nearest, outlier, members, bounds, totals = _assign(packed, slots, theta)
+    return centroids, totals / packed.total, nearest, outlier, converged, rounds, slots
 
 
 def cluster(dist: OutcomeDistribution, cfg: ClusterConfig) -> ClusterModel:
@@ -203,21 +205,12 @@ def cluster(dist: OutcomeDistribution, cfg: ClusterConfig) -> ClusterModel:
         raise ValueError(f"k={cfg.k} exceeds the {len(dist)} unique bit-strings present")
     packed = PackedDistribution(dist)
     theta = outlier_threshold(dist.width, cfg.flip_rate)
-    centroid_bits, weights, nearest, outlier, converged, rounds = _cluster_packed(
-        packed, cfg.k, theta, cfg.max_rounds
-    )
-    centroids = tuple(rows_to_strings(centroid_bits))
+    bits, weights, nearest, outlier, converged, rounds, _ = _cluster_packed(packed, cfg.k, theta, cfg.max_rounds)
     strings = rows_to_strings(packed.bits)
     assignments = {strings[i]: int(nearest[i]) for i in range(len(packed)) if not outlier[i]}
     outliers = frozenset(strings[i] for i in range(len(packed)) if outlier[i])
     return ClusterModel(
-        width=dist.width,
-        centroids=centroids,
-        weights=tuple(float(w) for w in weights),
-        assignments=assignments,
-        outliers=outliers,
-        threshold=theta,
-        requested_k=cfg.k,
-        converged=converged,
-        rounds=rounds,
+        width=dist.width, centroids=tuple(rows_to_strings(bits)), weights=tuple(weights.tolist()),
+        assignments=assignments, outliers=outliers, threshold=theta, requested_k=cfg.k,
+        converged=converged, rounds=rounds,
     )

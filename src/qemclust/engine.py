@@ -161,10 +161,9 @@ def mitigate(noisy: OutcomeDistribution, cfg: MitigationConfig) -> MitigationRep
     records: list[IterationRecord] = []
     previous = noisy_view
     for k in ks:
-        centroid_bits, weights, _nearest, _outlier, converged, rounds = _cluster_packed(
+        centroid_bits, weights, _nearest, _outlier, converged, rounds, slots = _cluster_packed(
             packed, k, theta, cfg.max_rounds
         )
-        slots = packed.slots(centroid_bits)
         duplicates = len(slots) - len(set(slots.tolist()))
         arrays = _redistribute_packed(packed, slots, weights, cfg.flip_rate)
         current = _iterate(arrays)

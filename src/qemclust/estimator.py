@@ -28,7 +28,7 @@ import numpy as np
 from ._packed import match_rows
 from .distributions import OutcomeDistribution, normalized_entropy
 from .noise import RATE_MAX, RATE_MIN  # re-exported: labels and predictions lie in this range
-from .noise import NoiseSpec, SyntheticSpec, _distinct_rows, apply_bitflip, generate_ideal, sample_shots
+from .noise import RATE_RANGE, NoiseSpec, SyntheticSpec, _distinct_rows, apply_bitflip, generate_ideal, sample_shots
 
 __all__ = [
     "FEATURE_NAMES",
@@ -420,7 +420,7 @@ def fit_tree_ensemble(
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("features and labels must be finite (no NaN or infinity)")
     if np.any((y < RATE_MIN) | (y > RATE_MAX)):
-        raise ValueError(f"labels must lie in [{RATE_MIN}, {RATE_MAX}]")
+        raise ValueError(f"labels must lie in {RATE_RANGE}")
     if n_trees < 1:
         raise ValueError(f"n_trees must be positive, got {n_trees}")
     if min_samples_leaf < 1:

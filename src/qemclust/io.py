@@ -24,14 +24,13 @@ from .distributions import OutcomeDistribution
 from .engine import ExperimentRecord, SweepCell, cell_means
 from .estimator import (
     FEATURE_NAMES,
-    RATE_MAX,
-    RATE_MIN,
     CalibrationSnapshot,
     CircuitFeatures,
     TreeEnsemble,
     _Tree,
     compute_esp,
 )
+from .noise import RATE_MAX, RATE_MIN, RATE_RANGE, is_rate
 
 __all__ = [
     "DataFormatError",
@@ -372,10 +371,8 @@ def read_corpus(path: str) -> tuple[list[CircuitFeatures], np.ndarray]:
             try:
                 features.append(CircuitFeatures(*map(int, row[:6]), *map(float, row[6:8])))
                 label = float(row[8])
-                if not RATE_MIN <= label <= RATE_MAX:
-                    raise ValueError(
-                        f"effective_error_rate must lie in [{RATE_MIN}, {RATE_MAX}], got {row[8]}"
-                    )
+                if not is_rate(label):
+                    raise ValueError(f"effective_error_rate must lie in {RATE_RANGE}, got {row[8]}")
                 labels.append(label)
             except ValueError as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
@@ -458,7 +455,7 @@ def _read_trees(docs: list, n_features: int) -> tuple[_Tree, ...]:
         "a split's children must be later nodes of its tree": (feature >= 0)
         & ~((node < left) & (left < size) & (node < right) & (right < size)),
         "threshold must be finite": ~np.isfinite(threshold),
-        f"value must lie in [{RATE_MIN}, {RATE_MAX}]": ~((value >= RATE_MIN) & (value <= RATE_MAX)),
+        f"value must lie in {RATE_RANGE}": ~((value >= RATE_MIN) & (value <= RATE_MAX)),
     }
     for message, bad in faults.items():
         if bad.any():

@@ -20,6 +20,7 @@ pairwise sum of its scaled (k, n) cache row, over strings in value order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -67,12 +68,16 @@ def joint_probability(b: BitString, centroid: BitString, cluster_weight: float, 
     return float(table[hamming_distance(b, centroid)] * cluster_weight)
 
 
+@lru_cache(maxsize=64)
 def _likelihood_table(width: int, flip_rate: float) -> np.ndarray:
-    # running products, since numpy's vector power rounds differently per CPU
+    # read-only and built once per (width, rate); running products, since
+    # numpy's vector power rounds differently per CPU
     powers = np.full((2, width + 1), [[1.0 - flip_rate], [flip_rate]])
     powers[:, 0] = 1.0
     np.cumprod(powers, axis=1, out=powers)
-    return powers[0, ::-1] * powers[1]
+    table = powers[0, ::-1] * powers[1]
+    table.flags.writeable = False
+    return table
 
 
 def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: float) -> RedistributionResult:

@@ -135,12 +135,15 @@ def scalar_cluster(noisy: OutcomeDistribution, k: int, flip_rate: float, max_rou
     return ClusterModel(n, tuple(centroids), weights, assignments, outliers, theta, k, converged, rounds)
 
 
-def reference_vote_rows(packed, member_mask: np.ndarray, incumbent: np.ndarray) -> np.ndarray:
-    """Weighted per-qubit majority over the rows a boolean mask selects."""
-    w = packed.weights[member_mask]
-    ones = w @ packed.bits[member_mask]
-    total = w.sum()
-    return np.where(ones * 2 > total, 1, np.where(ones * 2 < total, 0, incumbent)).astype(np.uint8)
+def reference_votes(packed, masks: list[np.ndarray], incumbents: np.ndarray) -> np.ndarray:
+    """Weighted per-qubit majority of each boolean member mask, from one
+    (k, n) share product, the summation order of the clustering kernel."""
+    share = np.zeros((len(masks), len(packed)))
+    for i, mask in enumerate(masks):
+        share[i, mask] = packed.weights[mask]
+    ones = share @ packed.bits.astype(np.float64)
+    total = np.array([packed.weights[mask].sum() for mask in masks])[:, None]
+    return np.where(ones * 2 > total, 1, np.where(ones * 2 < total, 0, incumbents)).astype(np.uint8)
 
 
 def reference_value_order(values: list[int]) -> list[int]:
@@ -164,8 +167,8 @@ def reference_tally_rows(values: list[int]) -> tuple[list[int], list[int]]:
 
 def reference_cluster_packed(packed, k: int, theta: int, max_rounds: int):
     """The array clustering loop with a fresh distance matrix per round and
-    one boolean member mask per cluster; same return tuple as
-    ``clustering._cluster_packed``."""
+    one boolean member mask per cluster; the return tuple of
+    ``clustering._cluster_packed`` without its cache slots."""
     centroids = packed.bits[packed.top_order()[:k]].copy()
     converged = False
     rounds = 0
@@ -175,15 +178,11 @@ def reference_cluster_packed(packed, k: int, theta: int, max_rounds: int):
         hd = packed.hamming_to(centroids)
         nearest = np.argmin(hd, axis=1)
         outlier = hd[np.arange(len(packed)), nearest] > theta
-        new_rows = []
-        for i in range(len(centroids)):
-            mask = (nearest == i) & ~outlier
-            if not mask.any():
-                continue
-            new_rows.append(reference_vote_rows(packed, mask, centroids[i]))
-        if not new_rows:
+        masks = [(nearest == i) & ~outlier for i in range(len(centroids))]
+        votes = reference_votes(packed, masks, centroids)
+        new_centroids = votes[[mask.any() for mask in masks]]
+        if not len(new_centroids):
             break
-        new_centroids = np.array(new_rows, dtype=np.uint8)
         if new_centroids.shape == centroids.shape and (new_centroids == centroids).all():
             converged = True
             break

@@ -22,7 +22,7 @@ from qemclust import (
     select_initial_centroids,
 )
 from qemclust._packed import PackedDistribution, _pack_words, match_rows
-from qemclust.distributions import strings_to_rows
+from qemclust.distributions import rows_to_strings, strings_to_rows
 
 B = BitString.from_text
 
@@ -184,10 +184,14 @@ class TestCluster:
     def test_starved_clusters_are_dropped(self, monkeypatch):
         # collapse every vote onto one row to force duplicate centroids;
         # the duplicate loses all members on reassignment and is dropped
-        def collapse(packed, mask, incumbent):
-            return packed.bits[packed.top_order()[0]].copy()
+        vote = clustering._vote
 
-        monkeypatch.setattr(clustering, "_vote_rows", collapse)
+        def collapse(packed, members, bounds, totals, incumbents):
+            votes = vote(packed, members, bounds, totals, incumbents)
+            votes[:] = packed.bits[packed.top_order()[0]]
+            return votes
+
+        monkeypatch.setattr(clustering, "_vote", collapse)
         d = OutcomeDistribution.from_counts({"0000": 10, "1111": 8, "0011": 5})
         model = cluster(d, ClusterConfig(k=3, flip_rate=0.25))
         assert model.requested_k == 3
@@ -260,9 +264,52 @@ class TestDistanceCache:
         assert asked == [2, 1]
 
 
+class TestRoundVote:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_scalar_vote_per_cluster(self, data):
+        # small integer weights make exact per-qubit ties common; rows
+        # labelled -1 are outliers, and clusters may be empty
+        width = data.draw(st.integers(1, 8))
+        values = st.integers(0, (1 << width) - 1)
+        weights = data.draw(st.dictionaries(values, st.integers(1, 3), min_size=1, max_size=16))
+        packed = PackedDistribution(OutcomeDistribution(width, {BitString(v, width): w for v, w in weights.items()}))
+        k = data.draw(st.integers(1, 5))
+        labels = np.array(data.draw(st.lists(st.integers(-1, k - 1), min_size=len(packed), max_size=len(packed))))
+        kept = np.flatnonzero(labels >= 0)
+        members = kept[np.argsort(labels[kept], kind="stable")]
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(labels[kept], minlength=k))])
+        incumbents = _bit_rows(data.draw(st.lists(values, min_size=k, max_size=k)), width)
+        strings = rows_to_strings(packed.bits)
+        clusters = [{strings[r]: float(packed.weights[r]) for r in members[a:b]} for a, b in zip(bounds, bounds[1:])]
+        totals = np.array([sum(c.values()) for c in clusters], dtype=np.float64)
+        votes = clustering._vote(packed, members, bounds, totals, incumbents)
+        for vote, incumbent, cluster_members in zip(rows_to_strings(votes), rows_to_strings(incumbents), clusters):
+            want = scalar_majority_vote(cluster_members, incumbent) if cluster_members else incumbent
+            assert vote == want
+
+    def test_one_vote_per_round(self, monkeypatch):
+        calls = []
+        vote = clustering._vote
+
+        def counting(packed, members, bounds, totals, incumbents):
+            calls.append(len(incumbents))
+            return vote(packed, members, bounds, totals, incumbents)
+
+        monkeypatch.setattr(clustering, "_vote", counting)
+        # seeded at the heaviest strings, most passes converge in one round;
+        # this one takes four
+        _, noisy = _noisy_instance(8, 3, 0.4, 2048, seed=52)
+        result = clustering._cluster_packed(PackedDistribution(noisy), 4, outlier_threshold(8, 0.4), 100)
+        assert result[5] == 4
+        assert calls == [4] * 4
+
+
 class TestClusterKernelMatchesMaskedVotes:
-    """The kernel reads cached distances and votes over sorted member
-    slices; the reference recomputes distances and votes over masks."""
+    """The kernel reads cached distances and sorted member slices; the
+    reference recomputes distances and builds its members from masks.
+    Both vote with one (k, n) share product, so that probability weights
+    add in one order."""
 
     @staticmethod
     def _check(dist, k, flip_rate, max_rounds):
@@ -274,7 +321,8 @@ class TestClusterKernelMatchesMaskedVotes:
         assert got[1].tobytes() == want[1].tobytes()
         np.testing.assert_array_equal(got[2], want[2])
         np.testing.assert_array_equal(got[3], want[3])
-        assert got[4:] == want[4:]
+        assert got[4:6] == want[4:]
+        np.testing.assert_array_equal(got[6], packed.slots(got[0]))
 
     @given(st.integers(0, 10_000), st.integers(2, 12), st.sampled_from([0.05, 0.15, 0.3, 0.45]), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)

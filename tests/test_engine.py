@@ -133,9 +133,9 @@ class TestMitigateIterative:
             unseen = np.array([[1, 0, 1, 0, 1]], dtype=np.uint8)
 
             def doubled(packed, k, theta, max_rounds):
-                bits, weights, *rest = cluster_packed(packed, k, theta, max_rounds)
+                bits, weights, *rest, _slots = cluster_packed(packed, k, theta, max_rounds)
                 bits = np.vstack([bits, bits[:1], unseen, unseen])
-                return (bits, np.concatenate([weights, weights[:1], [0.3, 0.2]]), *rest)
+                return (bits, np.concatenate([weights, weights[:1], [0.3, 0.2]]), *rest, packed.slots(bits))
 
             monkeypatch.setattr(engine, "_cluster_packed", doubled)
         report = mitigate(noisy, MitigationConfig(0.1, stop_threshold=0.999))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from qemclust import (
     SyntheticSpec,
     apply_bitflip,
     cluster,
+    fit_tree_ensemble,
     generate_ideal,
     hamming_distance,
     hellinger_fidelity,
@@ -369,6 +371,31 @@ class TestRateRule:
     def test_cli_rejects(self, tmp_path, capsys, entry, text):
         assert main(self._argv(tmp_path, entry, text)) == 1
         assert f"argument {entry.split()[1]}: must lie in [0, 0.5], got {text}" in capsys.readouterr().err
+
+    def test_training_labels_are_worded_by_the_rule(self):
+        feats, labels = make_synthetic_corpus(4, seed=1)
+        with pytest.raises(ValueError) as err:
+            fit_tree_ensemble(feats, [*labels[:3], 0.6])
+        assert str(err.value) == "labels must lie in [0, 0.5]"
+
+    def test_corpus_labels_are_worded_by_the_rule(self, tmp_path):
+        feats, labels = make_synthetic_corpus(4, seed=1)
+        path = tmp_path / "corpus.csv"
+        qio.write_corpus(feats, [*labels[:3], 0.6], str(path))
+        with pytest.raises(qio.DataFormatError) as err:
+            qio.read_corpus(str(path))
+        assert str(err.value) == f"{path}: line 5: effective_error_rate must lie in [0, 0.5], got 0.6"
+
+    def test_model_values_are_worded_by_the_rule(self, tmp_path):
+        feats, labels = make_synthetic_corpus(8, seed=1)
+        path = tmp_path / "model.json"
+        qio.save_model(fit_tree_ensemble(feats, labels, n_trees=1, seed=0), str(path))
+        doc = json.loads(path.read_text())
+        doc["trees"][0]["value"][0] = 0.6
+        path.write_text(json.dumps(doc))
+        with pytest.raises(qio.DataFormatError) as err:
+            qio.load_model(str(path))
+        assert str(err.value) == f"{path}: malformed model file (tree 0 node 0: value must lie in [0, 0.5])"
 
     @pytest.mark.parametrize("text", ACCEPTED)
     @pytest.mark.parametrize("entry", CLI)

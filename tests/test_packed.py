@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_match_rows, reference_tally_rows, reference_value_order
-from qemclust import NoiseSpec, OutcomeDistribution, SyntheticSpec, apply_bitflip, generate_ideal, sample_shots
+from qemclust import BitString, NoiseSpec, OutcomeDistribution, SyntheticSpec, apply_bitflip, generate_ideal, sample_shots
 from qemclust._packed import __all__ as PACKED_EXPORTS
-from qemclust._packed import _pack_words, _tally, _unpack_words, match_rows, sorted_view
+from qemclust._packed import PackedDistribution, _pack_words, _tally, _unpack_words, match_rows, sorted_view
 from qemclust.estimator import _spiked_ideal
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qemclust"
@@ -93,6 +93,19 @@ def _ints(words: np.ndarray) -> list[int]:
     for column in words[:, 1:].T.tolist():
         values = [(v << 64) | w for v, w in zip(values, column)]
     return values
+
+
+class TestHammingMatchesPythonInts:
+    @given(st.data(), st.sampled_from([1, 63, 64, 65, 127, 128, 129, 300]))
+    @settings(max_examples=200, deadline=None)
+    def test_hamming_to(self, data, width):
+        values = st.integers(0, (1 << width) - 1)
+        observed = data.draw(st.lists(values, min_size=1, max_size=20, unique=True))
+        centroids = data.draw(st.lists(st.sampled_from(observed) | values, min_size=1, max_size=8))
+        packed = PackedDistribution(OutcomeDistribution(width, {BitString(v, width): 1.0 for v in observed}))
+        got = packed.hamming_to(_rows(centroids, width))
+        # the packed rows are in value order
+        assert got.tolist() == [[bin(a ^ c).count("1") for c in centroids] for a in sorted(observed)]
 
 
 class TestMatchRowsAtScale:
@@ -203,7 +216,7 @@ class TestLayering:
         # a BLAS kernel's summation order depends on the CPU; the vote's
         # product is exact for counts, and nothing else may call one
         found = [(path.name, func, code) for path in sorted(SRC.glob("*.py")) for func, code in _blas_products(path)]
-        assert found == [("clustering.py", "_vote_rows", "w @ packed.bits[member_idx]")]
+        assert found == [("clustering.py", "_vote", "share @ packed.bits.astype(np.float64)")]
 
     def test_the_rate_bound_has_one_owner(self):
         # noise owns the bit-flip rate range (RATE_MAX, is_rate, check_rate)
