@@ -116,6 +116,15 @@ def _parser() -> _Parser:
     return parser
 
 
+def _check_dominant(widths, dominants) -> None:
+    """Every ``--d`` must fit the 2^``--n`` strings of every ``--n``; compared
+    on bit lengths, so no 2^n is built."""
+    for n in widths:
+        for d in dominants:
+            if (d - 1).bit_length() > n:
+                raise _UsageError(f"--d {d} exceeds the 2^{n} bit-strings of --n {n}")
+
+
 def _metadata(args, shots: int) -> dict:
     meta = {"shots": shots, "seed": args.seed}
     if not args.no_timestamp:
@@ -124,6 +133,7 @@ def _metadata(args, shots: int) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    _check_dominant([args.n], [args.d])
     rng = np.random.default_rng(args.seed)
     ideal = generate_ideal(SyntheticSpec(args.n, args.d, rng))
     counts = sample_shots(ideal, args.shots, rng)
@@ -221,6 +231,7 @@ def _cmd_mitigate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_dominant(args.n, args.d)
     fixed = args.fixed_k if args.fixed_k else [None]
     pes = args.pe if args.pe else [None]
     cells = [
@@ -252,10 +263,14 @@ def _cmd_train(args) -> int:
         raise _UsageError("give either --corpus or --synthesize, not both")
     if args.corpus and args.save_corpus:
         raise _UsageError("--save-corpus writes a synthesized corpus; it cannot be given with --corpus")
+    n = args.synthesize or 500
+    if not args.corpus and args.folds > n:
+        raise _UsageError(f"--folds {args.folds} exceeds the {n} samples of --synthesize")
     if args.corpus:
         features, labels = io.read_corpus(args.corpus)
+        if args.folds > len(features):
+            raise io.DataFormatError(f"{args.corpus}: {len(features)} samples cannot fill --folds {args.folds}")
     else:
-        n = args.synthesize or 500
         features, labels = make_synthetic_corpus(n, seed=args.seed)
         if args.save_corpus:
             io.write_corpus(features, labels, args.save_corpus)

@@ -5,8 +5,9 @@ assigned to the nearest centroid in Hamming distance, strings farther
 than the noise-derived outlier threshold stay unassigned, and centroids
 are updated by a shot-weighted per-qubit majority vote until they stop
 moving: a round reads the run's (k, n) distance cache and votes every
-cluster from one (k, n) weight-share product. Every tie-break is a total
-order, so the result is deterministic.
+cluster by adding its member rows left to right in row order, with no
+BLAS kernel. Every tie-break is a total order and every sum has one
+order, so the result is deterministic and does not depend on the CPU.
 """
 
 from __future__ import annotations
@@ -130,12 +131,12 @@ def _vote(
 ) -> np.ndarray:
     """Per-qubit majority row of every cluster ``members[bounds[i]:bounds[i + 1]]``
     of weight ``totals[i]``, exact ties broken by ``incumbents[i]``."""
-    share = np.zeros((len(incumbents), len(packed)))
-    share[np.repeat(np.arange(len(incumbents)), np.diff(bounds)), members] = packed.weights[members]
-    # the one BLAS product: exact for counts, so only an exact near-tie of a
-    # probability vote can depend on the kernel's summation order
+    w, bits = packed.weights[members], packed.bits[members].astype(np.float64)
     with np.errstate(over="ignore"):  # twice a sum past half the float range is inf, which still compares right
-        twice, total = 2 * (share @ packed.bits.astype(np.float64)), totals[:, None]
+        # einsum without optimize calls no BLAS kernel: each qubit's sum adds
+        # the member rows left to right in row order on every CPU
+        ones = [np.einsum("i,ij->j", w[a:b], bits[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+        twice, total = 2 * np.array(ones), totals[:, None]
         return np.where(twice > total, 1, np.where(twice < total, 0, incumbents)).astype(np.uint8)
 
 

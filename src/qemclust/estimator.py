@@ -56,6 +56,9 @@ FEATURE_NAMES = (
     "entropy",
     "esp",
 )
+COUNT_FEATURES = FEATURE_NAMES[:6]  # the integer circuit counts
+# gate kind -> its count feature; compute_esp multiplies in this order
+GATE_FEATURES = {"2q": "num_2q_gates", "sx": "num_sx_gates", "x": "num_x_gates", "rz": "num_rz_gates"}
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class CircuitFeatures:
     esp: float
 
     def __post_init__(self) -> None:
-        for name in FEATURE_NAMES[:6]:  # the integer circuit counts
+        for name in COUNT_FEATURES:
             v = getattr(self, name)
             if not 0 <= v <= sys.float_info.max:  # the feature vector is float64
                 raise ValueError(f"{name} must be >= 0 and fit a float, got {v}")
@@ -574,10 +577,7 @@ def make_synthetic_corpus(n_samples: int, seed: int = 0) -> tuple[list[CircuitFe
             CircuitFeatures(
                 num_qubits=num_qubits,
                 num_measurements=num_meas,
-                num_2q_gates=gate_counts["2q"],
-                num_sx_gates=gate_counts["sx"],
-                num_x_gates=gate_counts["x"],
-                num_rz_gates=gate_counts["rz"],
+                **{GATE_FEATURES[kind]: count for kind, count in gate_counts.items()},
                 entropy=normalized_entropy(noisy),
                 esp=esp,
             )

@@ -23,7 +23,9 @@ from ._packed import view_total
 from .distributions import OutcomeDistribution
 from .engine import ExperimentRecord, SweepCell, cell_means
 from .estimator import (
+    COUNT_FEATURES,
     FEATURE_NAMES,
+    GATE_FEATURES,
     CalibrationSnapshot,
     CircuitFeatures,
     TreeEnsemble,
@@ -269,14 +271,11 @@ def write_calibration(calibration: CalibrationSnapshot, path: str) -> None:
     )
 
 
-_COUNT_FIELDS = FEATURE_NAMES[:6]  # the integer circuit counts
-
-
 def read_features_file(path: str) -> dict:
     """Raw feature record; 'esp' and 'entropy' may be absent (derivable)."""
     doc = _load_json(path, FEATURES_FORMAT)
     out: dict = {}
-    for field in _COUNT_FIELDS:
+    for field in COUNT_FEATURES:
         v = doc.get(field)
         if not _is_int(v) or not 0 <= _float(v) < math.inf:
             raise DataFormatError(f"{path}: {field!r} must be an integer >= 0 that fits a float")
@@ -321,19 +320,14 @@ def build_features(
             raise DataFormatError(
                 "feature record has no 'esp' and no calibration file was given"
             )
-        gate_counts = {
-            "2q": raw["num_2q_gates"],
-            "sx": raw["num_sx_gates"],
-            "x": raw["num_x_gates"],
-            "rz": raw["num_rz_gates"],
-        }
+        gate_counts = {kind: raw[name] for kind, name in GATE_FEATURES.items()}
         esp = compute_esp(gate_counts, range(n) if mq is None else mq, calibration)
     ent = raw.get("entropy", entropy)
     if ent is None:
         raise DataFormatError(
             "feature record has no 'entropy' and none could be derived from counts"
         )
-    return CircuitFeatures(**{f: raw[f] for f in _COUNT_FIELDS}, entropy=ent, esp=esp)
+    return CircuitFeatures(**{f: raw[f] for f in COUNT_FEATURES}, entropy=ent, esp=esp)
 
 
 CORPUS_COLUMNS = FEATURE_NAMES + ("effective_error_rate",)
@@ -346,7 +340,7 @@ def write_corpus(features: Sequence[CircuitFeatures], labels: Sequence[float], p
         writer = csv.writer(fh)
         writer.writerow(CORPUS_COLUMNS)
         for f, y in zip(features, labels):
-            row = [int(getattr(f, n)) for n in _COUNT_FIELDS]
+            row = [int(getattr(f, n)) for n in COUNT_FEATURES]
             row += [repr(float(f.entropy)), repr(float(f.esp)), repr(float(y))]
             writer.writerow(row)
 
@@ -381,36 +375,26 @@ def read_corpus(path: str) -> tuple[list[CircuitFeatures], np.ndarray]:
     return features, np.array(labels, dtype=np.float64)
 
 
+# the fields of ``_Tree``, in its order, with their dtypes
+_TREE_FIELDS = {
+    "feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64, "value": np.float64,
+}
+# the ``TreeEnsemble`` settings a model file keeps under "hyperparameters"
+_HYPERPARAMETERS = ("n_trees", "min_samples_leaf", "max_features", "seed")
+
+
 def save_model(model: TreeEnsemble, path: str) -> None:
     doc = {
         "format": MODEL_FORMAT,
         "version": FORMAT_VERSION,
         "feature_names": list(model.feature_names),
-        "hyperparameters": {
-            "n_trees": model.n_trees,
-            "min_samples_leaf": model.min_samples_leaf,
-            "max_features": model.max_features,
-            "seed": model.seed,
-        },
+        "hyperparameters": {key: getattr(model, key) for key in _HYPERPARAMETERS},
         "feature_importances": list(model.importances),
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "value": t.value.tolist(),
-            }
-            for t in model.trees
-        ],
+        "trees": [{name: getattr(t, name).tolist() for name in _TREE_FIELDS} for t in model.trees],
     }
     _dump_json(path, doc)
 
 
-# the fields of ``_Tree``, in its order, with their dtypes
-_TREE_FIELDS = {
-    "feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64, "value": np.float64,
-}
 # the JSON types each dtype reads (the usual one last), and their name
 _JSON_TYPES = {np.int64: ((int,), "an integer"), np.float64: ((int, float), "a number")}
 
@@ -473,7 +457,7 @@ def load_model(path: str) -> TreeEnsemble:
             raise ValueError("feature_names must be a list of strings")
         if type(importances) is not list or len(importances) != len(names) or not all(map(_is_number, importances)):
             raise ValueError("feature_importances must be a list of numbers, one per feature name")
-        params = {key: hp[key] for key in ("n_trees", "min_samples_leaf", "max_features", "seed")}
+        params = {key: hp[key] for key in _HYPERPARAMETERS}
         for key, v in params.items():
             if not _is_int(v):
                 raise ValueError(f"hyperparameter {key} must be an integer")
@@ -518,28 +502,17 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
-def _cell_key(cell: SweepCell) -> tuple:
-    return (
-        cell.width,
-        cell.num_dominant,
-        cell.flip_rate,
-        cell.mitigation_rate,
-        cell.stop_threshold,
-        cell.shots,
-        cell.fixed_k if cell.fixed_k is not None else -1,
-    )
-
-
 def _cell_fields(cell: SweepCell) -> list:
+    """The grid values of a sweep row; csv writes a float as its repr and
+    None (no fixed k) as an empty field."""
     return [
-        cell.width,
-        cell.num_dominant,
-        repr(cell.flip_rate),
-        repr(cell.mitigation_rate),
-        repr(cell.stop_threshold),
-        cell.shots,
-        "" if cell.fixed_k is None else cell.fixed_k,
+        cell.width, cell.num_dominant, cell.flip_rate, cell.mitigation_rate, cell.stop_threshold, cell.shots,
+        cell.fixed_k,
     ]
+
+
+def _cell_key(cell: SweepCell) -> tuple:
+    return tuple(-1 if v is None else v for v in _cell_fields(cell))
 
 
 def write_sweep_csv(records: Iterable[ExperimentRecord], path: str, include_timing: bool = True) -> None:

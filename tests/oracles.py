@@ -136,12 +136,15 @@ def scalar_cluster(noisy: OutcomeDistribution, k: int, flip_rate: float, max_rou
 
 
 def reference_votes(packed, masks: list[np.ndarray], incumbents: np.ndarray) -> np.ndarray:
-    """Weighted per-qubit majority of each boolean member mask, from one
-    (k, n) share product, the summation order of the clustering kernel."""
-    share = np.zeros((len(masks), len(packed)))
+    """Weighted per-qubit majority of each boolean member mask: each
+    qubit's ones add the mask's rows left to right in row order."""
+    bits, weights = packed.bits.tolist(), packed.weights.tolist()
+    ones = np.zeros((len(masks), packed.width))
     for i, mask in enumerate(masks):
-        share[i, mask] = packed.weights[mask]
-    ones = share @ packed.bits.astype(np.float64)
+        acc = [0.0] * packed.width
+        for r in np.flatnonzero(mask).tolist():
+            acc = [a + weights[r] if bit else a for a, bit in zip(acc, bits[r])]
+        ones[i] = acc
     total = np.array([packed.weights[mask].sum() for mask in masks])[:, None]
     return np.where(ones * 2 > total, 1, np.where(ones * 2 < total, 0, incumbents)).astype(np.uint8)
 

@@ -505,12 +505,16 @@ class TestSimulateCommand:
         assert len(dist) == 2
         assert dist.total == pytest.approx(1.0)
 
-    def test_oversized_support_is_data_error(self, tmp_path):
+    def test_oversized_support_is_usage_error(self, tmp_path, capsys):
+        # a usage error naming both flags, raised before any file is written
+        ideal, noisy = tmp_path / "i.json", tmp_path / "n.json"
         rc = main([
-            "simulate", "--n", "3", "--d", "100", "--p", "0.1",
-            "--out-ideal", str(tmp_path / "i.json"), "--out-noisy", str(tmp_path / "n.json"),
+            "simulate", "--n", "3", "--d", "100", "--p", "0.1", "--out-ideal", str(ideal), "--out-noisy", str(noisy),
         ])
-        assert rc == 2
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--d 100" in err and "--n 3" in err
+        assert not ideal.exists() and not noisy.exists()
 
 
 class TestPinnedFileBytes:
@@ -539,6 +543,29 @@ class TestPinnedFileBytes:
         ]) == 0
         digests = {name: hashlib.sha256(open(p, "rb").read()).hexdigest() for name, p in path.items()}
         assert digests == self.SHA256
+
+    def test_train_files(self, tmp_path):
+        path = {name: str(tmp_path / name) for name in ("model.json", "metrics.json", "corpus.csv")}
+        assert main([
+            "--seed", "42", "train", "--synthesize", "120", "--trees", "10", "--out", path["model.json"],
+            "--metrics", path["metrics.json"], "--save-corpus", path["corpus.csv"],
+        ]) == 0
+        assert {name: hashlib.sha256(open(p, "rb").read()).hexdigest() for name, p in path.items()} == {
+            "model.json": "a38b4ca900381fbf6066f47b2315bbeddee45c7ec7c47ae8b59c4f6e0e934588",
+            "metrics.json": "9d7baefa49f1c9a26a6acb09065258821db3d96722d7a29fa5bcc76f0ce49406",
+            "corpus.csv": "57856ca17096a18697059e41a7d0ca938211fcbc5104a0ebb4de45bc50e929c9",
+        }
+
+    def test_sweep_file(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "--seed", "7", "sweep", "--n", "6", "--d", "2", "--p", "0.1", "0.2", "--pe", "0.15", "0.25",
+            "--fixed-k", "2", "3", "--delta", "0.9", "0.95", "--shots", "256", "--trials", "3", "--no-timing",
+            "--out", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "6f93f7bc512ee48045acc631c4e438505cccf8671f65f9f7b930ad32f304d0d7"
+        )
 
 
 def _dynamic_openblas_simd() -> list[str] | None:
@@ -579,6 +606,41 @@ class TestKernelIndependence:
             )
             files.append((out.read_bytes(), report.read_bytes()))
         assert files[0] == files[1]
+
+
+class TestProbabilityVoteKernelIndependence:
+    """Forty seeded normalized 1,000-shot instances: non-dyadic probability
+    weights, whose near-tie votes follow the summation order of their
+    sums. A child on this CPU's own kernels, one on OpenBLAS's Prescott
+    kernels with numpy at its baseline SIMD, and one on the Haswell
+    kernels print the same results."""
+
+    SCRIPT = """
+from qemclust import MitigationConfig, NoiseSpec, SyntheticSpec, apply_bitflip, generate_ideal, mitigate, sample_shots
+for seed in range(40):
+    ideal = generate_ideal(SyntheticSpec(11, 16, seed))
+    noisy = apply_bitflip(sample_shots(ideal, 1000, seed), NoiseSpec(0.2, seed)).normalized()
+    report = mitigate(noisy, MitigationConfig(0.2, 0.99))
+    print(report.k_used, sorted((b.value, w.hex()) for b, w in report.final.items()))
+"""
+
+    def test_mitigated_bits_do_not_depend_on_the_cpu_kernels(self):
+        simd = _dynamic_openblas_simd()
+        if simd is None:
+            pytest.skip("needs numpy with a DYNAMIC_ARCH OpenBLAS on x86_64")
+        src = str(Path(qemclust.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cpus = [
+            {},
+            {"OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": " ".join(simd)},
+            {"OPENBLAS_CORETYPE": "Haswell"},
+        ]
+        outputs = [
+            subprocess.run([sys.executable, "-c", self.SCRIPT], env={**env, **extra}, check=True, capture_output=True)
+            .stdout
+            for extra in cpus
+        ]
+        assert outputs[1:] == [outputs[0]] * 2
 
 
 class TestMitigateCommand:
@@ -1222,6 +1284,30 @@ class TestUsageErrors:
         model = tmp_path / "model.json"
         assert main(["train", "--synthesize", "20", flag, value, "--out", str(model)]) == 1
         assert flag in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_sweep_grid_pair_with_more_dominant_strings_than_the_width_holds(self, tmp_path, capsys):
+        # (6, 20) fits; (4, 20) does not
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--n", "6", "4", "--d", "2", "20", "--p", "0.1", "--shots", "64", "--trials", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--d 20" in err and "--n 4" in err
+        assert not out.exists()
+
+    def test_more_folds_than_synthesized_samples(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["train", "--synthesize", "3", "--folds", "5", "--out", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert "--folds" in err and "--synthesize" in err
+        assert not model.exists()
+
+    def test_more_folds_than_corpus_samples_names_the_corpus(self, tmp_path, capsys):
+        corpus, model = tmp_path / "small.csv", tmp_path / "model.json"
+        qio.write_corpus(*make_synthetic_corpus(3, seed=2), str(corpus))
+        assert main(["train", "--corpus", str(corpus), "--folds", "5", "--out", str(model)]) == 2
+        assert str(corpus) in capsys.readouterr().err
         assert not model.exists()
 
 

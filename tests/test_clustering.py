@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qemclust.clustering as clustering
-from oracles import reference_cluster_packed, scalar_majority_vote
+from oracles import reference_cluster_packed, reference_votes, scalar_majority_vote
 from qemclust import (
     BitString,
     ClusterConfig,
@@ -288,6 +288,30 @@ class TestRoundVote:
             want = scalar_majority_vote(cluster_members, incumbent) if cluster_members else incumbent
             assert vote == want
 
+    @given(st.integers(1, 130), st.integers(1, 20), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_adds_each_cluster_in_row_order(self, width, pairs, k, seed):
+        # each row comes with its complement at equal probability weight in
+        # the same cluster, so every qubit's ones are half the cluster total
+        # in exact arithmetic and the vote follows the summation's rounding
+        rng = np.random.default_rng(seed)
+        full = (1 << width) - 1
+        draws = rng.integers(0, 2, size=(pairs, width)) @ (1 << np.arange(width, dtype=object))
+        cluster_of = {min(v, v ^ full): int(rng.integers(-1, k)) for v in draws.tolist()}
+        weights = rng.random(len(cluster_of))
+        strings = {}
+        for v, w in zip(cluster_of, (weights / weights.sum()).tolist()):
+            strings[BitString(v, width)] = strings[BitString(v ^ full, width)] = w
+        packed = PackedDistribution(OutcomeDistribution(width, strings))
+        labels = np.array([cluster_of[min(b.value, b.value ^ full)] for b in rows_to_strings(packed.bits)])
+        kept = np.flatnonzero(labels >= 0)
+        members = kept[np.argsort(labels[kept], kind="stable")]
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(labels[kept], minlength=k))])
+        totals = np.array([packed.weights[members[a:b]].sum() for a, b in zip(bounds[:-1], bounds[1:])])
+        incumbents = rng.integers(0, 2, size=(k, width), dtype=np.uint8)
+        want = reference_votes(packed, [labels == i for i in range(k)], incumbents)
+        np.testing.assert_array_equal(clustering._vote(packed, members, bounds, totals, incumbents), want)
+
     def test_one_vote_per_round(self, monkeypatch):
         calls = []
         vote = clustering._vote
@@ -308,8 +332,8 @@ class TestRoundVote:
 class TestClusterKernelMatchesMaskedVotes:
     """The kernel reads cached distances and sorted member slices; the
     reference recomputes distances and builds its members from masks.
-    Both vote with one (k, n) share product, so that probability weights
-    add in one order."""
+    Both add each cluster's rows left to right in row order, so that
+    probability weights add in one order."""
 
     @staticmethod
     def _check(dist, k, flip_rate, max_rounds):

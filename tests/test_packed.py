@@ -191,20 +191,23 @@ def _calls(path: Path):
             yield getattr(func, "attr", getattr(func, "id", None)), node
 
 
-BLAS_CALLS = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot"}
+BLAS_CALLS = {"dot", "matmul", "inner", "tensordot", "vdot", "vecdot", "matvec", "vecmat"}
 
 
 def _blas_products(path: Path):
-    """(enclosing function, source) of every BLAS-style product in a
-    source file: ``@``, ``@=`` and the numpy product calls."""
+    """(enclosing function, source) of every product in a source file that
+    may call a BLAS kernel: ``@``, ``@=``, the numpy product calls, and
+    ``einsum`` given ``optimize``, which hands contractions to ``tensordot``."""
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             yield func, ast.unparse(node)
-        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in BLAS_CALLS:
-            yield func, ast.unparse(node)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in BLAS_CALLS or (name == "einsum" and any(kw.arg == "optimize" for kw in node.keywords)):
+                yield func, ast.unparse(node)
         for child in ast.iter_child_nodes(node):
             yield from visit(child, func)
 
@@ -212,11 +215,25 @@ def _blas_products(path: Path):
 
 
 class TestLayering:
-    def test_the_only_blas_product_is_the_vote(self):
-        # a BLAS kernel's summation order depends on the CPU; the vote's
-        # product is exact for counts, and nothing else may call one
+    def test_src_calls_no_blas_kernel(self):
+        # a BLAS kernel's summation order depends on the CPU, and so would
+        # the last bits of every float it adds
         found = [(path.name, func, code) for path in sorted(SRC.glob("*.py")) for func, code in _blas_products(path)]
-        assert found == [("clustering.py", "_vote", "share @ packed.bits.astype(np.float64)")]
+        assert found == []
+
+    def test_the_blas_scan_sees_every_product_form(self, tmp_path):
+        path = tmp_path / "products.py"
+        path.write_text(
+            "def f(a, b):\n"
+            "    a @ b\n"
+            "    a @= b\n"
+            "    np.dot(a, b), a.dot(b), np.matmul(a, b), np.inner(a, b), np.tensordot(a, b), np.vdot(a, b)\n"
+            "    np.vecdot(a, b), np.matvec(a, b), np.vecmat(a, b)\n"
+            "    np.einsum('i,ij->j', a, b, optimize=True)\n"
+            "    np.einsum('i,ij->j', a, b)\n",
+            encoding="utf-8",
+        )
+        assert len(list(_blas_products(path))) == 12
 
     def test_the_rate_bound_has_one_owner(self):
         # noise owns the bit-flip rate range (RATE_MAX, is_rate, check_rate)
