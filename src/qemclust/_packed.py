@@ -13,15 +13,18 @@ keys rows by their bytes).
 
 A sorted view holds a distribution's rows in value order, the same rows
 packed into big-endian uint64 words, and its weights in that order. Code
-that already holds sorted rows and their words (the simulator's tallies)
-hands them over and nothing is sorted; every other distribution sorts
+that already holds its rows' words (the simulator's tallies, a mitigated
+output) hands them over and nothing is packed again; rows whose words are
+in value order already are not sorted, and every other distribution sorts
 once, on first use. A packed distribution wraps the view for one
 mitigation run and adds the run's distance cache. Majority votes read
-the bit matrix; Hamming distances are XOR plus popcount over the words.
-A slot holds its centroid's distances to every row, computed in one
-Hamming pass per run in the smallest unsigned dtype that holds the
-width, and the input row equal to it. ``columns`` stacks the distances
-of k slots into a (k, n) matrix, the layout both clustering and
+the uint8 bit matrix as it is; Hamming distances are XOR plus popcount
+over the words. A slot holds its centroid's distances to every row, computed in
+one Hamming pass per run in the smallest unsigned dtype that holds the
+width, the input row equal to it, and, once a pass first asks for it, the
+float64 likelihood row ``table[distance]`` of the caller's table.
+``columns`` stacks the distances of k slots into a (k, n) matrix and
+``likelihoods`` their float rows, the layout both clustering and
 redistribution work in.
 """
 
@@ -71,6 +74,16 @@ def _row_keys(words: np.ndarray) -> tuple[np.ndarray, list]:
     return key, tables
 
 
+def _ascending(words: np.ndarray) -> bool:
+    """Whether the ``_pack_words`` rows are in strictly ascending value
+    order: compared word by word from the last, in O(n) per word."""
+    later, earlier = words[1:], words[:-1]
+    up = later[:, -1] > earlier[:, -1]
+    for j in range(words.shape[1] - 2, -1, -1):
+        up = (later[:, j] > earlier[:, j]) | ((later[:, j] == earlier[:, j]) & up)
+    return bool(up.all())
+
+
 class SortedView(NamedTuple):
     """A distribution's rows in value order: the bit rows, their
     ``_pack_words``, the weights in that order, and ``total``, the weights'
@@ -83,14 +96,14 @@ class SortedView(NamedTuple):
 
 
 def sorted_view(rows: np.ndarray, weights: np.ndarray, words: np.ndarray | None = None) -> SortedView:
-    """The value-sorted view of distinct rows and their weights. Rows given
-    with their ``words`` are in value order already; other rows are packed
-    and sorted once, and not copied when already in order."""
+    """The value-sorted view of distinct rows and their weights. The rows'
+    ``words``, in row order, are packed when not given; rows already in
+    value order are neither sorted nor copied, other rows are sorted once."""
     if words is None:
         words = _pack_words(rows)
+    if not _ascending(words):
         order = np.argsort(_row_keys(words)[0])  # distinct rows have distinct keys
-        if not (order[1:] > order[:-1]).all():
-            rows, words, weights = rows[order], words[order], weights[order]
+        rows, words, weights = (np.take(a, order, axis=0) for a in (rows, words, weights))
     with np.errstate(over="ignore"):  # an overflowing total is legal until something divides by it
         return SortedView(rows, words, weights, float(weights.sum()))
 
@@ -158,7 +171,7 @@ class PackedDistribution:
 
     __slots__ = (
         "width", "weights", "bits", "words", "total", "_top_order",
-        "_slot", "_columns", "_zero_row",
+        "_slot", "_columns", "_zero_row", "_table", "_likelihood", "_filled",
     )
 
     def __init__(self, dist):
@@ -168,11 +181,15 @@ class PackedDistribution:
         self.total = view_total(view.total)
         self._top_order: np.ndarray | None = None
         # distance cache: row bytes -> slot; row ``slot`` of ``_columns``
-        # (grown by doubling) is that centroid's distance column, and
-        # ``_zero_row[slot]`` the input row equal to it, or -1
+        # (grown by doubling) is that centroid's distance column,
+        # ``_zero_row[slot]`` the input row equal to it, or -1, and
+        # ``_likelihood[slot]`` its row of ``_table``, valid where ``_filled``
         self._slot: dict[bytes, int] = {}
         self._columns = np.empty((0, len(self.weights)), dtype=np.min_scalar_type(self.width))
         self._zero_row = np.empty(0, dtype=np.intp)
+        self._table: np.ndarray | None = None
+        self._likelihood = np.empty((0, len(self.weights)))
+        self._filled = np.empty(0, dtype=bool)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -207,11 +224,7 @@ class PackedDistribution:
             rows = self.hamming_to(centroid_bits[list(fresh.values())]).T
             used = len(self._slot)
             if used + len(fresh) > len(self._columns):
-                capacity = max(2 * len(self._columns), used + len(fresh))
-                grown = np.empty((capacity, len(self)), dtype=self._columns.dtype)
-                grown[:used] = self._columns[:used]
-                self._columns = grown
-                self._zero_row = np.resize(self._zero_row, capacity)
+                self._grow(max(2 * len(self._columns), used + len(fresh)), used)
             self._columns[used : used + len(fresh)] = rows
             zero = rows == 0
             self._zero_row[used : used + len(fresh)] = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
@@ -219,9 +232,34 @@ class PackedDistribution:
                 self._slot[key] = used + j
         return np.array([self._slot[key] for key in keys], dtype=np.intp)
 
+    def _grow(self, capacity: int, used: int) -> None:
+        """Room for ``capacity`` slots, keeping the ``used`` ones; a float
+        row is copied only where it was filled, so unfilled rows take no memory."""
+        columns = np.empty((capacity, len(self)), dtype=self._columns.dtype)
+        columns[:used] = self._columns[:used]
+        likelihood = np.empty((capacity, len(self)))
+        filled = np.flatnonzero(self._filled)
+        likelihood[filled] = self._likelihood[filled]
+        self._columns, self._likelihood = columns, likelihood
+        self._zero_row = np.resize(self._zero_row, capacity)
+        self._filled = np.concatenate([self._filled, np.zeros(capacity - len(self._filled), dtype=bool)])
+
     def columns(self, slots: np.ndarray) -> np.ndarray:
         """(k, n) Hamming distances, one row per slot."""
         return self._columns[slots]
+
+    def likelihoods(self, slots: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """(k, n) float64 rows ``table[distance]``, one per slot: a copy of
+        each slot's row, which is filled the first time it is asked for with
+        this ``table`` object. Another table empties the store."""
+        if table is not self._table:
+            self._table = table
+            self._filled[:] = False
+        fresh = slots[~self._filled[slots]]  # a repeated slot is filled twice, with equal values
+        if len(fresh):
+            self._likelihood[fresh] = np.take(table, self._columns[fresh])
+            self._filled[fresh] = True
+        return self._likelihood[slots]
 
     def centroid_rows(self, slots: np.ndarray) -> np.ndarray:
         """The input row equal to each slot's centroid row, or -1."""

@@ -5,8 +5,9 @@ assigned to the nearest centroid in Hamming distance, strings farther
 than the noise-derived outlier threshold stay unassigned, and centroids
 are updated by a shot-weighted per-qubit majority vote until they stop
 moving: a round reads the run's (k, n) distance cache and votes every
-cluster by adding its member rows left to right in row order, with no
-BLAS kernel. Every tie-break is a total order and every sum has one
+cluster by adding its uint8 member rows left to right in row order,
+cast to float64 inside einsum's loop, with no float copy of the rows and
+no BLAS kernel. Every tie-break is a total order and every sum has one
 order, so the result is deterministic and does not depend on the CPU.
 """
 
@@ -131,10 +132,12 @@ def _vote(
 ) -> np.ndarray:
     """Per-qubit majority row of every cluster ``members[bounds[i]:bounds[i + 1]]``
     of weight ``totals[i]``, exact ties broken by ``incumbents[i]``."""
-    w, bits = packed.weights[members], packed.bits[members].astype(np.float64)
+    w, bits = packed.weights[members], np.take(packed.bits, members, axis=0)
     with np.errstate(over="ignore"):  # twice a sum past half the float range is inf, which still compares right
-        # einsum without optimize calls no BLAS kernel: each qubit's sum adds
-        # the member rows left to right in row order on every CPU
+        # einsum without optimize calls no BLAS kernel: it casts the uint8 rows
+        # to float64 in its buffered loop, and each qubit's sum adds the member
+        # rows left to right in row order on every CPU (width 1 takes its
+        # pairwise loop, but a width-1 cluster has at most two rows)
         ones = [np.einsum("i,ij->j", w[a:b], bits[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
         twice, total = 2 * np.array(ones), totals[:, None]
         return np.where(twice > total, 1, np.where(twice < total, 0, incumbents)).astype(np.uint8)

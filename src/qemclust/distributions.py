@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from ._packed import SortedView, _pack_words, match_rows, sorted_view, view_total
+from ._packed import SortedView, _ascending, _pack_words, match_rows, sorted_view, view_total
 
 __all__ = [
     "BitString",
@@ -75,6 +75,13 @@ def strings_to_rows(strings: Iterable[BitString], width: int) -> np.ndarray:
     return (np.frombuffer(blob, dtype=np.uint8) - ord("0")).reshape(-1, width)
 
 
+def rows_to_texts(bits: np.ndarray) -> list[str]:
+    """The text of each row of a (n, width) 0/1 matrix, from one ASCII decode."""
+    width = bits.shape[1]
+    blob = (bits + ord("0")).tobytes().decode("ascii")
+    return [blob[i : i + width] for i in range(0, len(blob), width)]
+
+
 def rows_to_strings(bits: np.ndarray) -> list[BitString]:
     """One BitString per row of a (n, width) 0/1 matrix."""
     words = _pack_words(bits)
@@ -96,12 +103,12 @@ class OutcomeDistribution:
     Stored as a (n, width) 0/1 uint8 bit matrix and a float64 weight
     vector in iteration order; the ``{BitString: weight}`` dict is a cache,
     kept from the mapping given to the constructor or made on first
-    dict-style access, and so is the value-sorted view (``_sorted``),
-    handed over by the code that built the distribution or made on first
-    use.
+    dict-style access, and so are the rows' packed words in iteration
+    order (``_row_words``) and the value-sorted view (``_sorted``), handed
+    over by the code that built the distribution or made on first use.
     """
 
-    __slots__ = ("_width", "_store", "_rows", "_weights", "_total", "_view")
+    __slots__ = ("_width", "_store", "_rows", "_weights", "_total", "_words", "_view")
 
     def __init__(self, width: int, entries: Mapping[BitString, float]):
         if width < 1:
@@ -116,13 +123,15 @@ class OutcomeDistribution:
     @classmethod
     def _from_rows(cls, rows: np.ndarray, weights: np.ndarray, words=None) -> "OutcomeDistribution":
         """Distribution over the distinct rows of a (n, width) 0/1 uint8
-        matrix, iterated in row order, with float64 ``weights``. Rows given
-        with their packed ``words`` are in value order: they are their own
-        sorted view."""
+        matrix, iterated in row order, with float64 ``weights``, keeping the
+        rows' packed ``words`` when given, in any order. Rows whose words
+        are in value order are their own sorted view."""
         out = cls.__new__(cls)
         out._set(rows, weights, None)
         if words is not None:
-            out._view = sorted_view(rows, weights, words)
+            out._words = words
+            if _ascending(words):
+                out._view = sorted_view(rows, weights, words)
         return out
 
     def _set(self, rows: np.ndarray, weights: np.ndarray, store: dict | None) -> None:
@@ -130,13 +139,13 @@ class OutcomeDistribution:
         bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0)))
         if len(bad):
             i = bad[0]
-            text = (rows[i] + ord("0")).tobytes().decode()
+            text = rows_to_texts(rows[i : i + 1])[0]
             raise ValueError(f"weight for {text!r} must be finite and >= 0, got {float(weights[i])}")
         self._width = rows.shape[1]
         self._store = store
         self._rows, self._weights = rows, weights
         self._total = _left_to_right_sum(weights)
-        self._view = None
+        self._words = self._view = None
 
     @property
     def _entries(self) -> dict[BitString, float]:
@@ -152,10 +161,16 @@ class OutcomeDistribution:
         """(bit rows, float64 weights) in iteration order."""
         return self._rows, self._weights
 
+    def _row_words(self) -> np.ndarray:
+        """The rows' ``_pack_words`` in iteration order."""
+        if self._words is None:
+            self._words = _pack_words(self._rows)
+        return self._words
+
     def _sorted(self) -> SortedView:
         """The rows and weights in value order, with the rows' words."""
         if self._view is None:
-            self._view = sorted_view(self._rows, self._weights)
+            self._view = sorted_view(self._rows, self._weights, self._row_words())
         return self._view
 
     @classmethod
@@ -202,7 +217,7 @@ class OutcomeDistribution:
     def normalized(self) -> "OutcomeDistribution":
         """Probability view: every weight divided by the total."""
         rows, weights = self._arrays()
-        out = OutcomeDistribution._from_rows(rows, weights / self._mass())
+        out = OutcomeDistribution._from_rows(rows, weights / self._mass(), self._words)
         out._total = 1.0
         return out
 
@@ -253,10 +268,8 @@ def hellinger_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
         raise ValueError(f"width mismatch: {p.width} != {q.width}")
     small, big = (p, q) if len(p) <= len(q) else (q, p)
     small_total, big_total = small._mass(), big._mass()
-    view = big._view
-    words, weights = (_pack_words(big._rows), big._weights) if view is None else (view.words, view.weights)
-    found = match_rows(words, _pack_words(small._rows))
-    v = np.append(weights, 0.0)[found]  # -1 picks the 0.0
+    found = match_rows(big._row_words(), small._row_words())
+    v = np.append(big._weights, 0.0)[found]  # -1 picks the 0.0
     # absent strings and zero weights add sqrt(0) = 0.0, which leaves the sum's bits alone
     acc = _left_to_right_sum(np.sqrt((small._weights / small_total) * (v / big_total)))
     return min(acc * acc, 1.0)

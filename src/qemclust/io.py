@@ -14,7 +14,7 @@ import csv
 import json
 import math
 from itertools import chain
-from operator import countOf
+from operator import countOf, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -182,8 +182,9 @@ def _dump_weights(path: str, doc: dict, field: str, dist: OutcomeDistribution, a
         distinct, inverse = np.unique(weights.view(np.uint64), return_inverse=True)
         values = distinct.view(np.float64).tolist()
         # str(int(v)) of the rint is repr(round(v)): both round half to even
-        texts = np.array(list(map(str, map(int, values)) if as_int else map(repr, values)), dtype=object)
-        block = (template.tobytes().decode("ascii") % tuple(texts[inverse]))[6:]
+        texts = list(map(str, map(int, values)) if as_int else map(repr, values))
+        # one row gets itemgetter's one text, not a tuple: ``%`` takes it as its one argument
+        block = (template.tobytes().decode("ascii") % itemgetter(*inverse.tolist())(texts))[6:]
         # top-level keys sit at indent 2; nested ones are deeper and string
         # values hold no raw newline, so this placeholder is unique
         head, tail = text.split(f'\n  "{field}": {{}}')
@@ -357,16 +358,18 @@ def read_corpus(path: str) -> tuple[list[CircuitFeatures], np.ndarray]:
         header = next(reader, None)
         if header != list(CORPUS_COLUMNS):
             raise DataFormatError(f"{path}: expected header {','.join(CORPUS_COLUMNS)}")
+        # the integer counts, then the float features, then the label
+        n_counts = len(COUNT_FEATURES)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(CORPUS_COLUMNS):
                 raise DataFormatError(f"{path}: line {lineno}: expected {len(CORPUS_COLUMNS)} fields")
             try:
-                features.append(CircuitFeatures(*map(int, row[:6]), *map(float, row[6:8])))
-                label = float(row[8])
+                features.append(CircuitFeatures(*map(int, row[:n_counts]), *map(float, row[n_counts:-1])))
+                label = float(row[-1])
                 if not is_rate(label):
-                    raise ValueError(f"effective_error_rate must lie in {RATE_RANGE}, got {row[8]}")
+                    raise ValueError(f"{CORPUS_COLUMNS[-1]} must lie in {RATE_RANGE}, got {row[-1]}")
                 labels.append(label)
             except ValueError as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from None

@@ -140,8 +140,7 @@ def apply_bitflip(shots_dist: OutcomeDistribution, noise: NoiseSpec) -> OutcomeD
     packed = PackedDistribution(shots_dist)
     rng = np.random.default_rng(noise.seed)
     source = np.repeat(packed.bits, np.rint(packed.weights).astype(np.int64), axis=0)
-    if noise.flip_rate > 0:
-        flips = rng.random(source.shape) < noise.flip_rate
-        source = source ^ flips.astype(np.uint8)
+    if noise.flip_rate > 0:  # flipped in place: the repeat is a fresh array
+        source ^= (rng.random(source.shape) < noise.flip_rate).view(np.uint8)
     rows, words, tally = _tally(source)
     return OutcomeDistribution._from_rows(rows, tally.astype(np.float64), words)

@@ -15,6 +15,8 @@ moves to its centroid, so some mass always survives. A pass calls no
 BLAS kernel, so it adds in one order on every CPU: a string's claim adds
 its joint terms in centroid order, and a centroid's gain is numpy's
 pairwise sum of its scaled (k, n) cache row, over strings in value order.
+The joint rows start as copies of the run's per-slot likelihood rows,
+each looked up in the likelihood table once per run.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._packed import PackedDistribution
+from ._packed import PackedDistribution, _pack_words
 from .clustering import ClusterModel
 from .distributions import BitString, OutcomeDistribution, _left_to_right_sum, hamming_distance
 from .distributions import rows_to_strings, strings_to_rows
@@ -118,7 +120,8 @@ def _mitigated_distribution(
     flip_rate: float,
 ) -> OutcomeDistribution:
     """The mitigated distribution of a ``_redistribute_packed`` pass:
-    surviving input rows in value order, then the merged centroids. A
+    surviving input rows in value order, then the merged centroids. It
+    keeps the rows' words, so nothing packs them again. A
     zero-rate channel explains no flips, so it returns the input's
     probability view bit-exactly.
     """
@@ -126,9 +129,11 @@ def _mitigated_distribution(
         return noisy.normalized()
     masses, _removed, _claim, gained = arrays
     survivors = np.flatnonzero(masses > 0)
-    rows = np.concatenate([packed.bits[survivors], centroid_bits[[g[0] for g in gained]]])
+    new = centroid_bits[[g[0] for g in gained]]
+    rows = np.concatenate([np.take(packed.bits, survivors, axis=0), new])
+    words = np.concatenate([np.take(packed.words, survivors, axis=0), _pack_words(new)])
     mass = np.concatenate([masses[survivors], [g[1] for g in gained]])
-    return OutcomeDistribution._from_rows(rows, mass / _left_to_right_sum(mass))
+    return OutcomeDistribution._from_rows(rows, mass / _left_to_right_sum(mass), words)
 
 
 def _redistribute_packed(
@@ -148,7 +153,7 @@ def _redistribute_packed(
     """
     pr = packed.weights / packed.total
     centroid_rows = packed.centroid_rows(slots)
-    joint = np.take(_likelihood_table(packed.width, flip_rate), packed.columns(slots))
+    joint = packed.likelihoods(slots, _likelihood_table(packed.width, flip_rate))
     joint *= cluster_weights[:, None]
     is_centroid = np.zeros(len(pr), dtype=bool)
     is_centroid[centroid_rows[centroid_rows >= 0]] = True

@@ -778,7 +778,7 @@ class TestMitigateCommand:
         noisy, built, centroids = self._mitigate_counting_bit_strings(
             tmp_path, monkeypatch, ["--p", "0.15"]
         )
-        assert 0 < built <= centroids < len(noisy)
+        assert built == 0 < centroids < len(noisy)
 
     def test_model_rate_builds_no_bit_strings_but_the_reported_centroids(self, tmp_path, monkeypatch):
         # the features file has no entropy, so mitigate computes it from the counts
@@ -791,7 +791,7 @@ class TestMitigateCommand:
         noisy, built, centroids = self._mitigate_counting_bit_strings(
             tmp_path, monkeypatch, ["--model", str(model_path), "--features", str(features_path)]
         )
-        assert 0 < built <= centroids < len(noisy)
+        assert built == 0 < centroids < len(noisy)
         # the array-read counts give the entropy the dict-built ones give
         read = qio.read_counts(str(tmp_path / "counts.json"))[0]
         assert 0.0 < normalized_entropy(read) == normalized_entropy(noisy)

@@ -376,3 +376,25 @@ class TestClusterConfigValidation:
             ClusterConfig(k=1, flip_rate=0.7)
         with pytest.raises(ValueError):
             ClusterConfig(k=1, flip_rate=0.1, max_rounds=0)
+
+
+class TestLargeClusterVote:
+    def test_one_cluster_past_the_einsum_buffer(self):
+        # 10,000+ rows of 100 qubits in one cluster, a million cast elements,
+        # many times einsum's 8,192-element buffer: each row comes with its
+        # complement at equal probability weight, so every qubit ties in
+        # exact arithmetic and the vote follows the summation's rounding
+        rng = np.random.default_rng(2024)
+        half = rng.integers(0, 2, size=(5100, 100), dtype=np.uint8)
+        half[:, 0] = 0  # no row is another's complement
+        half = np.unique(half, axis=0)
+        w = rng.random(len(half))
+        weights = np.concatenate([w, w]) / (2 * w.sum())
+        packed = PackedDistribution(OutcomeDistribution._from_rows(np.concatenate([half, 1 - half]), weights))
+        n = len(packed)
+        assert n >= 10_000 and packed.width == 100
+        incumbents = rng.integers(0, 2, size=(1, 100), dtype=np.uint8)
+        want = reference_votes(packed, [np.ones(n, dtype=bool)], incumbents)
+        got = clustering._vote(packed, np.arange(n), np.array([0, n]), np.array([packed.weights.sum()]), incumbents)
+        np.testing.assert_array_equal(got, want)
+        assert 0 < want.sum() < 100  # the ties fall both ways

@@ -10,17 +10,20 @@ from qemclust import (
     BitString,
     ClusterConfig,
     ClusterModel,
+    MitigationConfig,
     NoiseSpec,
     OutcomeDistribution,
     SyntheticSpec,
     apply_bitflip,
     cluster,
     generate_ideal,
+    hellinger_fidelity,
     joint_probability,
+    mitigate,
     redistribute,
     sample_shots,
 )
-from qemclust._packed import PackedDistribution
+from qemclust._packed import PackedDistribution, _pack_words
 from qemclust.distributions import strings_to_rows
 from qemclust.redistribution import _likelihood_table, _redistribute_packed
 
@@ -274,3 +277,84 @@ class TestOracleEquivalence:
         assert set(masses) == {b for b, _ in result.mitigated.items()}
         for b, m in masses.items():
             assert result.mitigated.probability(b) == pytest.approx(m / total, abs=1e-12)
+
+
+class TestLikelihoodRows:
+    """Each cache slot keeps one float row ``table[distance]``, filled once
+    per table and copied, k at a time, into every pass."""
+
+    @staticmethod
+    def _packed(width, seed):
+        rng = np.random.default_rng(seed)
+        ideal = generate_ideal(SyntheticSpec(width, min(6, 2**width), rng))
+        return PackedDistribution(apply_bitflip(sample_shots(ideal, 3000, rng), NoiseSpec(0.1, rng))), rng
+
+    @pytest.mark.parametrize("width", [3, 9, 70])
+    def test_rows_equal_the_table_lookup_across_doublings(self, width):
+        packed, rng = self._packed(width, width)
+        tables = [_likelihood_table(width, 0.1), _likelihood_table(width, 0.27)]
+        capacities = []
+        for i in range(12):
+            # a few fresh rows per call, some repeated, so the cache doubles
+            centroids = rng.integers(0, 2, size=(int(rng.integers(1, 4)), width), dtype=np.uint8)
+            slots = packed.slots(np.concatenate([centroids, packed.bits[:1]]))
+            capacities.append(len(packed._columns))
+            table = tables[i // 6]  # the second half reads another table
+            got = packed.likelihoods(slots, table)
+            assert got.dtype == np.float64 and got.shape == (len(slots), len(packed))
+            assert got.tobytes() == np.take(table, packed.columns(slots)).tobytes()
+            # every slot asked for so far, in any order
+            every = np.arange(len(packed._slot))[::-1]
+            assert packed.likelihoods(every, table).tobytes() == np.take(table, packed.columns(every)).tobytes()
+        assert len(set(capacities)) >= 3  # at least two doublings
+
+    def test_each_row_is_filled_once_per_table(self):
+        packed, rng = self._packed(12, 3)
+        table = _likelihood_table(12, 0.1).copy()
+        slots = packed.slots(packed.bits[:5])
+        want = packed.likelihoods(slots, table)
+        table[:] = -1.0  # the same table object: filled rows are not read again
+        assert packed.likelihoods(slots[::-1], table).tobytes() == want[::-1].tobytes()
+        more = packed.slots(rng.integers(0, 2, size=(9, 12), dtype=np.uint8))  # grows the cache
+        assert packed.likelihoods(slots, table).tobytes() == want.tobytes()
+        assert (packed.likelihoods(more, table) == -1.0).all()  # new slots read the table as it is now
+        other = _likelihood_table(12, 0.1)  # another table object empties the store
+        assert packed.likelihoods(slots, other).tobytes() == np.take(other, packed.columns(slots)).tobytes()
+
+    def test_a_pass_on_cached_rows_matches_a_fresh_run(self):
+        packed, _ = self._packed(10, 5)
+        centroids = packed.bits[packed.top_order()[:3]]
+        weights = np.array([0.5, 0.3, 0.1])
+        _redistribute_packed(packed, packed.slots(centroids), weights, 0.1)  # fills the rows
+        again = _redistribute_packed(packed, packed.slots(centroids[::-1]), weights[::-1], 0.1)
+        fresh = PackedDistribution(OutcomeDistribution._from_rows(packed.bits, packed.weights))
+        rerun = _redistribute_packed(fresh, fresh.slots(centroids[::-1]), weights[::-1], 0.1)
+        for a, b in zip(again[:3], rerun[:3]):
+            assert a.tobytes() == b.tobytes()
+        # gained entries name their slot, which is per run
+        assert [(g[0], g[1], g[3]) for g in again[3]] == [(g[0], g[1], g[3]) for g in rerun[3]]
+
+
+class TestOutputWords:
+    """A mitigated output keeps its rows' words in row order."""
+
+    @pytest.mark.parametrize("width", [5, 64, 100])
+    def test_fidelity_and_view_match_a_packed_copy(self, width):
+        rng = np.random.default_rng(width)
+        ideal = generate_ideal(SyntheticSpec(width, 3, rng))
+        noisy = apply_bitflip(sample_shots(ideal, 2000, rng), NoiseSpec(0.08, rng))
+        unordered = 0
+        for k in (1, 2, 3):
+            out = mitigate(noisy, MitigationConfig(flip_rate=0.08, fixed_k=k)).final
+            unordered += out._view is None  # appended centroids: the view sorts on first use
+            rows, weights = out._arrays()
+            assert out._words.tobytes() == _pack_words(rows).tobytes()
+            plain = OutcomeDistribution._from_rows(rows, weights)  # packs its own words
+            for other in (ideal, noisy):
+                assert hellinger_fidelity(out, other).hex() == hellinger_fidelity(plain, other).hex()
+                assert hellinger_fidelity(other, out).hex() == hellinger_fidelity(other, plain).hex()
+            view, want = out._sorted(), plain._sorted()
+            for a, b in zip(view[:3], want[:3]):
+                assert a.tobytes() == b.tobytes()
+            assert view.total.hex() == want.total.hex()
+        assert unordered
