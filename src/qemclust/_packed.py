@@ -1,5 +1,5 @@
-"""Row keys, value-sorted views of distributions, and per-run dense views
-of bit rows for the clustering kernels.
+"""Row keys, value-sorted views of distributions, and one cache per
+mitigation run of the bit rows' distances and likelihoods.
 
 Bit rows are (n, width) 0/1 uint8 matrices. This module alone decides
 how they are ordered and matched, at any width, and it knows nothing of
@@ -16,25 +16,28 @@ packed into big-endian uint64 words, and its weights in that order. Code
 that already holds its rows' words (the simulator's tallies, a mitigated
 output) hands them over and nothing is packed again; rows whose words are
 in value order already are not sorted, and every other distribution sorts
-once, on first use. A packed distribution wraps the view for one
-mitigation run and adds the run's distance cache. Majority votes read
-the uint8 bit matrix as it is; Hamming distances are XOR plus popcount
-over the words. A slot holds its centroid's distances to every row, computed in
-one Hamming pass per run in the smallest unsigned dtype that holds the
-width, the input row equal to it, and, once a pass first asks for it, the
-float64 likelihood row ``table[distance]`` of the caller's table.
-``columns`` stacks the distances of k slots into a (k, n) matrix and
-``likelihoods`` their float rows, the layout both clustering and
-redistribution work in.
+once, on first use. Code that only reads a distribution reads its view.
+A packed distribution is one mitigation run at one bit-flip rate: it
+wraps the view, binds the rate's likelihood table ``(1-p)^(width-d) *
+p^d`` and adds the run's cache and its ``top_order`` of the weights.
+Majority votes read the uint8 bit matrix as it is; Hamming distances are
+XOR plus popcount over the words. A slot holds its centroid's distances
+to every row, in the smallest unsigned dtype that holds the width, their
+float64 likelihood row ``table[distance]``, and the input row equal to
+the centroid; all three are made with the slot, in one Hamming pass and
+one table lookup per distinct centroid per run. ``columns`` stacks the
+distances of k slots into a (k, n) matrix and ``likelihoods`` their float
+rows, the layout both clustering and redistribution work in.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["PackedDistribution", "SortedView", "match_rows", "sorted_view", "view_total"]
+__all__ = ["PackedDistribution", "SortedView", "match_rows", "sorted_view", "top_order", "view_total"]
 
 
 def view_total(total: float) -> float:
@@ -44,6 +47,26 @@ def view_total(total: float) -> float:
     if not 0 < total < np.inf:
         raise ValueError(f"distribution needs a positive finite total weight, got {total}")
     return total
+
+
+def top_order(weights: np.ndarray) -> np.ndarray:
+    """Row indices by descending weight, ties by ascending value, of the
+    ``weights`` of rows in value order: a stable sort on -weight keeps ties
+    in that order."""
+    return np.argsort(-weights, kind="stable")
+
+
+@lru_cache(maxsize=64)
+def _likelihood_table(width: int, flip_rate: float) -> np.ndarray:
+    """``(1-p)^(width-d) * p^d`` for d = 0..width, read-only and built once
+    per (width, rate); running products, since numpy's vector power
+    rounds differently per CPU."""
+    powers = np.full((2, width + 1), [[1.0 - flip_rate], [flip_rate]])
+    powers[:, 0] = 1.0
+    np.cumprod(powers, axis=1, out=powers)
+    table = powers[0, ::-1] * powers[1]
+    table.flags.writeable = False
+    return table
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
@@ -165,16 +188,16 @@ def _tally(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class PackedDistribution:
-    """One mitigation run's view of a distribution: the bit rows, words
-    and weights of its sorted view, the checked total, and the run's
-    distance cache and weight order."""
+    """One mitigation run at one bit-flip rate: the bit rows, words and
+    weights of a distribution's sorted view, the checked total, the run's
+    likelihood table, distance cache and weight order."""
 
     __slots__ = (
         "width", "weights", "bits", "words", "total", "_top_order",
-        "_slot", "_columns", "_zero_row", "_table", "_likelihood", "_filled",
+        "_slot", "_columns", "_zero_row", "_table", "_likelihood",
     )
 
-    def __init__(self, dist):
+    def __init__(self, dist, flip_rate: float):
         view = dist._sorted()
         self.width = dist.width
         self.bits, self.words, self.weights = view.bits, view.words, view.weights
@@ -183,23 +206,20 @@ class PackedDistribution:
         # distance cache: row bytes -> slot; row ``slot`` of ``_columns``
         # (grown by doubling) is that centroid's distance column,
         # ``_zero_row[slot]`` the input row equal to it, or -1, and
-        # ``_likelihood[slot]`` its row of ``_table``, valid where ``_filled``
+        # ``_likelihood[slot]`` its row of the rate's ``_table``
         self._slot: dict[bytes, int] = {}
         self._columns = np.empty((0, len(self.weights)), dtype=np.min_scalar_type(self.width))
         self._zero_row = np.empty(0, dtype=np.intp)
-        self._table: np.ndarray | None = None
+        self._table = _likelihood_table(self.width, flip_rate)
         self._likelihood = np.empty((0, len(self.weights)))
-        self._filled = np.empty(0, dtype=bool)
 
     def __len__(self) -> int:
         return len(self.weights)
 
     def top_order(self) -> np.ndarray:
-        """Row indices sorted by descending weight, ties by ascending value."""
+        """``top_order`` of the run's weights, computed once."""
         if self._top_order is None:
-            # rows are already value-sorted, so a stable sort on -weight
-            # leaves ties in ascending value order
-            self._top_order = np.argsort(-self.weights, kind="stable")
+            self._top_order = top_order(self.weights)
         return self._top_order
 
     def hamming_to(self, centroid_bits: np.ndarray) -> np.ndarray:
@@ -214,7 +234,8 @@ class PackedDistribution:
     def slots(self, centroid_bits: np.ndarray) -> np.ndarray:
         """Cache slot of each centroid row: equal rows, and only they, get
         equal slots for the whole run. The columns of rows not seen before
-        in this run are computed in one ``hamming_to`` call."""
+        in this run are computed in one ``hamming_to`` call, and their
+        likelihood rows in one table lookup."""
         keys = [row.tobytes() for row in centroid_bits]
         fresh: dict[bytes, int] = {}  # unseen key -> its first row
         for i, key in enumerate(keys):
@@ -222,43 +243,32 @@ class PackedDistribution:
                 fresh.setdefault(key, i)
         if fresh:
             rows = self.hamming_to(centroid_bits[list(fresh.values())]).T
-            used = len(self._slot)
-            if used + len(fresh) > len(self._columns):
-                self._grow(max(2 * len(self._columns), used + len(fresh)), used)
-            self._columns[used : used + len(fresh)] = rows
+            used, end = len(self._slot), len(self._slot) + len(fresh)
+            if end > len(self._columns):
+                self._grow(max(2 * len(self._columns), end), used)
+            self._columns[used:end] = rows
+            np.take(self._table, rows, out=self._likelihood[used:end])
             zero = rows == 0
-            self._zero_row[used : used + len(fresh)] = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
+            self._zero_row[used:end] = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
             for j, key in enumerate(fresh):
                 self._slot[key] = used + j
         return np.array([self._slot[key] for key in keys], dtype=np.intp)
 
     def _grow(self, capacity: int, used: int) -> None:
-        """Room for ``capacity`` slots, keeping the ``used`` ones; a float
-        row is copied only where it was filled, so unfilled rows take no memory."""
+        """Room for ``capacity`` slots, keeping the ``used`` ones."""
         columns = np.empty((capacity, len(self)), dtype=self._columns.dtype)
-        columns[:used] = self._columns[:used]
         likelihood = np.empty((capacity, len(self)))
-        filled = np.flatnonzero(self._filled)
-        likelihood[filled] = self._likelihood[filled]
+        columns[:used], likelihood[:used] = self._columns[:used], self._likelihood[:used]
         self._columns, self._likelihood = columns, likelihood
         self._zero_row = np.resize(self._zero_row, capacity)
-        self._filled = np.concatenate([self._filled, np.zeros(capacity - len(self._filled), dtype=bool)])
 
     def columns(self, slots: np.ndarray) -> np.ndarray:
         """(k, n) Hamming distances, one row per slot."""
         return self._columns[slots]
 
-    def likelihoods(self, slots: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """(k, n) float64 rows ``table[distance]``, one per slot: a copy of
-        each slot's row, which is filled the first time it is asked for with
-        this ``table`` object. Another table empties the store."""
-        if table is not self._table:
-            self._table = table
-            self._filled[:] = False
-        fresh = slots[~self._filled[slots]]  # a repeated slot is filled twice, with equal values
-        if len(fresh):
-            self._likelihood[fresh] = np.take(table, self._columns[fresh])
-            self._filled[fresh] = True
+    def likelihoods(self, slots: np.ndarray) -> np.ndarray:
+        """(k, n) float64 likelihood rows ``table[distance]``, a copy of
+        each slot's row."""
         return self._likelihood[slots]
 
     def centroid_rows(self, slots: np.ndarray) -> np.ndarray:

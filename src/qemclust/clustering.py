@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._packed import PackedDistribution
+from ._packed import PackedDistribution, SortedView, top_order, view_total
 from .distributions import BitString, OutcomeDistribution, rows_to_strings, strings_to_rows
 from .noise import check_rate
 
@@ -98,8 +98,9 @@ def select_initial_centroids(dist: OutcomeDistribution, k: int) -> list[BitStrin
         raise ValueError(f"k must be a positive integer, got {k}")
     if k > len(dist):
         raise ValueError(f"k={k} exceeds the {len(dist)} unique bit-strings present")
-    packed = PackedDistribution(dist)
-    return rows_to_strings(packed.bits[packed.top_order()[:k]])
+    view = dist._sorted()
+    view_total(view.total)
+    return rows_to_strings(view.bits[top_order(view.weights)[:k]])
 
 
 def qubitwise_majority_vote(
@@ -121,18 +122,24 @@ def qubitwise_majority_vote(
         raise EmptyClusterError("majority vote over zero total weight")
     if incumbent is not None and incumbent.width != width:
         raise ValueError("incumbent width does not match members")
-    packed = PackedDistribution(dist)
+    view = dist._sorted()
+    total = view_total(view.total)
     tie_row = strings_to_rows([BitString(0, width) if incumbent is None else incumbent], width)
-    n = len(packed)
-    return rows_to_strings(_vote(packed, np.arange(n), np.array([0, n]), np.array([packed.total]), tie_row))[0]
+    n = len(view.weights)
+    return rows_to_strings(_vote(view, np.arange(n), np.array([0, n]), np.array([total]), tie_row))[0]
 
 
 def _vote(
-    packed: PackedDistribution, members: np.ndarray, bounds: np.ndarray, totals: np.ndarray, incumbents: np.ndarray
+    rows: PackedDistribution | SortedView,
+    members: np.ndarray,
+    bounds: np.ndarray,
+    totals: np.ndarray,
+    incumbents: np.ndarray,
 ) -> np.ndarray:
     """Per-qubit majority row of every cluster ``members[bounds[i]:bounds[i + 1]]``
-    of weight ``totals[i]``, exact ties broken by ``incumbents[i]``."""
-    w, bits = packed.weights[members], np.take(packed.bits, members, axis=0)
+    of the ``rows``' bits and weights, of weight ``totals[i]``, exact ties
+    broken by ``incumbents[i]``."""
+    w, bits = rows.weights[members], np.take(rows.bits, members, axis=0)
     with np.errstate(over="ignore"):  # twice a sum past half the float range is inf, which still compares right
         # einsum without optimize calls no BLAS kernel: it casts the uint8 rows
         # to float64 in its buffered loop, and each qubit's sum adds the member
@@ -207,7 +214,7 @@ def cluster(dist: OutcomeDistribution, cfg: ClusterConfig) -> ClusterModel:
     """
     if cfg.k > len(dist):
         raise ValueError(f"k={cfg.k} exceeds the {len(dist)} unique bit-strings present")
-    packed = PackedDistribution(dist)
+    packed = PackedDistribution(dist, cfg.flip_rate)
     theta = outlier_threshold(dist.width, cfg.flip_rate)
     bits, weights, nearest, outlier, converged, rounds, _ = _cluster_packed(packed, cfg.k, theta, cfg.max_rounds)
     strings = rows_to_strings(packed.bits)

@@ -152,7 +152,7 @@ def mitigate(noisy: OutcomeDistribution, cfg: MitigationConfig) -> MitigationRep
     (capped at the unique-string count). Deterministic for identical
     inputs and configuration.
     """
-    packed = PackedDistribution(noisy)
+    packed = PackedDistribution(noisy, cfg.flip_rate)
     theta = outlier_threshold(noisy.width, cfg.flip_rate)
     fixed = cfg.fixed_k is not None
     ks = [min(cfg.fixed_k, len(packed))] if fixed else range(1, len(packed) + 1)
@@ -165,9 +165,10 @@ def mitigate(noisy: OutcomeDistribution, cfg: MitigationConfig) -> MitigationRep
             packed, k, theta, cfg.max_rounds
         )
         duplicates = len(slots) - len(set(slots.tolist()))
-        arrays = _redistribute_packed(packed, slots, weights, cfg.flip_rate)
+        arrays = _redistribute_packed(packed, slots, weights)
         current = _iterate(arrays)
-        output = partial(_mitigated_distribution, packed, noisy, centroid_bits, arrays, cfg.flip_rate)
+        # the record keeps the pass's masses and gains, not the run's cache
+        output = partial(_mitigated_distribution, noisy, centroid_bits, arrays[0], arrays[3], cfg.flip_rate)
         hf = _fidelity(current, previous)
         records.append(IterationRecord(k, hf, converged, rounds, duplicates, centroid_bits, output))
         if not fixed and k >= 2 and hf > cfg.stop_threshold:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._packed import PackedDistribution, _tally
+from ._packed import _tally, view_total
 from .distributions import OutcomeDistribution
 
 __all__ = [
@@ -121,10 +121,10 @@ def sample_shots(dist: OutcomeDistribution, shots: int, seed=None) -> OutcomeDis
     """
     if shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots}")
-    packed = PackedDistribution(dist)
-    counts = np.random.default_rng(seed).multinomial(shots, packed.weights / packed.total)
+    view = dist._sorted()
+    counts = np.random.default_rng(seed).multinomial(shots, view.weights / view_total(view.total))
     seen = counts > 0
-    return OutcomeDistribution._from_rows(packed.bits[seen], counts[seen].astype(np.float64), packed.words[seen])
+    return OutcomeDistribution._from_rows(view.bits[seen], counts[seen].astype(np.float64), view.words[seen])
 
 
 def apply_bitflip(shots_dist: OutcomeDistribution, noise: NoiseSpec) -> OutcomeDistribution:
@@ -137,9 +137,10 @@ def apply_bitflip(shots_dist: OutcomeDistribution, noise: NoiseSpec) -> OutcomeD
     """
     if not shots_dist.is_integral():
         raise ValueError("apply_bitflip expects an integer-count distribution")
-    packed = PackedDistribution(shots_dist)
+    view = shots_dist._sorted()
+    view_total(view.total)
     rng = np.random.default_rng(noise.seed)
-    source = np.repeat(packed.bits, np.rint(packed.weights).astype(np.int64), axis=0)
+    source = np.repeat(view.bits, np.rint(view.weights).astype(np.int64), axis=0)
     if noise.flip_rate > 0:  # flipped in place: the repeat is a fresh array
         source ^= (rng.random(source.shape) < noise.flip_rate).view(np.uint8)
     rows, words, tally = _tally(source)

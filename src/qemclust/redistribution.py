@@ -16,18 +16,17 @@ BLAS kernel, so it adds in one order on every CPU: a string's claim adds
 its joint terms in centroid order, and a centroid's gain is numpy's
 pairwise sum of its scaled (k, n) cache row, over strings in value order.
 The joint rows start as copies of the run's per-slot likelihood rows,
-each looked up in the likelihood table once per run.
+each looked up in the run's likelihood table when its slot was made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from ._packed import PackedDistribution, _pack_words
+from ._packed import PackedDistribution, _likelihood_table, _pack_words
 from .clustering import ClusterModel
 from .distributions import BitString, OutcomeDistribution, _left_to_right_sum, hamming_distance
 from .distributions import rows_to_strings, strings_to_rows
@@ -70,18 +69,6 @@ def joint_probability(b: BitString, centroid: BitString, cluster_weight: float, 
     return float(table[hamming_distance(b, centroid)] * cluster_weight)
 
 
-@lru_cache(maxsize=64)
-def _likelihood_table(width: int, flip_rate: float) -> np.ndarray:
-    # read-only and built once per (width, rate); running products, since
-    # numpy's vector power rounds differently per CPU
-    powers = np.full((2, width + 1), [[1.0 - flip_rate], [flip_rate]])
-    powers[:, 0] = 1.0
-    np.cumprod(powers, axis=1, out=powers)
-    table = powers[0, ::-1] * powers[1]
-    table.flags.writeable = False
-    return table
-
-
 def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: float) -> RedistributionResult:
     """Reassign noise-explained mass from the support onto the centroids.
 
@@ -97,52 +84,45 @@ def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: flo
     if weights.shape != (model.k,) or not ((weights >= 0.0) & (weights <= 1.0)).all():
         raise ValueError(f"cluster weights must be one value in [0, 1] per centroid, got {model.weights}")
 
-    packed = PackedDistribution(noisy)
+    packed = PackedDistribution(noisy, flip_rate)
     centroid_bits = strings_to_rows(model.centroids, packed.width)
-    arrays = _redistribute_packed(packed, packed.slots(centroid_bits), weights, flip_rate)
-    mitigated = _mitigated_distribution(packed, noisy, centroid_bits, arrays, flip_rate)
-    # a zero-rate pass explains no flips: it removes nothing
-    removed_idx = arrays[1] if flip_rate > 0 else ()
+    masses, removed_idx, claim, gained = _redistribute_packed(packed, packed.slots(centroid_bits), weights)
+    mitigated = _mitigated_distribution(noisy, centroid_bits, masses, gained, flip_rate)
+    if flip_rate == 0:
+        removed_idx = ()  # a zero-rate pass explains no flips: it removes nothing
     centroid_set = set(model.centroids)
     strings = rows_to_strings(packed.bits)
     return RedistributionResult(
         mitigated,
         frozenset(strings[i] for i in removed_idx),
-        {b: c for b, c in zip(strings, arrays[2].tolist()) if b not in centroid_set},
+        {b: c for b, c in zip(strings, claim.tolist()) if b not in centroid_set},
     )
 
 
 def _mitigated_distribution(
-    packed: PackedDistribution,
-    noisy: OutcomeDistribution,
-    centroid_bits: np.ndarray,
-    arrays: tuple,
-    flip_rate: float,
+    noisy: OutcomeDistribution, centroid_bits: np.ndarray, masses: np.ndarray, gained: list, flip_rate: float
 ) -> OutcomeDistribution:
-    """The mitigated distribution of a ``_redistribute_packed`` pass:
-    surviving input rows in value order, then the merged centroids. It
-    keeps the rows' words, so nothing packs them again. A
-    zero-rate channel explains no flips, so it returns the input's
-    probability view bit-exactly.
+    """The mitigated distribution of a ``_redistribute_packed`` pass over
+    ``noisy`` at ``flip_rate``, from the pass's surviving ``masses`` and
+    ``gained`` centroids: surviving input rows in value order, then the
+    merged centroids. It keeps the rows' words, so nothing packs them
+    again. It reads the input's sorted view, not the run, so a caller can
+    keep it for later. A zero-rate channel explains no flips, so it
+    returns the input's probability view bit-exactly.
     """
     if flip_rate == 0.0:
         return noisy.normalized()
-    masses, _removed, _claim, gained = arrays
+    view = noisy._sorted()
     survivors = np.flatnonzero(masses > 0)
     new = centroid_bits[[g[0] for g in gained]]
-    rows = np.concatenate([np.take(packed.bits, survivors, axis=0), new])
-    words = np.concatenate([np.take(packed.words, survivors, axis=0), _pack_words(new)])
+    rows = np.concatenate([np.take(view.bits, survivors, axis=0), new])
+    words = np.concatenate([np.take(view.words, survivors, axis=0), _pack_words(new)])
     mass = np.concatenate([masses[survivors], [g[1] for g in gained]])
     return OutcomeDistribution._from_rows(rows, mass / _left_to_right_sum(mass), words)
 
 
-def _redistribute_packed(
-    packed: PackedDistribution,
-    slots: np.ndarray,
-    cluster_weights: np.ndarray,
-    flip_rate: float,
-):
-    """One redistribution pass for the centroids of ``slots``.
+def _redistribute_packed(packed: PackedDistribution, slots: np.ndarray, cluster_weights: np.ndarray):
+    """One redistribution pass for the centroids of ``slots``, at the run's rate.
 
     Returns (unnormalized per-row surviving masses, removed row indices,
     per-row raw claims, gained centroids). Rows equal to a centroid keep
@@ -153,7 +133,7 @@ def _redistribute_packed(
     """
     pr = packed.weights / packed.total
     centroid_rows = packed.centroid_rows(slots)
-    joint = packed.likelihoods(slots, _likelihood_table(packed.width, flip_rate))
+    joint = packed.likelihoods(slots)
     joint *= cluster_weights[:, None]
     is_centroid = np.zeros(len(pr), dtype=bool)
     is_centroid[centroid_rows[centroid_rows >= 0]] = True

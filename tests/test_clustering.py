@@ -225,7 +225,7 @@ class TestDistanceCache:
         values = st.integers(0, (1 << width) - 1)
         observed = data.draw(st.lists(values, min_size=1, max_size=12, unique=True))
         dist = OutcomeDistribution(width, {BitString(v, width): 1.0 + i for i, v in enumerate(observed)})
-        packed = PackedDistribution(dist)
+        packed = PackedDistribution(dist, 0.1)
         # centroids from the observed rows and from rows never observed,
         # with repeats, asked for in batches in any order
         pool = observed + data.draw(st.lists(values, min_size=1, max_size=4))
@@ -248,7 +248,7 @@ class TestDistanceCache:
             np.testing.assert_array_equal(packed.centroid_rows(slots), want)
 
     def test_each_distinct_centroid_is_computed_once(self, monkeypatch):
-        packed = PackedDistribution(OutcomeDistribution.from_counts({"0000": 5, "0110": 3, "1111": 1}))
+        packed = PackedDistribution(OutcomeDistribution.from_counts({"0000": 5, "0110": 3, "1111": 1}), 0.1)
         asked = []
         hamming_to = PackedDistribution.hamming_to
 
@@ -273,7 +273,8 @@ class TestRoundVote:
         width = data.draw(st.integers(1, 8))
         values = st.integers(0, (1 << width) - 1)
         weights = data.draw(st.dictionaries(values, st.integers(1, 3), min_size=1, max_size=16))
-        packed = PackedDistribution(OutcomeDistribution(width, {BitString(v, width): w for v, w in weights.items()}))
+        dist = OutcomeDistribution(width, {BitString(v, width): w for v, w in weights.items()})
+        packed = PackedDistribution(dist, 0.1)
         k = data.draw(st.integers(1, 5))
         labels = np.array(data.draw(st.lists(st.integers(-1, k - 1), min_size=len(packed), max_size=len(packed))))
         kept = np.flatnonzero(labels >= 0)
@@ -302,7 +303,7 @@ class TestRoundVote:
         strings = {}
         for v, w in zip(cluster_of, (weights / weights.sum()).tolist()):
             strings[BitString(v, width)] = strings[BitString(v ^ full, width)] = w
-        packed = PackedDistribution(OutcomeDistribution(width, strings))
+        packed = PackedDistribution(OutcomeDistribution(width, strings), 0.1)
         labels = np.array([cluster_of[min(b.value, b.value ^ full)] for b in rows_to_strings(packed.bits)])
         kept = np.flatnonzero(labels >= 0)
         members = kept[np.argsort(labels[kept], kind="stable")]
@@ -324,7 +325,7 @@ class TestRoundVote:
         # seeded at the heaviest strings, most passes converge in one round;
         # this one takes four
         _, noisy = _noisy_instance(8, 3, 0.4, 2048, seed=52)
-        result = clustering._cluster_packed(PackedDistribution(noisy), 4, outlier_threshold(8, 0.4), 100)
+        result = clustering._cluster_packed(PackedDistribution(noisy, 0.4), 4, outlier_threshold(8, 0.4), 100)
         assert result[5] == 4
         assert calls == [4] * 4
 
@@ -337,10 +338,10 @@ class TestClusterKernelMatchesMaskedVotes:
 
     @staticmethod
     def _check(dist, k, flip_rate, max_rounds):
-        packed = PackedDistribution(dist)
+        packed = PackedDistribution(dist, flip_rate)
         theta = outlier_threshold(dist.width, flip_rate)
         got = clustering._cluster_packed(packed, k, theta, max_rounds)
-        want = reference_cluster_packed(PackedDistribution(dist), k, theta, max_rounds)
+        want = reference_cluster_packed(PackedDistribution(dist, flip_rate), k, theta, max_rounds)
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1].tobytes() == want[1].tobytes()
         np.testing.assert_array_equal(got[2], want[2])
@@ -390,7 +391,7 @@ class TestLargeClusterVote:
         half = np.unique(half, axis=0)
         w = rng.random(len(half))
         weights = np.concatenate([w, w]) / (2 * w.sum())
-        packed = PackedDistribution(OutcomeDistribution._from_rows(np.concatenate([half, 1 - half]), weights))
+        packed = PackedDistribution(OutcomeDistribution._from_rows(np.concatenate([half, 1 - half]), weights), 0.1)
         n = len(packed)
         assert n >= 10_000 and packed.width == 100
         incumbents = rng.integers(0, 2, size=(1, 100), dtype=np.uint8)

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import qemclust.engine as engine
 from oracles import brute_force_mitigate
+from qemclust._packed import PackedDistribution
 from qemclust import (
     BitString,
     ClusterConfig,
@@ -185,6 +188,23 @@ class TestMitigateIterative:
         records = [run_trial(cell, 0, seed) for seed in range(3)]
         assert all(rec.k_used == 2 and not rec.error for rec in records)
         assert [(rec.hf_noisy.hex(), rec.hf_mitigated.hex()) for rec in records] == self.PINNED_WIDE
+
+    @pytest.mark.parametrize("rate", [0.0, 0.15])
+    @pytest.mark.parametrize("fixed_k", [None, 3])
+    def test_a_report_keeps_no_run_cache(self, fixed_k, rate):
+        # the lazy outputs hold the input, the pass's masses and gains and
+        # the centroid rows; functions, classes and modules are not walked
+        report = mitigate(worked_noisy(101), MitigationConfig(rate, stop_threshold=0.9, fixed_k=fixed_k))
+        seen, todo, arrays = set(), [report], 0
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, PackedDistribution)
+            arrays += isinstance(obj, np.ndarray)
+            todo.extend(gc.get_referents(obj))
+        assert arrays >= 2 * len(report.iterations)  # each record's centroid rows and masses were walked
 
     @pytest.mark.parametrize("fixed_k", [None, 3])
     def test_outputs_are_built_only_when_read(self, monkeypatch, fixed_k):

@@ -14,6 +14,7 @@ from oracles import reference_match_rows, reference_tally_rows, reference_value_
 from qemclust import BitString, NoiseSpec, OutcomeDistribution, SyntheticSpec, apply_bitflip, generate_ideal, sample_shots
 from qemclust._packed import __all__ as PACKED_EXPORTS
 from qemclust._packed import PackedDistribution, _pack_words, _tally, _unpack_words, match_rows, sorted_view
+from qemclust.clustering import EmptyClusterError, qubitwise_majority_vote, select_initial_centroids
 from qemclust.estimator import _spiked_ideal
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qemclust"
@@ -102,7 +103,7 @@ class TestHammingMatchesPythonInts:
         values = st.integers(0, (1 << width) - 1)
         observed = data.draw(st.lists(values, min_size=1, max_size=20, unique=True))
         centroids = data.draw(st.lists(st.sampled_from(observed) | values, min_size=1, max_size=8))
-        packed = PackedDistribution(OutcomeDistribution(width, {BitString(v, width): 1.0 for v in observed}))
+        packed = PackedDistribution(OutcomeDistribution(width, {BitString(v, width): 1.0 for v in observed}), 0.1)
         got = packed.hamming_to(_rows(centroids, width))
         # the packed rows are in value order
         assert got.tolist() == [[bin(a ^ c).count("1") for c in centroids] for a in sorted(observed)]
@@ -182,6 +183,25 @@ class TestSortedViews:
             _assert_view_is_recomputed(dist)
             assert dist._sorted() is view
 
+    READERS = {
+        "sample_shots": lambda dist: sample_shots(dist, 10, 0),
+        "apply_bitflip": lambda dist: apply_bitflip(dist, NoiseSpec(0.1, 0)),
+        "select_initial_centroids": lambda dist: select_initial_centroids(dist, 1),
+        "qubitwise_majority_vote": qubitwise_majority_vote,
+    }
+
+    @pytest.mark.parametrize("weight, total", [(0.0, "0.0"), (1e308, "inf")])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_readers_of_the_view_need_a_positive_finite_total(self, reader, weight, total):
+        dist = OutcomeDistribution.from_counts({"01": weight, "10": weight})
+        if reader == "qubitwise_majority_vote" and weight == 0.0:
+            error, message = EmptyClusterError, "majority vote over zero total weight"
+        else:
+            error, message = ValueError, f"distribution needs a positive finite total weight, got {total}"
+        with pytest.raises(ValueError) as raised:
+            self.READERS[reader](dist)
+        assert type(raised.value) is error and str(raised.value) == message
+
 
 def _calls(path: Path):
     """(called name, call node) of every call in a source file."""
@@ -194,24 +214,30 @@ def _calls(path: Path):
 BLAS_CALLS = {"dot", "matmul", "inner", "tensordot", "vdot", "vecdot", "matvec", "vecmat"}
 
 
-def _blas_products(path: Path):
-    """(enclosing function, source) of every product in a source file that
-    may call a BLAS kernel: ``@``, ``@=``, the numpy product calls, and
-    ``einsum`` given ``optimize``, which hands contractions to ``tensordot``."""
+def _nodes_in_functions(path: Path):
+    """(enclosing function name or None, node) of every node in a source file."""
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
+        yield func, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+
+    yield from visit(ast.parse(path.read_text(encoding="utf-8")), None)
+
+
+def _blas_products(path: Path):
+    """(enclosing function, source) of every product in a source file that
+    may call a BLAS kernel: ``@``, ``@=``, the numpy product calls, and
+    ``einsum`` given ``optimize``, which hands contractions to ``tensordot``."""
+    for func, node in _nodes_in_functions(path):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             yield func, ast.unparse(node)
         elif isinstance(node, ast.Call):
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
             if name in BLAS_CALLS or (name == "einsum" and any(kw.arg == "optimize" for kw in node.keywords)):
                 yield func, ast.unparse(node)
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, func)
-
-    yield from visit(ast.parse(path.read_text(encoding="utf-8")), None)
 
 
 class TestLayering:
@@ -253,6 +279,18 @@ class TestLayering:
                 assert node.level == 0 and not (node.module or "").startswith("qemclust"), ast.unparse(node)
             elif isinstance(node, ast.Import):
                 assert not any(a.name.startswith("qemclust") for a in node.names), ast.unparse(node)
+
+    def test_only_runs_build_a_run_cache(self):
+        # a run binds one rate; code that only reads a distribution reads its view
+        built, tables = set(), []
+        for path in sorted(SRC.glob("*.py")):
+            for func, node in _nodes_in_functions(path):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "PackedDistribution":
+                    built.add((path.stem, func))
+                elif isinstance(node, ast.FunctionDef) and node.name == "_likelihood_table":
+                    tables.append(path.stem)
+        assert built == {("engine", "mitigate"), ("clustering", "cluster"), ("redistribution", "redistribute")}
+        assert tables == ["_packed"]
 
     def test_every_export_is_used_by_the_package(self):
         # an export that only tests import is test scaffolding in src/

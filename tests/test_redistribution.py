@@ -23,9 +23,9 @@ from qemclust import (
     redistribute,
     sample_shots,
 )
-from qemclust._packed import PackedDistribution, _pack_words
+from qemclust._packed import PackedDistribution, _likelihood_table, _pack_words
 from qemclust.distributions import strings_to_rows
-from qemclust.redistribution import _likelihood_table, _redistribute_packed
+from qemclust.redistribution import _redistribute_packed
 
 B = BitString.from_text
 
@@ -179,9 +179,9 @@ class TestMassConservation:
         rate = data.draw(st.one_of(st.sampled_from([0.0, 0.5]), st.floats(min_value=0.0, max_value=0.5)))
 
         dist = OutcomeDistribution(width, {BitString(v, width): c for v, c in zip(observed, counts)})
-        packed = PackedDistribution(dist)
+        packed = PackedDistribution(dist, rate)
         slots = packed.slots(strings_to_rows([BitString(v, width) for v in centroids], width))
-        masses, _removed, _claim, gained = _redistribute_packed(packed, slots, np.array(weights), rate)
+        masses, _removed, _claim, gained = _redistribute_packed(packed, slots, np.array(weights))
         assert math.fsum([*masses.tolist(), *(g[1] for g in gained)]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -280,55 +280,59 @@ class TestOracleEquivalence:
 
 
 class TestLikelihoodRows:
-    """Each cache slot keeps one float row ``table[distance]``, filled once
-    per table and copied, k at a time, into every pass."""
+    """Each cache slot holds one float row ``table[distance]`` of its run's
+    rate, made with the slot and copied, k at a time, into every pass."""
 
     @staticmethod
-    def _packed(width, seed):
+    def _noisy(width, seed):
         rng = np.random.default_rng(seed)
         ideal = generate_ideal(SyntheticSpec(width, min(6, 2**width), rng))
-        return PackedDistribution(apply_bitflip(sample_shots(ideal, 3000, rng), NoiseSpec(0.1, rng))), rng
+        return apply_bitflip(sample_shots(ideal, 3000, rng), NoiseSpec(0.1, rng)), rng
 
     @pytest.mark.parametrize("width", [3, 9, 70])
     def test_rows_equal_the_table_lookup_across_doublings(self, width):
-        packed, rng = self._packed(width, width)
-        tables = [_likelihood_table(width, 0.1), _likelihood_table(width, 0.27)]
+        noisy, rng = self._noisy(width, width)
+        packed = PackedDistribution(noisy, 0.1)
+        table = _likelihood_table(width, 0.1)
         capacities = []
-        for i in range(12):
+        for _ in range(12):
             # a few fresh rows per call, some repeated, so the cache doubles
             centroids = rng.integers(0, 2, size=(int(rng.integers(1, 4)), width), dtype=np.uint8)
             slots = packed.slots(np.concatenate([centroids, packed.bits[:1]]))
             capacities.append(len(packed._columns))
-            table = tables[i // 6]  # the second half reads another table
-            got = packed.likelihoods(slots, table)
+            got = packed.likelihoods(slots)
             assert got.dtype == np.float64 and got.shape == (len(slots), len(packed))
             assert got.tobytes() == np.take(table, packed.columns(slots)).tobytes()
-            # every slot asked for so far, in any order
+            got[:] = -1.0  # a pass scales its copy in place; the slots keep their rows
+            # every slot made so far, in any order
             every = np.arange(len(packed._slot))[::-1]
-            assert packed.likelihoods(every, table).tobytes() == np.take(table, packed.columns(every)).tobytes()
+            assert packed.likelihoods(every).tobytes() == np.take(table, packed.columns(every)).tobytes()
         assert len(set(capacities)) >= 3  # at least two doublings
 
-    def test_each_row_is_filled_once_per_table(self):
-        packed, rng = self._packed(12, 3)
-        table = _likelihood_table(12, 0.1).copy()
-        slots = packed.slots(packed.bits[:5])
-        want = packed.likelihoods(slots, table)
-        table[:] = -1.0  # the same table object: filled rows are not read again
-        assert packed.likelihoods(slots[::-1], table).tobytes() == want[::-1].tobytes()
-        more = packed.slots(rng.integers(0, 2, size=(9, 12), dtype=np.uint8))  # grows the cache
-        assert packed.likelihoods(slots, table).tobytes() == want.tobytes()
-        assert (packed.likelihoods(more, table) == -1.0).all()  # new slots read the table as it is now
-        other = _likelihood_table(12, 0.1)  # another table object empties the store
-        assert packed.likelihoods(slots, other).tobytes() == np.take(other, packed.columns(slots)).tobytes()
+    def test_two_runs_at_two_rates_hold_their_own_rows(self):
+        noisy, rng = self._noisy(12, 3)
+        runs = {rate: PackedDistribution(noisy, rate) for rate in (0.1, 0.27)}
+        assert runs[0.1].bits is runs[0.27].bits  # one sorted view
+        centroids = rng.integers(0, 2, size=(9, 12), dtype=np.uint8)
+        for batch in (centroids[:4], runs[0.1].bits[:5], centroids[2:]):
+            for packed in runs.values():  # the runs make their slots in turn
+                packed.slots(batch)
+        rows = {}
+        for rate, packed in runs.items():
+            every = np.arange(len(packed._slot))
+            rows[rate] = packed.likelihoods(every)
+            assert rows[rate].tobytes() == np.take(_likelihood_table(12, rate), packed.columns(every)).tobytes()
+        assert rows[0.1].shape == rows[0.27].shape and (rows[0.1] != rows[0.27]).any()
 
     def test_a_pass_on_cached_rows_matches_a_fresh_run(self):
-        packed, _ = self._packed(10, 5)
+        noisy, _ = self._noisy(10, 5)
+        packed = PackedDistribution(noisy, 0.1)
         centroids = packed.bits[packed.top_order()[:3]]
         weights = np.array([0.5, 0.3, 0.1])
-        _redistribute_packed(packed, packed.slots(centroids), weights, 0.1)  # fills the rows
-        again = _redistribute_packed(packed, packed.slots(centroids[::-1]), weights[::-1], 0.1)
-        fresh = PackedDistribution(OutcomeDistribution._from_rows(packed.bits, packed.weights))
-        rerun = _redistribute_packed(fresh, fresh.slots(centroids[::-1]), weights[::-1], 0.1)
+        _redistribute_packed(packed, packed.slots(centroids), weights)  # scales its copies of the rows
+        again = _redistribute_packed(packed, packed.slots(centroids[::-1]), weights[::-1])
+        fresh = PackedDistribution(OutcomeDistribution._from_rows(packed.bits, packed.weights), 0.1)
+        rerun = _redistribute_packed(fresh, fresh.slots(centroids[::-1]), weights[::-1])
         for a, b in zip(again[:3], rerun[:3]):
             assert a.tobytes() == b.tobytes()
         # gained entries name their slot, which is per run
