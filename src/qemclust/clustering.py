@@ -160,8 +160,7 @@ def _assign(
     k = len(slots)
     # distance * k + centroid index: the smallest key per row is the
     # nearest centroid, ties resolved to the lowest index
-    key = packed.columns(slots).astype(np.min_scalar_type((packed.width + 1) * k))
-    key *= k
+    key = np.multiply(packed.columns(slots), k, dtype=np.min_scalar_type((packed.width + 1) * k))
     key += np.arange(k, dtype=key.dtype)[:, None]
     first = key.min(axis=0)
     nearest = first % k

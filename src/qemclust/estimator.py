@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import add, itemgetter, mul, not_
 from typing import Mapping, Sequence
 
@@ -225,17 +224,24 @@ def _pairwise_sum(values: list[float]) -> float:
     """Sum of ``values`` in the order numpy's float64 ``add.reduce`` adds
     them, so the bits match ``np.sum``, ``ndarray.mean`` and ``np.var``:
     0.0 plus the values left to right below 8 of them; up to 128, eight
-    strided accumulators combined pairwise and then the tail left to
-    right; above that, the two halves (split at a multiple of 8) summed
-    apart."""
+    strided accumulators (accumulator ``j`` adds values ``j``, ``j + 8``,
+    ... left to right) combined pairwise and then the tail left to right;
+    above that, the two halves (split at a multiple of 8) summed apart."""
     n = len(values)
     if n < 8:
-        return reduce(add, values, 0.0)
+        total = 0.0
+        for v in values:
+            total += v
+        return total
     if n <= 128:
         m = n - n % 8
-        r = [reduce(add, values[j:m:8]) for j in range(8)]
+        r = values[:8]
+        for off in range(8, m, 8):
+            r = list(map(add, r, values[off : off + 8]))
         res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, values[m:], res) + 0.0  # numpy starts from 0.0, so never -0.0
+        for v in values[m:]:
+            res += v
+        return res + 0.0  # numpy starts from 0.0, so never -0.0
     half = n // 2 - (n // 2) % 8
     return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
@@ -243,6 +249,16 @@ def _pairwise_sum(values: list[float]) -> float:
 def _mean_var(values: list[float]) -> tuple[float, float]:
     """``(np.mean(v), np.var(v))`` bit for bit, in Python floats."""
     n = len(values)
+    if n < 8:  # _pairwise_sum's plain loop, without the calls and lists
+        total = 0.0
+        for v in values:
+            total += v
+        mean = total / n
+        total = 0.0
+        for v in values:
+            v -= mean
+            total += v * v
+        return mean, total / n
     mean = _pairwise_sum(values) / n
     dev = [v - mean for v in values]
     return mean, _pairwise_sum(list(map(mul, dev, dev))) / n
@@ -273,43 +289,45 @@ class _PCG64Draws:
         self._has_half = bool(state["has_uint32"])
         self._half = state["uinteger"]  # numpy keeps it after use, so do we
 
-    def _bounded(self, top: int) -> int:
-        """A uniform integer in [0, top], as numpy's
-        ``buffered_bounded_lemire_uint32``."""
-        if top == 0:
-            return 0
-        excl = top + 1
-        threshold = (0xFFFFFFFF - top) % excl  # below excl, so numpy's early exit agrees
-        while True:
-            if self._has_half:  # next_uint32
-                self._has_half = False
-                m = self._half * excl
-            else:
-                word = self._raw()
-                self._has_half, self._half = True, word >> 32
-                m = (word & 0xFFFFFFFF) * excl
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
-
     def choice(self, n: int, size: int) -> list[int]:
-        bounded = self._bounded
+        # One loop makes every draw, the kept half held in locals. The
+        # bounds are known up front: [0, j] for each Floyd pick
+        # j = n - size .. n - 1, then [0, i] for each swap i = size - 1 .. 1;
+        # in the tail shuffle, [0, i] for i = n - 1 .. max(n - size, 1).
         if n > 10000 and size > n // 50:
-            picks = list(range(n))
-            for i in range(n - 1, max(n - size, 1) - 1, -1):
-                j = bounded(i)
-                picks[i], picks[j] = picks[j], picks[i]
-            return picks[n - size :]
-        picks, seen = [], set()
-        for j in range(n - size, n):
-            v = bounded(j)
-            if v in seen:
-                v = j
-            seen.add(v)
-            picks.append(v)
-        for i in range(size - 1, 0, -1):
-            j = bounded(i)
-            picks[i], picks[j] = picks[j], picks[i]
-        return picks
+            picks, floyd = list(range(n)), 0
+            tops = range(n - 1, max(n - size, 1) - 1, -1)
+        else:
+            picks, floyd = [], size
+            tops = chain(range(n - size, n), range(size - 1, 0, -1))
+        seen = set()
+        raw, has_half, half = self._raw, self._has_half, self._half
+        for top in tops:
+            v = 0  # numpy draws nothing for [0, 0]
+            if top:  # numpy's buffered_bounded_lemire_uint32 over next_uint32
+                excl = top + 1
+                threshold = (0xFFFFFFFF - top) % excl  # below excl, so numpy's early exit agrees
+                while True:
+                    if has_half:
+                        has_half = False
+                        m = half * excl
+                    else:
+                        word = raw()
+                        has_half, half = True, word >> 32
+                        m = (word & 0xFFFFFFFF) * excl
+                    if m & 0xFFFFFFFF >= threshold:
+                        break
+                v = m >> 32
+            if floyd:
+                floyd -= 1
+                if v in seen:
+                    v = top
+                seen.add(v)
+                picks.append(v)
+            else:
+                picks[top], picks[v] = picks[v], picks[top]
+        self._has_half, self._half = has_half, half
+        return picks[len(picks) - size :]
 
     def uniform(self, lo: float, hi: float) -> float:
         span = hi - lo
@@ -323,59 +341,81 @@ class _PCG64Draws:
         self._bitgen.state = state
 
 
+def _equal_value_masks(cols: list[list[float]]) -> list[tuple[int, ...]]:
+    """``masks[i][f]``: the bitmask of the rows whose value of feature
+    ``f`` is ``==`` to row ``i``'s (so -0.0 and 0.0 are equal, as they are
+    to ``min``/``max``)."""
+    per_feature = []
+    for col in cols:
+        groups: dict[float, int] = {}
+        for row, v in enumerate(col):
+            groups[v] = groups.get(v, 0) | 1 << row
+        per_feature.append(map(groups.__getitem__, col))
+    return list(zip(*per_feature))
+
+
 def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
+    cols: list[list[float]],
+    labels: list[float],
+    equal: list[tuple[int, ...]],
     rng: np.random.Generator,
     min_samples_leaf: int,
     max_features: int,
-    importance_acc: np.ndarray,
+    importances: list[float],
 ) -> _Tree:
-    """Grow one tree depth first, left child before right.
+    """Grow one tree on the feature columns ``cols`` depth first, left
+    child before right, adding each split's variance decrease to
+    ``importances``.
 
     Nodes hold a few to a few hundred rows, too few for numpy calls to pay
     for their dispatch, so the node statistics are Python float
-    arithmetic on column lists with numpy's summation order, and the
-    random draws are ``_PCG64Draws``: numpy's values in the same order.
+    arithmetic with numpy's summation order, and the random draws are
+    ``_PCG64Draws``: numpy's values in the same order. Each node carries
+    the bitmask of its rows, so a feature is constant in it exactly when
+    the mask is inside the node's first row's ``equal`` mask (one AND per
+    feature, no gather); values are gathered, and their bounds taken, only
+    for the features drawn.
     """
     draws = _PCG64Draws(rng)
     choice, uniform = draws.choice, draws.uniform
-    cols = X.T.tolist()
-    labels = y.tolist()
+    n_rows = len(labels)
+    bit = [1 << i for i in range(n_rows)]
+    features = range(len(cols))
     feature, threshold, left, right = [-1], [0.0], [-1], [-1]
     value = [0.0]
-    stack = [(0, list(range(len(labels))), labels, *_mean_var(labels))]
+    stack = [(0, list(range(n_rows)), (1 << n_rows) - 1, labels, *_mean_var(labels))]
     while stack:
-        node, idx, ys, mean, var = stack.pop()
+        node, idx, rows, ys, mean, var = stack.pop()
         value[node] = mean
         n = len(idx)
         if n < 2 * min_samples_leaf or min(ys) == max(ys):
             continue
-        get = itemgetter(*idx)  # n >= 2, so it returns a tuple
-        node_cols = list(map(get, cols))
-        lo, hi = list(map(min, node_cols)), list(map(max, node_cols))
-        candidates = [f for f in range(len(cols)) if hi[f] > lo[f]]
+        candidates = list(compress(features, map(rows.__ne__, map(rows.__and__, equal[idx[0]]))))
         if not candidates:
             continue
         if len(candidates) > max_features:
             candidates = [candidates[i] for i in choice(len(candidates), max_features)]
+        get = itemgetter(*idx)  # n >= 2, so it returns a tuple
         best = None
         for f in candidates:
-            t = uniform(lo[f], hi[f])
-            mask = list(map(t.__gt__, node_cols[f]))  # v < t
+            xs = get(cols[f])
+            t = uniform(min(xs), max(xs))
+            mask = list(map(t.__gt__, xs))  # x < t
             n_left = mask.count(True)
-            if n_left < min_samples_leaf or n - n_left < min_samples_leaf:
+            n_right = n - n_left
+            if n_left < min_samples_leaf or n_right < min_samples_leaf:
                 continue
-            rest = list(map(not_, mask))
-            left_y, right_y = list(compress(ys, mask)), list(compress(ys, rest))
-            left_stats, right_stats = _mean_var(left_y), _mean_var(right_y)
-            score = left_stats[1] * n_left + right_stats[1] * (n - n_left)
+            left_y, right_y = list(compress(ys, mask)), list(compress(ys, map(not_, mask)))
+            # one value's mean and variance, as _mean_var gives them
+            left_stats = _mean_var(left_y) if n_left > 1 else (left_y[0] + 0.0, 0.0)
+            right_stats = _mean_var(right_y) if n_right > 1 else (right_y[0] + 0.0, 0.0)
+            score = left_stats[1] * n_left + right_stats[1] * n_right
             if best is None or score < best[0]:
-                best = (score, f, t, mask, rest, left_y, left_stats, right_y, right_stats)
+                best = (score, f, t, mask, left_y, left_stats, right_y, right_stats)
         if best is None:
             continue
-        score, f, t, mask, rest, left_y, left_stats, right_y, right_stats = best
-        importance_acc[f] += var * n - score
+        score, f, t, mask, left_y, left_stats, right_y, right_stats = best
+        importances[f] += var * n - score
         feature[node], threshold[node] = f, t
         left[node], right[node] = len(feature), len(feature) + 1
         feature += [-1, -1]
@@ -383,8 +423,10 @@ def _grow_tree(
         left += [-1, -1]
         right += [-1, -1]
         value += [0.0, 0.0]
-        stack.append((right[node], list(compress(idx, rest)), right_y, *right_stats))
-        stack.append((left[node], list(compress(idx, mask)), left_y, *left_stats))
+        left_idx, right_idx = list(compress(idx, mask)), list(compress(idx, map(not_, mask)))
+        left_rows = sum(map(bit.__getitem__, left_idx))
+        stack.append((right[node], right_idx, rows ^ left_rows, right_y, *right_stats))
+        stack.append((left[node], left_idx, left_rows, left_y, *left_stats))
     draws.sync()
     return _Tree(
         feature=np.array(feature, dtype=np.int64),
@@ -435,13 +477,16 @@ def fit_tree_ensemble(
         raise ValueError(f"max_features must lie in [1, {n_features}], got {max_features}")
 
     streams = np.random.SeedSequence(seed).spawn(n_trees)
-    importance_acc = np.zeros(n_features, dtype=np.float64)
+    cols, ys = X.T.tolist(), y.tolist()
+    equal = _equal_value_masks(cols)  # this fit's rows only; dropped with the fit
+    importance_acc = [0.0] * n_features
     trees = tuple(
-        _grow_tree(X, y, np.random.default_rng(s), min_samples_leaf, max_features, importance_acc)
+        _grow_tree(cols, ys, equal, np.random.default_rng(s), min_samples_leaf, max_features, importance_acc)
         for s in streams
     )
-    total = importance_acc.sum()
-    importances = importance_acc / total if total > 0 else importance_acc
+    acc = np.array(importance_acc)
+    total = acc.sum()
+    importances = acc / total if total > 0 else acc
     return TreeEnsemble(
         trees=trees,
         feature_names=FEATURE_NAMES if n_features == len(FEATURE_NAMES) else tuple(

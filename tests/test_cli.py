@@ -568,6 +568,11 @@ class TestPinnedFileBytes:
         )
 
 
+# a child that hangs fails its test instead of holding up the suite; each
+# child here finishes in a few seconds
+CHILD_TIMEOUT_S = 300
+
+
 def _dynamic_openblas_simd() -> list[str] | None:
     """The SIMD extensions numpy dispatches to on this machine, if numpy
     links an OpenBLAS that picks its kernel at run time on x86_64; else None."""
@@ -602,7 +607,7 @@ class TestKernelIndependence:
             subprocess.run(
                 [sys.executable, "-m", "qemclust.cli", "mitigate", noisy, "--p", "0.15",
                  "--out", str(out), "--report", str(report)],
-                env={**env, **extra}, check=True,
+                env={**env, **extra}, check=True, timeout=CHILD_TIMEOUT_S,
             )
             files.append((out.read_bytes(), report.read_bytes()))
         assert files[0] == files[1]
@@ -636,8 +641,10 @@ for seed in range(40):
             {"OPENBLAS_CORETYPE": "Haswell"},
         ]
         outputs = [
-            subprocess.run([sys.executable, "-c", self.SCRIPT], env={**env, **extra}, check=True, capture_output=True)
-            .stdout
+            subprocess.run(
+                [sys.executable, "-c", self.SCRIPT],
+                env={**env, **extra}, check=True, capture_output=True, timeout=CHILD_TIMEOUT_S,
+            ).stdout
             for extra in cpus
         ]
         assert outputs[1:] == [outputs[0]] * 2

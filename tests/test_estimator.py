@@ -349,6 +349,39 @@ class TestTreeKernel:
         model = fit_tree_ensemble(X, y, n_trees=3, max_features=max_features, seed=max_features)
         assert_equals_reference(model, X, y)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_signed_zeros_and_a_lone_value_equal_the_numpy_reference(self, seed):
+        # column 0 mixes -0.0 and 0.0: constant under == and under hi > lo,
+        # so it is never a candidate; column 1 is constant but for one row,
+        # so it is a candidate only in the nodes that hold that row; column
+        # 2 mixes both zeros with 1.0; the labels mix both zeros too, and
+        # a one-row child's mean is 0.0 for either
+        rng = np.random.default_rng(seed)
+        rows = 40
+        X = rng.random((rows, 4))
+        X[:, 0] = rng.choice([-0.0, 0.0], rows)
+        X[:, 1] = 3.0
+        X[rng.integers(rows), 1] = 5.0
+        X[:, 2] = rng.choice([-0.0, 0.0, 1.0], rows)
+        y = rng.choice([-0.0, 0.0, 0.125, 0.25], rows)
+        for max_features in (1, 2, 4):
+            model = fit_tree_ensemble(X, y, n_trees=4, max_features=max_features, seed=seed)
+            assert_equals_reference(model, X, y)
+
+    def test_a_refit_after_the_rows_change_equals_the_reference(self):
+        # the equal-value masks belong to one fit: the same array, changed
+        # in place between two fits, must not reach the second through them
+        rng = np.random.default_rng(3)
+        X = rng.integers(0, 3, (50, 4)).astype(np.float64)
+        y = rng.choice(rng.uniform(0.0, 0.5, 5), 50)
+        first = fit_tree_ensemble(X, y, n_trees=3, seed=1)
+        X[:, 0] = rng.random(50)  # tied column becomes continuous
+        X[:, 1] = 1.0  # tied column becomes constant
+        X[:25, 2] = X[25:, 2]
+        second = fit_tree_ensemble(X, y, n_trees=3, seed=1)
+        assert_equals_reference(second, X, y)
+        assert first.importances != second.importances
+
 
 DRAW_OPS = st.lists(
     st.one_of(
