@@ -14,12 +14,13 @@ keys rows by their bytes).
 A sorted view holds a distribution's rows in value order, the same rows
 packed into big-endian uint64 words, and its weights in that order. Code
 that already holds its rows' words (the simulator's tallies, a mitigated
-output) hands them over and nothing is packed again; rows whose words are
-in value order already are not sorted, and every other distribution sorts
-once, on first use. Code that only reads a distribution reads its view.
-A packed distribution is one mitigation run at one bit-flip rate: it
-wraps the view, binds the rate's likelihood table ``(1-p)^(width-d) *
-p^d`` and adds the run's cache and its ``top_order`` of the weights.
+output) hands them over and nothing is packed again. Each view is made
+on first use: rows whose words are in value order already are neither
+sorted nor copied, and every other distribution sorts once. Code that
+only reads a distribution reads its view. A packed distribution is one
+mitigation run at one bit-flip rate: it wraps the view, holds the rate's
+likelihood table ``(1-p)^(width-d) * p^d``, built by each run, and adds
+the run's cache and its ``top_order`` of the weights.
 Majority votes read the uint8 bit matrix as it is; Hamming distances are
 XOR plus popcount over the words. A slot holds its centroid's distances
 to every row, in the smallest unsigned dtype that holds the width, their
@@ -32,7 +33,6 @@ rows, the layout both clustering and redistribution work in.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -56,17 +56,14 @@ def top_order(weights: np.ndarray) -> np.ndarray:
     return np.argsort(-weights, kind="stable")
 
 
-@lru_cache(maxsize=64)
 def _likelihood_table(width: int, flip_rate: float) -> np.ndarray:
-    """``(1-p)^(width-d) * p^d`` for d = 0..width, read-only and built once
-    per (width, rate); running products, since numpy's vector power
-    rounds differently per CPU."""
+    """``(1-p)^(width-d) * p^d`` for d = 0..width, built by each run;
+    running products, since numpy's vector power rounds differently per
+    CPU."""
     powers = np.full((2, width + 1), [[1.0 - flip_rate], [flip_rate]])
     powers[:, 0] = 1.0
     np.cumprod(powers, axis=1, out=powers)
-    table = powers[0, ::-1] * powers[1]
-    table.flags.writeable = False
-    return table
+    return powers[0, ::-1] * powers[1]
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:

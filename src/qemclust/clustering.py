@@ -182,14 +182,15 @@ def _cluster_packed(
 
     Returns (centroid_bits, cluster_weights, nearest, outlier_mask,
     converged, rounds, slots); ``nearest`` holds the per-string cluster
-    index, meaningful where ``outlier_mask`` is False.
+    index, meaningful where ``outlier_mask`` is False. Each centroid list
+    is assigned once, so the result is the returned centroids' assignment.
     """
-    centroids = packed.bits[packed.top_order()[:k]].copy()
+    centroids = packed.bits[packed.top_order()[:k]]
+    slots = packed.slots(centroids)
+    nearest, outlier, members, bounds, totals = _assign(packed, slots, theta)
     converged = False
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        slots = packed.slots(centroids)
-        nearest, outlier, members, bounds, totals = _assign(packed, slots, theta)
         voted = _vote(packed, members, bounds, totals, centroids)[bounds[1:] > bounds[:-1]]  # empty clusters drop
         if not len(voted):
             break  # every cluster starved; keep the previous centroids
@@ -197,8 +198,6 @@ def _cluster_packed(
             converged = True
             break
         centroids = voted
-    if not converged:
-        # realign assignments with the final centroid list
         slots = packed.slots(centroids)
         nearest, outlier, members, bounds, totals = _assign(packed, slots, theta)
     return centroids, totals / packed.total, nearest, outlier, converged, rounds, slots

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from ._packed import SortedView, _ascending, _pack_words, match_rows, sorted_view, view_total
+from ._packed import SortedView, _pack_words, match_rows, sorted_view, view_total
 
 __all__ = [
     "BitString",
@@ -103,9 +103,10 @@ class OutcomeDistribution:
     Stored as a (n, width) 0/1 uint8 bit matrix and a float64 weight
     vector in iteration order; the ``{BitString: weight}`` dict is a cache,
     kept from the mapping given to the constructor or made on first
-    dict-style access, and so are the rows' packed words in iteration
-    order (``_row_words``) and the value-sorted view (``_sorted``), handed
-    over by the code that built the distribution or made on first use.
+    dict-style access; so are the rows' packed words in iteration order
+    (``_row_words``), handed over by the code that built the distribution
+    or packed on first use, and the value-sorted view, made by ``_sorted``
+    alone, on first use.
     """
 
     __slots__ = ("_width", "_store", "_rows", "_weights", "_total", "_words", "_view")
@@ -124,14 +125,12 @@ class OutcomeDistribution:
     def _from_rows(cls, rows: np.ndarray, weights: np.ndarray, words=None) -> "OutcomeDistribution":
         """Distribution over the distinct rows of a (n, width) 0/1 uint8
         matrix, iterated in row order, with float64 ``weights``, keeping the
-        rows' packed ``words`` when given, in any order. Rows whose words
-        are in value order are their own sorted view."""
+        rows' packed ``words`` when given, in any order. The sorted view is
+        made by ``_sorted`` on first use; rows whose words are in value
+        order are their own view."""
         out = cls.__new__(cls)
         out._set(rows, weights, None)
-        if words is not None:
-            out._words = words
-            if _ascending(words):
-                out._view = sorted_view(rows, weights, words)
+        out._words = words
         return out
 
     def _set(self, rows: np.ndarray, weights: np.ndarray, store: dict | None) -> None:

@@ -271,7 +271,8 @@ def run_trial(cell: SweepCell, trial: int, base_seed: int) -> ExperimentRecord:
 
 
 def sweep(cells: Iterable[SweepCell], trials: int, base_seed: int = 0, workers: int = 1) -> list[ExperimentRecord]:
-    """Run every (cell, trial) pair; optionally across a process pool.
+    """Run every (cell, trial) pair; optionally across a process pool of
+    at most one process per pair.
 
     Results are returned in canonical (cell order, trial) order regardless
     of worker scheduling, and each trial's data depends only on
@@ -281,6 +282,7 @@ def sweep(cells: Iterable[SweepCell], trials: int, base_seed: int = 0, workers: 
         raise ValueError(f"trials must be positive, got {trials}")
     cells = list(cells)
     jobs = [(cell, t) for cell in cells for t in range(trials)]
+    workers = min(workers, len(jobs))  # a pool starts all its processes at the first submit
     if workers <= 1:
         return [run_trial(cell, t, base_seed) for cell, t in jobs]
     from concurrent.futures import ProcessPoolExecutor

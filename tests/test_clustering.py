@@ -198,6 +198,49 @@ class TestCluster:
         assert model.k < 3
         assert model.centroids == (B("0000"),)
 
+    @pytest.mark.parametrize("case", ["converged", "capped", "starved"])
+    def test_each_centroid_list_is_assigned_once(self, monkeypatch, case):
+        # a pass assigns its seed centroids and then each moved list once,
+        # so its result is the assignment of the centroids it returns
+        assign, vote, calls = clustering._assign, clustering._vote, []
+
+        def counted(*args):
+            calls.append(args)
+            return assign(*args)
+
+        def far(packed, members, bounds, totals, incumbents):
+            # every vote moves to the top row's complement, beyond the
+            # threshold of every row, so the next round starves
+            votes = vote(packed, members, bounds, totals, incumbents)
+            votes[:] = 1 - packed.bits[packed.top_order()[0]]
+            return votes
+
+        monkeypatch.setattr(clustering, "_assign", counted)
+        # the first vote moves 0000 to 0001, the second keeps it
+        counts, rate, max_rounds = {
+            "converged": ({"0000": 5, "0011": 4, "0001": 4}, 0.25, 100),
+            "capped": ({"0000": 5, "0011": 4, "0001": 4}, 0.25, 1),
+            "starved": ({"0000": 10, "0001": 5}, 0.1, 100),
+        }[case]
+        if case == "starved":
+            monkeypatch.setattr(clustering, "_vote", far)
+        packed = PackedDistribution(OutcomeDistribution.from_counts(counts), rate)
+        theta = outlier_threshold(4, rate)
+        bits, weights, nearest, outlier, converged, rounds, slots = clustering._cluster_packed(
+            packed, 1, theta, max_rounds
+        )
+        assert converged == (case == "converged")
+        assert rounds == {"converged": 2, "capped": 1, "starved": 2}[case]
+        assert len(calls) == (max_rounds + 1 if case == "capped" else rounds)
+        assert packed.slots(bits).tolist() == slots.tolist()
+        if not converged:
+            fresh_nearest, fresh_outlier, _, _, totals = assign(packed, slots, theta)
+            assert nearest.tolist() == fresh_nearest.tolist()
+            assert outlier.tolist() == fresh_outlier.tolist()
+            assert weights.tobytes() == (totals / packed.total).tobytes()
+        if case == "starved":
+            assert bits.tolist() == [[1, 1, 1, 1]] and outlier.all()
+
     @given(st.integers(min_value=0, max_value=50))
     @settings(max_examples=15, deadline=None)
     def test_model_invariants_on_random_instances(self, seed):

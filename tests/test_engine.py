@@ -331,6 +331,38 @@ class TestSweep:
         par = sweep(cells, trials=4, base_seed=3, workers=2)
         assert _untimed(seq) == _untimed(par)
 
+    def test_the_pool_starts_at_most_one_process_per_trial(self, monkeypatch):
+        # a stand-in pool records its size and runs each job inline, so no
+        # process starts however many workers are asked for
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        cells = [SweepCell(width=6, num_dominant=2, flip_rate=0.1, shots=512)]
+        seq = sweep(cells, trials=3, base_seed=3, workers=1)
+        assert _untimed(sweep(cells, trials=1, base_seed=3, workers=500)) == _untimed(seq[:1])
+        assert sizes == []  # one trial runs in-process
+        assert _untimed(sweep(cells, trials=3, base_seed=3, workers=500)) == _untimed(seq)
+        assert sizes == [3]
+        assert _untimed(sweep(cells * 2, trials=3, base_seed=3, workers=4)) == _untimed(seq * 2)
+        assert sizes == [3, 4]
+
     def test_failures_recorded_per_row(self, monkeypatch):
         def explode(noisy, cfg):
             raise RuntimeError("boom")

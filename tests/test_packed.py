@@ -165,12 +165,15 @@ class TestSortedViews:
         counts = sample_shots(ideal, 400, rng)
         noisy = apply_bitflip(counts, NoiseSpec(0.1, rng))
         for dist in (ideal, counts, noisy):
+            dist._sorted()
             _assert_view_is_recomputed(dist)
             assert dist._view.bits is dist._rows
 
     @pytest.mark.parametrize("width", [2, 6, 12])
     def test_the_corpus_ideal_hands_over_its_view(self, width):
-        _assert_view_is_recomputed(_spiked_ideal(width, np.random.default_rng(width)))
+        dist = _spiked_ideal(width, np.random.default_rng(width))
+        dist._sorted()
+        _assert_view_is_recomputed(dist)
 
     @pytest.mark.parametrize("width", [1, 14, 64, 65, 300])
     def test_a_view_is_built_once_on_first_use(self, width):
