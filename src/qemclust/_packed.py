@@ -115,12 +115,10 @@ class SortedView(NamedTuple):
     total: float
 
 
-def sorted_view(rows: np.ndarray, weights: np.ndarray, words: np.ndarray | None = None) -> SortedView:
-    """The value-sorted view of distinct rows and their weights. The rows'
-    ``words``, in row order, are packed when not given; rows already in
-    value order are neither sorted nor copied, other rows are sorted once."""
-    if words is None:
-        words = _pack_words(rows)
+def sorted_view(rows: np.ndarray, weights: np.ndarray, words: np.ndarray) -> SortedView:
+    """The value-sorted view of distinct rows, their ``_pack_words``
+    ``words`` in row order, and their weights; rows already in value order
+    are neither sorted nor copied, other rows are sorted once."""
     if not _ascending(words):
         order = np.argsort(_row_keys(words)[0])  # distinct rows have distinct keys
         rows, words, weights = (np.take(a, order, axis=0) for a in (rows, words, weights))

@@ -184,6 +184,8 @@ def _cluster_packed(
     converged, rounds, slots); ``nearest`` holds the per-string cluster
     index, meaningful where ``outlier_mask`` is False. Each centroid list
     is assigned once, so the result is the returned centroids' assignment.
+    A voted list keeps a member: a weighted majority row costs no more
+    weighted Hamming distance than its incumbent, so one lies within ``theta``.
     """
     centroids = packed.bits[packed.top_order()[:k]]
     slots = packed.slots(centroids)
@@ -192,8 +194,6 @@ def _cluster_packed(
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         voted = _vote(packed, members, bounds, totals, centroids)[bounds[1:] > bounds[:-1]]  # empty clusters drop
-        if not len(voted):
-            break  # every cluster starved; keep the previous centroids
         if voted.shape == centroids.shape and (voted == centroids).all():
             converged = True
             break

@@ -156,10 +156,6 @@ class OutcomeDistribution:
         """``total``, for a probability view: raises unless 0 < total < inf."""
         return view_total(self._total)
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(bit rows, float64 weights) in iteration order."""
-        return self._rows, self._weights
-
     def _row_words(self) -> np.ndarray:
         """The rows' ``_pack_words`` in iteration order."""
         if self._words is None:
@@ -215,8 +211,7 @@ class OutcomeDistribution:
 
     def normalized(self) -> "OutcomeDistribution":
         """Probability view: every weight divided by the total."""
-        rows, weights = self._arrays()
-        out = OutcomeDistribution._from_rows(rows, weights / self._mass(), self._words)
+        out = OutcomeDistribution._from_rows(self._rows, self._weights / self._mass(), self._words)
         out._total = 1.0
         return out
 
@@ -260,17 +255,18 @@ def hellinger_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
 
     Computed over the union of supports of the probability views, so
     distributions with different supports compare naturally; absent
-    bit-strings contribute zero. Symmetric, in [0, 1], and equal to 1
-    exactly when the probability views coincide.
+    bit-strings contribute zero. In [0, 1], 1 exactly when the views
+    coincide, and symmetric to the bit: terms add in the smaller side's value order.
     """
     if p.width != q.width:
         raise ValueError(f"width mismatch: {p.width} != {q.width}")
     small, big = (p, q) if len(p) <= len(q) else (q, p)
     small_total, big_total = small._mass(), big._mass()
-    found = match_rows(big._row_words(), small._row_words())
+    view = small._sorted()
+    found = match_rows(big._row_words(), view.words)
     v = np.append(big._weights, 0.0)[found]  # -1 picks the 0.0
     # absent strings and zero weights add sqrt(0) = 0.0, which leaves the sum's bits alone
-    acc = _left_to_right_sum(np.sqrt((small._weights / small_total) * (v / big_total)))
+    acc = _left_to_right_sum(np.sqrt((view.weights / small_total) * (v / big_total)))
     return min(acc * acc, 1.0)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._packed import _tally, view_total
+from ._packed import _tally, _unpack_words, view_total
 from .distributions import OutcomeDistribution
 
 __all__ = [
@@ -81,7 +81,7 @@ def _distinct_rows(rng: np.random.Generator, width: int, count: int) -> tuple[np
 
     Draws the missing number of strings until ``count`` are distinct: one
     integer draw per string while 2^width fits an int64, one draw per bit
-    above that.
+    above that. Either way the rows are ``_unpack_words`` of the words.
     """
     if width <= 62:
         # a set, not np.union1d: top-ups re-union the whole array, 5x slower
@@ -89,9 +89,8 @@ def _distinct_rows(rng: np.random.Generator, width: int, count: int) -> tuple[np
         values: set[int] = set()
         while len(values) < count:
             values.update(rng.integers(0, 1 << width, size=count - len(values)).tolist())
-        ints = np.array(sorted(values))
-        shifts = np.arange(width - 1, -1, -1)
-        return ((ints[:, None] >> shifts) & 1).astype(np.uint8), ints.astype(np.uint64).reshape(-1, 1)
+        words = np.array(sorted(values), dtype=np.uint64).reshape(-1, 1)
+        return _unpack_words(words, width), words
     rows = np.empty((0, width), dtype=np.uint8)
     while len(rows) < count:
         draw = rng.integers(0, 2, size=(count - len(rows), width), dtype=np.uint8)

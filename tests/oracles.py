@@ -315,10 +315,10 @@ def reference_error_rate(ideal: OutcomeDistribution, noisy: OutcomeDistribution)
 
 def reference_hellinger(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     """``hellinger_fidelity`` as a dict loop over the smaller side, adding
-    left to right in its iteration order."""
+    left to right in its value order."""
     small, big = (p, q) if len(p) <= len(q) else (q, p)
     acc = 0.0
-    for b, w in small.items():
+    for b, w in sorted(small.items(), key=lambda item: item[0].value):
         v = big.get(b, 0.0)
         if w > 0 and v > 0:
             acc += math.sqrt((w / small.total) * (v / big.total))

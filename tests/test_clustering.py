@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -198,39 +200,29 @@ class TestCluster:
         assert model.k < 3
         assert model.centroids == (B("0000"),)
 
-    @pytest.mark.parametrize("case", ["converged", "capped", "starved"])
+    @pytest.mark.parametrize("case", ["converged", "capped"])
     def test_each_centroid_list_is_assigned_once(self, monkeypatch, case):
         # a pass assigns its seed centroids and then each moved list once,
         # so its result is the assignment of the centroids it returns
-        assign, vote, calls = clustering._assign, clustering._vote, []
+        assign, calls = clustering._assign, []
 
         def counted(*args):
             calls.append(args)
             return assign(*args)
-
-        def far(packed, members, bounds, totals, incumbents):
-            # every vote moves to the top row's complement, beyond the
-            # threshold of every row, so the next round starves
-            votes = vote(packed, members, bounds, totals, incumbents)
-            votes[:] = 1 - packed.bits[packed.top_order()[0]]
-            return votes
 
         monkeypatch.setattr(clustering, "_assign", counted)
         # the first vote moves 0000 to 0001, the second keeps it
         counts, rate, max_rounds = {
             "converged": ({"0000": 5, "0011": 4, "0001": 4}, 0.25, 100),
             "capped": ({"0000": 5, "0011": 4, "0001": 4}, 0.25, 1),
-            "starved": ({"0000": 10, "0001": 5}, 0.1, 100),
         }[case]
-        if case == "starved":
-            monkeypatch.setattr(clustering, "_vote", far)
         packed = PackedDistribution(OutcomeDistribution.from_counts(counts), rate)
         theta = outlier_threshold(4, rate)
         bits, weights, nearest, outlier, converged, rounds, slots = clustering._cluster_packed(
             packed, 1, theta, max_rounds
         )
         assert converged == (case == "converged")
-        assert rounds == {"converged": 2, "capped": 1, "starved": 2}[case]
+        assert rounds == {"converged": 2, "capped": 1}[case]
         assert len(calls) == (max_rounds + 1 if case == "capped" else rounds)
         assert packed.slots(bits).tolist() == slots.tolist()
         if not converged:
@@ -238,8 +230,6 @@ class TestCluster:
             assert nearest.tolist() == fresh_nearest.tolist()
             assert outlier.tolist() == fresh_outlier.tolist()
             assert weights.tobytes() == (totals / packed.total).tobytes()
-        if case == "starved":
-            assert bits.tolist() == [[1, 1, 1, 1]] and outlier.all()
 
     @given(st.integers(min_value=0, max_value=50))
     @settings(max_examples=15, deadline=None)
@@ -410,6 +400,40 @@ class TestClusterKernelMatchesMaskedVotes:
         dist = OutcomeDistribution(width, {BitString(v, width): float(c) for v, c in zip(values, counts)})
         k = data.draw(st.integers(1, len(values)))
         self._check(dist, k, flip_rate, max_rounds)
+
+
+class TestVotesNeverStarve:
+    """A per-qubit weighted majority costs no more weighted Hamming
+    distance than its incumbent, whose members all lie within the
+    threshold, so some member lies within the threshold of the voted row:
+    no assignment of a voted centroid list marks every row an outlier."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([1, 2, 3, 5, 9, 14, 63, 64, 65, 100, 130]),
+        st.sampled_from([0.0, 0.01, 0.05, 0.15, 0.3, 0.45, 0.5]),
+        st.sampled_from([0.0, 0.01, 0.05, 0.15, 0.3, 0.45, 0.5]),
+        st.booleans(),
+        st.integers(1, 8),
+        st.sampled_from([1, 2, 100]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_some_row_is_kept(self, seed, width, noise_rate, flip_rate, normalized, k, max_rounds):
+        rng = np.random.default_rng(seed)
+        ideal = generate_ideal(SyntheticSpec(width, int(rng.integers(1, min(8, 1 << width) + 1)), rng))
+        noisy = apply_bitflip(sample_shots(ideal, int(rng.integers(1, 300)), rng), NoiseSpec(noise_rate, rng))
+        if normalized:
+            noisy = noisy.normalized()
+        assign, masks = clustering._assign, []
+
+        def recorded(*args):
+            result = assign(*args)
+            masks.append(result[1])
+            return result
+
+        with patch.object(clustering, "_assign", recorded):
+            cluster(noisy, ClusterConfig(k=min(k, len(noisy)), flip_rate=flip_rate, max_rounds=max_rounds))
+        assert masks and all(not outlier.all() for outlier in masks)
 
 
 class TestClusterConfigValidation:

@@ -122,7 +122,7 @@ class TestEffectiveErrorRate:
         )
         want = reference_error_rate(ideal, noisy)
         if array_built:
-            ideal, noisy = (OutcomeDistribution._from_rows(*d._arrays()) for d in (ideal, noisy))
+            ideal, noisy = (OutcomeDistribution._from_rows(d._rows, d._weights) for d in (ideal, noisy))
         assert effective_error_rate(ideal, noisy).hex() == want.hex()
 
     def test_mode_tie_breaks_to_smallest_value(self):

@@ -50,9 +50,9 @@ B = BitString.from_text
 WIDTHS = st.sampled_from([1, 2, 3, 4, 62, 63, 64]) | st.integers(min_value=1, max_value=70)
 
 
-def assert_same_arrays(got: OutcomeDistribution, want: OutcomeDistribution) -> None:
+def assert_same_rows(got: OutcomeDistribution, want: OutcomeDistribution) -> None:
     """Rows, weights and total equal bit for bit, in the same order."""
-    (rows, weights), (want_rows, want_weights) = got._arrays(), want._arrays()
+    rows, weights, want_rows, want_weights = got._rows, got._weights, want._rows, want._weights
     assert rows.dtype == want_rows.dtype == np.uint8
     assert rows.shape == want_rows.shape and rows.tobytes() == want_rows.tobytes()
     assert weights.dtype == np.float64 and weights.tobytes() == want_weights.tobytes()
@@ -88,7 +88,7 @@ class TestArrayDrawsMatchSetDraws:
             d = data.draw(st.integers(min_value=max(1, (1 << width) - 3), max_value=1 << width))
         rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = generate_ideal(SyntheticSpec(width, d, rng))
-        assert_same_arrays(got, reference_generate_ideal(SyntheticSpec(width, d, want_rng)))
+        assert_same_rows(got, reference_generate_ideal(SyntheticSpec(width, d, want_rng)))
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
     @given(st.integers(min_value=63, max_value=70), st.integers(min_value=1, max_value=4),
@@ -106,7 +106,7 @@ class TestArrayDrawsMatchSetDraws:
     @settings(max_examples=60, deadline=None)
     def test_spiked_ideal(self, width, seed):
         rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert_same_arrays(_spiked_ideal(width, rng), reference_spiked_ideal(width, want_rng))
+        assert_same_rows(_spiked_ideal(width, rng), reference_spiked_ideal(width, want_rng))
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
     @given(st.data(), WIDTHS, st.integers(min_value=1, max_value=3000),
@@ -119,9 +119,9 @@ class TestArrayDrawsMatchSetDraws:
         # insertion order is not value order
         dist = OutcomeDistribution(width, {BitString(v, width): w for v, w in zip(values, weights)})
         if array_built:
-            dist = OutcomeDistribution._from_rows(*dist._arrays())
+            dist = OutcomeDistribution._from_rows(dist._rows, dist._weights)
         rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert_same_arrays(sample_shots(dist, shots, rng), reference_sample_shots(dist, shots, want_rng))
+        assert_same_rows(sample_shots(dist, shots, rng), reference_sample_shots(dist, shots, want_rng))
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
 

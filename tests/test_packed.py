@@ -57,7 +57,8 @@ class TestRowKeyMatchesPythonInts:
     def test_value_order(self, case):
         width, values, _ = case
         values = list(dict.fromkeys(values))  # a distribution's rows are distinct
-        view = sorted_view(_rows(values, width), np.arange(len(values), dtype=np.float64))
+        bits = _rows(values, width)
+        view = sorted_view(bits, np.arange(len(values), dtype=np.float64), _pack_words(bits))
         assert view.weights.astype(int).tolist() == reference_value_order(values)
         assert _values(view.bits) == _ints(view.words) == sorted(values)
 
@@ -131,7 +132,8 @@ class TestMatchRowsAtScale:
         misses[np.arange(m), rng.integers(1, rows.shape[1], size=m)] |= np.uint64(1)
         picked = {"hit": hits, "miss": misses, "mixed": np.where(rng.random(m)[:, None] < 0.5, hits, misses)}[queries]
         if view:
-            rows = sorted_view(_unpack_words(rows, width), np.ones(len(rows))).words
+            bits = _unpack_words(rows, width)
+            rows = sorted_view(bits, np.ones(len(rows)), _pack_words(bits)).words
         values, query_values = _ints(rows), _ints(picked)
         assert len(set(values)) == len(values) > 1000 and len(set(query_values)) < m
         found = match_rows(rows, picked)
@@ -144,7 +146,7 @@ def _assert_view_is_recomputed(dist: OutcomeDistribution) -> None:
     """The distribution's cached view equals one built from scratch."""
     view = dist._view
     assert view is not None
-    rows, weights = dist._arrays()
+    rows, weights = dist._rows, dist._weights
     order = reference_value_order(_values(rows))
     if order == list(range(len(rows))):  # in order already: the distribution's own arrays
         assert view.bits is rows and view.weights is weights

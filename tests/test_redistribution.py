@@ -351,7 +351,7 @@ class TestOutputWords:
         for k in (1, 2, 3):
             out = mitigate(noisy, MitigationConfig(flip_rate=0.08, fixed_k=k)).final
             unordered += out._view is None  # appended centroids: the view sorts on first use
-            rows, weights = out._arrays()
+            rows, weights = out._rows, out._weights
             assert out._words.tobytes() == _pack_words(rows).tobytes()
             plain = OutcomeDistribution._from_rows(rows, weights)  # packs its own words
             for other in (ideal, noisy):
