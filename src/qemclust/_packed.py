@@ -17,10 +17,18 @@ that already holds its rows' words (the simulator's tallies, a mitigated
 output) hands them over and nothing is packed again. Each view is made
 on first use: rows whose words are in value order already are neither
 sorted nor copied, and every other distribution sorts once. Code that
-only reads a distribution reads its view. A packed distribution is one
-mitigation run at one bit-flip rate: it wraps the view, holds the rate's
-likelihood table ``(1-p)^(width-d) * p^d``, built by each run, and adds
-the run's cache and its ``top_order`` of the weights.
+only reads a distribution reads its view. Packing copies each row once,
+padded on the left to a whole big-endian word dtype (1, 2 or 4 bytes up
+to 32 bits, whole uint64 words above), and reads the packed bytes in that
+dtype. The simulator's tally (``_tally``) counts rows of at most 62 bits
+with ``bincount`` when there are at least a quarter as many rows as
+possible values (2**width <= 4n); wider or sparser rows are sorted by
+their keys. Both give the same rows, words and counts in value order.
+
+A packed distribution is one mitigation run at one bit-flip rate: it
+wraps the view, holds the rate's likelihood table
+``(1-p)^(width-d) * p^d``, built by each run, and adds the run's cache
+and its ``top_order`` of the weights.
 Majority votes read the uint8 bit matrix as it is; Hamming distances are
 XOR plus popcount over the words. A slot holds its centroid's distances
 to every row, in the smallest unsigned dtype that holds the width, their
@@ -67,14 +75,18 @@ def _likelihood_table(width: int, flip_rate: float) -> np.ndarray:
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """(n, ceil(width/64)) uint64 words of each row, most significant first."""
+    """(n, ceil(width/64)) uint64 words of each row, most significant first.
+
+    Each row is padded on the left to a whole big-endian word dtype (1, 2
+    or 4 bytes up to 32 bits, ``8 * n_words`` bytes above) in the one
+    strided copy, packed, and read back in that dtype."""
     n, width = bits.shape
-    n_bytes, n_words = -(-width // 8), -(-width // 64)
+    n_words = -(-width // 64)
+    n_bytes = 1 if width <= 8 else 2 if width <= 16 else 4 if width <= 32 else 8 * n_words
     padded = np.zeros((n, 8 * n_bytes), dtype=np.uint8)
     padded[:, 8 * n_bytes - width :] = bits
-    raw = np.zeros((n, 8 * n_words), dtype=np.uint8)
-    raw[:, 8 * n_words - n_bytes :] = np.packbits(padded.ravel()).reshape(n, n_bytes)
-    return raw.view(">u8").astype(np.uint64)
+    packed = np.packbits(padded.ravel()).view(f">u{min(n_bytes, 8)}")
+    return packed.astype(np.uint64).reshape(n, n_words)
 
 
 def _row_keys(words: np.ndarray) -> tuple[np.ndarray, list]:
@@ -170,16 +182,27 @@ def _unpack_words(words: np.ndarray, width: int) -> np.ndarray:
 
 def _tally(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of a 0/1 matrix in ascending value order, their
-    ``_pack_words`` and their counts."""
-    n = len(bits)
-    key, tables = _row_keys(_pack_words(bits))
-    key, counts = np.unique(key, return_counts=True)
-    columns = []
-    for prefix, column in reversed(tables):
-        columns.insert(0, column[key % n])
-        key = prefix[key // n]
-    words = np.column_stack([key, *columns])
-    return _unpack_words(words, bits.shape[1]), words, counts
+    ``_pack_words`` and their counts.
+
+    Rows of at most 62 bits, when there are at least a quarter as many
+    rows as possible values (2**width <= 4n), are counted by value with
+    ``bincount``, whose nonzero indices are the rows' words in value
+    order; other rows are sorted by their keys."""
+    n, width = bits.shape
+    words = _pack_words(bits)
+    if width <= 62 and 1 << width <= 4 * n:
+        counts = np.bincount(words[:, 0].view(np.int64), minlength=1 << width)
+        present = np.flatnonzero(counts)
+        words, counts = present.astype(np.uint64).reshape(-1, 1), counts[present]
+    else:
+        key, tables = _row_keys(words)
+        key, counts = np.unique(key, return_counts=True)
+        columns = []
+        for prefix, column in reversed(tables):
+            columns.insert(0, column[key % n])
+            key = prefix[key // n]
+        words = np.column_stack([key, *columns])
+    return _unpack_words(words, width), words, counts
 
 
 class PackedDistribution:

@@ -264,6 +264,10 @@ def _mean_var(values: list[float]) -> tuple[float, float]:
     return mean, _pairwise_sum(list(map(mul, dev, dev))) / n
 
 
+# raw PCG64 words per refill of a draws object's block
+_BLOCK = 64
+
+
 class _PCG64Draws:
     """``rng.choice(n, size, replace=False)`` and ``rng.uniform(lo, hi)``
     computed from the raw PCG64 stream, without numpy's per-call
@@ -274,9 +278,15 @@ class _PCG64Draws:
     of the whole population above 10,000 when ``size > n // 50``; every
     bounded draw is Lemire's method over ``next_uint32``, which returns
     the low half of a 64-bit output and keeps the high half for the next
-    call. ``uniform`` is numpy's ``random_uniform``. Call ``sync`` when
-    done, to hand the kept half back to the generator. Populations are at
-    most 2**32.
+    call. ``uniform`` is numpy's ``random_uniform`` over ``next_double``,
+    ``(word >> 11) * 2**-53``. Populations are at most 2**32.
+
+    Words are taken ``_BLOCK`` at a time from ``random_raw`` into a list
+    that both draws read in stream order, and each ``(n, size)``'s bounds
+    and Lemire thresholds are worked out once per object. Call ``sync``
+    when done: it moves the generator back over the block's unused words
+    and hands the kept half back, so the generator's state is the one
+    numpy's own calls would leave.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -284,35 +294,49 @@ class _PCG64Draws:
         assert isinstance(bitgen, np.random.PCG64), type(bitgen)
         state = bitgen.state
         self._bitgen = bitgen
-        self._raw = bitgen.random_raw
-        self._random = rng.random
+        self._words: list[int] = []  # the block's unused words, the next one last
+        self._bounds: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         self._has_half = bool(state["has_uint32"])
         self._half = state["uinteger"]  # numpy keeps it after use, so do we
 
+    def _fill(self) -> None:
+        self._words.extend(reversed(self._bitgen.random_raw(_BLOCK).tolist()))
+
+    def _draw_bounds(self, n: int, size: int) -> list[tuple[int, int, int]]:
+        """``(top, top + 1, Lemire threshold)`` of each bounded draw of
+        ``choice(n, size)``, in draw order: [0, j] for each Floyd pick
+        j = n - size .. n - 1, then [0, i] for each swap i = size - 1 .. 1;
+        in the tail shuffle, [0, i] for i = n - 1 .. max(n - size, 1). The
+        threshold is below top + 1, so numpy's early exit agrees."""
+        bounds = self._bounds.get((n, size))
+        if bounds is None:
+            if n > 10000 and size > n // 50:
+                tops = range(n - 1, max(n - size, 1) - 1, -1)
+            else:
+                tops = chain(range(n - size, n), range(size - 1, 0, -1))
+            bounds = [(top, top + 1, (0xFFFFFFFF - top) % (top + 1)) for top in tops]
+            self._bounds[n, size] = bounds
+        return bounds
+
     def choice(self, n: int, size: int) -> list[int]:
-        # One loop makes every draw, the kept half held in locals. The
-        # bounds are known up front: [0, j] for each Floyd pick
-        # j = n - size .. n - 1, then [0, i] for each swap i = size - 1 .. 1;
-        # in the tail shuffle, [0, i] for i = n - 1 .. max(n - size, 1).
+        # One loop makes every draw, the kept half held in locals.
         if n > 10000 and size > n // 50:
             picks, floyd = list(range(n)), 0
-            tops = range(n - 1, max(n - size, 1) - 1, -1)
         else:
             picks, floyd = [], size
-            tops = chain(range(n - size, n), range(size - 1, 0, -1))
         seen = set()
-        raw, has_half, half = self._raw, self._has_half, self._half
-        for top in tops:
+        words, has_half, half = self._words, self._has_half, self._half
+        for top, excl, threshold in self._draw_bounds(n, size):
             v = 0  # numpy draws nothing for [0, 0]
             if top:  # numpy's buffered_bounded_lemire_uint32 over next_uint32
-                excl = top + 1
-                threshold = (0xFFFFFFFF - top) % excl  # below excl, so numpy's early exit agrees
                 while True:
                     if has_half:
                         has_half = False
                         m = half * excl
                     else:
-                        word = raw()
+                        if not words:
+                            self._fill()
+                        word = words.pop()
                         has_half, half = True, word >> 32
                         m = (word & 0xFFFFFFFF) * excl
                     if m & 0xFFFFFFFF >= threshold:
@@ -333,12 +357,20 @@ class _PCG64Draws:
         span = hi - lo
         if not -math.inf < span < math.inf:
             raise OverflowError("high - low range exceeds valid bounds")
-        return lo + span * self._random()
+        if not self._words:
+            self._fill()
+        return lo + span * ((self._words.pop() >> 11) * 2**-53)
 
     def sync(self) -> None:
-        state = self._bitgen.state
+        """Rewind the generator over the unused words, drop them, and hand
+        it the kept half: its state is then numpy's after the same draws."""
+        bitgen = self._bitgen
+        if self._words:
+            bitgen.advance(-len(self._words))  # numpy takes the delta modulo 2**128
+            self._words.clear()
+        state = bitgen.state
         state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
-        self._bitgen.state = state
+        bitgen.state = state
 
 
 def _equal_value_masks(cols: list[list[float]]) -> list[tuple[int, ...]]:

@@ -387,15 +387,32 @@ _HYPERPARAMETERS = ("n_trees", "min_samples_leaf", "max_features", "seed")
 
 
 def save_model(model: TreeEnsemble, path: str) -> None:
+    """Write ``model`` byte for byte as ``_dump_json`` writes its document,
+    one tree at a time: the envelope is json's indented text with an empty
+    ``"trees"`` (top-level keys sit at indent 2 and string values hold no
+    raw newline, so that placeholder is unique), and each node array, in
+    sorted key order, is one call of json's C encoder, split one number to
+    a line as the indented encoder writes it."""
     doc = {
         "format": MODEL_FORMAT,
         "version": FORMAT_VERSION,
         "feature_names": list(model.feature_names),
         "hyperparameters": {key: getattr(model, key) for key in _HYPERPARAMETERS},
         "feature_importances": list(model.importances),
-        "trees": [{name: getattr(t, name).tolist() for name in _TREE_FIELDS} for t in model.trees],
+        "trees": [],
     }
-    _dump_json(path, doc)
+    head, tail = json.dumps(doc, indent=2, sort_keys=True).split('\n  "trees": []')
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + '\n  "trees": [')
+        for i, tree in enumerate(model.trees):
+            arrays = ",".join(
+                f'\n      "{name}": [\n        '
+                + json.dumps(getattr(tree, name).tolist())[1:-1].replace(", ", ",\n        ")
+                + "\n      ]"
+                for name in sorted(_TREE_FIELDS)
+            )
+            fh.write(f"{',' if i else ''}\n    {{{arrays}\n    }}")
+        fh.write(("\n  ]" if model.trees else "]") + tail + "\n")
 
 
 # the JSON types each dtype reads (the usual one last), and their name

@@ -25,6 +25,7 @@ from qemclust import (
     NoiseSpec,
     OutcomeDistribution,
     SyntheticSpec,
+    TreeEnsemble,
     apply_bitflip,
     fit_tree_ensemble,
     generate_ideal,
@@ -33,6 +34,7 @@ from qemclust import (
     sample_shots,
 )
 from qemclust.cli import main
+from qemclust.estimator import _Tree
 
 B = BitString.from_text
 
@@ -336,6 +338,33 @@ class TestModelFiles:
         assert loaded.importances == model.importances
         qio.save_model(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("n_trees, n_features", [(0, 8), (1, 8), (3, 8), (3, 30)])
+    def test_writer_bytes_equal_the_indented_encoder(self, tmp_path, n_trees, n_features):
+        # thresholds of -0.0, the smallest subnormal and 1e22 (repr "1e+22"), and a one-node tree
+        trees = [
+            _Tree(feature=np.array([0, -1, n_features - 1, -1, -1]), threshold=np.array([-0.0, 0.0, 5e-324, 0.0, 0.0]),
+                  left=np.array([1, -1, 3, -1, -1]), right=np.array([2, -1, 4, -1, -1]),
+                  value=np.array([0.25, 0.1, 0.3, 0.2, 0.4])),
+            _Tree(feature=np.array([1, -1, -1]), threshold=np.array([1e22, 0.0, 0.0]), left=np.array([1, -1, -1]),
+                  right=np.array([2, -1, -1]), value=np.array([0.05, 0.0, 1 / 3])),
+            _Tree(feature=np.array([-1]), threshold=np.array([0.0]), left=np.array([-1]), right=np.array([-1]),
+                  value=np.array([0.5])),
+        ][:n_trees]
+        names = FEATURE_NAMES if n_features == len(FEATURE_NAMES) else tuple(f"f{i}" for i in range(n_features))
+        importances = tuple(np.linspace(0.0, 2 / n_features, n_features).tolist())
+        model = TreeEnsemble(trees=tuple(trees), feature_names=names, n_trees=n_trees, min_samples_leaf=1,
+                             max_features=2, seed=5, importances=importances)
+        doc = {
+            "format": "qemclust-extratrees", "version": 1, "feature_names": list(names),
+            "hyperparameters": {"n_trees": n_trees, "min_samples_leaf": 1, "max_features": 2, "seed": 5},
+            "feature_importances": list(importances),
+            "trees": [{name: getattr(t, name).tolist() for name in ("feature", "threshold", "left", "right", "value")}
+                      for t in trees],
+        }
+        path = tmp_path / "model.json"
+        qio.save_model(model, str(path))
+        assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     # one split on entropy (feature 6) into two leaves, and a leaf-only tree
     TREES = [

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import convolve_bitflip, reference_error_rate, reference_fit
@@ -397,6 +397,8 @@ DRAW_OPS = st.lists(
     ),
     max_size=30,
 )
+# a uniform whose span overflows: it draws nothing, and the test syncs after it
+OVERFLOW = ("uniform", -1.7e308, 1.7e308)
 # above 10,000 numpy tail-shuffles the population when size > n // 50
 TAIL_OP = st.integers(10_001, 12_000).flatmap(
     lambda n: st.tuples(st.just("choice"), st.just(n), st.integers(n // 50 - 5, n // 50 + 30))
@@ -408,10 +410,15 @@ class TestDraws:
     replace=False)`` and ``Generator.uniform(lo, hi)``, value for value,
     and leave the generator in numpy's state."""
 
+    # words are taken 64 at a time: these read from at least three blocks,
+    # sync twice in a row, and sync mid-block before more of both draws
+    @example(ops=[("choice", 64, 64)] * 3 + [("uniform", 0.0, 1.0)], tail=("choice", 10_001, 230), at=4, seed=1)
+    @example(ops=[("uniform", 0.0, 1.0)] + [OVERFLOW] * 2, tail=("choice", 8, 2), at=3, seed=2)
+    @example(ops=[("choice", 8, 2), OVERFLOW, ("choice", 8, 2), ("uniform", -1.0, 2.0)], tail=("choice", 10_001, 230), at=4, seed=3)
     @given(ops=DRAW_OPS, tail=TAIL_OP, at=st.integers(0, 30), seed=st.integers(0, 2**64 - 1))
     @settings(max_examples=60, deadline=None)
     def test_draws_and_state_equal_numpy(self, ops, tail, at, seed):
-        ops.insert(at, tail)
+        ops = [*ops[:at], tail, *ops[at:]]
         want, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         draws = _PCG64Draws(rng)
         for kind, a, b in ops:

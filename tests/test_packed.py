@@ -79,6 +79,32 @@ class TestRowKeyMatchesPythonInts:
         assert (_values(rows), counts.tolist()) == reference_tally_rows(values)
         assert words.tobytes() == _pack_words(rows).tobytes()
 
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_tally_rows_around_the_counted_path(self, width):
+        # the counted path takes 2**width <= 4 * n: n from just short of it to past it
+        rng = np.random.default_rng(width)
+        at = -(-(1 << width) // 4)
+        for n in (at - 1, at, at + 1):
+            pool = rng.integers(0, 1 << width, size=3)
+            for values in (rng.integers(0, 1 << width, size=n), rng.choice(pool, size=n), np.full(n, pool[0])):
+                bits = ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+                rows, words, counts = _tally(bits)
+                want_values, want_counts = reference_tally_rows(values.tolist())
+                assert counts.dtype == np.intp and counts.tolist() == want_counts
+                assert words.dtype == np.uint64 and words.shape == (len(want_values), 1)
+                assert words[:, 0].tolist() == want_values
+                assert rows.dtype == np.uint8 and rows.shape == (len(want_values), width) and rows.flags.c_contiguous
+                assert _values(rows) == want_values
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_pack_words_at_every_width(self, n):
+        rng = np.random.default_rng(n)
+        for width in range(1, 201):
+            bits = rng.integers(0, 2, size=(n, width), dtype=np.uint8)
+            words = _pack_words(bits)
+            assert words.dtype == np.uint64 and words.shape == (n, -(-width // 64)) and words.flags.c_contiguous
+            assert _ints(words) == _values(bits)
+
 
 def _word_rows(rng, width: int, n: int, pool: int) -> np.ndarray:
     """(n, words) uint64 rows whose every word is one of ``pool`` draws for
