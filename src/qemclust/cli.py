@@ -125,8 +125,8 @@ def _check_dominant(widths, dominants) -> None:
                 raise _UsageError(f"--d {d} exceeds the 2^{n} bit-strings of --n {n}")
 
 
-def _metadata(args, shots: int) -> dict:
-    meta = {"shots": shots, "seed": args.seed}
+def _metadata(args) -> dict:
+    meta = {"shots": args.shots, "seed": args.seed}
     if not args.no_timestamp:
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     return meta
@@ -138,8 +138,8 @@ def _cmd_simulate(args) -> int:
     ideal = generate_ideal(SyntheticSpec(args.n, args.d, rng))
     counts = sample_shots(ideal, args.shots, rng)
     noisy = apply_bitflip(counts, NoiseSpec(args.p, rng))
-    io.write_counts(counts, args.out_ideal, _metadata(args, args.shots))
-    io.write_counts(noisy, args.out_noisy, _metadata(args, args.shots))
+    io.write_counts(counts, args.out_ideal, _metadata(args))
+    io.write_counts(noisy, args.out_noisy, _metadata(args))
     if args.out_probs:
         io.write_distribution(ideal, args.out_probs)
     return EXIT_OK

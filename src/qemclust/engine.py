@@ -216,19 +216,12 @@ class ExperimentRecord:
     error: str = ""
 
 
-def trial_seed(base_seed: int, trial: int) -> int:
-    """Per-trial derived seed: base XOR trial index.
-
-    Cells sharing generation parameters therefore see identical synthetic
-    data for the same trial index, which pairs comparisons such as
-    mis-estimation studies.
-    """
-    return base_seed ^ trial
-
-
 def run_trial(cell: SweepCell, trial: int, base_seed: int) -> ExperimentRecord:
     """Generate one synthetic instance for the cell, mitigate and score it."""
-    seed = trial_seed(base_seed, trial)
+    # base XOR trial index: cells sharing generation parameters see identical
+    # synthetic data for the same trial index, which pairs comparisons such
+    # as mis-estimation studies
+    seed = base_seed ^ trial
     try:
         rng = np.random.default_rng(seed)
         ideal = generate_ideal(SyntheticSpec(cell.width, cell.num_dominant, rng))

@@ -270,34 +270,29 @@ _BLOCK = 64
 
 class _PCG64Draws:
     """``rng.choice(n, size, replace=False)`` and ``rng.uniform(lo, hi)``
-    computed from the raw PCG64 stream, without numpy's per-call
-    wrappers, which cost more than the draws at the tree's sizes.
+    of ``rng = np.random.default_rng(seed)``, computed from the same raw
+    PCG64 stream without numpy's per-call wrappers, which cost more than
+    the draws at the tree's sizes.
 
-    The values and the generator state are numpy 2.x's own: ``choice`` is
-    Floyd's algorithm and then a shuffle of the picks, or a tail shuffle
-    of the whole population above 10,000 when ``size > n // 50``; every
-    bounded draw is Lemire's method over ``next_uint32``, which returns
-    the low half of a 64-bit output and keeps the high half for the next
-    call. ``uniform`` is numpy's ``random_uniform`` over ``next_double``,
+    The values are numpy 2.x's own: ``choice`` is Floyd's algorithm and
+    then a shuffle of the picks, or a tail shuffle of the whole
+    population above 10,000 when ``size > n // 50``; every bounded draw
+    is Lemire's method over ``next_uint32``, which returns the low half
+    of a 64-bit output and keeps the high half for the next call.
+    ``uniform`` is numpy's ``random_uniform`` over ``next_double``,
     ``(word >> 11) * 2**-53``. Populations are at most 2**32.
 
     Words are taken ``_BLOCK`` at a time from ``random_raw`` into a list
     that both draws read in stream order, and each ``(n, size)``'s bounds
-    and Lemire thresholds are worked out once per object. Call ``sync``
-    when done: it moves the generator back over the block's unused words
-    and hands the kept half back, so the generator's state is the one
-    numpy's own calls would leave.
+    and Lemire thresholds are worked out once per object. The object owns
+    its generator, so the draws depend on the seed alone.
     """
 
-    def __init__(self, rng: np.random.Generator):
-        bitgen = rng.bit_generator
-        assert isinstance(bitgen, np.random.PCG64), type(bitgen)
-        state = bitgen.state
-        self._bitgen = bitgen
+    def __init__(self, seed: int | np.random.SeedSequence):
+        self._bitgen = np.random.PCG64(seed)
         self._words: list[int] = []  # the block's unused words, the next one last
         self._bounds: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        self._has_half = bool(state["has_uint32"])
-        self._half = state["uinteger"]  # numpy keeps it after use, so do we
+        self._has_half, self._half = False, 0
 
     def _fill(self) -> None:
         self._words.extend(reversed(self._bitgen.random_raw(_BLOCK).tolist()))
@@ -361,17 +356,6 @@ class _PCG64Draws:
             self._fill()
         return lo + span * ((self._words.pop() >> 11) * 2**-53)
 
-    def sync(self) -> None:
-        """Rewind the generator over the unused words, drop them, and hand
-        it the kept half: its state is then numpy's after the same draws."""
-        bitgen = self._bitgen
-        if self._words:
-            bitgen.advance(-len(self._words))  # numpy takes the delta modulo 2**128
-            self._words.clear()
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
-        bitgen.state = state
-
 
 def _equal_value_masks(cols: list[list[float]]) -> list[tuple[int, ...]]:
     """``masks[i][f]``: the bitmask of the rows whose value of feature
@@ -390,7 +374,7 @@ def _grow_tree(
     cols: list[list[float]],
     labels: list[float],
     equal: list[tuple[int, ...]],
-    rng: np.random.Generator,
+    seed: np.random.SeedSequence,
     min_samples_leaf: int,
     max_features: int,
     importances: list[float],
@@ -402,13 +386,14 @@ def _grow_tree(
     Nodes hold a few to a few hundred rows, too few for numpy calls to pay
     for their dispatch, so the node statistics are Python float
     arithmetic with numpy's summation order, and the random draws are
-    ``_PCG64Draws``: numpy's values in the same order. Each node carries
+    ``_PCG64Draws(seed)``: the values ``np.random.default_rng(seed)``'s
+    ``choice`` and ``uniform`` give, in the same order. Each node carries
     the bitmask of its rows, so a feature is constant in it exactly when
     the mask is inside the node's first row's ``equal`` mask (one AND per
     feature, no gather); values are gathered, and their bounds taken, only
     for the features drawn.
     """
-    draws = _PCG64Draws(rng)
+    draws = _PCG64Draws(seed)
     choice, uniform = draws.choice, draws.uniform
     n_rows = len(labels)
     bit = [1 << i for i in range(n_rows)]
@@ -459,7 +444,6 @@ def _grow_tree(
         left_rows = sum(map(bit.__getitem__, left_idx))
         stack.append((right[node], right_idx, rows ^ left_rows, right_y, *right_stats))
         stack.append((left[node], left_idx, left_rows, left_y, *left_stats))
-    draws.sync()
     return _Tree(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),
@@ -512,10 +496,7 @@ def fit_tree_ensemble(
     cols, ys = X.T.tolist(), y.tolist()
     equal = _equal_value_masks(cols)  # this fit's rows only; dropped with the fit
     importance_acc = [0.0] * n_features
-    trees = tuple(
-        _grow_tree(cols, ys, equal, np.random.default_rng(s), min_samples_leaf, max_features, importance_acc)
-        for s in streams
-    )
+    trees = tuple(_grow_tree(cols, ys, equal, s, min_samples_leaf, max_features, importance_acc) for s in streams)
     acc = np.array(importance_acc)
     total = acc.sum()
     importances = acc / total if total > 0 else acc

@@ -66,7 +66,9 @@ class DataFormatError(ValueError):
     """A file failed validation; the message names the file and offender."""
 
 
-def _read_json(path: str) -> dict:
+def _load_json(path: str, *formats: str) -> dict:
+    """The JSON object in ``path``, checked to carry one of ``formats`` at
+    the supported version."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -76,18 +78,9 @@ def _read_json(path: str) -> dict:
         raise DataFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: expected a JSON object")
-    return doc
-
-
-def _load_json(path: str, expected_format: str, doc: dict | None = None) -> dict:
-    """The JSON object in ``path`` (or ``doc``, already read from it),
-    checked to carry ``expected_format`` at the supported version."""
-    if doc is None:
-        doc = _read_json(path)
-    if doc.get("format") != expected_format:
-        raise DataFormatError(
-            f"{path}: expected format {expected_format!r}, got {doc.get('format')!r}"
-        )
+    if doc.get("format") not in formats:
+        expected = " or ".join(map(repr, formats))
+        raise DataFormatError(f"{path}: expected format {expected}, got {doc.get('format')!r}")
     if doc.get("version") != FORMAT_VERSION:
         raise DataFormatError(f"{path}: unsupported version {doc.get('version')!r}")
     return doc
@@ -116,20 +109,27 @@ def _dump_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _read_weights(
-    path: str, doc: dict | None, expected_format: str, field: str, name: str, rule: str, types: set
-):
-    """Load a file (or its parsed ``doc``) whose ``field`` maps width-bit
-    keys to weights.
+# per weight-map format: the field mapping width-bit keys to weights, a
+# weight's name and rule (for errors), its JSON types (so ``bool`` is not
+# ``int``), and whether it is written as an integer
+_WEIGHT_MAPS = {
+    COUNTS_FORMAT: ("counts", "count", "an integer >= 0", {int}, True),
+    DISTRIBUTION_FORMAT: ("probabilities", "probability", "a finite number >= 0", {int, float}, False),
+}
+
+
+def _read_weights(path: str, *formats: str) -> tuple[dict, OutcomeDistribution]:
+    """Load a file of one of the weight-map ``formats``, parsed once.
 
     Returns the JSON document and the distribution, in file-key order.
-    Every weight must be of one of ``types`` (JSON values, so ``bool`` is
-    not ``int``), finite and >= 0 (``name`` and ``rule`` word the error),
-    and their sums in file and in value order positive and finite. All
-    keys are checked at once on their joined text, all values in one pass;
-    only a failure looks at single entries, to name the first bad one.
+    Every weight must be of its format's JSON types, finite and >= 0, and
+    their sums in file and in value order positive and finite; an optional
+    ``metadata`` must be an object. All keys are checked at once on their
+    joined text, all values in one pass; only a failure looks at single
+    entries, to name the first bad one.
     """
-    doc = _load_json(path, expected_format, doc)
+    doc = _load_json(path, *formats)
+    field, name, rule, types, _ = _WEIGHT_MAPS[doc["format"]]
     width = doc.get("width")
     weights = doc.get(field)
     if not _is_int(width) or width < 1:
@@ -158,18 +158,21 @@ def _read_weights(
         view_total(dist._sorted().total)
     except ValueError:
         raise DataFormatError(f"{path}: the {name} values must sum to a positive finite number") from None
+    if not isinstance(doc.get("metadata", {}), dict):
+        raise DataFormatError(f"{path}: 'metadata' must be an object")
     return doc, dist
 
 
-def _dump_weights(path: str, doc: dict, field: str, dist: OutcomeDistribution, as_int: bool) -> None:
-    """Write ``doc`` with ``field`` mapping each bit-string of ``dist`` to
-    its weight in value order, byte for byte as ``_dump_json`` writes the
-    same document. Counts are written as ints (``as_int``), probabilities
-    as float reprs, as the json encoder writes them.
+def _dump_weights(path: str, doc: dict, dist: OutcomeDistribution) -> None:
+    """Write ``doc`` with its format's weight-map field mapping each
+    bit-string of ``dist`` to its weight in value order, byte for byte as
+    ``_dump_json`` writes the same document. Counts are written as ints,
+    probabilities as float reprs, as the json encoder writes them.
 
     Every entry is a row of one byte template, ``,\\n    "<bits>": %s``,
     filled by one ``%``; each distinct weight (by its bits, so -0.0 is not
     0.0) is formatted once."""
+    field, *_, as_int = _WEIGHT_MAPS[doc["format"]]
     text = json.dumps({**doc, field: {}}, indent=2, sort_keys=True)
     if len(dist):
         view = dist._sorted()
@@ -193,14 +196,10 @@ def _dump_weights(path: str, doc: dict, field: str, dist: OutcomeDistribution, a
         fh.write(text + "\n")
 
 
-def read_counts(path: str, *, doc: dict | None = None) -> tuple[OutcomeDistribution, dict]:
-    """Load a counts file (``doc``: its JSON, if already parsed); returns
-    the distribution and its metadata."""
-    doc, dist = _read_weights(path, doc, COUNTS_FORMAT, "counts", "count", "an integer >= 0", {int})
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise DataFormatError(f"{path}: 'metadata' must be an object")
-    return dist, metadata
+def read_counts(path: str) -> tuple[OutcomeDistribution, dict]:
+    """Load a counts file; returns the distribution and its metadata."""
+    doc, dist = _read_weights(path, COUNTS_FORMAT)
+    return dist, doc.get("metadata", {})
 
 
 def write_counts(dist: OutcomeDistribution, path: str, metadata: Mapping | None = None) -> None:
@@ -209,36 +208,21 @@ def write_counts(dist: OutcomeDistribution, path: str, metadata: Mapping | None 
     doc = {"format": COUNTS_FORMAT, "version": FORMAT_VERSION, "width": dist.width}
     if metadata:
         doc["metadata"] = dict(metadata)
-    _dump_weights(path, doc, "counts", dist, as_int=True)
+    _dump_weights(path, doc, dist)
 
 
-def read_distribution(path: str, *, doc: dict | None = None) -> OutcomeDistribution:
-    """Load a distribution file (``doc``: its JSON, if already parsed)."""
-    return _read_weights(
-        path,
-        doc,
-        DISTRIBUTION_FORMAT,
-        "probabilities",
-        "probability",
-        "a finite number >= 0",
-        {int, float},
-    )[1]
+def read_distribution(path: str) -> OutcomeDistribution:
+    return _read_weights(path, DISTRIBUTION_FORMAT)[1]
 
 
 def write_distribution(dist: OutcomeDistribution, path: str) -> None:
     doc = {"format": DISTRIBUTION_FORMAT, "version": FORMAT_VERSION, "width": dist.width}
-    _dump_weights(path, doc, "probabilities", dist, as_int=False)
+    _dump_weights(path, doc, dist)
 
 
 def read_any_distribution(path: str) -> OutcomeDistribution:
     """Accept either a counts file or a probability-distribution file."""
-    doc = _read_json(path)
-    fmt = doc.get("format")
-    if fmt == COUNTS_FORMAT:
-        return read_counts(path, doc=doc)[0]
-    if fmt == DISTRIBUTION_FORMAT:
-        return read_distribution(path, doc=doc)
-    raise DataFormatError(f"{path}: not a counts or distribution file (format={fmt!r})")
+    return _read_weights(path, *_WEIGHT_MAPS)[1]
 
 
 def read_calibration(path: str) -> CalibrationSnapshot:
@@ -477,6 +461,8 @@ def load_model(path: str) -> TreeEnsemble:
             raise ValueError("feature_names must be a list of strings")
         if type(importances) is not list or len(importances) != len(names) or not all(map(_is_number, importances)):
             raise ValueError("feature_importances must be a list of numbers, one per feature name")
+        if not all(-math.inf < _float(v) < math.inf for v in importances):
+            raise ValueError("feature_importances must be finite")
         params = {key: hp[key] for key in _HYPERPARAMETERS}
         for key, v in params.items():
             if not _is_int(v):

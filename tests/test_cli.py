@@ -455,6 +455,9 @@ class TestModelFiles:
         ({"feature_importances": [0.5, True] * 4}, "feature_importances must be a list of numbers"),
         ({"feature_importances": [0.5] * 7}, "one per feature name"),
         ({"feature_importances": {"entropy": 1.0}}, "feature_importances must be a list of numbers"),
+        # written back, these would be NaN and Infinity literals, which are not JSON
+        ({"feature_importances": [0.5] * 7 + [math.nan]}, "feature_importances must be finite"),
+        ({"feature_importances": [math.inf] + [0.5] * 7}, "feature_importances must be finite"),
         ({"n_trees": -7}, "hyperparameter n_trees must equal the number of trees, 2, got -7"),
         ({"n_trees": 3}, "hyperparameter n_trees must equal the number of trees, 2, got 3"),
         ({"min_samples_leaf": 0}, "hyperparameter min_samples_leaf must be >= 1, got 0"),
@@ -463,6 +466,7 @@ class TestModelFiles:
         ({"seed": -3}, "hyperparameter seed must be >= 0, got -3"),
     ], ids=["n_trees-float", "min_samples_leaf-bool", "max_features-string", "seed-float", "names-string",
             "names-number", "importances-strings", "importances-bool", "importances-short", "importances-object",
+            "importances-nan", "importances-infinity",
             "n_trees-negative", "n_trees-miscounted", "min_samples_leaf-zero", "max_features-high",
             "max_features-zero", "seed-negative"])
     def test_malformed_model_fields_are_a_data_error(self, tmp_path, capsys, fields, message):
@@ -1183,6 +1187,98 @@ class TestTotalsBeyondFloat:
         err = capsys.readouterr().err
         assert str(ideal) in err and "positive finite" in err
         assert not out.exists() and not report.exists()
+
+
+class TestEnvelopes:
+    """Every JSON reader checks the envelope before the content: a wrong
+    ``format``, an unsupported ``version`` and a top-level array are data
+    errors (exit 2) that name the file."""
+
+    DOCS = {
+        "counts": {"format": "qemclust-counts", "version": 1, "width": 6, "counts": {"111000": 3, "011010": 1}},
+        "distribution": {
+            "format": "qemclust-distribution", "version": 1, "width": 6, "probabilities": {"111000": 1.0},
+        },
+        "calibration": TestIntegersBeyondFloat.CALIBRATION,
+        "features": TestModelFiles.FEATURES,
+        "model": {
+            "format": "qemclust-extratrees", "version": 1, "feature_names": list(FEATURE_NAMES),
+            "hyperparameters": {"n_trees": 2, "min_samples_leaf": 1, "max_features": 8, "seed": 0},
+            "feature_importances": [0.0] * 6 + [1.0, 0.0], "trees": TestModelFiles.TREES,
+        },
+    }
+    # each reader's command line, {kind} being the path of that kind's file
+    COMMANDS = {
+        "counts": ("counts", ["mitigate", "{counts}", "--p", "0.1"]),
+        "hf-against-counts": ("counts", ["mitigate", "{good_counts}", "--p", "0.1", "--hf-against", "{counts}"]),
+        "hf-against-distribution": (
+            "distribution", ["mitigate", "{good_counts}", "--p", "0.1", "--hf-against", "{distribution}"],
+        ),
+        "calibration": (
+            "calibration", ["estimate", "--model", "{model}", "--features", "{features}", "--calibration", "{calibration}"],
+        ),
+        "features": ("features", ["estimate", "--model", "{model}", "--features", "{features}"]),
+        "model": ("model", ["estimate", "--model", "{model}", "--features", "{features}"]),
+    }
+    READERS = {
+        "counts": qio.read_counts,
+        "distribution": qio.read_distribution,
+        "calibration": qio.read_calibration,
+        "features": qio.read_features_file,
+        "model": qio.load_model,
+    }
+    FAULTS = {
+        "format": (lambda doc: {**doc, "format": "qemclust-other"}, "'qemclust-other'"),
+        "version": (lambda doc: {**doc, "version": 2}, "unsupported version 2"),
+        "array": (lambda doc: [doc], "expected a JSON object"),
+    }
+
+    def _paths(self, tmp_path, kind, doc):
+        """Well-formed files of every kind, the one of ``kind`` holding ``doc``."""
+        paths = {}
+        for name, good in {**self.DOCS, "good_counts": self.DOCS["counts"]}.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc if name == kind else good))
+        return paths
+
+    def test_well_formed_files_are_read(self, tmp_path, capsys):
+        paths = self._paths(tmp_path, None, None)
+        for _kind, argv in self.COMMANDS.values():
+            assert main([a.format(**paths) for a in argv]) == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_exits_2_and_names_the_file(self, tmp_path, capsys, command, fault):
+        kind, argv = self.COMMANDS[command]
+        break_doc, message = self.FAULTS[fault]
+        paths = self._paths(tmp_path, kind, break_doc(self.DOCS[kind]))
+        assert main([a.format(**paths) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {paths[kind]}: ") and message in err
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("kind", READERS)
+    def test_reader_raises_and_names_the_file(self, tmp_path, kind, fault):
+        break_doc, message = self.FAULTS[fault]
+        path = self._paths(tmp_path, kind, break_doc(self.DOCS[kind]))[kind]
+        with pytest.raises(qio.DataFormatError) as info:
+            self.READERS[kind](str(path))
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+    @pytest.mark.parametrize("kind, other", [("counts", "distribution"), ("distribution", "counts")])
+    def test_weight_map_readers_refuse_the_other_format(self, tmp_path, kind, other):
+        path = self._paths(tmp_path, other, self.DOCS[other])[other]
+        with pytest.raises(qio.DataFormatError) as info:
+            self.READERS[kind](str(path))
+        assert str(info.value) == f"{path}: expected format 'qemclust-{kind}', got 'qemclust-{other}'"
+
+    @pytest.mark.parametrize("command", ["counts", "hf-against-counts"])
+    @pytest.mark.parametrize("metadata", [[], "sim", 3])
+    def test_counts_metadata_must_be_an_object(self, tmp_path, capsys, command, metadata):
+        kind, argv = self.COMMANDS[command]
+        paths = self._paths(tmp_path, kind, {**self.DOCS[kind], "metadata": metadata})
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {paths[kind]}: 'metadata' must be an object\n"
 
 
 class TestFeaturesInconsistentWithCalibration:
