@@ -100,13 +100,12 @@ class OutcomeDistribution:
     that need a probability view require a positive and finite total,
     checked by ``_mass``.
 
-    Stored as a (n, width) 0/1 uint8 bit matrix and a float64 weight
-    vector in iteration order; the ``{BitString: weight}`` dict is a cache,
-    kept from the mapping given to the constructor or made on first
-    dict-style access; so are the rows' packed words in iteration order
-    (``_row_words``), handed over by the code that built the distribution
-    or packed on first use, and the value-sorted view, made by ``_sorted``
-    alone, on first use.
+    Stored as a (n, width) 0/1 uint8 bit matrix, its rows' packed words
+    and a float64 weight vector, all in iteration order. The words are
+    handed over by the code that built the distribution or packed by
+    ``_set``. The ``{BitString: weight}`` dict is a cache made from the
+    arrays on first dict-style access; so is the value-sorted view, made
+    by ``_sorted`` alone, on first use.
     """
 
     __slots__ = ("_width", "_store", "_rows", "_weights", "_total", "_words", "_view")
@@ -117,34 +116,33 @@ class OutcomeDistribution:
         for b in entries:
             if b.width != width:
                 raise ValueError(f"bit-string {b.text!r} has width {b.width}, expected {width}")
-        store = {b: float(w) for b, w in entries.items()}
-        weights = np.fromiter(store.values(), dtype=np.float64, count=len(store))
-        self._set(strings_to_rows(store, width), weights, store)
+        weights = np.fromiter((float(w) for _, w in entries.items()), dtype=np.float64, count=len(entries))
+        self._set(strings_to_rows(entries, width), weights)
 
     @classmethod
     def _from_rows(cls, rows: np.ndarray, weights: np.ndarray, words=None) -> "OutcomeDistribution":
         """Distribution over the distinct rows of a (n, width) 0/1 uint8
-        matrix, iterated in row order, with float64 ``weights``, keeping the
-        rows' packed ``words`` when given, in any order. The sorted view is
-        made by ``_sorted`` on first use; rows whose words are in value
-        order are their own view."""
+        matrix, iterated in row order, with float64 ``weights`` and the
+        rows' packed ``words`` in row order, packed here when not given.
+        The sorted view is made by ``_sorted`` on first use; rows whose
+        words are in value order are their own view."""
         out = cls.__new__(cls)
-        out._set(rows, weights, None)
-        out._words = words
+        out._set(rows, weights, words)
         return out
 
-    def _set(self, rows: np.ndarray, weights: np.ndarray, store: dict | None) -> None:
-        """Check the weights, then keep the arrays and the dict cache (or None)."""
+    def _set(self, rows: np.ndarray, weights: np.ndarray, words: np.ndarray | None = None) -> None:
+        """Check the weights, then keep the arrays and the rows' words,
+        packing them when none are given."""
         bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0)))
         if len(bad):
             i = bad[0]
             text = rows_to_texts(rows[i : i + 1])[0]
             raise ValueError(f"weight for {text!r} must be finite and >= 0, got {float(weights[i])}")
         self._width = rows.shape[1]
-        self._store = store
         self._rows, self._weights = rows, weights
+        self._words = _pack_words(rows) if words is None else words
         self._total = _left_to_right_sum(weights)
-        self._words = self._view = None
+        self._store = self._view = None
 
     @property
     def _entries(self) -> dict[BitString, float]:
@@ -156,16 +154,10 @@ class OutcomeDistribution:
         """``total``, for a probability view: raises unless 0 < total < inf."""
         return view_total(self._total)
 
-    def _row_words(self) -> np.ndarray:
-        """The rows' ``_pack_words`` in iteration order."""
-        if self._words is None:
-            self._words = _pack_words(self._rows)
-        return self._words
-
     def _sorted(self) -> SortedView:
         """The rows and weights in value order, with the rows' words."""
         if self._view is None:
-            self._view = sorted_view(self._rows, self._weights, self._row_words())
+            self._view = sorted_view(self._rows, self._weights, self._words)
         return self._view
 
     @classmethod
@@ -263,7 +255,7 @@ def hellinger_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     small, big = (p, q) if len(p) <= len(q) else (q, p)
     small_total, big_total = small._mass(), big._mass()
     view = small._sorted()
-    found = match_rows(big._row_words(), view.words)
+    found = match_rows(big._words, view.words)
     v = np.append(big._weights, 0.0)[found]  # -1 picks the 0.0
     # absent strings and zero weights add sqrt(0) = 0.0, which leaves the sum's bits alone
     acc = _left_to_right_sum(np.sqrt((view.weights / small_total) * (v / big_total)))

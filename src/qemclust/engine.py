@@ -84,7 +84,9 @@ class IterationRecord:
     ``duplicates``: the number of its centroid rows equal to an earlier
     one, which an unconverged vote can leave. The centroids and the output
     distribution are built the first time they are read. ``degenerate`` is
-    always False (a pass conserves mass), kept until the report drops it.
+    always False (a pass conserves mass); it stays while
+    ``perfbench/golden.py`` reads ``report.final_record.degenerate``
+    (ROADMAP item 1).
     """
 
     degenerate: ClassVar[bool] = False

@@ -187,15 +187,23 @@ class _Tree:
 
 @dataclass(frozen=True)
 class TreeEnsemble:
-    """Extremely-randomized-trees regressor for the effective error rate."""
+    """Extremely-randomized-trees regressor for the effective error rate.
+
+    ``min_samples_leaf``, ``max_features`` and ``seed`` are the settings
+    the trees were grown with; ``n_trees`` is read from ``trees``, so it
+    always counts them.
+    """
 
     trees: tuple[_Tree, ...]
     feature_names: tuple[str, ...]
-    n_trees: int
     min_samples_leaf: int
     max_features: int
     seed: int
     importances: tuple[float, ...]
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.trees)
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -505,7 +513,6 @@ def fit_tree_ensemble(
         feature_names=FEATURE_NAMES if n_features == len(FEATURE_NAMES) else tuple(
             f"f{i}" for i in range(n_features)
         ),
-        n_trees=n_trees,
         min_samples_leaf=min_samples_leaf,
         max_features=max_features,
         seed=seed,

@@ -477,6 +477,7 @@ def load_model(path: str) -> TreeEnsemble:
         for key, (ok, rule) in rules.items():
             if not ok:
                 raise ValueError(f"hyperparameter {key} must {rule}, got {params[key]}")
+        del params["n_trees"]  # the model counts its trees
         return TreeEnsemble(
             trees=trees,
             feature_names=tuple(names),
@@ -508,63 +509,44 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
-def _cell_fields(cell: SweepCell) -> list:
-    """The grid values of a sweep row; csv writes a float as its repr and
-    None (no fixed k) as an empty field."""
-    return [
-        cell.width, cell.num_dominant, cell.flip_rate, cell.mitigation_rate, cell.stop_threshold, cell.shots,
-        cell.fixed_k,
-    ]
+def _cell_fields(cell: SweepCell) -> dict:
+    """The grid columns of a sweep row. csv writes a float as its repr, and
+    None (no fixed k) or a column a row leaves out as an empty field."""
+    return {
+        "width": cell.width, "num_dominant": cell.num_dominant, "flip_rate": cell.flip_rate,
+        "supplied_rate": cell.mitigation_rate, "stop_threshold": cell.stop_threshold, "shots": cell.shots,
+        "fixed_k": cell.fixed_k,
+    }
 
 
 def _cell_key(cell: SweepCell) -> tuple:
-    return tuple(-1 if v is None else v for v in _cell_fields(cell))
+    return tuple(-1 if v is None else v for v in _cell_fields(cell).values())
 
 
 def write_sweep_csv(records: Iterable[ExperimentRecord], path: str, include_timing: bool = True) -> None:
-    """One row per (cell, trial) plus one ``cell_mean`` row per cell.
+    """One row per (cell, trial) plus one ``cell_mean`` row per cell with
+    at least one trial that succeeded, written by column name.
 
     Rows are sorted on the grid keys, so output bytes do not depend on
     execution order; pass ``include_timing=False`` for byte-reproducible
-    files.
+    files. A failed trial's scores and time read ``nan``, its ``k_used``
+    -1, its ``terminated_by`` ``error``, and ``error`` holds the message;
+    a mean covers only the trials that succeeded.
     """
     records = sorted(records, key=lambda r: (_cell_key(r.cell), r.trial))
     means = cell_means(records)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
+        writer = csv.DictWriter(fh, SWEEP_CSV_COLUMNS)
+        writer.writeheader()
         for rec in records:
-            writer.writerow(
-                ["trial"]
-                + _cell_fields(rec.cell)
-                + [
-                    rec.trial,
-                    rec.seed,
-                    repr(rec.hf_noisy),
-                    repr(rec.hf_mitigated),
-                    repr(rec.improvement),
-                    rec.k_used,
-                    rec.terminated_by,
-                    repr(rec.wall_time_s) if include_timing else "",
-                    rec.error,
-                ]
-            )
+            writer.writerow({
+                "row_type": "trial", **_cell_fields(rec.cell), "trial": rec.trial, "seed": rec.seed,
+                "hf_noisy": rec.hf_noisy, "hf_mitigated": rec.hf_mitigated, "improvement": rec.improvement,
+                "k_used": rec.k_used, "terminated_by": rec.terminated_by,
+                "wall_time_s": rec.wall_time_s if include_timing else "", "error": rec.error,
+            })
         for cell in sorted(means, key=_cell_key):
             stats = means[cell]
-            if "improvement" not in stats:
-                continue
-            writer.writerow(
-                ["cell_mean"]
-                + _cell_fields(cell)
-                + [
-                    "mean",
-                    "",
-                    repr(stats["hf_noisy"]),
-                    repr(stats["hf_mitigated"]),
-                    repr(stats["improvement"]),
-                    repr(stats["k_used"]),
-                    "",
-                    "",
-                    "",
-                ]
-            )
+            if "improvement" in stats:  # else every trial of the cell failed
+                scores = {key: stats[key] for key in ("hf_noisy", "hf_mitigated", "improvement", "k_used")}
+                writer.writerow({"row_type": "cell_mean", **_cell_fields(cell), "trial": "mean", **scores})

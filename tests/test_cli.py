@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -22,8 +23,10 @@ from qemclust import (
     FEATURE_NAMES,
     BitString,
     CalibrationSnapshot,
+    ExperimentRecord,
     NoiseSpec,
     OutcomeDistribution,
+    SweepCell,
     SyntheticSpec,
     TreeEnsemble,
     apply_bitflip,
@@ -339,6 +342,19 @@ class TestModelFiles:
         qio.save_model(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_model_cut_to_fewer_trees_round_trips(self, tmp_path, k):
+        feats, labels = make_synthetic_corpus(20, seed=4)
+        model = fit_tree_ensemble(feats, labels, n_trees=3, seed=4)
+        cut = dataclasses.replace(model, trees=model.trees[:k])
+        assert cut.n_trees == len(cut.trees) == k
+        first, second = tmp_path / "m1.json", tmp_path / "m2.json"
+        qio.save_model(cut, str(first))
+        loaded = qio.load_model(str(first))
+        assert loaded.n_trees == len(loaded.trees) == k
+        qio.save_model(loaded, str(second))
+        assert first.read_bytes() == second.read_bytes()
+
     @pytest.mark.parametrize("n_trees, n_features", [(0, 8), (1, 8), (3, 8), (3, 30)])
     def test_writer_bytes_equal_the_indented_encoder(self, tmp_path, n_trees, n_features):
         # thresholds of -0.0, the smallest subnormal and 1e22 (repr "1e+22"), and a one-node tree
@@ -353,7 +369,7 @@ class TestModelFiles:
         ][:n_trees]
         names = FEATURE_NAMES if n_features == len(FEATURE_NAMES) else tuple(f"f{i}" for i in range(n_features))
         importances = tuple(np.linspace(0.0, 2 / n_features, n_features).tolist())
-        model = TreeEnsemble(trees=tuple(trees), feature_names=names, n_trees=n_trees, min_samples_leaf=1,
+        model = TreeEnsemble(trees=tuple(trees), feature_names=names, min_samples_leaf=1,
                              max_features=2, seed=5, importances=importances)
         doc = {
             "format": "qemclust-extratrees", "version": 1, "feature_names": list(names),
@@ -537,6 +553,15 @@ class TestSimulateCommand:
         dist = qio.read_distribution(probs_p)
         assert len(dist) == 2
         assert dist.total == pytest.approx(1.0)
+
+    def test_both_files_carry_one_metadata(self, tmp_path):
+        ideal, noisy = tmp_path / "i.json", tmp_path / "n.json"
+        assert main([
+            "--seed", "4", "simulate", "--n", "5", "--d", "2", "--p", "0.1", "--shots", "512",
+            "--out-ideal", str(ideal), "--out-noisy", str(noisy),
+        ]) == 0
+        meta = [json.loads(p.read_text())["metadata"] for p in (ideal, noisy)]
+        assert "timestamp" in meta[0] and meta[0] == meta[1]
 
     def test_oversized_support_is_usage_error(self, tmp_path, capsys):
         # a usage error naming both flags, raised before any file is written
@@ -924,6 +949,39 @@ class TestSweepCommand:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("include_timing", [True, False])
+    def test_hand_built_records_bytes(self, tmp_path, include_timing):
+        # one cell whose trials all fail (no mean row) and one that fails in
+        # part (its mean covers the two trials that succeeded), handed over
+        # out of order: rows sort on the grid keys, then the trial index
+        failed = SweepCell(5, 1, 0.2, supplied_rate=0.25, stop_threshold=0.9, shots=128, fixed_k=2)
+        mixed = SweepCell(6, 2, 0.1)
+
+        def failure(cell, trial, error):
+            return ExperimentRecord(cell, trial, 7 - trial, math.nan, math.nan, math.nan, -1, "error", math.nan, error)
+
+        records = [
+            ExperimentRecord(mixed, 2, 5, 0.2, 0.5, 2.0, 3, "k_max", 0.5),
+            failure(failed, 1, "RuntimeError: boom"),
+            failure(mixed, 1, "ValueError: no"),
+            ExperimentRecord(mixed, 0, 7, 0.1, 0.75, 1.5, 2, "convergence", 0.125),
+            failure(failed, 0, "ValueError: bad, worse"),
+        ]
+        out = tmp_path / "sweep.csv"
+        qio.write_sweep_csv(records, str(out), include_timing=include_timing)
+        nan, eighth, half = ("nan", "0.125", "0.5") if include_timing else ("", "", "")
+        assert out.read_bytes().decode("utf-8").split("\r\n") == [
+            "row_type,width,num_dominant,flip_rate,supplied_rate,stop_threshold,shots,fixed_k,trial,seed,"
+            "hf_noisy,hf_mitigated,improvement,k_used,terminated_by,wall_time_s,error",
+            f'trial,5,1,0.2,0.25,0.9,128,2,0,7,nan,nan,nan,-1,error,{nan},"ValueError: bad, worse"',
+            f"trial,5,1,0.2,0.25,0.9,128,2,1,6,nan,nan,nan,-1,error,{nan},RuntimeError: boom",
+            f"trial,6,2,0.1,0.1,0.95,8192,,0,7,0.1,0.75,1.5,2,convergence,{eighth},",
+            f"trial,6,2,0.1,0.1,0.95,8192,,1,6,nan,nan,nan,-1,error,{nan},ValueError: no",
+            f"trial,6,2,0.1,0.1,0.95,8192,,2,5,0.2,0.5,2.0,3,k_max,{half},",
+            "cell_mean,6,2,0.1,0.1,0.95,8192,,mean,,0.15000000000000002,0.625,1.75,2.5,,,",
+            "",
+        ]
 
     def test_supplied_rate_grid(self, tmp_path):
         out = tmp_path / "mis.csv"

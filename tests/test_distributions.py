@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import pickle
 
@@ -26,6 +27,8 @@ from qemclust import (
     qubitwise_majority_vote,
     sample_shots,
 )
+from qemclust._packed import _pack_words
+from qemclust.io import read_counts
 
 B = BitString.from_text
 
@@ -162,6 +165,25 @@ class TestOutcomeDistribution:
         d = OutcomeDistribution(1, {B("0"): weights[0], B("1"): weights[1]})
         assert d.is_integral() is integral
         assert OutcomeDistribution._from_rows(d._rows, d._weights).is_integral() is integral
+
+    @pytest.mark.parametrize("width", [3, 64, 70])
+    @pytest.mark.parametrize("build", ["init", "from_counts", "from_rows", "read_counts"])
+    def test_words_are_packed_at_construction(self, tmp_path, width, build):
+        counts = {format(v, f"0{width}b"): float(v % 5 + 1) for v in (5, 1, (1 << width) - 1, 2)}
+        if build == "init":
+            dist = OutcomeDistribution(width, {B(k): w for k, w in counts.items()})
+        elif build == "from_counts":
+            dist = OutcomeDistribution.from_counts(counts)
+        elif build == "from_rows":
+            rows = np.array([[int(c) for c in k] for k in counts], dtype=np.uint8)
+            dist = OutcomeDistribution._from_rows(rows, np.array(list(counts.values())))
+        else:
+            path = tmp_path / "counts.json"
+            path.write_text(json.dumps({"format": "qemclust-counts", "version": 1, "width": width, "counts": {
+                k: int(w) for k, w in counts.items()
+            }}))
+            dist = read_counts(str(path))[0]
+        assert dist._words.tobytes() == _pack_words(dist._rows).tobytes()
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_array_built_rejects_bad_weight(self, bad):
