@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, compress
 from operator import add, itemgetter, mul, not_
 from typing import Mapping, Sequence
@@ -44,25 +44,18 @@ __all__ = [
     "make_synthetic_corpus",
 ]
 
-# Order is part of the model-file contract; never reorder, only append.
-FEATURE_NAMES = (
-    "num_qubits",
-    "num_measurements",
-    "num_2q_gates",
-    "num_sx_gates",
-    "num_x_gates",
-    "num_rz_gates",
-    "entropy",
-    "esp",
-)
-COUNT_FEATURES = FEATURE_NAMES[:6]  # the integer circuit counts
 # gate kind -> its count feature; compute_esp multiplies in this order
 GATE_FEATURES = {"2q": "num_2q_gates", "sx": "num_sx_gates", "x": "num_x_gates", "rz": "num_rz_gates"}
 
 
 @dataclass(frozen=True)
 class CircuitFeatures:
-    """The feature vector for one circuit execution."""
+    """The feature vector for one circuit execution.
+
+    The field order is the feature order, ``FEATURE_NAMES``: it is part of
+    the model-file contract, and ``io.read_corpus`` fills the fields by
+    position from a corpus row. Never reorder the fields, only append.
+    """
 
     num_qubits: int
     num_measurements: int
@@ -92,6 +85,10 @@ class CircuitFeatures:
 
     def to_vector(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(CircuitFeatures))
+COUNT_FEATURES = FEATURE_NAMES[:6]  # the integer circuit counts
 
 
 @dataclass(frozen=True)
@@ -149,11 +146,11 @@ def effective_error_rate(ideal: OutcomeDistribution, noisy: OutcomeDistribution)
     if ideal.width != noisy.width:
         raise ValueError(f"width mismatch: {ideal.width} != {noisy.width}")
     ideal_total, noisy_total = ideal._mass(), noisy._mass()
-    view, noisy_view = ideal._sorted(), noisy._sorted()
+    view = ideal._sorted()
     mode = np.argmax(view.weights)  # the first maximum in value order
-    row = match_rows(noisy_view.words, view.words[mode : mode + 1])[0]
+    row = match_rows(noisy._words, view.words[mode : mode + 1])[0]  # scans unsorted words
     p_ideal = float(view.weights[mode]) / ideal_total
-    p_noisy = float(noisy_view.weights[row]) / noisy_total if row >= 0 else 0.0
+    p_noisy = float(noisy._weights[row]) / noisy_total if row >= 0 else 0.0
     return min(max(1.0 - (p_noisy / p_ideal) ** (1.0 / ideal.width), RATE_MIN), RATE_MAX)
 
 

@@ -585,7 +585,7 @@ class TestPinnedFileBytes:
         "noisy": "be3f7aa0baaf33656e1d76dbe26e8fb53a76331aa116ea1e74b52f69b93ab13d",
         "probs": "59a5bde6dbdf320ae27fcff028b95c4465161576e73bfa58a4fd3ac761680e75",
         "out": "f03e314846c27618313012ddc75bf7d9a892332fd101f79fe7a5864c690b0eff",
-        "report": "8ab0f3fde388c1f3859aa79b7b19da03832fe544c75bcad4856dc8a44499acc3",
+        "report": "4c0b3044141776e189bb8f6b4cc693ca6604bc4b31b23db29c6c110cee941d27",
     }
 
     def test_headline_instance(self, tmp_path):
@@ -1499,6 +1499,46 @@ class TestUsageErrors:
         assert main(["train", "--corpus", str(corpus), "--folds", "5", "--out", str(model)]) == 2
         assert str(corpus) in capsys.readouterr().err
         assert not model.exists()
+
+
+class TestMissingOutputDirectory:
+    """An output path in a missing directory is a data error (2) naming the
+    path, raised before any input is read, so nothing is written."""
+
+    def test_simulate(self, tmp_path, capsys):
+        ideal, noisy = tmp_path / "i.json", tmp_path / "missing" / "n.json"
+        rc = main(["simulate", "--n", "4", "--d", "2", "--p", "0.1", "--out-ideal", str(ideal), "--out-noisy", str(noisy)])
+        assert rc == 2
+        assert str(noisy) in capsys.readouterr().err
+        assert not ideal.exists()
+
+    def test_mitigate(self, worked_counts, tmp_path, capsys, monkeypatch):
+        noisy_path, _ = worked_counts
+        monkeypatch.setattr(cli, "mitigate", lambda *args: pytest.fail("mitigated before the output check"))
+        out, report = tmp_path / "o.json", tmp_path / "missing" / "r.json"
+        assert main(["mitigate", str(noisy_path), "--p", "0.15", "--out", str(out), "--report", str(report)]) == 2
+        assert str(report) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: pytest.fail("swept before the output check"))
+        out = tmp_path / "missing" / "s.csv"
+        rc = main(["sweep", "--n", "4", "--d", "2", "--p", "0.1", "--trials", "1", "--out", str(out)])
+        assert rc == 2
+        assert str(out) in capsys.readouterr().err
+
+    def test_train(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "cross_validate", lambda *args, **kwargs: pytest.fail("trained before the output check"))
+        model, metrics = tmp_path / "m.json", tmp_path / "missing" / "metrics.json"
+        rc = main(["train", "--synthesize", "20", "--trees", "2", "--out", str(model), "--metrics", str(metrics)])
+        assert rc == 2
+        assert str(metrics) in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_usage_error_comes_first(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.json"
+        assert main(["mitigate", str(tmp_path / "c.json"), "--p", "0.1", "--model", "m.json", "--out", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
 
 
 class TestParser:

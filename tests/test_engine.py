@@ -80,6 +80,21 @@ class TestMitigateIterative:
         assert len(report.iterations) >= 2
         assert report.k_used >= 1
 
+    @pytest.mark.parametrize(
+        "counts, cfg, terminated_by",
+        [
+            ({"0011": 5, "0111": 4, "1100": 3}, MitigationConfig(0.2, stop_threshold=0.999), "convergence"),
+            ({"0011": 5, "0111": 4, "1100": 3, "1111": 2}, MitigationConfig(0.2, stop_threshold=0.9999), "k_max"),
+            ({"0011": 5, "0111": 4, "1100": 3}, MitigationConfig(0.2, fixed_k=2), "fixed"),
+        ],
+    )
+    def test_report_reads_its_choice_from_the_record(self, counts, cfg, terminated_by):
+        report = mitigate(OutcomeDistribution.from_counts(counts), cfg)
+        assert report.terminated_by == terminated_by
+        assert report.final_record in report.iterations
+        assert report.final is report.final_record.distribution
+        assert report.k_used == report.final_record.k
+
     def test_k_capped_by_unique_strings(self):
         noisy = OutcomeDistribution.from_counts({"0011": 5, "0111": 4, "1100": 3})
         report = mitigate(noisy, MitigationConfig(0.2, stop_threshold=0.999))
@@ -222,8 +237,10 @@ class TestMitigateIterative:
         monkeypatch.setattr(engine, "hellinger_fidelity", forbidden)
         noisy = worked_noisy(101)
         report = mitigate(noisy, MitigationConfig(0.15, stop_threshold=0.9, fixed_k=fixed_k))
+        assert built == []  # mitigate builds no output, not even the final one
+        final = report.final
         assert len(built) == 1
-        assert report.final_record.distribution is report.final
+        assert report.final is final
         monkeypatch.undo()
         for rec in report.iterations:
             alone = mitigate(noisy, MitigationConfig(0.15, fixed_k=rec.k))

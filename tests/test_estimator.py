@@ -125,6 +125,13 @@ class TestEffectiveErrorRate:
             ideal, noisy = (OutcomeDistribution._from_rows(d._rows, d._weights) for d in (ideal, noisy))
         assert effective_error_rate(ideal, noisy).hex() == want.hex()
 
+    def test_noisy_input_out_of_value_order_is_not_sorted(self):
+        ideal = OutcomeDistribution.from_counts({"110": 0.2, "011": 0.5, "000": 0.3})
+        noisy = OutcomeDistribution.from_counts({"111": 9, "011": 40, "010": 6, "000": 25})
+        want = reference_error_rate(ideal, noisy)
+        assert effective_error_rate(ideal, noisy).hex() == want.hex()
+        assert noisy._view is None  # the noisy words are scanned as they are
+
     def test_mode_tie_breaks_to_smallest_value(self):
         ideal = OutcomeDistribution.from_counts({"01": 0.5, "10": 0.5})
         noisy = OutcomeDistribution.from_counts({"01": 0.3, "10": 0.6, "11": 0.1})
