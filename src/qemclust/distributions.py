@@ -103,17 +103,21 @@ class OutcomeDistribution:
     Stored as a (n, width) 0/1 uint8 bit matrix, its rows' packed words
     and a float64 weight vector, all in iteration order. The words are
     handed over by the code that built the distribution or packed by
-    ``_set``. The ``{BitString: weight}`` dict is a cache made from the
-    arrays on first dict-style access; so is the value-sorted view, made
-    by ``_sorted`` alone, on first use.
+    ``_set``; the value-sorted view is made by ``_sorted`` alone, on first
+    use. No ``{BitString: weight}`` dict is kept: ``get``, ``in`` and
+    ``probability`` pack the key into a words row and find it among the
+    rows' words, ``==`` compares the two sorted views' words and weights,
+    and ``items()`` builds a dict for each call.
     """
 
-    __slots__ = ("_width", "_store", "_rows", "_weights", "_total", "_words", "_view")
+    __slots__ = ("_width", "_rows", "_weights", "_total", "_words", "_view")
 
     def __init__(self, width: int, entries: Mapping[BitString, float]):
         if width < 1:
             raise ValueError(f"width must be a positive integer, got {width}")
         for b in entries:
+            if not isinstance(b, BitString):
+                raise TypeError(f"key {b!r} is not a BitString; text keys go through from_counts")
             if b.width != width:
                 raise ValueError(f"bit-string {b.text!r} has width {b.width}, expected {width}")
         weights = np.fromiter((float(w) for _, w in entries.items()), dtype=np.float64, count=len(entries))
@@ -142,13 +146,14 @@ class OutcomeDistribution:
         self._rows, self._weights = rows, weights
         self._words = _pack_words(rows) if words is None else words
         self._total = _left_to_right_sum(weights)
-        self._store = self._view = None
+        self._view = None
 
-    @property
-    def _entries(self) -> dict[BitString, float]:
-        if self._store is None:
-            self._store = dict(zip(rows_to_strings(self._rows), self._weights.tolist()))
-        return self._store
+    def _row_of(self, b: object) -> int:
+        """Index of the row equal to ``b``, or -1: also for a key that is
+        not a BitString of this width."""
+        if not isinstance(b, BitString) or b.width != self._width:
+            return -1
+        return int(match_rows(self._words, _pack_words(strings_to_rows([b], self._width)))[0])
 
     def _mass(self) -> float:
         """``total``, for a probability view: raises unless 0 < total < inf."""
@@ -179,27 +184,33 @@ class OutcomeDistribution:
         return len(self._weights)
 
     def __iter__(self) -> Iterator[BitString]:
-        return iter(self._entries)
+        return iter(rows_to_strings(self._rows))
 
-    def __contains__(self, b: BitString) -> bool:
-        return b in self._entries
+    def __contains__(self, b: object) -> bool:
+        return self._row_of(b) >= 0
 
     def __eq__(self, other: object) -> bool:
+        """Same width and the same weight for each string, in any row order."""
         if not isinstance(other, OutcomeDistribution):
             return NotImplemented
-        return self._width == other._width and self._entries == other._entries
+        if self._width != other._width or len(self) != len(other):
+            return False
+        mine, theirs = self._sorted(), other._sorted()
+        return np.array_equal(mine.words, theirs.words) and np.array_equal(mine.weights, theirs.weights)
 
     def __repr__(self) -> str:
         return f"OutcomeDistribution(width={self._width}, n={len(self)}, total={self._total:g})"
 
     def items(self):
-        return self._entries.items()
+        """``(BitString, weight)`` pairs in row order, from a dict built for this call."""
+        return dict(zip(self, self._weights.tolist())).items()
 
-    def get(self, b: BitString, default: float = 0.0) -> float:
-        return self._entries.get(b, default)
+    def get(self, b: object, default: float = 0.0) -> float:
+        i = self._row_of(b)
+        return default if i < 0 else float(self._weights[i])
 
     def probability(self, b: BitString) -> float:
-        return self._entries.get(b, 0.0) / self._mass()
+        return self.get(b) / self._mass()
 
     def normalized(self) -> "OutcomeDistribution":
         """Probability view: every weight divided by the total."""

@@ -1,7 +1,10 @@
 import copy
+import gc
 import json
 import math
 import pickle
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +19,11 @@ from qemclust import (
     MitigationConfig,
     NoiseSpec,
     OutcomeDistribution,
+    SyntheticSpec,
     apply_bitflip,
     cluster,
     effective_error_rate,
+    generate_ideal,
     hamming_distance,
     hellinger_fidelity,
     improvement_ratio,
@@ -28,6 +33,7 @@ from qemclust import (
     sample_shots,
 )
 from qemclust._packed import _pack_words
+from qemclust.distributions import rows_to_texts
 from qemclust.io import read_counts
 
 B = BitString.from_text
@@ -96,6 +102,11 @@ class TestOutcomeDistribution:
     def test_rejects_mixed_widths(self):
         with pytest.raises(ValueError):
             OutcomeDistribution(2, {B("00"): 1, B("000"): 1})
+
+    @pytest.mark.parametrize("key", ["01", 1, None])
+    def test_rejects_a_key_that_is_not_a_bitstring(self, key):
+        with pytest.raises(TypeError, match=re.escape(repr(key))):
+            OutcomeDistribution(2, {key: 1})
 
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
@@ -190,6 +201,118 @@ class TestOutcomeDistribution:
         rows = np.array([[0, 0], [0, 1]], dtype=np.uint8)
         with pytest.raises(ValueError, match="'01'"):
             OutcomeDistribution._from_rows(rows, np.array([1.0, bad]))
+
+
+WIDTHS = st.sampled_from([63, 64, 65, 128, 129]) | st.integers(1, 130)
+WEIGHTS = st.sampled_from([0.0, -0.0, 1.0, 3.0]) | st.floats(0.0, 1e3)
+
+
+def dict_of(d):
+    """The ``{BitString: weight}`` dict a distribution answers like, in row
+    order, built through the strings' text."""
+    return {B(t): w for t, w in zip(rows_to_texts(d._rows), d._weights.tolist())}
+
+
+def drawn(data, width, pool):
+    """A distribution over some of ``pool``'s values, built from a dict or
+    from rows in the reverse of that order."""
+    keys = data.draw(st.lists(st.sampled_from(pool), max_size=len(pool), unique=True))
+    weights = data.draw(st.lists(WEIGHTS, min_size=len(keys), max_size=len(keys)))
+    d = OutcomeDistribution(width, {BitString(v, width): w for v, w in zip(keys, weights)})
+    if data.draw(st.booleans()):
+        d = OutcomeDistribution._from_rows(d._rows[::-1].copy(), d._weights[::-1].copy())
+    return d
+
+
+class TestDictContract:
+    """Lookups, equality and iteration read the arrays and answer as the
+    dict of the same strings and weights would."""
+
+    @given(st.data(), WIDTHS)
+    @settings(max_examples=150, deadline=None)
+    def test_lookups_match_a_dict(self, data, width):
+        values = st.integers(0, (1 << width) - 1)
+        d = drawn(data, width, data.draw(st.lists(values, min_size=1, max_size=8, unique=True)))
+        ref = dict_of(d)
+        queries = [
+            *ref,
+            *(BitString(v, width) for v in data.draw(st.lists(values, max_size=4))),
+            BitString(data.draw(st.integers(0, (1 << width + 1) - 1)), width + 1),
+            "01", 1, None,
+        ]
+        if width > 1:
+            queries.append(BitString(0, width - 1))
+        missing = object()
+        for q in queries:
+            assert (q in d) is (q in ref)
+            assert d.get(q, missing) == ref.get(q, missing)
+            assert d.get(q) == ref.get(q, 0.0) and type(d.get(q)) is float
+            if 0 < d.total:
+                assert d.probability(q) == ref.get(q, 0.0) / d.total
+            else:
+                with pytest.raises(ValueError, match="positive finite"):
+                    d.probability(q)
+
+    @given(st.data(), WIDTHS)
+    @settings(max_examples=100, deadline=None)
+    def test_iteration_matches_a_dict_in_row_order(self, data, width):
+        pool = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=8, unique=True))
+        d = drawn(data, width, pool)
+        ref = dict_of(d)
+        assert list(d) == list(ref)
+        items = d.items()
+        assert list(items) == list(ref.items()) and len(items) == len(ref)
+        assert all((k, w) in items for k, w in ref.items())
+        assert ("01", 1.0) not in items and (BitString(0, width + 1), 0.0) not in items
+
+    @given(st.data(), WIDTHS)
+    @settings(max_examples=150, deadline=None)
+    def test_equality_matches_dict_equality(self, data, width):
+        # a small pool and a few weights make equal pairs common
+        pool = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=3, unique=True))
+        a, b = drawn(data, width, pool), drawn(data, width, pool)
+        assert (a == b) is (b == a) is (dict_of(a) == dict_of(b))
+        reversed_rows = OutcomeDistribution._from_rows(a._rows[::-1].copy(), a._weights[::-1].copy())
+        signed_zeros = OutcomeDistribution._from_rows(a._rows, np.where(a._weights == 0, -a._weights, a._weights))
+        assert a == reversed_rows and a == signed_zeros
+        assert (a != OutcomeDistribution(width + 1, {})) and a != dict_of(a)
+
+    def test_equality_edges(self):
+        empty = OutcomeDistribution(3, {})
+        zero = OutcomeDistribution(3, {B("000"): 0.0})
+        assert empty == OutcomeDistribution(3, {}) and empty != OutcomeDistribution(4, {})
+        assert empty != zero and zero == OutcomeDistribution(3, {B("000"): -0.0})
+        assert zero != OutcomeDistribution(3, {B("000"): 0.0, B("001"): 0.0})
+        assert zero != OutcomeDistribution(3, {B("001"): 0.0})
+        assert list(empty) == [] and len(empty.items()) == 0 and B("000") not in empty
+
+    def test_dict_style_reads_keep_nothing(self):
+        def noisy(seed):
+            rng = np.random.default_rng(seed)
+            ideal = generate_ideal(SyntheticSpec(14, 16, rng))
+            return apply_bitflip(sample_shots(ideal, 8192, rng), NoiseSpec(0.15, rng))
+
+        def twin(d):
+            return OutcomeDistribution._from_rows(d._rows.copy(), d._weights.copy())
+
+        def read_all(d, other):
+            key = next(iter(d))
+            d.items(), list(d), d.get(key), key in d, d.probability(key), d == other
+
+        warm = noisy(0)
+        read_all(warm, twin(warm))
+        dist = noisy(1)
+        other = twin(dist)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            read_all(dist, other)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 8 * 1024, f"{kept} bytes kept by a 14-qubit, 8192-shot distribution's reads"
 
 
 class TestHammingDistance:
@@ -296,7 +419,6 @@ class TestHellingerFidelity:
         big = OutcomeDistribution._from_rows(rows, np.array([0.2, 0.3, 0.5]))
         small = OutcomeDistribution.from_counts({"01": 1.0, "10": 1.0})
         assert hellinger_fidelity(small, big) == pytest.approx(0.5 * 0.3)
-        assert big._store is None
 
     @given(st.data(), st.sampled_from([1, 62, 63, 64]) | st.integers(1, 70), st.booleans(), st.booleans())
     @settings(max_examples=150, deadline=None)
