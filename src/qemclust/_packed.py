@@ -20,7 +20,10 @@ sorted nor copied, and every other distribution sorts once. Code that
 only reads a distribution reads its view. Packing copies each row once,
 padded on the left to a whole big-endian word dtype (1, 2 or 4 bytes up
 to 32 bits, whole uint64 words above), and reads the packed bytes in that
-dtype. The simulator's tally (``_tally``) counts rows of at most 62 bits
+dtype (``_pack_buffer`` is that padded matrix with the view its rows'
+bits are written through, ``_words_of`` reads it; the bit-flip channel
+writes its flip flags straight into one). The
+simulator's tally (``_tally``) counts rows of at most 62 bits
 with ``bincount`` when there are at least a quarter as many rows as
 possible values (2**width <= 4n); wider or sparser rows are sorted by
 their keys. Both give the same rows, words and counts in value order.
@@ -74,19 +77,32 @@ def _likelihood_table(width: int, flip_rate: float) -> np.ndarray:
     return powers[0, ::-1] * powers[1]
 
 
-def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """(n, ceil(width/64)) uint64 words of each row, most significant first.
-
-    Each row is padded on the left to a whole big-endian word dtype (1, 2
-    or 4 bytes up to 32 bits, ``8 * n_words`` bytes above) in the one
-    strided copy, packed, and read back in that dtype."""
-    n, width = bits.shape
-    n_words = -(-width // 64)
-    n_bytes = 1 if width <= 8 else 2 if width <= 16 else 4 if width <= 32 else 8 * n_words
+def _pack_buffer(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The zeroed (n, 8 * n_bytes) uint8 matrix that ``_words_of`` packs,
+    and the (n, width) view of it that a row's bits are written through:
+    its last ``width`` columns, padded on the left to a whole big-endian
+    word dtype (1, 2 or 4 bytes up to 32 bits, ``8 * n_words`` bytes
+    above)."""
+    n_bytes = 1 if width <= 8 else 2 if width <= 16 else 4 if width <= 32 else 8 * -(-width // 64)
     padded = np.zeros((n, 8 * n_bytes), dtype=np.uint8)
-    padded[:, 8 * n_bytes - width :] = bits
-    packed = np.packbits(padded.ravel()).view(f">u{min(n_bytes, 8)}")
-    return packed.astype(np.uint64).reshape(n, n_words)
+    return padded, padded[:, 8 * n_bytes - width :]
+
+
+def _words_of(padded: np.ndarray) -> np.ndarray:
+    """(n, ceil(width/64)) uint64 words of the rows of a filled
+    ``_pack_buffer``, most significant first: packed, and read back in
+    the buffer's word dtype."""
+    n, n_bits = padded.shape
+    packed = np.packbits(padded.ravel()).view(f">u{min(n_bits // 8, 8)}")
+    return packed.astype(np.uint64).reshape(n, -(-n_bits // 64))
+
+
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """(n, ceil(width/64)) uint64 words of each row, most significant
+    first, copied into a ``_pack_buffer`` in one strided copy."""
+    padded, rows = _pack_buffer(*bits.shape)
+    rows[...] = bits
+    return _words_of(padded)
 
 
 def _row_keys(words: np.ndarray) -> tuple[np.ndarray, list]:
@@ -180,16 +196,15 @@ def _unpack_words(words: np.ndarray, width: int) -> np.ndarray:
     return np.ascontiguousarray(raw[:, raw.shape[1] - width :])
 
 
-def _tally(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of a 0/1 matrix in ascending value order, their
-    ``_pack_words`` and their counts.
+def _tally(words: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of width-bit ``_pack_words`` rows in ascending value
+    order, their words and their counts.
 
     Rows of at most 62 bits, when there are at least a quarter as many
     rows as possible values (2**width <= 4n), are counted by value with
     ``bincount``, whose nonzero indices are the rows' words in value
     order; other rows are sorted by their keys."""
-    n, width = bits.shape
-    words = _pack_words(bits)
+    n = len(words)
     if width <= 62 and 1 << width <= 4 * n:
         counts = np.bincount(words[:, 0].view(np.int64), minlength=1 << width)
         present = np.flatnonzero(counts)

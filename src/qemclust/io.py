@@ -19,8 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._packed import view_total
-from .distributions import OutcomeDistribution
+from .distributions import OutcomeDistribution, _left_to_right_sum
 from .engine import ExperimentRecord, SweepCell, cell_means
 from .estimator import (
     COUNT_FEATURES,
@@ -154,44 +153,56 @@ def _read_weights(path: str, *formats: str) -> tuple[dict, OutcomeDistribution]:
                 raise DataFormatError(f"{path}: {name} for key {key!r} must be {rule}")
     dist = OutcomeDistribution._from_rows(bits.reshape(-1, width), w)
     try:
-        dist._mass()
-        view_total(dist._sorted().total)
-    except ValueError:
-        raise DataFormatError(f"{path}: the {name} values must sum to a positive finite number") from None
+        _check_mass(name, dist.total, dist._sorted().total)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     if not isinstance(doc.get("metadata", {}), dict):
         raise DataFormatError(f"{path}: 'metadata' must be an object")
     return doc, dist
+
+
+def _check_mass(name: str, *totals: float) -> None:
+    """Raise ValueError unless each of ``totals``, sums of the weights
+    named ``name`` in the message, is a positive finite number. A
+    weight-map file's reader applies it to its distribution's two totals
+    (left to right in file order, numpy's sum in value order), and its
+    writer keeps it."""
+    if not all(0 < total < math.inf for total in totals):
+        raise ValueError(f"the {name} values must sum to a positive finite number")
 
 
 def _dump_weights(path: str, doc: dict, dist: OutcomeDistribution) -> None:
     """Write ``doc`` with its format's weight-map field mapping each
     bit-string of ``dist`` to its weight in value order, byte for byte as
     ``_dump_json`` writes the same document. Counts are written as ints,
-    probabilities as float reprs, as the json encoder writes them.
+    probabilities as float reprs, as the json encoder writes them. Raises
+    ValueError, before the file is opened, when the reader would refuse the
+    written weights' sums (see ``_check_mass``).
 
     Every entry is a row of one byte template, ``,\\n    "<bits>": %s``,
     filled by one ``%``; each distinct weight (by its bits, so -0.0 is not
     0.0) is formatted once."""
-    field, *_, as_int = _WEIGHT_MAPS[doc["format"]]
-    text = json.dumps({**doc, field: {}}, indent=2, sort_keys=True)
-    if len(dist):
-        view = dist._sorted()
-        n, width = view.bits.shape
-        template = np.empty((n, width + 12), dtype=np.uint8)
-        template[:, :7] = np.frombuffer(b',\n    "', dtype=np.uint8)
-        template[:, 7:-5] = view.bits + ord("0")  # only 0s and 1s: no other '%'
-        template[:, -5:] = np.frombuffer(b'": %s', dtype=np.uint8)
-        weights = np.rint(view.weights) if as_int else view.weights
-        distinct, inverse = np.unique(weights.view(np.uint64), return_inverse=True)
-        values = distinct.view(np.float64).tolist()
-        # str(int(v)) of the rint is repr(round(v)): both round half to even
-        texts = list(map(str, map(int, values)) if as_int else map(repr, values))
-        # one row gets itemgetter's one text, not a tuple: ``%`` takes it as its one argument
-        block = (template.tobytes().decode("ascii") % itemgetter(*inverse.tolist())(texts))[6:]
-        # top-level keys sit at indent 2; nested ones are deeper and string
-        # values hold no raw newline, so this placeholder is unique
-        head, tail = text.split(f'\n  "{field}": {{}}')
-        text = f'{head}\n  "{field}": {{\n    {block}\n  }}{tail}'
+    field, name, *_, as_int = _WEIGHT_MAPS[doc["format"]]
+    view = dist._sorted()
+    weights = np.rint(view.weights) if as_int else view.weights
+    # the file's rows are in value order, so the reader sums these weights both ways
+    with np.errstate(over="ignore"):
+        _check_mass(name, _left_to_right_sum(weights), float(weights.sum()))
+    n, width = view.bits.shape
+    template = np.empty((n, width + 12), dtype=np.uint8)
+    template[:, :7] = np.frombuffer(b',\n    "', dtype=np.uint8)
+    template[:, 7:-5] = view.bits + ord("0")  # only 0s and 1s: no other '%'
+    template[:, -5:] = np.frombuffer(b'": %s', dtype=np.uint8)
+    distinct, inverse = np.unique(weights.view(np.uint64), return_inverse=True)
+    values = distinct.view(np.float64).tolist()
+    # str(int(v)) of the rint is repr(round(v)): both round half to even
+    texts = list(map(str, map(int, values)) if as_int else map(repr, values))
+    # one row gets itemgetter's one text, not a tuple: ``%`` takes it as its one argument
+    block = (template.tobytes().decode("ascii") % itemgetter(*inverse.tolist())(texts))[6:]
+    # top-level keys sit at indent 2; nested ones are deeper and string
+    # values hold no raw newline, so this placeholder is unique
+    head, tail = json.dumps({**doc, field: {}}, indent=2, sort_keys=True).split(f'\n  "{field}": {{}}')
+    text = f'{head}\n  "{field}": {{\n    {block}\n  }}{tail}'
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -321,6 +332,9 @@ CORPUS_COLUMNS = FEATURE_NAMES + ("effective_error_rate",)
 def write_corpus(features: Sequence[CircuitFeatures], labels: Sequence[float], path: str) -> None:
     if len(features) != len(labels):
         raise ValueError(f"{len(features)} feature rows but {len(labels)} labels")
+    for i, y in enumerate(labels):  # the rule ``read_corpus`` applies
+        if not is_rate(float(y)):
+            raise ValueError(f"label {i}: {CORPUS_COLUMNS[-1]} must lie in {RATE_RANGE}, got {float(y)!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CORPUS_COLUMNS)

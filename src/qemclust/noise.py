@@ -4,6 +4,10 @@ Randomness comes from numpy's seedable default generator (PCG64), which is
 deterministic across platforms; every function here accepts either an
 integer seed or an existing ``numpy.random.Generator`` so callers can
 thread one stream through a whole experiment.
+
+The bit-flip channel draws one ``Generator.random()`` float per simulated
+bit, in row-major order over the shots listed in value order, and flips
+the bit where its float is below the rate.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._packed import _tally, _unpack_words, view_total
+from ._packed import _pack_buffer, _pack_words, _tally, _unpack_words, _words_of, view_total
 from .distributions import OutcomeDistribution
 
 __all__ = [
@@ -94,7 +98,7 @@ def _distinct_rows(rng: np.random.Generator, width: int, count: int) -> tuple[np
     rows = np.empty((0, width), dtype=np.uint8)
     while len(rows) < count:
         draw = rng.integers(0, 2, size=(count - len(rows), width), dtype=np.uint8)
-        rows, words, _counts = _tally(np.concatenate([rows, draw]))
+        rows, words, _counts = _tally(_pack_words(np.concatenate([rows, draw])), width)
     return rows, words
 
 
@@ -126,6 +130,33 @@ def sample_shots(dist: OutcomeDistribution, shots: int, seed=None) -> OutcomeDis
     return OutcomeDistribution._from_rows(view.bits[seen], counts[seen].astype(np.float64), view.words[seen])
 
 
+# Draws per block of the bit-flip channel (2 MiB of doubles), measured on
+# the ``wide`` benchmark workload (100-qubit trials of 8,192 shots: 819,200
+# draws, 4 blocks) on a 2-vCPU Xeon. One full-size draw gained less than
+# the run-to-run spread there. 64K-draw blocks were slower: glibc's malloc,
+# whose mmap and trim thresholds grow with the largest block freed, then
+# gave each trial's larger arrays back to the system, and the next trial
+# faulted them in again (670-870 minor faults a trial, against 12-20).
+_BLOCK_DRAWS = 1 << 18
+
+
+def _flip_words(rng: np.random.Generator, n: int, width: int, p: float) -> np.ndarray:
+    """``_pack_words`` of the (n, width) flip flags of ``apply_bitflip``'s
+    rule, for 0 < p <= 0.5.
+
+    The flags are compared straight into the packing buffer, whole rows
+    per block of at most ``_BLOCK_DRAWS`` draws; the blocks take the
+    stream in row-major order, so they draw what one (n, width) draw would.
+    """
+    padded, flips = _pack_buffer(n, width)
+    flips = flips.view(np.bool_)
+    step = max(1, _BLOCK_DRAWS // width)
+    for start in range(0, n, step):
+        block = flips[start : start + step]
+        np.less(rng.random(block.shape), p, out=block)
+    return _words_of(padded)
+
+
 def apply_bitflip(shots_dist: OutcomeDistribution, noise: NoiseSpec) -> OutcomeDistribution:
     """Push every recorded shot through the bit-flip channel.
 
@@ -133,14 +164,22 @@ def apply_bitflip(shots_dist: OutcomeDistribution, noise: NoiseSpec) -> OutcomeD
     ``noise.flip_rate``; the output is again an integer-count distribution
     with the same total, in ascending value order. Deterministic given the
     seed.
+
+    The shots are listed in ascending value order, one row each, and every
+    bit takes one ``rng.random()`` draw in row-major order and flips where
+    it is below ``p``; at ``p = 0`` nothing is drawn. The draws come in
+    blocks of whole rows (``_flip_words``), which consume the stream in the
+    order one ``rng.random((shots, width))`` call would, so the flips and
+    the generator's next draw are those of that one call, on any bit
+    generator.
     """
     if not shots_dist.is_integral():
         raise ValueError("apply_bitflip expects an integer-count distribution")
     view = shots_dist._sorted()
     view_total(view.total)
     rng = np.random.default_rng(noise.seed)
-    source = np.repeat(view.bits, np.rint(view.weights).astype(np.int64), axis=0)
+    words = np.repeat(view.words, np.rint(view.weights).astype(np.int64), axis=0)
     if noise.flip_rate > 0:  # flipped in place: the repeat is a fresh array
-        source ^= (rng.random(source.shape) < noise.flip_rate).view(np.uint8)
-    rows, words, tally = _tally(source)
+        words ^= _flip_words(rng, len(words), shots_dist.width, noise.flip_rate)
+    rows, words, tally = _tally(words, shots_dist.width)
     return OutcomeDistribution._from_rows(rows, tally.astype(np.float64), words)

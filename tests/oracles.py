@@ -339,9 +339,10 @@ def reference_entropy(dist: OutcomeDistribution) -> float:
 def scalar_bitflip(shots_dist: OutcomeDistribution, flip_rate: float, seed) -> OutcomeDistribution:
     """Bit-flip channel tallied shot by shot with Python ints.
 
-    Lists the shots in ascending value order and makes the package's one
-    ``rng.random((shots, width))`` draw; bit ``i`` of a shot flips where
-    column ``i`` of its draw row is below the rate.
+    The float-rule reference: lists the shots in ascending value order and
+    draws ``rng.random((shots, width))``, one float per bit, whatever the
+    bit generator; bit ``i`` of a shot flips where column ``i`` of its draw
+    row is below the rate. Nothing is drawn at rate 0.
     """
     width = shots_dist.width
     shots = [b.value for b in sorted(shots_dist) for _ in range(round(shots_dist.get(b)))]

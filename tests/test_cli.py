@@ -208,13 +208,18 @@ class TestWeightMapWriter:
         weights = dict(zip(values, counts))
         path = tmp_path_factory.mktemp("counts") / "c.json"
         dist = OutcomeDistribution(width, {BitString(v, width): c for v, c in weights.items()})
-        qio.write_counts(dist, str(path), metadata)
         weights = {v: round(c) for v, c in weights.items()}
+        if not sum(weights.values()):  # a file its reader refuses is not written
+            with pytest.raises(ValueError, match="the count values must sum to a positive finite number"):
+                qio.write_counts(dist, str(path), metadata)
+            assert not path.exists()
+            return
+        qio.write_counts(dist, str(path), metadata)
         expected = self._expected("qemclust-counts", "counts", width, weights, metadata)
         assert path.read_bytes() == expected
-        if dist.total > 0:  # the array-built distribution the reader returns
-            qio.write_counts(qio.read_counts(str(path))[0], str(path), metadata)
-            assert path.read_bytes() == expected
+        # the array-built distribution the reader returns
+        qio.write_counts(qio.read_counts(str(path))[0], str(path), metadata)
+        assert path.read_bytes() == expected
 
     @given(weight_maps(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -227,15 +232,16 @@ class TestWeightMapWriter:
         weights = dict(zip(values, probs))
         path = tmp_path_factory.mktemp("probs") / "p.json"
         dist = OutcomeDistribution(width, {BitString(v, width): p for v, p in weights.items()})
+        if not 0 < dist.total < math.inf:  # no probability view: nothing is written
+            with pytest.raises(ValueError, match="the probability values must sum to a positive finite number"):
+                qio.write_distribution(dist, str(path))
+            assert not path.exists()
+            return
         qio.write_distribution(dist, str(path))
         expected = self._expected("qemclust-distribution", "probabilities", width, weights)
         assert path.read_bytes() == expected
-        if 0 < dist.total < math.inf:
-            qio.write_distribution(qio.read_distribution(str(path)), str(path))
-            assert path.read_bytes() == expected
-        else:  # no probability view: the reader names the file
-            with pytest.raises(qio.DataFormatError, match=str(path)):
-                qio.read_distribution(str(path))
+        qio.write_distribution(qio.read_distribution(str(path)), str(path))
+        assert path.read_bytes() == expected
 
     @pytest.mark.parametrize("width", [1, 64, 65, 300])
     def test_signed_zeros_side_by_side(self, tmp_path, width):
@@ -243,6 +249,12 @@ class TestWeightMapWriter:
         rng = random.Random(width)
         values = sorted({rng.getrandbits(width) for _ in range(60)} | {0, 1})
         path = tmp_path / "w.json"
+        if width == 1:  # the two keys weigh 0.0 and -0.0: a file no reader takes is not written
+            for write, weights in ((qio.write_counts, self.COUNTS), (qio.write_distribution, self.PROBS)):
+                with pytest.raises(ValueError, match="values must sum to a positive finite number"):
+                    write(OutcomeDistribution(1, {BitString(v, 1): w for v, w in zip(values, weights)}), str(path))
+            assert not path.exists()
+            return
         counts = dict(zip(values, itertools.cycle(self.COUNTS)))
         qio.write_counts(OutcomeDistribution(width, {BitString(v, width): c for v, c in counts.items()}), str(path))
         counts = {v: round(c) for v, c in counts.items()}
@@ -252,6 +264,55 @@ class TestWeightMapWriter:
         assert path.read_bytes() == self._expected("qemclust-distribution", "probabilities", width, probs)
         first, second = (format(v, f"0{width}b") for v in values[:2])
         assert f'"{first}": 0.0,\n    "{second}": -0.0' in path.read_text()
+
+
+class TestWritersKeepTheirReadersRules:
+    """A writer refuses, before it opens the file, what its reader would
+    refuse to load."""
+
+    @pytest.mark.parametrize("write, weights, name", [
+        (qio.write_distribution, {}, "probability"),
+        (qio.write_distribution, {"000": 0.0, "101": -0.0}, "probability"),
+        (qio.write_distribution, {"000": 1e308, "101": 1e308}, "probability"),
+        (qio.write_counts, {"000": 0, "101": 0}, "count"),
+        (qio.write_counts, {"000": 1e-10}, "count"),  # integral within 1e-9, written as 0
+        (qio.write_counts, {"000": 1e308, "101": 1e308}, "count"),
+    ], ids=["empty", "zeros", "inf-total", "zero-counts", "rounds-to-zero", "inf-counts"])
+    def test_weight_maps(self, tmp_path, write, weights, name):
+        path = tmp_path / "w.json"
+        dist = OutcomeDistribution(3, {BitString.from_text(k): w for k, w in weights.items()})
+        with pytest.raises(ValueError) as err:
+            write(dist, str(path))
+        assert str(err.value) == f"the {name} values must sum to a positive finite number"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("weights", [
+        [2.0**970] * 7 + [sys.float_info.max - 6 * 2.0**970],  # overflows left to right only
+        [sys.float_info.max] + [2.0**969] * 7,  # overflows in numpy's pairwise sum only
+    ], ids=["left-to-right", "pairwise"])
+    def test_either_sum_overflowing(self, tmp_path, weights):
+        # the reader refuses a total that overflows in either of its two
+        # sums, and the writer refuses the same weights
+        probabilities = {f"{i:03b}": w for i, w in enumerate(weights)}
+        path = tmp_path / "w.json"
+        with pytest.raises(ValueError) as err:
+            qio.write_distribution(OutcomeDistribution.from_counts(probabilities), str(path))
+        assert str(err.value) == "the probability values must sum to a positive finite number"
+        assert not path.exists()
+        path.write_text(json.dumps({"format": "qemclust-distribution", "version": 1, "width": 3,
+                                    "probabilities": probabilities}))
+        with pytest.raises(qio.DataFormatError) as err:
+            qio.read_distribution(str(path))
+        assert str(err.value) == f"{path}: the probability values must sum to a positive finite number"
+
+    @pytest.mark.parametrize("label", [0.7, -0.1, math.nan])
+    def test_corpus_labels(self, tmp_path, label):
+        path = tmp_path / "corpus.csv"
+        feats, labels = make_synthetic_corpus(2, seed=3)
+        with pytest.raises(ValueError) as err:
+            qio.write_corpus(feats, [labels[0], label], str(path))
+        assert str(err.value) == f"label 1: effective_error_rate must lie in [0, 0.5], got {label!r}"
+        assert not path.exists()
 
 
 class TestDistributionFiles:

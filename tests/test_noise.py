@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from qemclust import (
     sample_shots,
 )
 from qemclust import io as qio
+from qemclust import noise
 from qemclust._packed import _pack_words, _tally
 from qemclust.cli import main
 from qemclust.estimator import _spiked_ideal
@@ -188,6 +190,24 @@ class TestApplyBitflip:
         assert out == scalar_bitflip(src, 0.05, seed=2)
         assert [b.value for b in out] == sorted(b.value for b in out)
 
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    @given(st.integers(min_value=1, max_value=130), st.integers(min_value=1, max_value=3000),
+           st.sampled_from([0.0, 2**-53, 3 * 2**-53, 5e-324, 1 / 3, 0.15, 0.5]),
+           st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 7, 130, 4096, noise._BLOCK_DRAWS]))
+    @settings(max_examples=40, deadline=None)
+    def test_pinned_to_the_float_rule(self, bit_generator, width, shots, rate, seed, block):
+        # the same flips as ``rng.random() < p`` per bit, in value order, and
+        # the generator left at the same stream position, whatever the blocks
+        # (at rate 0 neither side draws)
+        src = sample_shots(generate_ideal(SyntheticSpec(width, min(1 << width, 4), seed=seed)), shots, seed=seed)
+        rng, want_rng = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+        with mock.patch.object(noise, "_BLOCK_DRAWS", block):
+            out = apply_bitflip(src, NoiseSpec(rate, seed=rng))
+        want = scalar_bitflip(src, rate, seed=want_rng)._sorted()
+        assert out._rows.tobytes() == want.bits.tobytes() and out._weights.tobytes() == want.weights.tobytes()
+        assert out._words.tobytes() == _pack_words(want.bits).tobytes()
+        assert rng.random() == want_rng.random()
+
     def test_rejects_fractional_counts(self):
         with pytest.raises(ValueError):
             apply_bitflip(OutcomeDistribution.from_counts({"01": 0.5}), NoiseSpec(0.1, 0))
@@ -286,7 +306,7 @@ class TestNoBitStrings:
     def test_tally_rows_are_compact_copies(self, width):
         bits = np.random.default_rng(width).integers(0, 2, size=(500, width), dtype=np.uint8)
         bits[::2] = bits[0]  # repeats
-        rows, _words, counts = _tally(bits)
+        rows, _words, counts = _tally(_pack_words(bits), width)
         assert rows.dtype == np.uint8 and rows.shape == (len(counts), width)
         assert rows.flags.c_contiguous
         # not a view into a wider buffer that would stay alive with the rows
@@ -381,7 +401,13 @@ class TestRateRule:
     def test_corpus_labels_are_worded_by_the_rule(self, tmp_path):
         feats, labels = make_synthetic_corpus(4, seed=1)
         path = tmp_path / "corpus.csv"
-        qio.write_corpus(feats, [*labels[:3], 0.6], str(path))
+        with pytest.raises(ValueError) as err:
+            qio.write_corpus(feats, [*labels[:3], 0.6], str(path))
+        assert str(err.value) == "label 3: effective_error_rate must lie in [0, 0.5], got 0.6"
+        assert not path.exists()
+        qio.write_corpus(feats, labels, str(path))
+        head = path.read_text().rstrip("\r\n").rsplit(",", 1)[0]
+        path.write_text(f"{head},0.6\r\n")
         with pytest.raises(qio.DataFormatError) as err:
             qio.read_corpus(str(path))
         assert str(err.value) == f"{path}: line 5: effective_error_rate must lie in [0, 0.5], got 0.6"

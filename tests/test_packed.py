@@ -74,7 +74,7 @@ class TestRowKeyMatchesPythonInts:
     @settings(max_examples=300, deadline=None)
     def test_tally_rows(self, case):
         width, values, _ = case
-        rows, words, counts = _tally(_rows(values, width))
+        rows, words, counts = _tally(_pack_words(_rows(values, width)), width)
         assert rows.dtype == np.uint8 and rows.shape == (len(counts), width)
         assert (_values(rows), counts.tolist()) == reference_tally_rows(values)
         assert words.tobytes() == _pack_words(rows).tobytes()
@@ -88,7 +88,7 @@ class TestRowKeyMatchesPythonInts:
             pool = rng.integers(0, 1 << width, size=3)
             for values in (rng.integers(0, 1 << width, size=n), rng.choice(pool, size=n), np.full(n, pool[0])):
                 bits = ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
-                rows, words, counts = _tally(bits)
+                rows, words, counts = _tally(_pack_words(bits), width)
                 want_values, want_counts = reference_tally_rows(values.tolist())
                 assert counts.dtype == np.intp and counts.tolist() == want_counts
                 assert words.dtype == np.uint64 and words.shape == (len(want_values), 1)
