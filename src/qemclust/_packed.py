@@ -1,38 +1,38 @@
 """Row keys, value-sorted views of distributions, and one cache per
 mitigation run of the bit rows' distances and likelihoods.
 
-Bit rows are (n, width) 0/1 uint8 matrices. This module alone decides
-how they are ordered and matched, at any width, and it knows nothing of
-``BitString`` (the conversions live in ``distributions``). It owns three
-mechanisms: one 1-D row key (``_row_keys``) that orders like the rows'
-values, for sorting, dedupe and lookup (``match_rows`` sorts only its
-queries); one value-sorted view per distribution (``SortedView``, built
-only by ``sorted_view``, at most once); and one cache slot per distinct
-centroid row per run (``PackedDistribution.slots``, the only code that
-keys rows by their bytes).
+A row set is kept once, as big-endian uint64 words (``_pack_words``).
+Bit rows, (n, width) 0/1 uint8 matrices, are unpacked from words
+(``_unpack_words``) only where single bits are read: once per mitigation
+run, for its votes and seeds, by a standalone majority vote, and by the
+distribution writer. This module alone decides how rows are ordered and
+matched, at any width, and it knows nothing of ``BitString`` (the
+conversions live in ``distributions``). It owns three mechanisms: one
+1-D row key (``_row_keys``) that orders like the rows' values, for
+sorting, dedupe and lookup (``match_rows`` sorts only its queries); one
+value-sorted view per distribution (``SortedView``, built only by
+``sorted_view``, at most once); and one cache slot per distinct centroid
+row per run (``PackedDistribution.slots``, the only code that keys rows
+by their bytes).
 
-A sorted view holds a distribution's rows in value order, the same rows
-packed into big-endian uint64 words, and its weights in that order. Code
-that already holds its rows' words (the simulator's tallies, a mitigated
-output) hands them over and nothing is packed again. Each view is made
-on first use: rows whose words are in value order already are neither
+A sorted view holds a distribution's words and weights in value order.
+Each view is made on first use: words in value order already are neither
 sorted nor copied, and every other distribution sorts once. Code that
 only reads a distribution reads its view. Packing copies each row once,
-padded on the left to a whole big-endian word dtype (1, 2 or 4 bytes up
-to 32 bits, whole uint64 words above), and reads the packed bytes in that
-dtype (``_pack_buffer`` is that padded matrix with the view its rows'
-bits are written through, ``_words_of`` reads it; the bit-flip channel
-writes its flip flags straight into one). The
-simulator's tally (``_tally``) counts rows of at most 62 bits
-with ``bincount`` when there are at least a quarter as many rows as
-possible values (2**width <= 4n); wider or sparser rows are sorted by
-their keys. Both give the same rows, words and counts in value order.
+padded on the left to a whole big-endian word dtype (``_row_bytes``),
+and reads the packed bytes in that dtype (``_pack_buffer`` is that
+padded matrix with the view its rows' bits are written through,
+``_words_of`` reads it; the bit-flip channel writes its flip flags
+straight into one). The simulator's tally (``_tally``) counts rows of at
+most 62 bits with ``bincount`` when there are at least a quarter as many
+rows as possible values (2**width <= 4n); wider or sparser rows are
+sorted by their keys. Both give the same words and counts in value order.
 
 A packed distribution is one mitigation run at one bit-flip rate: it
-wraps the view, holds the rate's likelihood table
+wraps the view, unpacks its bit rows, holds the rate's likelihood table
 ``(1-p)^(width-d) * p^d``, built by each run, and adds the run's cache
 and its ``top_order`` of the weights.
-Majority votes read the uint8 bit matrix as it is; Hamming distances are
+Majority votes read the uint8 bit matrix; Hamming distances are
 XOR plus popcount over the words. A slot holds its centroid's distances
 to every row, in the smallest unsigned dtype that holds the width, their
 float64 likelihood row ``table[distance]``, and the input row equal to
@@ -77,13 +77,17 @@ def _likelihood_table(width: int, flip_rate: float) -> np.ndarray:
     return powers[0, ::-1] * powers[1]
 
 
+def _row_bytes(width: int) -> int:
+    """Bytes of a width-bit row padded on the left to a whole big-endian
+    word dtype: 1, 2 or 4 up to 32 bits, ``8 * n_words`` above."""
+    return 1 if width <= 8 else 2 if width <= 16 else 4 if width <= 32 else 8 * -(-width // 64)
+
+
 def _pack_buffer(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The zeroed (n, 8 * n_bytes) uint8 matrix that ``_words_of`` packs,
-    and the (n, width) view of it that a row's bits are written through:
-    its last ``width`` columns, padded on the left to a whole big-endian
-    word dtype (1, 2 or 4 bytes up to 32 bits, ``8 * n_words`` bytes
-    above)."""
-    n_bytes = 1 if width <= 8 else 2 if width <= 16 else 4 if width <= 32 else 8 * -(-width // 64)
+    """The zeroed (n, 8 * ``_row_bytes``) uint8 matrix that ``_words_of``
+    packs, and the (n, width) view of it that a row's bits are written
+    through: its last ``width`` columns."""
+    n_bytes = _row_bytes(width)
     padded = np.zeros((n, 8 * n_bytes), dtype=np.uint8)
     return padded, padded[:, 8 * n_bytes - width :]
 
@@ -133,25 +137,24 @@ def _ascending(words: np.ndarray) -> bool:
 
 
 class SortedView(NamedTuple):
-    """A distribution's rows in value order: the bit rows, their
-    ``_pack_words``, the weights in that order, and ``total``, the weights'
-    sum in that order (inf when it overflows)."""
+    """A distribution's rows in value order: their ``_pack_words``, the
+    weights in that order, and ``total``, the weights' sum in that order
+    (inf when it overflows)."""
 
-    bits: np.ndarray
     words: np.ndarray
     weights: np.ndarray
     total: float
 
 
-def sorted_view(rows: np.ndarray, weights: np.ndarray, words: np.ndarray) -> SortedView:
-    """The value-sorted view of distinct rows, their ``_pack_words``
-    ``words`` in row order, and their weights; rows already in value order
-    are neither sorted nor copied, other rows are sorted once."""
+def sorted_view(words: np.ndarray, weights: np.ndarray) -> SortedView:
+    """The value-sorted view of the ``_pack_words`` of distinct rows and
+    their weights; words already in value order are neither sorted nor
+    copied, other words are sorted once."""
     if not _ascending(words):
         order = np.argsort(_row_keys(words)[0])  # distinct rows have distinct keys
-        rows, words, weights = (np.take(a, order, axis=0) for a in (rows, words, weights))
+        words, weights = np.take(words, order, axis=0), weights[order]
     with np.errstate(over="ignore"):  # an overflowing total is legal until something divides by it
-        return SortedView(rows, words, weights, float(weights.sum()))
+        return SortedView(words, weights, float(weights.sum()))
 
 
 def _find(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,15 +193,17 @@ def match_rows(words: np.ndarray, query_words: np.ndarray) -> np.ndarray:
 
 
 def _unpack_words(words: np.ndarray, width: int) -> np.ndarray:
-    """(n, width) 0/1 uint8 rows of ``_pack_words`` output, copied out of
-    the 64-bit-wide unpack buffer."""
-    raw = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1)
-    return np.ascontiguousarray(raw[:, raw.shape[1] - width :])
+    """(n, width) 0/1 uint8 rows of ``_pack_words`` output: the words
+    read back in their ``_row_bytes`` dtype, unpacked as one flat run,
+    and the padding columns dropped."""
+    n_bytes = _row_bytes(width)
+    raw = np.unpackbits(words.astype(f">u{min(n_bytes, 8)}").view(np.uint8).ravel())
+    return np.ascontiguousarray(raw.reshape(len(words), 8 * n_bytes)[:, 8 * n_bytes - width :])
 
 
-def _tally(words: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of width-bit ``_pack_words`` rows in ascending value
-    order, their words and their counts.
+def _tally(words: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of width-bit ``_pack_words`` rows in ascending
+    value order, as words, and their counts.
 
     Rows of at most 62 bits, when there are at least a quarter as many
     rows as possible values (2**width <= 4n), are counted by value with
@@ -217,13 +222,14 @@ def _tally(words: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.nd
             columns.insert(0, column[key % n])
             key = prefix[key // n]
         words = np.column_stack([key, *columns])
-    return _unpack_words(words, width), words, counts
+    return words, counts
 
 
 class PackedDistribution:
-    """One mitigation run at one bit-flip rate: the bit rows, words and
-    weights of a distribution's sorted view, the checked total, the run's
-    likelihood table, distance cache and weight order."""
+    """One mitigation run at one bit-flip rate: the words and weights of a
+    distribution's sorted view, the bit rows unpacked from those words,
+    the checked total, the run's likelihood table, distance cache and
+    weight order."""
 
     __slots__ = (
         "width", "weights", "bits", "words", "total", "_top_order",
@@ -233,7 +239,8 @@ class PackedDistribution:
     def __init__(self, dist, flip_rate: float):
         view = dist._sorted()
         self.width = dist.width
-        self.bits, self.words, self.weights = view.bits, view.words, view.weights
+        self.words, self.weights = view.words, view.weights
+        self.bits = _unpack_words(view.words, self.width)  # the votes' and seeds' rows
         self.total = view_total(view.total)
         self._top_order: np.ndarray | None = None
         # distance cache: row bytes -> slot; row ``slot`` of ``_columns``

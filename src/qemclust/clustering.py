@@ -19,8 +19,8 @@ from typing import Mapping
 
 import numpy as np
 
-from ._packed import PackedDistribution, SortedView, top_order, view_total
-from .distributions import BitString, OutcomeDistribution, rows_to_strings, strings_to_rows
+from ._packed import PackedDistribution, _unpack_words, top_order, view_total
+from .distributions import BitString, OutcomeDistribution, rows_to_strings, strings_to_rows, words_to_strings
 from .noise import check_rate
 
 __all__ = [
@@ -100,7 +100,7 @@ def select_initial_centroids(dist: OutcomeDistribution, k: int) -> list[BitStrin
         raise ValueError(f"k={k} exceeds the {len(dist)} unique bit-strings present")
     view = dist._sorted()
     view_total(view.total)
-    return rows_to_strings(view.bits[top_order(view.weights)[:k]])
+    return words_to_strings(view.words[top_order(view.weights)[:k]], dist.width)
 
 
 def qubitwise_majority_vote(
@@ -126,20 +126,22 @@ def qubitwise_majority_vote(
     total = view_total(view.total)
     tie_row = strings_to_rows([BitString(0, width) if incumbent is None else incumbent], width)
     n = len(view.weights)
-    return rows_to_strings(_vote(view, np.arange(n), np.array([0, n]), np.array([total]), tie_row))[0]
+    bits = _unpack_words(view.words, width)
+    return rows_to_strings(_vote(bits, view.weights, np.arange(n), np.array([0, n]), np.array([total]), tie_row))[0]
 
 
 def _vote(
-    rows: PackedDistribution | SortedView,
+    bits: np.ndarray,
+    weights: np.ndarray,
     members: np.ndarray,
     bounds: np.ndarray,
     totals: np.ndarray,
     incumbents: np.ndarray,
 ) -> np.ndarray:
     """Per-qubit majority row of every cluster ``members[bounds[i]:bounds[i + 1]]``
-    of the ``rows``' bits and weights, of weight ``totals[i]``, exact ties
-    broken by ``incumbents[i]``."""
-    w, bits = rows.weights[members], np.take(rows.bits, members, axis=0)
+    of the (n, width) 0/1 ``bits`` rows with their ``weights``, of weight
+    ``totals[i]``, exact ties broken by ``incumbents[i]``."""
+    w, bits = weights[members], np.take(bits, members, axis=0)
     with np.errstate(over="ignore"):  # twice a sum past half the float range is inf, which still compares right
         # einsum without optimize calls no BLAS kernel: it casts the uint8 rows
         # to float64 in its buffered loop, and each qubit's sum adds the member
@@ -193,7 +195,8 @@ def _cluster_packed(
     converged = False
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        voted = _vote(packed, members, bounds, totals, centroids)[bounds[1:] > bounds[:-1]]  # empty clusters drop
+        voted = _vote(packed.bits, packed.weights, members, bounds, totals, centroids)
+        voted = voted[bounds[1:] > bounds[:-1]]  # empty clusters drop
         if voted.shape == centroids.shape and (voted == centroids).all():
             converged = True
             break
@@ -215,7 +218,7 @@ def cluster(dist: OutcomeDistribution, cfg: ClusterConfig) -> ClusterModel:
     packed = PackedDistribution(dist, cfg.flip_rate)
     theta = outlier_threshold(dist.width, cfg.flip_rate)
     bits, weights, nearest, outlier, converged, rounds, _ = _cluster_packed(packed, cfg.k, theta, cfg.max_rounds)
-    strings = rows_to_strings(packed.bits)
+    strings = words_to_strings(packed.words, packed.width)
     assignments = {strings[i]: int(nearest[i]) for i in range(len(packed)) if not outlier[i]}
     outliers = frozenset(strings[i] for i in range(len(packed)) if outlier[i])
     return ClusterModel(

@@ -8,6 +8,10 @@ probability view is obtained by dividing by the total weight.
 Bit-order convention: character position ``i`` (counted from the left) of
 the textual form denotes qubit ``i``. The mitigation algorithms are
 order-invariant, so this only matters for file round-trips.
+
+A distribution keeps its strings as packed words only (see ``_packed``);
+``BitString``s are made from words (``words_to_strings``) when a caller
+iterates, and bit rows are unpacked only where single bits are read.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from ._packed import SortedView, _pack_words, match_rows, sorted_view, view_tota
 __all__ = [
     "BitString",
     "OutcomeDistribution",
-    "hamming_distance",
     "normalized_entropy",
     "hellinger_fidelity",
     "improvement_ratio",
@@ -59,12 +62,6 @@ class BitString:
     def text(self) -> str:
         return format(self.value, f"0{self.width}b")
 
-    def bit(self, i: int) -> int:
-        """Value of qubit ``i`` (position ``i`` from the left of ``text``)."""
-        if not 0 <= i < self.width:
-            raise IndexError(f"qubit index {i} out of range for width {self.width}")
-        return (self.value >> (self.width - 1 - i)) & 1
-
     def __str__(self) -> str:
         return self.text
 
@@ -82,13 +79,17 @@ def rows_to_texts(bits: np.ndarray) -> list[str]:
     return [blob[i : i + width] for i in range(0, len(blob), width)]
 
 
-def rows_to_strings(bits: np.ndarray) -> list[BitString]:
-    """One BitString per row of a (n, width) 0/1 matrix."""
-    words = _pack_words(bits)
+def words_to_strings(words: np.ndarray, width: int) -> list[BitString]:
+    """One width-bit BitString per row of ``_pack_words`` output."""
     values = words[:, 0].tolist()
     for column in words[:, 1:].T:
         values = [(v << 64) | w for v, w in zip(values, column.tolist())]
-    return [BitString(v, bits.shape[1]) for v in values]
+    return [BitString(v, width) for v in values]
+
+
+def rows_to_strings(bits: np.ndarray) -> list[BitString]:
+    """One BitString per row of a (n, width) 0/1 matrix."""
+    return words_to_strings(_pack_words(bits), bits.shape[1])
 
 
 class OutcomeDistribution:
@@ -100,17 +101,17 @@ class OutcomeDistribution:
     that need a probability view require a positive and finite total,
     checked by ``_mass``.
 
-    Stored as a (n, width) 0/1 uint8 bit matrix, its rows' packed words
-    and a float64 weight vector, all in iteration order. The words are
-    handed over by the code that built the distribution or packed by
-    ``_set``; the value-sorted view is made by ``_sorted`` alone, on first
-    use. No ``{BitString: weight}`` dict is kept: ``get``, ``in`` and
+    Stored as its strings' packed words (``_pack_words`` rows) and a
+    float64 weight vector, both in iteration order, and no bit matrix.
+    The value-sorted view is made by ``_sorted`` alone, on first use. No
+    ``{BitString: weight}`` dict is kept: ``get``, ``in`` and
     ``probability`` pack the key into a words row and find it among the
-    rows' words, ``==`` compares the two sorted views' words and weights,
-    and ``items()`` builds a dict for each call.
+    words, ``==`` compares the two sorted views' words and weights,
+    iteration makes the strings from the words, and ``items()`` builds a
+    dict for each call.
     """
 
-    __slots__ = ("_width", "_rows", "_weights", "_total", "_words", "_view")
+    __slots__ = ("_width", "_words", "_weights", "_total", "_view")
 
     def __init__(self, width: int, entries: Mapping[BitString, float]):
         if width < 1:
@@ -121,30 +122,26 @@ class OutcomeDistribution:
             if b.width != width:
                 raise ValueError(f"bit-string {b.text!r} has width {b.width}, expected {width}")
         weights = np.fromiter((float(w) for _, w in entries.items()), dtype=np.float64, count=len(entries))
-        self._set(strings_to_rows(entries, width), weights)
+        self._set(width, _pack_words(strings_to_rows(entries, width)), weights)
 
     @classmethod
-    def _from_rows(cls, rows: np.ndarray, weights: np.ndarray, words=None) -> "OutcomeDistribution":
-        """Distribution over the distinct rows of a (n, width) 0/1 uint8
-        matrix, iterated in row order, with float64 ``weights`` and the
-        rows' packed ``words`` in row order, packed here when not given.
-        The sorted view is made by ``_sorted`` on first use; rows whose
-        words are in value order are their own view."""
+    def _from_words(cls, width: int, words: np.ndarray, weights: np.ndarray) -> "OutcomeDistribution":
+        """Distribution over the distinct width-bit rows whose ``_pack_words``
+        are ``words``, iterated in row order, with float64 ``weights``. The
+        sorted view is made by ``_sorted`` on first use; words in value
+        order are their own view."""
         out = cls.__new__(cls)
-        out._set(rows, weights, words)
+        out._set(width, words, weights)
         return out
 
-    def _set(self, rows: np.ndarray, weights: np.ndarray, words: np.ndarray | None = None) -> None:
-        """Check the weights, then keep the arrays and the rows' words,
-        packing them when none are given."""
+    def _set(self, width: int, words: np.ndarray, weights: np.ndarray) -> None:
+        """Check the weights, then keep the arrays."""
         bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0)))
         if len(bad):
             i = bad[0]
-            text = rows_to_texts(rows[i : i + 1])[0]
+            text = words_to_strings(words[i : i + 1], width)[0].text
             raise ValueError(f"weight for {text!r} must be finite and >= 0, got {float(weights[i])}")
-        self._width = rows.shape[1]
-        self._rows, self._weights = rows, weights
-        self._words = _pack_words(rows) if words is None else words
+        self._width, self._words, self._weights = width, words, weights
         self._total = _left_to_right_sum(weights)
         self._view = None
 
@@ -160,9 +157,9 @@ class OutcomeDistribution:
         return view_total(self._total)
 
     def _sorted(self) -> SortedView:
-        """The rows and weights in value order, with the rows' words."""
+        """The words and weights in value order."""
         if self._view is None:
-            self._view = sorted_view(self._rows, self._weights, self._words)
+            self._view = sorted_view(self._words, self._weights)
         return self._view
 
     @classmethod
@@ -184,7 +181,7 @@ class OutcomeDistribution:
         return len(self._weights)
 
     def __iter__(self) -> Iterator[BitString]:
-        return iter(rows_to_strings(self._rows))
+        return iter(words_to_strings(self._words, self._width))
 
     def __contains__(self, b: object) -> bool:
         return self._row_of(b) >= 0
@@ -214,7 +211,7 @@ class OutcomeDistribution:
 
     def normalized(self) -> "OutcomeDistribution":
         """Probability view: every weight divided by the total."""
-        out = OutcomeDistribution._from_rows(self._rows, self._weights / self._mass(), self._words)
+        out = OutcomeDistribution._from_words(self._width, self._words, self._weights / self._mass())
         out._total = 1.0
         return out
 
@@ -231,26 +228,20 @@ def _left_to_right_sum(values) -> float:
     return 0.0 + float(acc[-1]) if len(acc) else 0.0
 
 
-def hamming_distance(a: BitString, b: BitString) -> int:
-    """Number of positions at which two equal-width bit-strings differ."""
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} != {b.width}")
-    return (a.value ^ b.value).bit_count()
-
-
 def normalized_entropy(dist: OutcomeDistribution) -> float:
     """Shannon entropy of the probability view divided by the qubit count.
 
     Lies in [0, 1]; zero-probability entries contribute nothing. The
     maximum 1.0 is reached by the uniform distribution over all 2^width
-    bit-strings.
+    bit-strings; rounding can push a near-uniform sum past it, so the
+    result is clamped to 1.0.
     """
     h, total = 0.0, dist._mass()
     for w in dist._weights.tolist():
         p = w / total
         if p > 0:  # a positive weight's probability can underflow to 0
             h -= p * math.log2(p)
-    return h / dist.width
+    return min(h / dist.width, 1.0)
 
 
 def hellinger_fidelity(p: OutcomeDistribution, q: OutcomeDistribution) -> float:

@@ -583,10 +583,10 @@ def _spiked_ideal(width: int, rng: np.random.Generator) -> OutcomeDistribution:
     """
     spike = float(rng.uniform(0.3, 0.6))
     d_tail = int(rng.integers(1 << max(width - 2, 1), (1 << max(width - 1, 1)) + 1))
-    rows, words = _distinct_rows(rng, width, d_tail + 1)
+    words = _distinct_rows(rng, width, d_tail + 1)
     weights = np.full(d_tail + 1, (1.0 - spike) / d_tail)
     weights[int(rng.integers(0, d_tail + 1))] = spike
-    return OutcomeDistribution._from_rows(rows, weights, words)
+    return OutcomeDistribution._from_words(width, words, weights)
 
 
 def make_synthetic_corpus(n_samples: int, seed: int = 0) -> tuple[list[CircuitFeatures], np.ndarray]:

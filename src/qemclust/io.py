@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._packed import _pack_words, _unpack_words
 from .distributions import OutcomeDistribution, _left_to_right_sum
 from .engine import ExperimentRecord, SweepCell, cell_means
 from .estimator import (
@@ -151,7 +152,7 @@ def _read_weights(path: str, *formats: str) -> tuple[dict, OutcomeDistribution]:
                 raise DataFormatError(f"{path}: key {key!r} is not a width-{width} bit-string")
             if type(val) not in types or not 0 <= _float(val) < math.inf:
                 raise DataFormatError(f"{path}: {name} for key {key!r} must be {rule}")
-    dist = OutcomeDistribution._from_rows(bits.reshape(-1, width), w)
+    dist = OutcomeDistribution._from_words(width, _pack_words(bits.reshape(-1, width)), w)
     try:
         _check_mass(name, dist.total, dist._sorted().total)
     except ValueError as exc:
@@ -188,10 +189,10 @@ def _dump_weights(path: str, doc: dict, dist: OutcomeDistribution) -> None:
     # the file's rows are in value order, so the reader sums these weights both ways
     with np.errstate(over="ignore"):
         _check_mass(name, _left_to_right_sum(weights), float(weights.sum()))
-    n, width = view.bits.shape
+    n, width = len(view.words), dist.width
     template = np.empty((n, width + 12), dtype=np.uint8)
     template[:, :7] = np.frombuffer(b',\n    "', dtype=np.uint8)
-    template[:, 7:-5] = view.bits + ord("0")  # only 0s and 1s: no other '%'
+    template[:, 7:-5] = _unpack_words(view.words, width) + ord("0")  # only 0s and 1s: no other '%'
     template[:, -5:] = np.frombuffer(b'": %s', dtype=np.uint8)
     distinct, inverse = np.unique(weights.view(np.uint64), return_inverse=True)
     values = distinct.view(np.float64).tolist()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._packed import _pack_buffer, _pack_words, _tally, _unpack_words, _words_of, view_total
+from ._packed import _pack_buffer, _pack_words, _tally, _words_of, view_total
 from .distributions import OutcomeDistribution
 
 __all__ = [
@@ -79,13 +79,13 @@ class NoiseSpec:
         check_rate(self.flip_rate)
 
 
-def _distinct_rows(rng: np.random.Generator, width: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` distinct uniform random width-bit rows in ascending value
-    order, as a (count, width) uint8 matrix, and their packed words.
+def _distinct_rows(rng: np.random.Generator, width: int, count: int) -> np.ndarray:
+    """The ``_pack_words`` of ``count`` distinct uniform random width-bit
+    rows in ascending value order.
 
     Draws the missing number of strings until ``count`` are distinct: one
     integer draw per string while 2^width fits an int64, one draw per bit
-    above that. Either way the rows are ``_unpack_words`` of the words.
+    above that.
     """
     if width <= 62:
         # a set, not np.union1d: top-ups re-union the whole array, 5x slower
@@ -93,13 +93,12 @@ def _distinct_rows(rng: np.random.Generator, width: int, count: int) -> tuple[np
         values: set[int] = set()
         while len(values) < count:
             values.update(rng.integers(0, 1 << width, size=count - len(values)).tolist())
-        words = np.array(sorted(values), dtype=np.uint64).reshape(-1, 1)
-        return _unpack_words(words, width), words
-    rows = np.empty((0, width), dtype=np.uint8)
-    while len(rows) < count:
-        draw = rng.integers(0, 2, size=(count - len(rows), width), dtype=np.uint8)
-        rows, words, _counts = _tally(_pack_words(np.concatenate([rows, draw])), width)
-    return rows, words
+        return np.array(sorted(values), dtype=np.uint64).reshape(-1, 1)
+    words = np.empty((0, -(-width // 64)), dtype=np.uint64)
+    while len(words) < count:
+        draw = rng.integers(0, 2, size=(count - len(words), width), dtype=np.uint8)
+        words, _counts = _tally(np.concatenate([words, _pack_words(draw)]), width)
+    return words
 
 
 def generate_ideal(spec: SyntheticSpec) -> OutcomeDistribution:
@@ -110,9 +109,9 @@ def generate_ideal(spec: SyntheticSpec) -> OutcomeDistribution:
     ascending value order. Deterministic given the seed.
     """
     rng = np.random.default_rng(spec.seed)
-    rows, words = _distinct_rows(rng, spec.width, spec.num_dominant)
+    words = _distinct_rows(rng, spec.width, spec.num_dominant)
     probs = rng.uniform(size=spec.num_dominant)
-    return OutcomeDistribution._from_rows(rows, probs / probs.sum(), words)
+    return OutcomeDistribution._from_words(spec.width, words, probs / probs.sum())
 
 
 def sample_shots(dist: OutcomeDistribution, shots: int, seed=None) -> OutcomeDistribution:
@@ -127,7 +126,7 @@ def sample_shots(dist: OutcomeDistribution, shots: int, seed=None) -> OutcomeDis
     view = dist._sorted()
     counts = np.random.default_rng(seed).multinomial(shots, view.weights / view_total(view.total))
     seen = counts > 0
-    return OutcomeDistribution._from_rows(view.bits[seen], counts[seen].astype(np.float64), view.words[seen])
+    return OutcomeDistribution._from_words(dist.width, view.words[seen], counts[seen].astype(np.float64))
 
 
 # Draws per block of the bit-flip channel (2 MiB of doubles), measured on
@@ -181,5 +180,5 @@ def apply_bitflip(shots_dist: OutcomeDistribution, noise: NoiseSpec) -> OutcomeD
     words = np.repeat(view.words, np.rint(view.weights).astype(np.int64), axis=0)
     if noise.flip_rate > 0:  # flipped in place: the repeat is a fresh array
         words ^= _flip_words(rng, len(words), shots_dist.width, noise.flip_rate)
-    rows, words, tally = _tally(words, shots_dist.width)
-    return OutcomeDistribution._from_rows(rows, tally.astype(np.float64), words)
+    words, tally = _tally(words, shots_dist.width)
+    return OutcomeDistribution._from_words(shots_dist.width, words, tally.astype(np.float64))

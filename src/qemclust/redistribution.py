@@ -26,15 +26,13 @@ from typing import Mapping
 
 import numpy as np
 
-from ._packed import PackedDistribution, _likelihood_table, _pack_words
+from ._packed import PackedDistribution, _pack_words
 from .clustering import ClusterModel
-from .distributions import BitString, OutcomeDistribution, _left_to_right_sum, hamming_distance
-from .distributions import rows_to_strings, strings_to_rows
+from .distributions import BitString, OutcomeDistribution, _left_to_right_sum, strings_to_rows, words_to_strings
 from .noise import check_rate
 
 __all__ = [
     "RedistributionResult",
-    "joint_probability",
     "redistribute",
 ]
 
@@ -51,22 +49,6 @@ class RedistributionResult:
     mitigated: OutcomeDistribution
     removed: frozenset[BitString]
     per_string_subtractions: Mapping[BitString, float]
-
-
-def joint_probability(b: BitString, centroid: BitString, cluster_weight: float, flip_rate: float) -> float:
-    """Probability of observing ``b`` while the true outcome is ``centroid``.
-
-    Bit-flip likelihood times the centroid's cluster weight. With
-    ``flip_rate`` 0 this is ``cluster_weight`` when the strings coincide
-    and 0 otherwise.
-    """
-    if b.width != centroid.width:
-        raise ValueError(f"width mismatch: {b.width} != {centroid.width}")
-    check_rate(flip_rate)
-    if not 0.0 <= cluster_weight <= 1.0:
-        raise ValueError(f"cluster_weight must lie in [0, 1], got {cluster_weight}")
-    table = _likelihood_table(b.width, flip_rate)
-    return float(table[hamming_distance(b, centroid)] * cluster_weight)
 
 
 def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: float) -> RedistributionResult:
@@ -91,7 +73,7 @@ def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: flo
     if flip_rate == 0:
         removed_idx = ()  # a zero-rate pass explains no flips: it removes nothing
     centroid_set = set(model.centroids)
-    strings = rows_to_strings(packed.bits)
+    strings = words_to_strings(packed.words, packed.width)
     return RedistributionResult(
         mitigated,
         frozenset(strings[i] for i in removed_idx),
@@ -104,21 +86,20 @@ def _mitigated_distribution(
 ) -> OutcomeDistribution:
     """The mitigated distribution of a ``_redistribute_packed`` pass over
     ``noisy`` at ``flip_rate``, from the pass's surviving ``masses`` and
-    ``gained`` centroids: surviving input rows in value order, then the
-    merged centroids. It keeps the rows' words, so nothing packs them
-    again. It reads the input's sorted view, not the run, so a caller can
-    keep it for later. A zero-rate channel explains no flips, so it
-    returns the input's probability view bit-exactly.
+    ``gained`` centroids: the words of the surviving input rows in value
+    order, then those of the merged centroids, the only rows it packs. It
+    reads the input's sorted view, not the run, so a caller can keep it
+    for later. A zero-rate channel explains no flips, so it returns the
+    input's probability view bit-exactly.
     """
     if flip_rate == 0.0:
         return noisy.normalized()
     view = noisy._sorted()
     survivors = np.flatnonzero(masses > 0)
-    new = centroid_bits[[g[0] for g in gained]]
-    rows = np.concatenate([np.take(view.bits, survivors, axis=0), new])
-    words = np.concatenate([np.take(view.words, survivors, axis=0), _pack_words(new)])
+    new = _pack_words(centroid_bits[[g[0] for g in gained]])
+    words = np.concatenate([np.take(view.words, survivors, axis=0), new])
     mass = np.concatenate([masses[survivors], [g[1] for g in gained]])
-    return OutcomeDistribution._from_rows(rows, mass / _left_to_right_sum(mass), words)
+    return OutcomeDistribution._from_words(noisy.width, words, mass / _left_to_right_sum(mass))
 
 
 def _redistribute_packed(packed: PackedDistribution, slots: np.ndarray, cluster_weights: np.ndarray):

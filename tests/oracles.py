@@ -12,8 +12,38 @@ from collections import Counter
 
 import numpy as np
 
-from qemclust import BitString, ClusterModel, OutcomeDistribution, hamming_distance
+from qemclust import BitString, ClusterModel, OutcomeDistribution
+from qemclust._packed import _likelihood_table
 from qemclust.estimator import _Tree
+from qemclust.noise import check_rate
+
+
+def bit(b: BitString, i: int) -> int:
+    """Value of qubit ``i`` of ``b`` (position ``i`` from the left of its text)."""
+    if not 0 <= i < b.width:
+        raise IndexError(f"qubit index {i} out of range for width {b.width}")
+    return (b.value >> (b.width - 1 - i)) & 1
+
+
+def hamming_distance(a: BitString, b: BitString) -> int:
+    """Number of positions at which two equal-width bit-strings differ."""
+    if a.width != b.width:
+        raise ValueError(f"width mismatch: {a.width} != {b.width}")
+    return (a.value ^ b.value).bit_count()
+
+
+def joint_probability(b: BitString, centroid: BitString, cluster_weight: float, flip_rate: float) -> float:
+    """Probability of observing ``b`` while the true outcome is ``centroid``:
+    the package's likelihood table at their Hamming distance times the
+    centroid's cluster weight. With ``flip_rate`` 0 this is
+    ``cluster_weight`` when the strings coincide and 0 otherwise."""
+    if b.width != centroid.width:
+        raise ValueError(f"width mismatch: {b.width} != {centroid.width}")
+    check_rate(flip_rate)
+    if not 0.0 <= cluster_weight <= 1.0:
+        raise ValueError(f"cluster_weight must lie in [0, 1], got {cluster_weight}")
+    table = _likelihood_table(b.width, flip_rate)
+    return float(table[hamming_distance(b, centroid)] * cluster_weight)
 
 
 def brute_force_joint(b: BitString, c: BitString, weight: float, p: float) -> float:
@@ -81,17 +111,17 @@ def scalar_majority_vote(members, incumbent: BitString | None = None) -> BitStri
     for b, w in items:
         total += w
         for i in range(width):
-            if b.bit(i):
+            if bit(b, i):
                 ones[i] += w
     value = 0
     for i in range(width):
         if ones[i] * 2 > total:
-            bit = 1
+            one = 1
         elif ones[i] * 2 < total:
-            bit = 0
+            one = 0
         else:
-            bit = incumbent.bit(i) if incumbent is not None else 0
-        value = (value << 1) | bit
+            one = bit(incumbent, i) if incumbent is not None else 0
+        value = (value << 1) | one
     return BitString(value, width)
 
 
@@ -327,13 +357,14 @@ def reference_hellinger(p: OutcomeDistribution, q: OutcomeDistribution) -> float
 
 def reference_entropy(dist: OutcomeDistribution) -> float:
     """``normalized_entropy`` as a loop that reads the total for every
-    weight, adding left to right in row order."""
+    weight, adding left to right in row order, clamped to its documented
+    range [0, 1]."""
     h = 0.0
     for w in dist._weights.tolist():
         p = w / dist.total
         if p > 0:
             h -= p * math.log2(p)
-    return h / dist.width
+    return min(h / dist.width, 1.0)
 
 
 def scalar_bitflip(shots_dist: OutcomeDistribution, flip_rate: float, seed) -> OutcomeDistribution:

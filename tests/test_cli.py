@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qemclust
-from qemclust import _packed, cli, distributions
+from qemclust import _packed, cli
 from qemclust import io as qio
 from qemclust import (
     FEATURE_NAMES,
@@ -874,6 +874,25 @@ class TestMitigateCommand:
         assert rc == 0
         assert 0.0 <= json.loads(report.read_text())["flip_rate"] <= 0.5
 
+    def test_model_rate_of_near_uniform_counts(self, tmp_path):
+        # the entropy mitigate derives from these counts rounds past 1
+        # unclamped, and the features check blamed the features file
+        feats, labels = make_synthetic_corpus(20, seed=7)
+        model_path, features_path = tmp_path / "model.json", tmp_path / "features.json"
+        qio.save_model(fit_tree_ensemble(feats, labels, n_trees=3, seed=7), str(model_path))
+        doc = {"format": "qemclust-features", "version": 1, "esp": 0.8}
+        doc.update({name: getattr(feats[0], name) for name in FEATURE_NAMES[:6]})
+        features_path.write_text(json.dumps(doc))
+        counts = {format(v, "07b"): 1_000_000 + (v < 2) for v in range(128)}  # 128,000,002 shots
+        counts_path, report = tmp_path / "counts.json", tmp_path / "report.json"
+        counts_path.write_text(json.dumps({"format": "qemclust-counts", "version": 1, "width": 7, "counts": counts}))
+        rc = main([
+            "mitigate", str(counts_path), "--model", str(model_path), "--features", str(features_path),
+            "--report", str(report),
+        ])
+        assert rc == 0
+        assert 0.0 <= json.loads(report.read_text())["flip_rate"] <= 0.5
+
     @staticmethod
     def _mitigate_counting_bit_strings(tmp_path, monkeypatch, rate_args):
         """Mitigate a 14-qubit d=16 instance; returns the noisy counts, the
@@ -972,8 +991,9 @@ class TestMitigateCommand:
             keyed.append(sorted(w.tobytes() for w in words) == input_words)
             return row_keys(words)
 
-        monkeypatch.setattr(_packed, "_pack_words", counting_pack)
-        monkeypatch.setattr(distributions, "_pack_words", counting_pack)
+        for module in list(sys.modules.values()):  # the packer and every module that imports it
+            if module.__name__.startswith("qemclust") and getattr(module, "_pack_words", None) is pack:
+                monkeypatch.setattr(module, "_pack_words", counting_pack)
         monkeypatch.setattr(_packed, "_row_keys", counting_keys)
         out, report = tmp_path / "out.json", tmp_path / "report.json"
         assert main(["mitigate", str(path), "--p", "0.02", "--out", str(out), "--report", str(report)]) == 0

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qemclust.clustering as clustering
-from oracles import reference_cluster_packed, reference_votes, scalar_majority_vote
+from oracles import hamming_distance, reference_cluster_packed, reference_votes, scalar_majority_vote
 from qemclust import (
     BitString,
     ClusterConfig,
@@ -17,13 +17,12 @@ from qemclust import (
     apply_bitflip,
     cluster,
     generate_ideal,
-    hamming_distance,
     outlier_threshold,
     qubitwise_majority_vote,
     sample_shots,
     select_initial_centroids,
 )
-from qemclust._packed import PackedDistribution, _pack_words, match_rows
+from qemclust._packed import PackedDistribution, _pack_words, match_rows, top_order
 from qemclust.distributions import rows_to_strings, strings_to_rows
 
 B = BitString.from_text
@@ -188,9 +187,9 @@ class TestCluster:
         # the duplicate loses all members on reassignment and is dropped
         vote = clustering._vote
 
-        def collapse(packed, members, bounds, totals, incumbents):
-            votes = vote(packed, members, bounds, totals, incumbents)
-            votes[:] = packed.bits[packed.top_order()[0]]
+        def collapse(bits, weights, members, bounds, totals, incumbents):
+            votes = vote(bits, weights, members, bounds, totals, incumbents)
+            votes[:] = bits[top_order(weights)[0]]
             return votes
 
         monkeypatch.setattr(clustering, "_vote", collapse)
@@ -317,7 +316,7 @@ class TestRoundVote:
         strings = rows_to_strings(packed.bits)
         clusters = [{strings[r]: float(packed.weights[r]) for r in members[a:b]} for a, b in zip(bounds, bounds[1:])]
         totals = np.array([sum(c.values()) for c in clusters], dtype=np.float64)
-        votes = clustering._vote(packed, members, bounds, totals, incumbents)
+        votes = clustering._vote(packed.bits, packed.weights, members, bounds, totals, incumbents)
         for vote, incumbent, cluster_members in zip(rows_to_strings(votes), rows_to_strings(incumbents), clusters):
             want = scalar_majority_vote(cluster_members, incumbent) if cluster_members else incumbent
             assert vote == want
@@ -344,15 +343,16 @@ class TestRoundVote:
         totals = np.array([packed.weights[members[a:b]].sum() for a, b in zip(bounds[:-1], bounds[1:])])
         incumbents = rng.integers(0, 2, size=(k, width), dtype=np.uint8)
         want = reference_votes(packed, [labels == i for i in range(k)], incumbents)
-        np.testing.assert_array_equal(clustering._vote(packed, members, bounds, totals, incumbents), want)
+        got = clustering._vote(packed.bits, packed.weights, members, bounds, totals, incumbents)
+        np.testing.assert_array_equal(got, want)
 
     def test_one_vote_per_round(self, monkeypatch):
         calls = []
         vote = clustering._vote
 
-        def counting(packed, members, bounds, totals, incumbents):
+        def counting(bits, weights, members, bounds, totals, incumbents):
             calls.append(len(incumbents))
-            return vote(packed, members, bounds, totals, incumbents)
+            return vote(bits, weights, members, bounds, totals, incumbents)
 
         monkeypatch.setattr(clustering, "_vote", counting)
         # seeded at the heaviest strings, most passes converge in one round;
@@ -458,11 +458,13 @@ class TestLargeClusterVote:
         half = np.unique(half, axis=0)
         w = rng.random(len(half))
         weights = np.concatenate([w, w]) / (2 * w.sum())
-        packed = PackedDistribution(OutcomeDistribution._from_rows(np.concatenate([half, 1 - half]), weights), 0.1)
+        rows = np.concatenate([half, 1 - half])
+        packed = PackedDistribution(OutcomeDistribution._from_words(100, _pack_words(rows), weights), 0.1)
         n = len(packed)
         assert n >= 10_000 and packed.width == 100
         incumbents = rng.integers(0, 2, size=(1, 100), dtype=np.uint8)
         want = reference_votes(packed, [np.ones(n, dtype=bool)], incumbents)
-        got = clustering._vote(packed, np.arange(n), np.array([0, n]), np.array([packed.weights.sum()]), incumbents)
+        totals = np.array([packed.weights.sum()])
+        got = clustering._vote(packed.bits, packed.weights, np.arange(n), np.array([0, n]), totals, incumbents)
         np.testing.assert_array_equal(got, want)
         assert 0 < want.sum() < 100  # the ties fall both ways

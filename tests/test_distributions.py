@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_entropy, reference_hellinger
+from oracles import bit, hamming_distance, reference_entropy, reference_hellinger
 
 from qemclust import (
     BitString,
@@ -24,7 +24,6 @@ from qemclust import (
     cluster,
     effective_error_rate,
     generate_ideal,
-    hamming_distance,
     hellinger_fidelity,
     improvement_ratio,
     mitigate,
@@ -32,8 +31,8 @@ from qemclust import (
     qubitwise_majority_vote,
     sample_shots,
 )
-from qemclust._packed import _pack_words
-from qemclust.distributions import rows_to_texts
+from qemclust._packed import _pack_words, _unpack_words
+from qemclust.distributions import rows_to_strings, rows_to_texts, words_to_strings
 from qemclust.io import read_counts
 
 B = BitString.from_text
@@ -62,8 +61,8 @@ class TestBitString:
 
     def test_leftmost_character_is_qubit_zero(self):
         b = B("10")
-        assert b.bit(0) == 1
-        assert b.bit(1) == 0
+        assert bit(b, 0) == 1
+        assert bit(b, 1) == 0
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
@@ -89,6 +88,18 @@ class TestBitString:
         assert {b: 1}[BitString((1 << 70) + 5, 71)] == 1
         strings = [B("10"), B("01"), B("001"), B("11"), B("000")]
         assert sorted(strings) == sorted(strings, key=lambda s: (s.value, s.width))
+
+
+class TestWordsToStrings:
+    @given(st.data(), st.sampled_from([1, 63, 64, 65, 127, 128, 129]) | st.integers(1, 130))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_python_ints(self, data, width):
+        values = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=12))
+        bits = np.array([[int(c) for c in format(v, f"0{width}b")] for v in values], dtype=np.uint8)
+        bits = bits.reshape(len(values), width)
+        want = [BitString(v, width) for v in values]
+        assert words_to_strings(_pack_words(bits), width) == want
+        assert rows_to_strings(bits) == want
 
 
 class TestOutcomeDistribution:
@@ -159,8 +170,8 @@ class TestOutcomeDistribution:
 
     @given(distributions(5))
     def test_array_built_matches_dict_built(self, dist):
-        rows, weights = dist._rows, dist._weights
-        built = OutcomeDistribution._from_rows(rows, weights)
+        words, weights = dist._words, dist._weights
+        built = OutcomeDistribution._from_words(dist.width, words, weights)
         assert list(built.items()) == list(dist.items())
         assert built == dist and len(built) == len(dist) and built.total == dist.total
         assert built.normalized() == dist.normalized() and built.normalized().total == 1.0
@@ -175,32 +186,34 @@ class TestOutcomeDistribution:
     def test_is_integral_within_tolerance(self, weights, integral):
         d = OutcomeDistribution(1, {B("0"): weights[0], B("1"): weights[1]})
         assert d.is_integral() is integral
-        assert OutcomeDistribution._from_rows(d._rows, d._weights).is_integral() is integral
+        assert OutcomeDistribution._from_words(d.width, d._words, d._weights).is_integral() is integral
 
     @pytest.mark.parametrize("width", [3, 64, 70])
-    @pytest.mark.parametrize("build", ["init", "from_counts", "from_rows", "read_counts"])
+    @pytest.mark.parametrize("build", ["init", "from_counts", "from_words", "read_counts"])
     def test_words_are_packed_at_construction(self, tmp_path, width, build):
         counts = {format(v, f"0{width}b"): float(v % 5 + 1) for v in (5, 1, (1 << width) - 1, 2)}
+        rows = np.array([[int(c) for c in k] for k in counts], dtype=np.uint8)
         if build == "init":
             dist = OutcomeDistribution(width, {B(k): w for k, w in counts.items()})
         elif build == "from_counts":
             dist = OutcomeDistribution.from_counts(counts)
-        elif build == "from_rows":
-            rows = np.array([[int(c) for c in k] for k in counts], dtype=np.uint8)
-            dist = OutcomeDistribution._from_rows(rows, np.array(list(counts.values())))
+        elif build == "from_words":
+            dist = OutcomeDistribution._from_words(width, _pack_words(rows), np.array(list(counts.values())))
         else:
             path = tmp_path / "counts.json"
             path.write_text(json.dumps({"format": "qemclust-counts", "version": 1, "width": width, "counts": {
                 k: int(w) for k, w in counts.items()
             }}))
             dist = read_counts(str(path))[0]
-        assert dist._words.tobytes() == _pack_words(dist._rows).tobytes()
+        assert dist._words.dtype == np.uint64 and dist._words.shape == (len(counts), -(-width // 64))
+        assert dist._words.tobytes() == _pack_words(rows).tobytes()
+        assert [b.value for b in dist] == [int(k, 2) for k in counts]
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_array_built_rejects_bad_weight(self, bad):
         rows = np.array([[0, 0], [0, 1]], dtype=np.uint8)
         with pytest.raises(ValueError, match="'01'"):
-            OutcomeDistribution._from_rows(rows, np.array([1.0, bad]))
+            OutcomeDistribution._from_words(2, _pack_words(rows), np.array([1.0, bad]))
 
 
 WIDTHS = st.sampled_from([63, 64, 65, 128, 129]) | st.integers(1, 130)
@@ -209,8 +222,8 @@ WEIGHTS = st.sampled_from([0.0, -0.0, 1.0, 3.0]) | st.floats(0.0, 1e3)
 
 def dict_of(d):
     """The ``{BitString: weight}`` dict a distribution answers like, in row
-    order, built through the strings' text."""
-    return {B(t): w for t, w in zip(rows_to_texts(d._rows), d._weights.tolist())}
+    order, built through the text of the words' unpacked bits."""
+    return {B(t): w for t, w in zip(rows_to_texts(_unpack_words(d._words, d.width)), d._weights.tolist())}
 
 
 def drawn(data, width, pool):
@@ -220,7 +233,7 @@ def drawn(data, width, pool):
     weights = data.draw(st.lists(WEIGHTS, min_size=len(keys), max_size=len(keys)))
     d = OutcomeDistribution(width, {BitString(v, width): w for v, w in zip(keys, weights)})
     if data.draw(st.booleans()):
-        d = OutcomeDistribution._from_rows(d._rows[::-1].copy(), d._weights[::-1].copy())
+        d = OutcomeDistribution._from_words(d.width, d._words[::-1].copy(), d._weights[::-1].copy())
     return d
 
 
@@ -272,8 +285,9 @@ class TestDictContract:
         pool = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=3, unique=True))
         a, b = drawn(data, width, pool), drawn(data, width, pool)
         assert (a == b) is (b == a) is (dict_of(a) == dict_of(b))
-        reversed_rows = OutcomeDistribution._from_rows(a._rows[::-1].copy(), a._weights[::-1].copy())
-        signed_zeros = OutcomeDistribution._from_rows(a._rows, np.where(a._weights == 0, -a._weights, a._weights))
+        reversed_rows = OutcomeDistribution._from_words(a.width, a._words[::-1].copy(), a._weights[::-1].copy())
+        signed = np.where(a._weights == 0, -a._weights, a._weights)
+        signed_zeros = OutcomeDistribution._from_words(a.width, a._words, signed)
         assert a == reversed_rows and a == signed_zeros
         assert (a != OutcomeDistribution(width + 1, {})) and a != dict_of(a)
 
@@ -293,7 +307,7 @@ class TestDictContract:
             return apply_bitflip(sample_shots(ideal, 8192, rng), NoiseSpec(0.15, rng))
 
         def twin(d):
-            return OutcomeDistribution._from_rows(d._rows.copy(), d._weights.copy())
+            return OutcomeDistribution._from_words(d.width, d._words.copy(), d._weights.copy())
 
         def read_all(d, other):
             key = next(iter(d))
@@ -354,6 +368,16 @@ class TestNormalizedEntropy:
         with pytest.raises(ValueError):
             normalized_entropy(OutcomeDistribution(3, {}))
 
+    def test_near_uniform_counts_stay_in_range(self):
+        # the per-weight sum rounds past the width here; the result is clamped
+        weights = [1e9, 1e9, 1e9 + 2, 1e9 + 1, 1e9, 1e9, 1e9, 1e9]
+        dist = OutcomeDistribution(3, {BitString(v, 3): w for v, w in enumerate(weights)})
+        h = 0.0
+        for w in weights:
+            h -= w / dist.total * math.log2(w / dist.total)
+        assert h / 3 > 1.0
+        assert normalized_entropy(dist) == 1.0
+
     @given(distributions(4, max_support=6), st.randoms(use_true_random=False))
     def test_invariant_under_relabeling(self, dist, rnd):
         weights = [w for _, w in dist.items()]
@@ -407,7 +431,7 @@ class TestHellingerFidelity:
     @given(distributions(5), distributions(5))
     def test_array_built_side_gives_the_same_bits(self, a, b):
         def rebuilt(d):
-            return OutcomeDistribution._from_rows(d._rows, d._weights)
+            return OutcomeDistribution._from_words(d.width, d._words, d._weights)
 
         expected = hellinger_fidelity(a, b)
         assert hellinger_fidelity(rebuilt(a), b) == expected
@@ -416,23 +440,23 @@ class TestHellingerFidelity:
 
     def test_array_built_side_builds_no_dict(self):
         rows = np.array([[0, 0], [0, 1], [1, 1]], dtype=np.uint8)
-        big = OutcomeDistribution._from_rows(rows, np.array([0.2, 0.3, 0.5]))
+        big = OutcomeDistribution._from_words(2, _pack_words(rows), np.array([0.2, 0.3, 0.5]))
         small = OutcomeDistribution.from_counts({"01": 1.0, "10": 1.0})
         assert hellinger_fidelity(small, big) == pytest.approx(0.5 * 0.3)
 
     @given(st.data(), st.sampled_from([1, 62, 63, 64]) | st.integers(1, 70), st.booleans(), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_matches_dict_loop(self, data, width, a_from_rows, b_from_rows):
+    def test_matches_dict_loop(self, data, width, a_from_words, b_from_words):
         pool = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=12, unique=True))
         weight = st.sampled_from([0.0, 1.0, 3.0]) | st.floats(0.0, 1e3)
 
-        def side(from_rows):
+        def side(from_words):
             keys = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))
             weights = data.draw(st.lists(weight, min_size=len(keys), max_size=len(keys)).filter(any))
             d = OutcomeDistribution(width, {BitString(v, width): w for v, w in zip(keys, weights)})
-            return OutcomeDistribution._from_rows(d._rows, d._weights) if from_rows else d
+            return OutcomeDistribution._from_words(d.width, d._words, d._weights) if from_words else d
 
-        a, b = side(a_from_rows), side(b_from_rows)
+        a, b = side(a_from_words), side(b_from_words)
         assert hellinger_fidelity(a, b).hex() == reference_hellinger(a, b).hex()
         assert hellinger_fidelity(b, a).hex() == reference_hellinger(b, a).hex()
 

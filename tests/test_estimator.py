@@ -122,7 +122,7 @@ class TestEffectiveErrorRate:
         )
         want = reference_error_rate(ideal, noisy)
         if array_built:
-            ideal, noisy = (OutcomeDistribution._from_rows(d._rows, d._weights) for d in (ideal, noisy))
+            ideal, noisy = (OutcomeDistribution._from_words(d.width, d._words, d._weights) for d in (ideal, noisy))
         assert effective_error_rate(ideal, noisy).hex() == want.hex()
 
     def test_noisy_input_out_of_value_order_is_not_sorted(self):

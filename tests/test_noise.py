@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bit,
     convolve_bitflip,
+    hamming_distance,
     reference_distinct_values,
     reference_generate_ideal,
     reference_sample_shots,
@@ -28,9 +30,7 @@ from qemclust import (
     cluster,
     fit_tree_ensemble,
     generate_ideal,
-    hamming_distance,
     hellinger_fidelity,
-    joint_probability,
     make_synthetic_corpus,
     normalized_entropy,
     outlier_threshold,
@@ -53,10 +53,10 @@ WIDTHS = st.sampled_from([1, 2, 3, 4, 62, 63, 64]) | st.integers(min_value=1, ma
 
 
 def assert_same_rows(got: OutcomeDistribution, want: OutcomeDistribution) -> None:
-    """Rows, weights and total equal bit for bit, in the same order."""
-    rows, weights, want_rows, want_weights = got._rows, got._weights, want._rows, want._weights
-    assert rows.dtype == want_rows.dtype == np.uint8
-    assert rows.shape == want_rows.shape and rows.tobytes() == want_rows.tobytes()
+    """Rows (as words), weights and total equal bit for bit, in the same order."""
+    words, weights, want_words, want_weights = got._words, got._weights, want._words, want._weights
+    assert words.dtype == want_words.dtype == np.uint64
+    assert words.shape == want_words.shape and words.tobytes() == want_words.tobytes()
     assert weights.dtype == np.float64 and weights.tobytes() == want_weights.tobytes()
     assert got.total.hex() == want.total.hex()
 
@@ -98,10 +98,9 @@ class TestArrayDrawsMatchSetDraws:
     @settings(max_examples=60, deadline=None)
     def test_distinct_rows_tops_up_above_62_bits(self, width, count, seed):
         rng, want_rng = _FewFreeBits(seed), _FewFreeBits(seed)
-        rows, words = _distinct_rows(rng, width, count)
-        want = rows_of(reference_distinct_values(want_rng, width, count), width)
-        assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
-        assert words.tobytes() == _pack_words(want).tobytes()
+        words = _distinct_rows(rng, width, count)
+        want = _pack_words(rows_of(reference_distinct_values(want_rng, width, count), width))
+        assert words.dtype == np.uint64 and words.shape == want.shape and words.tobytes() == want.tobytes()
         assert rng.rng.bit_generator.state == want_rng.rng.bit_generator.state
 
     @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
@@ -121,7 +120,7 @@ class TestArrayDrawsMatchSetDraws:
         # insertion order is not value order
         dist = OutcomeDistribution(width, {BitString(v, width): w for v, w in zip(values, weights)})
         if array_built:
-            dist = OutcomeDistribution._from_rows(dist._rows, dist._weights)
+            dist = OutcomeDistribution._from_words(dist.width, dist._words, dist._weights)
         rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         assert_same_rows(sample_shots(dist, shots, rng), reference_sample_shots(dist, shots, want_rng))
         assert rng.bit_generator.state == want_rng.bit_generator.state
@@ -203,9 +202,8 @@ class TestApplyBitflip:
         rng, want_rng = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
         with mock.patch.object(noise, "_BLOCK_DRAWS", block):
             out = apply_bitflip(src, NoiseSpec(rate, seed=rng))
-        want = scalar_bitflip(src, rate, seed=want_rng)._sorted()
-        assert out._rows.tobytes() == want.bits.tobytes() and out._weights.tobytes() == want.weights.tobytes()
-        assert out._words.tobytes() == _pack_words(want.bits).tobytes()
+        want = scalar_bitflip(src, rate, seed=want_rng)._sorted()  # packed from its strings
+        assert out._words.tobytes() == want.words.tobytes() and out._weights.tobytes() == want.weights.tobytes()
         assert rng.random() == want_rng.random()
 
     def test_rejects_fractional_counts(self):
@@ -243,7 +241,7 @@ class TestApplyBitflip:
         out = apply_bitflip(src, NoiseSpec(p, seed=21))
         sigma = math.sqrt(p * (1 - p) / shots)
         for i in range(n):
-            frac = sum(w for b, w in out.items() if b.bit(i)) / shots
+            frac = sum(w for b, w in out.items() if bit(b, i)) / shots
             assert abs(frac - p) < 5 * sigma
 
     def test_channel_composition(self):
@@ -257,7 +255,7 @@ class TestApplyBitflip:
         assert hellinger_fidelity(two_step, one_step) > 0.999
         sigma = math.sqrt(p_eff * (1 - p_eff) / shots)
         for i in range(8):
-            frac = sum(w for b, w in two_step.items() if b.bit(i)) / shots
+            frac = sum(w for b, w in two_step.items() if bit(b, i)) / shots
             assert abs(frac - p_eff) < 5 * sigma
 
     def test_deterministic_given_seed(self):
@@ -268,8 +266,8 @@ class TestApplyBitflip:
 
 
 class TestNoBitStrings:
-    """The simulator and the corpus stay on bit rows from the RNG draw to
-    the output file, the mitigation or the label."""
+    """The simulator and the corpus stay on packed rows from the RNG draw
+    to the output file, the mitigation or the label."""
 
     @staticmethod
     def _count_bit_strings(monkeypatch, run):
@@ -306,13 +304,13 @@ class TestNoBitStrings:
     def test_tally_rows_are_compact_copies(self, width):
         bits = np.random.default_rng(width).integers(0, 2, size=(500, width), dtype=np.uint8)
         bits[::2] = bits[0]  # repeats
-        rows, _words, counts = _tally(_pack_words(bits), width)
-        assert rows.dtype == np.uint8 and rows.shape == (len(counts), width)
-        assert rows.flags.c_contiguous
-        # not a view into a wider buffer that would stay alive with the rows
-        assert (rows if rows.base is None else rows.base).nbytes == rows.nbytes
+        words, counts = _tally(_pack_words(bits), width)
+        assert words.dtype == np.uint64 and words.shape == (len(counts), -(-width // 64))
+        assert words.flags.c_contiguous
+        # not a view into a wider buffer that would stay alive with the words
+        assert (words if words.base is None else words.base).nbytes == words.nbytes
         want_rows, want_counts = np.unique(bits, axis=0, return_counts=True)  # 0/1 rows sort like values
-        assert rows.tobytes() == want_rows.tobytes() and counts.tolist() == want_counts.tolist()
+        assert words.tobytes() == _pack_words(want_rows).tobytes() and counts.tolist() == want_counts.tolist()
 
 
 class TestConvolveBitflip:
@@ -353,7 +351,6 @@ class TestRateRule:
         "ClusterConfig": lambda p: ClusterConfig(k=1, flip_rate=p),
         "MitigationConfig": lambda p: MitigationConfig(flip_rate=p),
         "outlier_threshold": lambda p: outlier_threshold(4, p),
-        "joint_probability": lambda p: joint_probability(B("0001"), B("0000"), 0.5, p),
         "redistribute": lambda p: redistribute(TestRateRule.COUNTS, TestRateRule.MODEL, p),
     }
     CLI = ["simulate --p", "mitigate --p", "sweep --p", "sweep --pe"]

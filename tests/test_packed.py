@@ -1,6 +1,6 @@
 """The row key against Python-int references, the sorted views the
-simulator hands over, and the layering rules that keep ordering and
-matching of bit rows inside ``_packed``."""
+simulator hands over, the bit rows a run unpacks, and the layering rules
+that keep ordering and matching of rows inside ``_packed``."""
 
 import ast
 from pathlib import Path
@@ -11,11 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_match_rows, reference_tally_rows, reference_value_order
-from qemclust import BitString, NoiseSpec, OutcomeDistribution, SyntheticSpec, apply_bitflip, generate_ideal, sample_shots
+from qemclust import (
+    BitString,
+    MitigationConfig,
+    NoiseSpec,
+    OutcomeDistribution,
+    SyntheticSpec,
+    apply_bitflip,
+    generate_ideal,
+    mitigate,
+    sample_shots,
+)
 from qemclust._packed import __all__ as PACKED_EXPORTS
 from qemclust._packed import PackedDistribution, _pack_words, _tally, _unpack_words, match_rows, sorted_view
 from qemclust.clustering import EmptyClusterError, qubitwise_majority_vote, select_initial_centroids
 from qemclust.estimator import _spiked_ideal
+from qemclust.io import read_counts, write_counts
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qemclust"
 
@@ -57,10 +68,9 @@ class TestRowKeyMatchesPythonInts:
     def test_value_order(self, case):
         width, values, _ = case
         values = list(dict.fromkeys(values))  # a distribution's rows are distinct
-        bits = _rows(values, width)
-        view = sorted_view(bits, np.arange(len(values), dtype=np.float64), _pack_words(bits))
+        view = sorted_view(_pack_words(_rows(values, width)), np.arange(len(values), dtype=np.float64))
         assert view.weights.astype(int).tolist() == reference_value_order(values)
-        assert _values(view.bits) == _ints(view.words) == sorted(values)
+        assert _ints(view.words) == sorted(values)
 
     @given(row_values())
     @settings(max_examples=300, deadline=None)
@@ -74,10 +84,9 @@ class TestRowKeyMatchesPythonInts:
     @settings(max_examples=300, deadline=None)
     def test_tally_rows(self, case):
         width, values, _ = case
-        rows, words, counts = _tally(_pack_words(_rows(values, width)), width)
-        assert rows.dtype == np.uint8 and rows.shape == (len(counts), width)
-        assert (_values(rows), counts.tolist()) == reference_tally_rows(values)
-        assert words.tobytes() == _pack_words(rows).tobytes()
+        words, counts = _tally(_pack_words(_rows(values, width)), width)
+        assert words.dtype == np.uint64 and words.shape == (len(counts), -(-width // 64))
+        assert (_ints(words), counts.tolist()) == reference_tally_rows(values)
 
     @pytest.mark.parametrize("width", range(1, 17))
     def test_tally_rows_around_the_counted_path(self, width):
@@ -88,13 +97,11 @@ class TestRowKeyMatchesPythonInts:
             pool = rng.integers(0, 1 << width, size=3)
             for values in (rng.integers(0, 1 << width, size=n), rng.choice(pool, size=n), np.full(n, pool[0])):
                 bits = ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
-                rows, words, counts = _tally(_pack_words(bits), width)
+                words, counts = _tally(_pack_words(bits), width)
                 want_values, want_counts = reference_tally_rows(values.tolist())
                 assert counts.dtype == np.intp and counts.tolist() == want_counts
-                assert words.dtype == np.uint64 and words.shape == (len(want_values), 1)
+                assert words.dtype == np.uint64 and words.shape == (len(want_values), 1) and words.flags.c_contiguous
                 assert words[:, 0].tolist() == want_values
-                assert rows.dtype == np.uint8 and rows.shape == (len(want_values), width) and rows.flags.c_contiguous
-                assert _values(rows) == want_values
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_pack_words_at_every_width(self, n):
@@ -104,6 +111,9 @@ class TestRowKeyMatchesPythonInts:
             words = _pack_words(bits)
             assert words.dtype == np.uint64 and words.shape == (n, -(-width // 64)) and words.flags.c_contiguous
             assert _ints(words) == _values(bits)
+            back = _unpack_words(words, width)  # and back
+            assert back.dtype == np.uint8 and back.flags.c_contiguous and back.tobytes() == bits.tobytes()
+            assert back.shape == bits.shape
 
 
 def _word_rows(rng, width: int, n: int, pool: int) -> np.ndarray:
@@ -158,8 +168,7 @@ class TestMatchRowsAtScale:
         misses[np.arange(m), rng.integers(1, rows.shape[1], size=m)] |= np.uint64(1)
         picked = {"hit": hits, "miss": misses, "mixed": np.where(rng.random(m)[:, None] < 0.5, hits, misses)}[queries]
         if view:
-            bits = _unpack_words(rows, width)
-            rows = sorted_view(bits, np.ones(len(rows)), _pack_words(bits)).words
+            rows = sorted_view(rows, np.ones(len(rows))).words
         values, query_values = _ints(rows), _ints(picked)
         assert len(set(values)) == len(values) > 1000 and len(set(query_values)) < m
         found = match_rows(rows, picked)
@@ -172,13 +181,12 @@ def _assert_view_is_recomputed(dist: OutcomeDistribution) -> None:
     """The distribution's cached view equals one built from scratch."""
     view = dist._view
     assert view is not None
-    rows, weights = dist._rows, dist._weights
-    order = reference_value_order(_values(rows))
-    if order == list(range(len(rows))):  # in order already: the distribution's own arrays
-        assert view.bits is rows and view.weights is weights
-    assert view.bits.dtype == np.uint8 and view.bits.shape == rows.shape
-    assert view.bits.tobytes() == rows[order].tobytes()
-    want = _pack_words(rows[order])
+    words, weights = dist._words, dist._weights
+    values = _ints(words)
+    order = reference_value_order(values)
+    if order == list(range(len(words))):  # in order already: the distribution's own arrays
+        assert view.words is words and view.weights is weights
+    want = _pack_words(_rows([values[i] for i in order], dist.width))  # no bit set past the width
     assert view.words.dtype == np.uint64 and view.words.flags.c_contiguous
     assert view.words.shape == want.shape and view.words.tobytes() == want.tobytes()
     assert view.weights.dtype == np.float64 and view.weights.tobytes() == weights[order].tobytes()
@@ -195,7 +203,7 @@ class TestSortedViews:
         for dist in (ideal, counts, noisy):
             dist._sorted()
             _assert_view_is_recomputed(dist)
-            assert dist._view.bits is dist._rows
+            assert dist._view.words is dist._words
 
     @pytest.mark.parametrize("width", [2, 6, 12])
     def test_the_corpus_ideal_hands_over_its_view(self, width):
@@ -206,13 +214,32 @@ class TestSortedViews:
     @pytest.mark.parametrize("width", [1, 14, 64, 65, 300])
     def test_a_view_is_built_once_on_first_use(self, width):
         rng = np.random.default_rng(width)
-        rows = _unpack_words(np.unique(_word_rows(rng, width, 50, 3), axis=0), width)
-        for order in (np.arange(len(rows)), rng.permutation(len(rows))):
-            dist = OutcomeDistribution._from_rows(rows[order], rng.random(len(rows)))
+        words = np.unique(_word_rows(rng, width, 50, 3), axis=0)
+        for order in (np.arange(len(words)), rng.permutation(len(words))):
+            dist = OutcomeDistribution._from_words(width, words[order], rng.random(len(words)))
             assert dist._view is None
             view = dist._sorted()
             _assert_view_is_recomputed(dist)
             assert dist._sorted() is view
+
+    @pytest.mark.parametrize("width", [1, 14, 64, 65, 100])
+    def test_a_run_unpacks_a_compact_copy_of_the_view(self, tmp_path, width):
+        rng = np.random.default_rng(width)
+        noisy = apply_bitflip(sample_shots(generate_ideal(SyntheticSpec(width, min(5, 2**width), rng)), 400, rng),
+                              NoiseSpec(0.1, rng))
+        path = tmp_path / "counts.json"
+        write_counts(noisy, str(path))
+        read = read_counts(str(path))[0]
+        mitigated = mitigate(noisy, MitigationConfig(flip_rate=0.1, fixed_k=2)).final
+        assert mitigated._view is None  # the run below makes its view
+        for dist in (noisy, read, mitigated):
+            packed = PackedDistribution(dist, 0.1)
+            view = dist._sorted()
+            bits = packed.bits
+            assert bits.dtype == np.uint8 and bits.shape == (len(dist), width) and bits.flags.c_contiguous
+            assert (bits if bits.base is None else bits.base).nbytes == bits.nbytes
+            assert bits.tobytes() == _unpack_words(view.words, width).tobytes()
+            assert bits.tobytes() == _rows(sorted(b.value for b in dist), width).tobytes()
 
     READERS = {
         "sample_shots": lambda dist: sample_shots(dist, 10, 0),
@@ -338,6 +365,17 @@ class TestLayering:
             assert name != "lexsort", ast.unparse(call)
             if name == "unique":
                 assert all(kw.arg != "axis" for kw in call.keywords), ast.unparse(call)
+
+    def test_bits_are_unpacked_only_where_they_are_read(self):
+        # a row set is kept as words; a run (for its votes and seeds), a
+        # standalone vote and the weight-map writer unpack bits
+        callers = {
+            (path.stem, func)
+            for path in sorted(SRC.glob("*.py"))
+            for func, node in _nodes_in_functions(path)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_unpack_words"
+        }
+        assert callers == {("_packed", "__init__"), ("clustering", "qubitwise_majority_vote"), ("io", "_dump_weights")}
 
     def test_the_weight_map_writer_has_no_per_entry_loop(self):
         # every entry is a row of one byte template filled by one %; only
