@@ -263,13 +263,13 @@ class PackedDistribution:
         return self._top_order
 
     def hamming_to(self, centroid_bits: np.ndarray) -> np.ndarray:
-        """(n, k) Hamming distances between every row and every centroid row,
-        the ``.T`` of a (k, n) array in the cache's dtype summed word by word."""
+        """(k, n) Hamming distances between every centroid row and every row,
+        in the cache's dtype, summed word by word."""
         cw = _pack_words(centroid_bits)
         hd = np.zeros((len(cw), len(self)), dtype=self._columns.dtype)
         for j in range(cw.shape[1]):
             hd += np.bitwise_count(cw[:, j : j + 1] ^ self.words[:, j])
-        return hd.T
+        return hd
 
     def slots(self, centroid_bits: np.ndarray) -> np.ndarray:
         """Cache slot of each centroid row: equal rows, and only they, get
@@ -282,7 +282,7 @@ class PackedDistribution:
             if key not in self._slot:
                 fresh.setdefault(key, i)
         if fresh:
-            rows = self.hamming_to(centroid_bits[list(fresh.values())]).T
+            rows = self.hamming_to(centroid_bits[list(fresh.values())])
             used, end = len(self._slot), len(self._slot) + len(fresh)
             if end > len(self._columns):
                 self._grow(max(2 * len(self._columns), end), used)

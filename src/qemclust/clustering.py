@@ -33,6 +33,8 @@ __all__ = [
     "cluster",
 ]
 
+MAX_ROUNDS = 100  # vote rounds per clustering pass; a pass that reaches it is reported unconverged
+
 
 class EmptyClusterError(ValueError):
     """Raised when a majority vote is requested over an empty member set."""
@@ -54,16 +56,15 @@ def outlier_threshold(width: int, flip_rate: float) -> int:
 
 @dataclass(frozen=True)
 class ClusterConfig:
+    """Cluster count and bit-flip rate of one run; its vote rounds stop at ``MAX_ROUNDS``."""
+
     k: int
     flip_rate: float
-    max_rounds: int = 100
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         check_rate(self.flip_rate)
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be positive, got {self.max_rounds}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,10 @@ def qubitwise_majority_vote(
     """
     if not members:
         raise EmptyClusterError("majority vote over an empty cluster")
-    width = next(iter(members)).width
-    dist = OutcomeDistribution(width, members)  # members must share one width
+    dist = members
+    if not isinstance(dist, OutcomeDistribution):
+        dist = OutcomeDistribution(next(iter(members)).width, members)  # members must share one width
+    width = dist.width
     if dist.total <= 0:
         raise EmptyClusterError("majority vote over zero total weight")
     if incumbent is not None and incumbent.width != width:
@@ -178,14 +181,16 @@ def _assign(
 
 
 def _cluster_packed(
-    packed: PackedDistribution, k: int, theta: int, max_rounds: int
+    packed: PackedDistribution, k: int, theta: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool, int, np.ndarray]:
     """Core loop over the packed arrays.
 
     Returns (centroid_bits, cluster_weights, nearest, outlier_mask,
     converged, rounds, slots); ``nearest`` holds the per-string cluster
-    index, meaningful where ``outlier_mask`` is False. Each centroid list
-    is assigned once, so the result is the returned centroids' assignment.
+    index, meaningful where ``outlier_mask`` is False. Voting stops when
+    the centroid list repeats or after ``MAX_ROUNDS`` rounds. Each
+    centroid list is assigned once, so the result is the returned
+    centroids' assignment.
     A voted list keeps a member: a weighted majority row costs no more
     weighted Hamming distance than its incumbent, so one lies within ``theta``.
     """
@@ -194,7 +199,7 @@ def _cluster_packed(
     nearest, outlier, members, bounds, totals = _assign(packed, slots, theta)
     converged = False
     rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         voted = _vote(packed.bits, packed.weights, members, bounds, totals, centroids)
         voted = voted[bounds[1:] > bounds[:-1]]  # empty clusters drop
         if voted.shape == centroids.shape and (voted == centroids).all():
@@ -209,7 +214,7 @@ def _cluster_packed(
 def cluster(dist: OutcomeDistribution, cfg: ClusterConfig) -> ClusterModel:
     """Run assignment / outlier filtering / majority-vote rounds to a fixed point.
 
-    Stops when the centroid list repeats exactly or after ``max_rounds``
+    Stops when the centroid list repeats exactly or after ``MAX_ROUNDS``
     rounds (the model is then flagged unconverged). Clusters whose member
     set becomes empty are dropped.
     """
@@ -217,7 +222,7 @@ def cluster(dist: OutcomeDistribution, cfg: ClusterConfig) -> ClusterModel:
         raise ValueError(f"k={cfg.k} exceeds the {len(dist)} unique bit-strings present")
     packed = PackedDistribution(dist, cfg.flip_rate)
     theta = outlier_threshold(dist.width, cfg.flip_rate)
-    bits, weights, nearest, outlier, converged, rounds, _ = _cluster_packed(packed, cfg.k, theta, cfg.max_rounds)
+    bits, weights, nearest, outlier, converged, rounds, _ = _cluster_packed(packed, cfg.k, theta)
     strings = words_to_strings(packed.words, packed.width)
     assignments = {strings[i]: int(nearest[i]) for i in range(len(packed)) if not outlier[i]}
     outliers = frozenset(strings[i] for i in range(len(packed)) if outlier[i])

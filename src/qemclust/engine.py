@@ -53,14 +53,13 @@ __all__ = [
 class MitigationConfig:
     """Error rate, stopping threshold and mode for one mitigation run.
 
-    ``fixed_k`` of None selects the iterative mode. ``max_rounds`` caps the
-    assignment/vote rounds inside each clustering pass.
+    ``fixed_k`` of None selects the iterative mode. Each clustering pass
+    votes at most ``clustering.MAX_ROUNDS`` rounds.
     """
 
     flip_rate: float
     stop_threshold: float = 0.95
     fixed_k: int | None = None
-    max_rounds: int = 100
 
     def __post_init__(self) -> None:
         check_rate(self.flip_rate)
@@ -70,8 +69,6 @@ class MitigationConfig:
             )
         if self.fixed_k is not None and self.fixed_k < 1:
             raise ValueError(f"fixed_k must be >= 1, got {self.fixed_k}")
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be positive, got {self.max_rounds}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,9 +168,7 @@ def mitigate(noisy: OutcomeDistribution, cfg: MitigationConfig) -> MitigationRep
     records: list[IterationRecord] = []
     previous = noisy_view
     for k in ks:
-        centroid_bits, weights, _nearest, _outlier, converged, rounds, slots = _cluster_packed(
-            packed, k, theta, cfg.max_rounds
-        )
+        centroid_bits, weights, _nearest, _outlier, converged, rounds, slots = _cluster_packed(packed, k, theta)
         duplicates = len(slots) - len(set(slots.tolist()))
         arrays = _redistribute_packed(packed, slots, weights)
         current = _iterate(arrays)

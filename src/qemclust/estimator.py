@@ -469,17 +469,16 @@ def fit_tree_ensemble(
     labels: Sequence[float],
     n_trees: int = 100,
     min_samples_leaf: int = 1,
-    max_features: int | None = None,
     seed: int = 0,
 ) -> TreeEnsemble:
     """Grow the ensemble; deterministic for a fixed seed.
 
-    ``max_features`` defaults to max(1, n_features // 3). Features and
-    labels must be finite, labels in the identifiable rate range [0, 0.5].
+    Each split draws from max(1, n_features // 3) candidate columns.
+    Features and labels must be finite, labels in the rate range [0, 0.5].
     """
     X = _as_matrix(features)
     y = np.asarray(labels, dtype=np.float64)
-    if X.ndim != 2 or len(X) == 0:
+    if X.ndim != 2 or X.size == 0:
         raise ValueError("training set must be a nonempty feature matrix")
     if len(X) != len(y):
         raise ValueError(f"{len(X)} feature rows but {len(y)} labels")
@@ -492,10 +491,7 @@ def fit_tree_ensemble(
     if min_samples_leaf < 1:
         raise ValueError(f"min_samples_leaf must be positive, got {min_samples_leaf}")
     n_features = X.shape[1]
-    if max_features is None:
-        max_features = max(1, n_features // 3)
-    if not 1 <= max_features <= n_features:
-        raise ValueError(f"max_features must lie in [1, {n_features}], got {max_features}")
+    max_features = max(1, n_features // 3)
 
     streams = np.random.SeedSequence(seed).spawn(n_trees)
     cols, ys = X.T.tolist(), y.tolist()
@@ -532,7 +528,6 @@ def cross_validate(
     seed: int = 0,
     n_trees: int = 100,
     min_samples_leaf: int = 1,
-    max_features: int | None = None,
 ) -> CrossValidationResult:
     """K-fold cross-validation with held-out scoring.
 
@@ -557,7 +552,6 @@ def cross_validate(
             y[train_idx],
             n_trees=n_trees,
             min_samples_leaf=min_samples_leaf,
-            max_features=max_features,
             seed=seed + i,
         )
         pred = model.predict_matrix(X[test_idx])

@@ -136,8 +136,9 @@ def scalar_cluster(noisy: OutcomeDistribution, k: int, flip_rate: float, max_rou
     """
     n = noisy.width
     theta = math.ceil(round(2.0 * n * flip_rate * (1.0 - flip_rate), 12))
-    strings = sorted(noisy, key=lambda b: b.value)
-    centroids = sorted(strings, key=lambda b: (-noisy.get(b), b.value))[:k]
+    weight = dict(noisy.items())
+    strings = sorted(weight, key=lambda b: b.value)
+    centroids = sorted(strings, key=lambda b: (-weight[b], b.value))[:k]
 
     def assign(cents):
         members: list[dict[BitString, float]] = [{} for _ in cents]
@@ -145,7 +146,7 @@ def scalar_cluster(noisy: OutcomeDistribution, k: int, flip_rate: float, max_rou
             dists = [hamming_distance(b, c) for c in cents]
             i = dists.index(min(dists))
             if dists[i] <= theta:
-                members[i][b] = noisy.get(b)
+                members[i][b] = weight[b]
         return members
 
     converged, rounds = False, 0
@@ -209,8 +210,8 @@ def reference_cluster_packed(packed, k: int, theta: int, max_rounds: int):
     outlier = np.zeros(len(packed), dtype=bool)
     for rounds in range(1, max_rounds + 1):
         hd = packed.hamming_to(centroids)
-        nearest = np.argmin(hd, axis=1)
-        outlier = hd[np.arange(len(packed)), nearest] > theta
+        nearest = np.argmin(hd, axis=0)
+        outlier = hd[nearest, np.arange(len(packed))] > theta
         masks = [(nearest == i) & ~outlier for i in range(len(centroids))]
         votes = reference_votes(packed, masks, centroids)
         new_centroids = votes[[mask.any() for mask in masks]]
@@ -222,8 +223,8 @@ def reference_cluster_packed(packed, k: int, theta: int, max_rounds: int):
         centroids = new_centroids
     if not converged:
         hd = packed.hamming_to(centroids)
-        nearest = np.argmin(hd, axis=1)
-        outlier = hd[np.arange(len(packed)), nearest] > theta
+        nearest = np.argmin(hd, axis=0)
+        outlier = hd[nearest, np.arange(len(packed))] > theta
     weights = np.array(
         [packed.weights[(nearest == i) & ~outlier].sum() for i in range(len(centroids))]
     ) / packed.total
@@ -322,8 +323,9 @@ def reference_sample_shots(dist: OutcomeDistribution, shots: int, seed=None) -> 
     """One multinomial draw over the strings sorted by value, kept as a
     dict of the nonzero counts."""
     rng = np.random.default_rng(seed)
-    strings = sorted(dist, key=lambda b: b.value)
-    p = np.array([dist.get(b) for b in strings], dtype=np.float64)
+    weight = dict(dist.items())
+    strings = sorted(weight, key=lambda b: b.value)
+    p = np.array([weight[b] for b in strings], dtype=np.float64)
     p = p / p.sum()
     counts = rng.multinomial(shots, p)
     return OutcomeDistribution(dist.width, {b: int(c) for b, c in zip(strings, counts) if c > 0})
@@ -332,7 +334,8 @@ def reference_sample_shots(dist: OutcomeDistribution, shots: int, seed=None) -> 
 def reference_error_rate(ideal: OutcomeDistribution, noisy: OutcomeDistribution) -> float:
     """``effective_error_rate`` with the mode as the dict minimum of
     (-weight, value) and both probabilities looked up by key."""
-    mode = min((b for b in ideal), key=lambda b: (-ideal.get(b), b.value))
+    weight = dict(ideal.items())
+    mode = min(weight, key=lambda b: (-weight[b], b.value))
     p_ideal = ideal.probability(mode)
     p_noisy = noisy.probability(mode)
     if p_noisy <= 0.0:
@@ -347,9 +350,10 @@ def reference_hellinger(p: OutcomeDistribution, q: OutcomeDistribution) -> float
     """``hellinger_fidelity`` as a dict loop over the smaller side, adding
     left to right in its value order."""
     small, big = (p, q) if len(p) <= len(q) else (q, p)
+    big_weight = dict(big.items())
     acc = 0.0
     for b, w in sorted(small.items(), key=lambda item: item[0].value):
-        v = big.get(b, 0.0)
+        v = big_weight.get(b, 0.0)
         if w > 0 and v > 0:
             acc += math.sqrt((w / small.total) * (v / big.total))
     return min(acc * acc, 1.0)
@@ -376,7 +380,8 @@ def scalar_bitflip(shots_dist: OutcomeDistribution, flip_rate: float, seed) -> O
     row is below the rate. Nothing is drawn at rate 0.
     """
     width = shots_dist.width
-    shots = [b.value for b in sorted(shots_dist) for _ in range(round(shots_dist.get(b)))]
+    weight = dict(shots_dist.items())
+    shots = [b.value for b in sorted(weight) for _ in range(round(weight[b]))]
     rng = np.random.default_rng(seed)
     draws = rng.random((len(shots), width)).tolist() if flip_rate > 0 else [[1.0] * width] * len(shots)
     tally: dict[int, int] = {}

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qemclust
-from qemclust import _packed, cli
+from qemclust import _packed, cli, clustering
 from qemclust import io as qio
 from qemclust import (
     FEATURE_NAMES,
@@ -789,6 +789,19 @@ class TestMitigateCommand:
             assert entry["duplicates"] == 0
         mitigated = qio.read_distribution(str(out))
         assert sum(w for _, w in mitigated.items()) == pytest.approx(1.0)
+
+    def test_unconverged_pass_is_reported(self, tmp_path, monkeypatch):
+        # at p = 0.25 the k = 1 pass moves 0000 to 0001 in its first vote
+        # and repeats it in its second; a cap of one round leaves it there
+        counts, report = tmp_path / "counts.json", tmp_path / "report.json"
+        qio.write_counts(OutcomeDistribution.from_counts({"0000": 5, "0011": 4, "0001": 4}), str(counts))
+        firsts = []
+        for cap in (clustering.MAX_ROUNDS, 1):
+            monkeypatch.setattr(clustering, "MAX_ROUNDS", cap)
+            assert main(["mitigate", str(counts), "--p", "0.25", "--report", str(report)]) == 0
+            first = json.loads(report.read_text())["iterations"][0]
+            firsts.append((first["k"], first["centroids"], first["converged"], first["rounds"]))
+        assert firsts == [(1, ["0001"], True, 2), (1, ["0001"], False, 1)]
 
     def test_zero_rate_returns_input_probabilities(self, worked_counts, tmp_path):
         noisy_path, _ = worked_counts

@@ -2,12 +2,14 @@ import gc
 import hashlib
 import types
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qemclust.clustering as clustering
 import qemclust.engine as engine
 from oracles import brute_force_mitigate
 from qemclust._packed import PackedDistribution
@@ -128,13 +130,14 @@ class TestMitigateIterative:
         with pytest.raises(ValueError):
             mitigate(OutcomeDistribution(2, {B("00"): 0.0}), MitigationConfig(0.1))
 
-    def test_records_carry_clustering_convergence(self):
+    def test_records_carry_clustering_convergence(self, monkeypatch):
         noisy = worked_noisy(5)
         seen = set()
         for max_rounds in (1, 100):
-            report = mitigate(noisy, MitigationConfig(0.15, stop_threshold=0.99, max_rounds=max_rounds))
+            monkeypatch.setattr(clustering, "MAX_ROUNDS", max_rounds)
+            report = mitigate(noisy, MitigationConfig(0.15, stop_threshold=0.99))
             for rec in report.iterations:
-                model = cluster(noisy, ClusterConfig(rec.k, 0.15, max_rounds=max_rounds))
+                model = cluster(noisy, ClusterConfig(rec.k, 0.15))
                 assert (rec.converged, rec.rounds) == (model.converged, model.rounds)
                 seen.add(rec.converged)
         assert seen == {True, False}
@@ -150,8 +153,8 @@ class TestMitigateIterative:
             cluster_packed = engine._cluster_packed
             unseen = np.array([[1, 0, 1, 0, 1]], dtype=np.uint8)
 
-            def doubled(packed, k, theta, max_rounds):
-                bits, weights, *rest, _slots = cluster_packed(packed, k, theta, max_rounds)
+            def doubled(packed, k, theta):
+                bits, weights, *rest, _slots = cluster_packed(packed, k, theta)
                 bits = np.vstack([bits, bits[:1], unseen, unseen])
                 return (bits, np.concatenate([weights, weights[:1], [0.3, 0.2]]), *rest, packed.slots(bits))
 
@@ -294,8 +297,8 @@ class TestWholePipelineOracle:
         # one or two vote rounds leave some clustering passes unconverged
         want = brute_force_mitigate(noisy, rate, delta, fixed_k, max_rounds)
         assume(all(abs(hf - delta) > 1e-9 for hf in want["hfs"]))
-        cfg = MitigationConfig(rate, stop_threshold=delta, fixed_k=fixed_k, max_rounds=max_rounds)
-        got = mitigate(noisy, cfg)
+        with patch.object(clustering, "MAX_ROUNDS", max_rounds):
+            got = mitigate(noisy, MitigationConfig(rate, stop_threshold=delta, fixed_k=fixed_k))
         assert got.k_used == want["k_used"]
         assert got.terminated_by == want["terminated_by"]
         assert got.final_record.centroids == want["centroids"]

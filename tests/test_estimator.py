@@ -178,6 +178,11 @@ class TestTreeEnsemble:
         with pytest.raises(ValueError):
             fit_tree_ensemble([features_row()], [0.7])
 
+    @pytest.mark.parametrize("shape", [(0, 8), (3, 0)])
+    def test_empty_feature_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="training set must be a nonempty feature matrix"):
+            fit_tree_ensemble(np.zeros(shape), [0.1, 0.2, 0.3][: shape[0]])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_training_data_rejected(self, bad):
         X = np.array([features_row(esp=0.5 + 0.1 * i).to_vector() for i in range(4)])
@@ -302,20 +307,20 @@ class TestTreeKernel:
 
     @given(
         rows=st.integers(2, 700),
-        n_features=st.integers(1, 9),
-        levels=st.lists(st.sampled_from([1, 2, 3, 7, 0]), min_size=9, max_size=9),
+        n_features=st.integers(1, 27),
+        levels=st.lists(st.sampled_from([1, 2, 3, 7, 0]), min_size=27, max_size=27),
         label_levels=st.sampled_from([1, 2, 5, 0]),
         duplicate=st.booleans(),
         min_samples_leaf=st.integers(1, 5),
-        max_features=st.integers(1, 9),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
     def test_trees_equal_the_numpy_reference(
-        self, rows, n_features, levels, label_levels, duplicate, min_samples_leaf, max_features, seed
+        self, rows, n_features, levels, label_levels, duplicate, min_samples_leaf, seed
     ):
         # levels: distinct values per column (1 is constant, 0 continuous
-        # over mixed magnitudes); the same for the labels
+        # over mixed magnitudes); the same for the labels; a split draws
+        # from n_features // 3 columns, 1 to 9
         rng = np.random.default_rng(seed)
         X = np.empty((rows, n_features))
         for f in range(n_features):
@@ -330,10 +335,8 @@ class TestTreeKernel:
         if duplicate:
             src = rng.integers(0, rows, rows // 2)
             X[: rows // 2], y[: rows // 2] = X[src], y[src]
-        max_features = min(max_features, n_features)
-        model = fit_tree_ensemble(
-            X, y, n_trees=2, min_samples_leaf=min_samples_leaf, max_features=max_features, seed=seed
-        )
+        model = fit_tree_ensemble(X, y, n_trees=2, min_samples_leaf=min_samples_leaf, seed=seed)
+        assert model.max_features == max(1, n_features // 3)
         assert_equals_reference(model, X, y)
 
     @pytest.mark.parametrize("min_samples_leaf", [1, 2, 5])
@@ -345,15 +348,17 @@ class TestTreeKernel:
 
     @pytest.mark.parametrize("max_features", [1, 10, 29])
     def test_thirty_feature_trees_equal_the_numpy_reference(self, max_features):
-        # wide candidate draws: Floyd collisions and multi-step shuffles;
-        # every third column and the labels take a few tied values, so
-        # nodes lose columns to constancy and the population shrinks
+        # wide candidate draws: Floyd collisions and multi-step shuffles,
+        # from 3 * max_features columns; every third column and the labels
+        # take a few tied values, so nodes lose columns to constancy and
+        # the population shrinks
         rng = np.random.default_rng(max_features)
-        rows = 150
-        X = rng.random((rows, 30)) * 10.0 ** rng.integers(-4, 4, 30)
-        X[:, ::3] = rng.integers(0, 3, (rows, 10))
+        rows, columns = 150, 3 * max_features
+        X = rng.random((rows, columns)) * 10.0 ** rng.integers(-4, 4, columns)
+        X[:, ::3] = rng.integers(0, 3, (rows, max_features))
         y = rng.choice(rng.uniform(0.0, 0.5, 6), rows)
-        model = fit_tree_ensemble(X, y, n_trees=3, max_features=max_features, seed=max_features)
+        model = fit_tree_ensemble(X, y, n_trees=3, seed=max_features)
+        assert model.max_features == max_features
         assert_equals_reference(model, X, y)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -362,7 +367,8 @@ class TestTreeKernel:
         # so it is never a candidate; column 1 is constant but for one row,
         # so it is a candidate only in the nodes that hold that row; column
         # 2 mixes both zeros with 1.0; the labels mix both zeros too, and
-        # a one-row child's mean is 0.0 for either
+        # a one-row child's mean is 0.0 for either; the columns tiled to 6
+        # and 12 make splits draw from 2 and 4 of them
         rng = np.random.default_rng(seed)
         rows = 40
         X = rng.random((rows, 4))
@@ -371,9 +377,11 @@ class TestTreeKernel:
         X[rng.integers(rows), 1] = 5.0
         X[:, 2] = rng.choice([-0.0, 0.0, 1.0], rows)
         y = rng.choice([-0.0, 0.0, 0.125, 0.25], rows)
-        for max_features in (1, 2, 4):
-            model = fit_tree_ensemble(X, y, n_trees=4, max_features=max_features, seed=seed)
-            assert_equals_reference(model, X, y)
+        for max_features, columns in ((1, 4), (2, 6), (4, 12)):
+            tiled = np.tile(X, 3)[:, :columns]
+            model = fit_tree_ensemble(tiled, y, n_trees=4, seed=seed)
+            assert model.max_features == max_features
+            assert_equals_reference(model, tiled, y)
 
     def test_a_refit_after_the_rows_change_equals_the_reference(self):
         # the equal-value masks belong to one fit: the same array, changed

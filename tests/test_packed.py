@@ -143,7 +143,7 @@ class TestHammingMatchesPythonInts:
         packed = PackedDistribution(OutcomeDistribution(width, {BitString(v, width): 1.0 for v in observed}), 0.1)
         got = packed.hamming_to(_rows(centroids, width))
         # the packed rows are in value order
-        assert got.tolist() == [[bin(a ^ c).count("1") for c in centroids] for a in sorted(observed)]
+        assert got.tolist() == [[bin(a ^ c).count("1") for a in sorted(observed)] for c in centroids]
 
 
 class TestMatchRowsAtScale:
