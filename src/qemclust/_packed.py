@@ -4,16 +4,16 @@ mitigation run of the bit rows' distances and likelihoods.
 A row set is kept once, as big-endian uint64 words (``_pack_words``).
 Bit rows, (n, width) 0/1 uint8 matrices, are unpacked from words
 (``_unpack_words``) only where single bits are read: once per mitigation
-run, for its votes and seeds, by a standalone majority vote, and by the
-distribution writer. This module alone decides how rows are ordered and
-matched, at any width, and it knows nothing of ``BitString`` (the
-conversions live in ``distributions``). It owns three mechanisms: one
-1-D row key (``_row_keys``) that orders like the rows' values, for
-sorting, dedupe and lookup (``match_rows`` sorts only its queries); one
-value-sorted view per distribution (``SortedView``, built only by
-``sorted_view``, at most once); and one cache slot per distinct centroid
-row per run (``PackedDistribution.slots``, the only code that keys rows
-by their bytes).
+run, for its votes, by a standalone majority vote, and by the
+distribution writer. A centroid is a words row everywhere but its vote.
+This module alone decides how rows are ordered and matched, at any
+width, and it knows nothing of ``BitString`` (the conversions live in
+``distributions``). It owns three mechanisms: one 1-D row key
+(``_row_keys``) that orders like the rows' values, for sorting, dedupe
+and lookup (``match_rows`` sorts only its queries); one value-sorted
+view per distribution (``SortedView``, built only by ``sorted_view``, at
+most once); and one cache slot per distinct centroid words row per run
+(``PackedDistribution.slots``, the only code that keys rows by bytes).
 
 A sorted view holds a distribution's words and weights in value order.
 Each view is made on first use: words in value order already are neither
@@ -240,7 +240,7 @@ class PackedDistribution:
         view = dist._sorted()
         self.width = dist.width
         self.words, self.weights = view.words, view.weights
-        self.bits = _unpack_words(view.words, self.width)  # the votes' and seeds' rows
+        self.bits = _unpack_words(view.words, self.width)  # the votes' rows
         self.total = view_total(view.total)
         self._top_order: np.ndarray | None = None
         # distance cache: row bytes -> slot; row ``slot`` of ``_columns``
@@ -262,27 +262,27 @@ class PackedDistribution:
             self._top_order = top_order(self.weights)
         return self._top_order
 
-    def hamming_to(self, centroid_bits: np.ndarray) -> np.ndarray:
-        """(k, n) Hamming distances between every centroid row and every row,
-        in the cache's dtype, summed word by word."""
-        cw = _pack_words(centroid_bits)
-        hd = np.zeros((len(cw), len(self)), dtype=self._columns.dtype)
-        for j in range(cw.shape[1]):
-            hd += np.bitwise_count(cw[:, j : j + 1] ^ self.words[:, j])
+    def hamming_to(self, centroid_words: np.ndarray) -> np.ndarray:
+        """(k, n) Hamming distances between every centroid's ``_pack_words``
+        row and every row, in the cache's dtype, summed word by word."""
+        hd = np.zeros((len(centroid_words), len(self)), dtype=self._columns.dtype)
+        for j in range(centroid_words.shape[1]):
+            hd += np.bitwise_count(centroid_words[:, j : j + 1] ^ self.words[:, j])
         return hd
 
-    def slots(self, centroid_bits: np.ndarray) -> np.ndarray:
-        """Cache slot of each centroid row: equal rows, and only they, get
-        equal slots for the whole run. The columns of rows not seen before
-        in this run are computed in one ``hamming_to`` call, and their
-        likelihood rows in one table lookup."""
-        keys = [row.tobytes() for row in centroid_bits]
+    def slots(self, centroid_words: np.ndarray) -> np.ndarray:
+        """Cache slot of each centroid's ``_pack_words`` row, keyed by the
+        row's bytes: equal rows, and only they, get equal slots for the
+        whole run. The columns of rows not seen before in this run are
+        computed in one ``hamming_to`` call, and their likelihood rows in
+        one table lookup."""
+        keys = [row.tobytes() for row in centroid_words]
         fresh: dict[bytes, int] = {}  # unseen key -> its first row
         for i, key in enumerate(keys):
             if key not in self._slot:
                 fresh.setdefault(key, i)
         if fresh:
-            rows = self.hamming_to(centroid_bits[list(fresh.values())])
+            rows = self.hamming_to(centroid_words[list(fresh.values())])
             used, end = len(self._slot), len(self._slot) + len(fresh)
             if end > len(self._columns):
                 self._grow(max(2 * len(self._columns), end), used)

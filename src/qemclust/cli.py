@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import io
-from .distributions import hellinger_fidelity, improvement_ratio, normalized_entropy, rows_to_texts
+from .distributions import hellinger_fidelity, improvement_ratio, normalized_entropy
 from .engine import MitigationConfig, SweepCell, mitigate, sweep
 from .estimator import cross_validate, fit_tree_ensemble, make_synthetic_corpus
 from .noise import RATE_MAX, RATE_RANGE, is_rate
@@ -221,7 +221,7 @@ def _cmd_mitigate(args) -> int:
             {
                 "k": rec.k,
                 "hf_to_previous": rec.hf_to_previous,
-                "centroids": rows_to_texts(rec._centroid_bits),
+                "centroids": [c.text for c in rec.centroids],
                 "converged": rec.converged,
                 "rounds": rec.rounds,
                 "duplicates": rec.duplicates,

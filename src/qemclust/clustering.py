@@ -19,8 +19,8 @@ from typing import Mapping
 
 import numpy as np
 
-from ._packed import PackedDistribution, _unpack_words, top_order, view_total
-from .distributions import BitString, OutcomeDistribution, rows_to_strings, strings_to_rows, words_to_strings
+from ._packed import PackedDistribution, _pack_words, _unpack_words, top_order, view_total
+from .distributions import BitString, OutcomeDistribution, strings_to_words, words_to_strings
 from .noise import check_rate
 
 __all__ = [
@@ -127,10 +127,11 @@ def qubitwise_majority_vote(
         raise ValueError("incumbent width does not match members")
     view = dist._sorted()
     total = view_total(view.total)
-    tie_row = strings_to_rows([BitString(0, width) if incumbent is None else incumbent], width)
+    tie_row = _unpack_words(strings_to_words([BitString(0, width) if incumbent is None else incumbent], width), width)
     n = len(view.weights)
     bits = _unpack_words(view.words, width)
-    return rows_to_strings(_vote(bits, view.weights, np.arange(n), np.array([0, n]), np.array([total]), tie_row))[0]
+    voted = _vote(bits, view.weights, np.arange(n), np.array([0, n]), np.array([total]), tie_row)
+    return words_to_strings(_pack_words(voted), width)[0]
 
 
 def _vote(
@@ -185,27 +186,29 @@ def _cluster_packed(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool, int, np.ndarray]:
     """Core loop over the packed arrays.
 
-    Returns (centroid_bits, cluster_weights, nearest, outlier_mask,
+    Returns (centroid_words, cluster_weights, nearest, outlier_mask,
     converged, rounds, slots); ``nearest`` holds the per-string cluster
-    index, meaningful where ``outlier_mask`` is False. Voting stops when
+    index, meaningful where ``outlier_mask`` is False. The seeds' words
+    are the run's; only a vote that moved is packed. Voting stops when
     the centroid list repeats or after ``MAX_ROUNDS`` rounds. Each
     centroid list is assigned once, so the result is the returned
     centroids' assignment.
     A voted list keeps a member: a weighted majority row costs no more
     weighted Hamming distance than its incumbent, so one lies within ``theta``.
     """
-    centroids = packed.bits[packed.top_order()[:k]]
+    seeds = packed.top_order()[:k]
+    centroids, bits = packed.words[seeds], packed.bits[seeds]
     slots = packed.slots(centroids)
     nearest, outlier, members, bounds, totals = _assign(packed, slots, theta)
     converged = False
     rounds = 0
     for rounds in range(1, MAX_ROUNDS + 1):
-        voted = _vote(packed.bits, packed.weights, members, bounds, totals, centroids)
+        voted = _vote(packed.bits, packed.weights, members, bounds, totals, bits)
         voted = voted[bounds[1:] > bounds[:-1]]  # empty clusters drop
-        if voted.shape == centroids.shape and (voted == centroids).all():
+        if voted.shape == bits.shape and (voted == bits).all():
             converged = True
             break
-        centroids = voted
+        bits, centroids = voted, _pack_words(voted)
         slots = packed.slots(centroids)
         nearest, outlier, members, bounds, totals = _assign(packed, slots, theta)
     return centroids, totals / packed.total, nearest, outlier, converged, rounds, slots
@@ -222,12 +225,12 @@ def cluster(dist: OutcomeDistribution, cfg: ClusterConfig) -> ClusterModel:
         raise ValueError(f"k={cfg.k} exceeds the {len(dist)} unique bit-strings present")
     packed = PackedDistribution(dist, cfg.flip_rate)
     theta = outlier_threshold(dist.width, cfg.flip_rate)
-    bits, weights, nearest, outlier, converged, rounds, _ = _cluster_packed(packed, cfg.k, theta)
+    words, weights, nearest, outlier, converged, rounds, _ = _cluster_packed(packed, cfg.k, theta)
     strings = words_to_strings(packed.words, packed.width)
     assignments = {strings[i]: int(nearest[i]) for i in range(len(packed)) if not outlier[i]}
     outliers = frozenset(strings[i] for i in range(len(packed)) if outlier[i])
     return ClusterModel(
-        width=dist.width, centroids=tuple(rows_to_strings(bits)), weights=tuple(weights.tolist()),
+        width=dist.width, centroids=tuple(words_to_strings(words, packed.width)), weights=tuple(weights.tolist()),
         assignments=assignments, outliers=outliers, threshold=theta, requested_k=cfg.k,
         converged=converged, rounds=rounds,
     )

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from ._packed import SortedView, _pack_words, match_rows, sorted_view, view_total
+from ._packed import SortedView, match_rows, sorted_view, view_total
 
 __all__ = [
     "BitString",
@@ -66,17 +66,12 @@ class BitString:
         return self.text
 
 
-def strings_to_rows(strings: Iterable[BitString], width: int) -> np.ndarray:
-    """(n, width) uint8 bit matrix, one row per bit-string."""
-    blob = "".join(b.text for b in strings).encode()
-    return (np.frombuffer(blob, dtype=np.uint8) - ord("0")).reshape(-1, width)
-
-
-def rows_to_texts(bits: np.ndarray) -> list[str]:
-    """The text of each row of a (n, width) 0/1 matrix, from one ASCII decode."""
-    width = bits.shape[1]
-    blob = (bits + ord("0")).tobytes().decode("ascii")
-    return [blob[i : i + width] for i in range(0, len(blob), width)]
+def strings_to_words(strings: Iterable[BitString], width: int) -> np.ndarray:
+    """``_pack_words`` of the width-bit strings' rows, read from their
+    values: each value split into 64-bit words, most significant first."""
+    shifts = range(64 * ((width - 1) // 64), -1, -64)
+    words = [[(b.value >> s) & 0xFFFF_FFFF_FFFF_FFFF for s in shifts] for b in strings]
+    return np.array(words, dtype=np.uint64).reshape(-1, len(shifts))
 
 
 def words_to_strings(words: np.ndarray, width: int) -> list[BitString]:
@@ -85,11 +80,6 @@ def words_to_strings(words: np.ndarray, width: int) -> list[BitString]:
     for column in words[:, 1:].T:
         values = [(v << 64) | w for v, w in zip(values, column.tolist())]
     return [BitString(v, width) for v in values]
-
-
-def rows_to_strings(bits: np.ndarray) -> list[BitString]:
-    """One BitString per row of a (n, width) 0/1 matrix."""
-    return words_to_strings(_pack_words(bits), bits.shape[1])
 
 
 class OutcomeDistribution:
@@ -105,10 +95,10 @@ class OutcomeDistribution:
     float64 weight vector, both in iteration order, and no bit matrix.
     The value-sorted view is made by ``_sorted`` alone, on first use. No
     ``{BitString: weight}`` dict is kept: ``get``, ``in`` and
-    ``probability`` pack the key into a words row and find it among the
-    words, ``==`` compares the two sorted views' words and weights,
-    iteration makes the strings from the words, and ``items()`` builds a
-    dict for each call.
+    ``probability`` split the key into a words row (``strings_to_words``)
+    and find it among the words, ``==`` compares the two sorted views'
+    words and weights, iteration makes the strings from the words, and
+    ``items()`` builds a dict for each call.
     """
 
     __slots__ = ("_width", "_words", "_weights", "_total", "_view")
@@ -122,7 +112,7 @@ class OutcomeDistribution:
             if b.width != width:
                 raise ValueError(f"bit-string {b.text!r} has width {b.width}, expected {width}")
         weights = np.fromiter((float(w) for _, w in entries.items()), dtype=np.float64, count=len(entries))
-        self._set(width, _pack_words(strings_to_rows(entries, width)), weights)
+        self._set(width, strings_to_words(entries, width), weights)
 
     @classmethod
     def _from_words(cls, width: int, words: np.ndarray, weights: np.ndarray) -> "OutcomeDistribution":
@@ -150,7 +140,7 @@ class OutcomeDistribution:
         not a BitString of this width."""
         if not isinstance(b, BitString) or b.width != self._width:
             return -1
-        return int(match_rows(self._words, _pack_words(strings_to_rows([b], self._width)))[0])
+        return int(match_rows(self._words, strings_to_words([b], self._width))[0])
 
     def _mass(self) -> float:
         """``total``, for a probability view: raises unless 0 < total < inf."""

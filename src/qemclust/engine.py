@@ -31,7 +31,7 @@ from .distributions import (
     _left_to_right_sum,
     hellinger_fidelity,
     improvement_ratio,
-    rows_to_strings,
+    words_to_strings,
 )
 from .noise import NoiseSpec, SyntheticSpec, apply_bitflip, check_rate, generate_ideal, sample_shots
 from .redistribution import _mitigated_distribution, _redistribute_packed
@@ -79,11 +79,11 @@ class IterationRecord:
     recorded for diagnostics but never triggers termination. ``converged``
     and ``rounds`` come from the clustering pass, and so does
     ``duplicates``: the number of its centroid rows equal to an earlier
-    one, which an unconverged vote can leave. The centroids and the output
-    distribution are built the first time they are read. ``degenerate`` is
-    always False (a pass conserves mass); it stays while
-    ``perfbench/golden.py`` reads ``report.final_record.degenerate``
-    (ROADMAP item 1).
+    one, which an unconverged vote can leave. The centroids (kept as
+    their ``_pack_words`` rows) and the output distribution are built the
+    first time they are read. ``degenerate`` is always False (a pass
+    conserves mass); it stays while ``perfbench/golden.py`` reads
+    ``report.final_record.degenerate`` (ROADMAP item 1).
     """
 
     degenerate: ClassVar[bool] = False
@@ -92,12 +92,13 @@ class IterationRecord:
     converged: bool
     rounds: int
     duplicates: int
-    _centroid_bits: np.ndarray = field(repr=False)
+    _centroid_words: np.ndarray = field(repr=False)
+    _width: int = field(repr=False)
     _output: Callable[[], OutcomeDistribution] = field(repr=False)
 
     @cached_property
     def centroids(self) -> tuple[BitString, ...]:
-        return tuple(rows_to_strings(self._centroid_bits))
+        return tuple(words_to_strings(self._centroid_words, self._width))
 
     @cached_property
     def distribution(self) -> OutcomeDistribution:
@@ -168,14 +169,14 @@ def mitigate(noisy: OutcomeDistribution, cfg: MitigationConfig) -> MitigationRep
     records: list[IterationRecord] = []
     previous = noisy_view
     for k in ks:
-        centroid_bits, weights, _nearest, _outlier, converged, rounds, slots = _cluster_packed(packed, k, theta)
+        centroid_words, weights, _nearest, _outlier, converged, rounds, slots = _cluster_packed(packed, k, theta)
         duplicates = len(slots) - len(set(slots.tolist()))
         arrays = _redistribute_packed(packed, slots, weights)
         current = _iterate(arrays)
         # the record keeps the pass's masses and gains, not the run's cache
-        output = partial(_mitigated_distribution, noisy, centroid_bits, arrays[0], arrays[3], cfg.flip_rate)
+        output = partial(_mitigated_distribution, noisy, centroid_words, arrays[0], arrays[3], cfg.flip_rate)
         hf = _fidelity(current, previous)
-        records.append(IterationRecord(k, hf, converged, rounds, duplicates, centroid_bits, output))
+        records.append(IterationRecord(k, hf, converged, rounds, duplicates, centroid_words, packed.width, output))
         if not fixed and k >= 2 and hf > cfg.stop_threshold:
             return MitigationReport(records[-2], tuple(records), "convergence")
         previous = current

@@ -76,6 +76,8 @@ def _load_json(path: str, *formats: str) -> dict:
         raise DataFormatError(f"{path}: file not found") from None
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits, nested too deep
+        raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: expected a JSON object")
     if doc.get("format") not in formats:
@@ -349,29 +351,29 @@ def read_corpus(path: str) -> tuple[list[CircuitFeatures], np.ndarray]:
     features: list[CircuitFeatures] = []
     labels: list[float] = []
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
     except FileNotFoundError:
         raise DataFormatError(f"{path}: file not found") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CORPUS_COLUMNS):
-            raise DataFormatError(f"{path}: expected header {','.join(CORPUS_COLUMNS)}")
-        # the integer counts, then the float features, then the label
-        n_counts = len(COUNT_FEATURES)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CORPUS_COLUMNS):
-                raise DataFormatError(f"{path}: line {lineno}: expected {len(CORPUS_COLUMNS)} fields")
-            try:
-                features.append(CircuitFeatures(*map(int, row[:n_counts]), *map(float, row[n_counts:-1])))
-                label = float(row[-1])
-                if not is_rate(label):
-                    raise ValueError(f"{CORPUS_COLUMNS[-1]} must lie in {RATE_RANGE}, got {row[-1]}")
-                labels.append(label)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, a field past csv's size limit
+        raise DataFormatError(f"{path}: {exc}") from None
+    if rows[:1] != [list(CORPUS_COLUMNS)]:
+        raise DataFormatError(f"{path}: expected header {','.join(CORPUS_COLUMNS)}")
+    # the integer counts, then the float features, then the label
+    n_counts = len(COUNT_FEATURES)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(CORPUS_COLUMNS):
+            raise DataFormatError(f"{path}: line {lineno}: expected {len(CORPUS_COLUMNS)} fields")
+        try:
+            features.append(CircuitFeatures(*map(int, row[:n_counts]), *map(float, row[n_counts:-1])))
+            label = float(row[-1])
+            if not is_rate(label):
+                raise ValueError(f"{CORPUS_COLUMNS[-1]} must lie in {RATE_RANGE}, got {row[-1]}")
+            labels.append(label)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: line {lineno}: {exc}") from None
     if not features:
         raise DataFormatError(f"{path}: corpus holds no samples")
     return features, np.array(labels, dtype=np.float64)

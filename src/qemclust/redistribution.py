@@ -26,9 +26,9 @@ from typing import Mapping
 
 import numpy as np
 
-from ._packed import PackedDistribution, _pack_words
+from ._packed import PackedDistribution
 from .clustering import ClusterModel
-from .distributions import BitString, OutcomeDistribution, _left_to_right_sum, strings_to_rows, words_to_strings
+from .distributions import BitString, OutcomeDistribution, _left_to_right_sum, strings_to_words, words_to_strings
 from .noise import check_rate
 
 __all__ = [
@@ -67,9 +67,9 @@ def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: flo
         raise ValueError(f"cluster weights must be one value in [0, 1] per centroid, got {model.weights}")
 
     packed = PackedDistribution(noisy, flip_rate)
-    centroid_bits = strings_to_rows(model.centroids, packed.width)
-    masses, removed_idx, claim, gained = _redistribute_packed(packed, packed.slots(centroid_bits), weights)
-    mitigated = _mitigated_distribution(noisy, centroid_bits, masses, gained, flip_rate)
+    centroid_words = strings_to_words(model.centroids, packed.width)
+    masses, removed_idx, claim, gained = _redistribute_packed(packed, packed.slots(centroid_words), weights)
+    mitigated = _mitigated_distribution(noisy, centroid_words, masses, gained, flip_rate)
     if flip_rate == 0:
         removed_idx = ()  # a zero-rate pass explains no flips: it removes nothing
     centroid_set = set(model.centroids)
@@ -82,12 +82,12 @@ def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: flo
 
 
 def _mitigated_distribution(
-    noisy: OutcomeDistribution, centroid_bits: np.ndarray, masses: np.ndarray, gained: list, flip_rate: float
+    noisy: OutcomeDistribution, centroid_words: np.ndarray, masses: np.ndarray, gained: list, flip_rate: float
 ) -> OutcomeDistribution:
     """The mitigated distribution of a ``_redistribute_packed`` pass over
     ``noisy`` at ``flip_rate``, from the pass's surviving ``masses`` and
     ``gained`` centroids: the words of the surviving input rows in value
-    order, then those of the merged centroids, the only rows it packs. It
+    order, then the ``centroid_words`` rows of the merged centroids. It
     reads the input's sorted view, not the run, so a caller can keep it
     for later. A zero-rate channel explains no flips, so it returns the
     input's probability view bit-exactly.
@@ -96,8 +96,7 @@ def _mitigated_distribution(
         return noisy.normalized()
     view = noisy._sorted()
     survivors = np.flatnonzero(masses > 0)
-    new = _pack_words(centroid_bits[[g[0] for g in gained]])
-    words = np.concatenate([np.take(view.words, survivors, axis=0), new])
+    words = np.concatenate([np.take(view.words, survivors, axis=0), centroid_words[[g[0] for g in gained]]])
     mass = np.concatenate([masses[survivors], [g[1] for g in gained]])
     return OutcomeDistribution._from_words(noisy.width, words, mass / _left_to_right_sum(mass))
 

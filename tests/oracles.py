@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 
 from qemclust import BitString, ClusterModel, OutcomeDistribution
-from qemclust._packed import _likelihood_table
+from qemclust._packed import _likelihood_table, _pack_words
 from qemclust.estimator import _Tree
 from qemclust.noise import check_rate
 
@@ -209,7 +209,7 @@ def reference_cluster_packed(packed, k: int, theta: int, max_rounds: int):
     nearest = np.zeros(len(packed), dtype=np.int64)
     outlier = np.zeros(len(packed), dtype=bool)
     for rounds in range(1, max_rounds + 1):
-        hd = packed.hamming_to(centroids)
+        hd = packed.hamming_to(_pack_words(centroids))
         nearest = np.argmin(hd, axis=0)
         outlier = hd[nearest, np.arange(len(packed))] > theta
         masks = [(nearest == i) & ~outlier for i in range(len(centroids))]
@@ -222,7 +222,7 @@ def reference_cluster_packed(packed, k: int, theta: int, max_rounds: int):
             break
         centroids = new_centroids
     if not converged:
-        hd = packed.hamming_to(centroids)
+        hd = packed.hamming_to(_pack_words(centroids))
         nearest = np.argmin(hd, axis=0)
         outlier = hd[nearest, np.arange(len(packed))] > theta
     weights = np.array(

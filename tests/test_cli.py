@@ -936,7 +936,7 @@ class TestMitigateCommand:
         noisy, built, centroids = self._mitigate_counting_bit_strings(
             tmp_path, monkeypatch, ["--p", "0.15"]
         )
-        assert built == 0 < centroids < len(noisy)
+        assert built == centroids < len(noisy)
 
     def test_model_rate_builds_no_bit_strings_but_the_reported_centroids(self, tmp_path, monkeypatch):
         # the features file has no entropy, so mitigate computes it from the counts
@@ -949,7 +949,7 @@ class TestMitigateCommand:
         noisy, built, centroids = self._mitigate_counting_bit_strings(
             tmp_path, monkeypatch, ["--model", str(model_path), "--features", str(features_path)]
         )
-        assert built == 0 < centroids < len(noisy)
+        assert built == centroids < len(noisy)
         # the array-read counts give the entropy the dict-built ones give
         read = qio.read_counts(str(tmp_path / "counts.json"))[0]
         assert 0.0 < normalized_entropy(read) == normalized_entropy(noisy)
@@ -1431,6 +1431,42 @@ class TestEnvelopes:
         paths = self._paths(tmp_path, kind, {**self.DOCS[kind], "metadata": metadata})
         assert main([a.format(**paths) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {paths[kind]}: 'metadata' must be an object\n"
+
+
+class TestUnparsableFiles:
+    """A file its parser cannot read is a data error (exit 2) that names
+    the file, whichever of a command's files it is: not UTF-8, nested past
+    the recursion limit, or holding an integer past Python's digit limit."""
+
+    # each fault turns the bytes of a well-formed file into unparsable ones
+    FAULTS = {
+        "not-utf8": lambda raw: raw.replace(b'"version"', b'"\xffversion"'),
+        "deep": lambda raw: b"[" * 100_000 + b"]" * 100_000,
+        "digits": lambda raw: raw.replace(b'"version": 1', b'"version": ' + b"9" * 5000),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("command", TestEnvelopes.COMMANDS)
+    def test_json_file(self, tmp_path, capsys, command, fault):
+        kind, argv = TestEnvelopes.COMMANDS[command]
+        paths = TestEnvelopes()._paths(tmp_path, None, None)
+        raw = paths[kind].read_bytes()
+        paths[kind].write_bytes(self.FAULTS[fault](raw))
+        assert paths[kind].read_bytes() != raw
+        assert main([a.format(**paths) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {paths[kind]}: invalid JSON: ")
+
+    @pytest.mark.parametrize("tail", [b"\xff\n", b"9" * 200_000 + b"\n"], ids=["not-utf8", "huge-field"])
+    def test_corpus_file(self, tmp_path, capsys, tail):
+        feats, labels = make_synthetic_corpus(12, seed=3)
+        corpus, model = tmp_path / "corpus.csv", tmp_path / "model.json"
+        qio.write_corpus(feats, labels, str(corpus))
+        corpus.write_bytes(corpus.read_bytes() + tail)
+        assert main(["train", "--corpus", str(corpus), "--trees", "2", "--out", str(model)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {corpus}: ")
+        assert not model.exists()
 
 
 class TestFeaturesInconsistentWithCalibration:

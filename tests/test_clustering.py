@@ -22,8 +22,8 @@ from qemclust import (
     sample_shots,
     select_initial_centroids,
 )
-from qemclust._packed import PackedDistribution, _pack_words, match_rows, top_order
-from qemclust.distributions import rows_to_strings, strings_to_rows
+from qemclust._packed import PackedDistribution, _pack_words, _unpack_words, match_rows, top_order
+from qemclust.distributions import strings_to_words, words_to_strings
 
 B = BitString.from_text
 
@@ -233,11 +233,11 @@ class TestCluster:
         monkeypatch.setattr(clustering, "MAX_ROUNDS", cap)
         packed = PackedDistribution(OutcomeDistribution.from_counts(counts), rate)
         theta = outlier_threshold(4, rate)
-        bits, weights, nearest, outlier, converged, rounds, slots = clustering._cluster_packed(packed, 1, theta)
+        words, weights, nearest, outlier, converged, rounds, slots = clustering._cluster_packed(packed, 1, theta)
         assert converged == (case == "converged")
         assert rounds == {"converged": 2, "capped": 1}[case]
         assert len(calls) == (cap + 1 if case == "capped" else rounds)
-        assert packed.slots(bits).tolist() == slots.tolist()
+        assert packed.slots(words).tolist() == slots.tolist()
         if not converged:
             fresh_nearest, fresh_outlier, _, _, totals = assign(packed, slots, theta)
             assert nearest.tolist() == fresh_nearest.tolist()
@@ -260,8 +260,8 @@ class TestCluster:
         assert not set(model.assignments) & set(model.outliers)
 
 
-def _bit_rows(values, width):
-    return strings_to_rows([BitString(v, width) for v in values], width)
+def _words(values, width):
+    return strings_to_words([BitString(v, width) for v in values], width)
 
 
 class TestDistanceCache:
@@ -278,8 +278,8 @@ class TestDistanceCache:
         calls = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=8), min_size=1, max_size=5))
         slot_of: dict[int, int] = {}  # row value -> its slot in the first call that asked
         for call in calls:
-            centroid_bits = _bit_rows(call, width)
-            slots = packed.slots(centroid_bits)
+            centroid_words = _words(call, width)
+            slots = packed.slots(centroid_words)
             # equal rows get equal slots, within and across calls, observed
             # or not; distinct rows get distinct slots
             for value, slot in zip(call, slots.tolist()):
@@ -289,8 +289,8 @@ class TestDistanceCache:
             cols = packed.columns(slots)
             assert cols.dtype == np.min_scalar_type(width)
             assert cols.shape == (len(call), len(packed))
-            np.testing.assert_array_equal(cols, packed.hamming_to(centroid_bits))
-            want = match_rows(packed.words, _pack_words(centroid_bits))
+            np.testing.assert_array_equal(cols, packed.hamming_to(centroid_words))
+            want = match_rows(packed.words, centroid_words)
             np.testing.assert_array_equal(packed.centroid_rows(slots), want)
 
     def test_each_distinct_centroid_is_computed_once(self, monkeypatch):
@@ -298,15 +298,15 @@ class TestDistanceCache:
         asked = []
         hamming_to = PackedDistribution.hamming_to
 
-        def counting(self, centroid_bits):
-            asked.append(len(centroid_bits))
-            return hamming_to(self, centroid_bits)
+        def counting(self, centroid_words):
+            asked.append(len(centroid_words))
+            return hamming_to(self, centroid_words)
 
         monkeypatch.setattr(PackedDistribution, "hamming_to", counting)
-        first = _bit_rows([0b0000, 0b1010, 0b0000], 4)
+        first = _words([0b0000, 0b1010, 0b0000], 4)
         packed.slots(first)
         packed.slots(first[::-1])
-        packed.slots(_bit_rows([0b1010, 0b1111], 4))
+        packed.slots(_words([0b1010, 0b1111], 4))
         assert asked == [2, 1]
 
 
@@ -326,12 +326,13 @@ class TestRoundVote:
         kept = np.flatnonzero(labels >= 0)
         members = kept[np.argsort(labels[kept], kind="stable")]
         bounds = np.concatenate([[0], np.cumsum(np.bincount(labels[kept], minlength=k))])
-        incumbents = _bit_rows(data.draw(st.lists(values, min_size=k, max_size=k)), width)
-        strings = rows_to_strings(packed.bits)
+        incumbents = _unpack_words(_words(data.draw(st.lists(values, min_size=k, max_size=k)), width), width)
+        strings = words_to_strings(packed.words, width)
         clusters = [{strings[r]: float(packed.weights[r]) for r in members[a:b]} for a, b in zip(bounds, bounds[1:])]
         totals = np.array([sum(c.values()) for c in clusters], dtype=np.float64)
         votes = clustering._vote(packed.bits, packed.weights, members, bounds, totals, incumbents)
-        for vote, incumbent, cluster_members in zip(rows_to_strings(votes), rows_to_strings(incumbents), clusters):
+        voted, held = (words_to_strings(_pack_words(rows), width) for rows in (votes, incumbents))
+        for vote, incumbent, cluster_members in zip(voted, held, clusters):
             want = scalar_majority_vote(cluster_members, incumbent) if cluster_members else incumbent
             assert vote == want
 
@@ -350,7 +351,7 @@ class TestRoundVote:
         for v, w in zip(cluster_of, (weights / weights.sum()).tolist()):
             strings[BitString(v, width)] = strings[BitString(v ^ full, width)] = w
         packed = PackedDistribution(OutcomeDistribution(width, strings), 0.1)
-        labels = np.array([cluster_of[min(b.value, b.value ^ full)] for b in rows_to_strings(packed.bits)])
+        labels = np.array([cluster_of[min(b.value, b.value ^ full)] for b in words_to_strings(packed.words, width)])
         kept = np.flatnonzero(labels >= 0)
         members = kept[np.argsort(labels[kept], kind="stable")]
         bounds = np.concatenate([[0], np.cumsum(np.bincount(labels[kept], minlength=k))])
@@ -390,7 +391,7 @@ class TestClusterKernelMatchesMaskedVotes:
         with patch.object(clustering, "MAX_ROUNDS", max_rounds):
             got = clustering._cluster_packed(packed, k, theta)
         want = reference_cluster_packed(PackedDistribution(dist, flip_rate), k, theta, max_rounds)
-        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[0], _pack_words(want[0]))
         assert got[1].tobytes() == want[1].tobytes()
         np.testing.assert_array_equal(got[2], want[2])
         np.testing.assert_array_equal(got[3], want[3])

@@ -32,7 +32,7 @@ from qemclust import (
     sample_shots,
 )
 from qemclust._packed import _pack_words, _unpack_words
-from qemclust.distributions import rows_to_strings, rows_to_texts, words_to_strings
+from qemclust.distributions import strings_to_words, words_to_strings
 from qemclust.io import read_counts
 
 B = BitString.from_text
@@ -90,16 +90,37 @@ class TestBitString:
         assert sorted(strings) == sorted(strings, key=lambda s: (s.value, s.width))
 
 
+def _text_rows(strings, width):
+    """(n, width) uint8 bits of the strings, read from their text."""
+    bits = [[int(c) for c in b.text] for b in strings]
+    return np.array(bits, dtype=np.uint8).reshape(len(strings), width)
+
+
 class TestWordsToStrings:
     @given(st.data(), st.sampled_from([1, 63, 64, 65, 127, 128, 129]) | st.integers(1, 130))
     @settings(max_examples=200, deadline=None)
     def test_matches_python_ints(self, data, width):
         values = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=12))
-        bits = np.array([[int(c) for c in format(v, f"0{width}b")] for v in values], dtype=np.uint8)
-        bits = bits.reshape(len(values), width)
         want = [BitString(v, width) for v in values]
-        assert words_to_strings(_pack_words(bits), width) == want
-        assert rows_to_strings(bits) == want
+        assert words_to_strings(_pack_words(_text_rows(want, width)), width) == want
+
+
+class TestStringsToWords:
+    @given(st.data(), st.sampled_from([63, 64, 65, 127, 128, 129, 255, 256]) | st.integers(1, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_packs_like_the_bit_rows_and_round_trips(self, data, width):
+        values = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=12))
+        strings = [BitString(v, width) for v in values]
+        words = strings_to_words(strings, width)
+        assert words.dtype == np.uint64
+        assert words.tobytes() == _pack_words(_text_rows(strings, width)).tobytes()
+        assert words_to_strings(words, width) == strings
+
+    @pytest.mark.parametrize("width", [1, 7, 63, 64, 65, 127, 128, 129, 255, 256, 300])
+    def test_no_strings(self, width):
+        words = strings_to_words([], width)
+        assert words.shape == _pack_words(np.zeros((0, width), dtype=np.uint8)).shape == (0, -(-width // 64))
+        assert words_to_strings(words, width) == []
 
 
 class TestOutcomeDistribution:
@@ -223,7 +244,8 @@ WEIGHTS = st.sampled_from([0.0, -0.0, 1.0, 3.0]) | st.floats(0.0, 1e3)
 def dict_of(d):
     """The ``{BitString: weight}`` dict a distribution answers like, in row
     order, built through the text of the words' unpacked bits."""
-    return {B(t): w for t, w in zip(rows_to_texts(_unpack_words(d._words, d.width)), d._weights.tolist())}
+    texts = ["".join(map(str, row)) for row in _unpack_words(d._words, d.width).tolist()]
+    return {B(t): w for t, w in zip(texts, d._weights.tolist())}
 
 
 def drawn(data, width, pool):

@@ -151,12 +151,12 @@ class TestMitigateIterative:
             # repeat the first centroid and add an unobserved one twice, as
             # an unconverged vote could
             cluster_packed = engine._cluster_packed
-            unseen = np.array([[1, 0, 1, 0, 1]], dtype=np.uint8)
+            unseen = np.array([[0b10101]], dtype=np.uint64)
 
             def doubled(packed, k, theta):
-                bits, weights, *rest, _slots = cluster_packed(packed, k, theta)
-                bits = np.vstack([bits, bits[:1], unseen, unseen])
-                return (bits, np.concatenate([weights, weights[:1], [0.3, 0.2]]), *rest, packed.slots(bits))
+                words, weights, *rest, _slots = cluster_packed(packed, k, theta)
+                words = np.vstack([words, words[:1], unseen, unseen])
+                return (words, np.concatenate([weights, weights[:1], [0.3, 0.2]]), *rest, packed.slots(words))
 
             monkeypatch.setattr(engine, "_cluster_packed", doubled)
         report = mitigate(noisy, MitigationConfig(0.1, stop_threshold=0.999))

@@ -141,7 +141,7 @@ class TestHammingMatchesPythonInts:
         observed = data.draw(st.lists(values, min_size=1, max_size=20, unique=True))
         centroids = data.draw(st.lists(st.sampled_from(observed) | values, min_size=1, max_size=8))
         packed = PackedDistribution(OutcomeDistribution(width, {BitString(v, width): 1.0 for v in observed}), 0.1)
-        got = packed.hamming_to(_rows(centroids, width))
+        got = packed.hamming_to(_pack_words(_rows(centroids, width)))
         # the packed rows are in value order
         assert got.tolist() == [[bin(a ^ c).count("1") for a in sorted(observed)] for c in centroids]
 
@@ -285,6 +285,16 @@ def _nodes_in_functions(path: Path):
     yield from visit(ast.parse(path.read_text(encoding="utf-8")), None)
 
 
+def _callers(name: str) -> set[tuple[str, str | None]]:
+    """(module, enclosing function) of every call of ``name`` in src/."""
+    return {
+        (path.stem, func)
+        for path in sorted(SRC.glob("*.py"))
+        for func, node in _nodes_in_functions(path)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+    }
+
+
 def _blas_products(path: Path):
     """(enclosing function, source) of every product in a source file that
     may call a BLAS kernel: ``@``, ``@=``, the numpy product calls, and
@@ -367,15 +377,20 @@ class TestLayering:
                 assert all(kw.arg != "axis" for kw in call.keywords), ast.unparse(call)
 
     def test_bits_are_unpacked_only_where_they_are_read(self):
-        # a row set is kept as words; a run (for its votes and seeds), a
-        # standalone vote and the weight-map writer unpack bits
-        callers = {
-            (path.stem, func)
-            for path in sorted(SRC.glob("*.py"))
-            for func, node in _nodes_in_functions(path)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_unpack_words"
+        # a row set is kept as words; a run (for its votes), a standalone
+        # vote and the weight-map writer unpack bits
+        assert _callers("_unpack_words") == {
+            ("_packed", "__init__"), ("clustering", "qubitwise_majority_vote"), ("io", "_dump_weights"),
         }
-        assert callers == {("_packed", "__init__"), ("clustering", "qubitwise_majority_vote"), ("io", "_dump_weights")}
+
+    def test_bits_are_packed_only_where_they_are_made(self):
+        # a centroid is a words row outside its vote: only a vote that
+        # moved, a standalone vote, the reader's parsed text and the wide
+        # random draws have bit rows to pack
+        assert _callers("_pack_words") == {
+            ("clustering", "_cluster_packed"), ("clustering", "qubitwise_majority_vote"),
+            ("io", "_read_weights"), ("noise", "_distinct_rows"),
+        }
 
     def test_the_weight_map_writer_has_no_per_entry_loop(self):
         # every entry is a row of one byte template filled by one %; only

@@ -22,8 +22,8 @@ from qemclust import (
     redistribute,
     sample_shots,
 )
-from qemclust._packed import PackedDistribution, _likelihood_table
-from qemclust.distributions import strings_to_rows
+from qemclust._packed import PackedDistribution, _likelihood_table, _pack_words
+from qemclust.distributions import strings_to_words
 from qemclust.redistribution import _redistribute_packed
 
 B = BitString.from_text
@@ -179,7 +179,7 @@ class TestMassConservation:
 
         dist = OutcomeDistribution(width, {BitString(v, width): c for v, c in zip(observed, counts)})
         packed = PackedDistribution(dist, rate)
-        slots = packed.slots(strings_to_rows([BitString(v, width) for v in centroids], width))
+        slots = packed.slots(strings_to_words([BitString(v, width) for v in centroids], width))
         masses, _removed, _claim, gained = _redistribute_packed(packed, slots, np.array(weights))
         assert math.fsum([*masses.tolist(), *(g[1] for g in gained)]) == pytest.approx(1.0, abs=1e-12)
 
@@ -296,8 +296,8 @@ class TestLikelihoodRows:
         capacities = []
         for _ in range(12):
             # a few fresh rows per call, some repeated, so the cache doubles
-            centroids = rng.integers(0, 2, size=(int(rng.integers(1, 4)), width), dtype=np.uint8)
-            slots = packed.slots(np.concatenate([centroids, packed.bits[:1]]))
+            centroids = _pack_words(rng.integers(0, 2, size=(int(rng.integers(1, 4)), width), dtype=np.uint8))
+            slots = packed.slots(np.concatenate([centroids, packed.words[:1]]))
             capacities.append(len(packed._columns))
             got = packed.likelihoods(slots)
             assert got.dtype == np.float64 and got.shape == (len(slots), len(packed))
@@ -312,8 +312,8 @@ class TestLikelihoodRows:
         noisy, rng = self._noisy(12, 3)
         runs = {rate: PackedDistribution(noisy, rate) for rate in (0.1, 0.27)}
         assert runs[0.1].words is runs[0.27].words  # one sorted view
-        centroids = rng.integers(0, 2, size=(9, 12), dtype=np.uint8)
-        for batch in (centroids[:4], runs[0.1].bits[:5], centroids[2:]):
+        centroids = _pack_words(rng.integers(0, 2, size=(9, 12), dtype=np.uint8))
+        for batch in (centroids[:4], runs[0.1].words[:5], centroids[2:]):
             for packed in runs.values():  # the runs make their slots in turn
                 packed.slots(batch)
         rows = {}
@@ -326,7 +326,7 @@ class TestLikelihoodRows:
     def test_a_pass_on_cached_rows_matches_a_fresh_run(self):
         noisy, _ = self._noisy(10, 5)
         packed = PackedDistribution(noisy, 0.1)
-        centroids = packed.bits[packed.top_order()[:3]]
+        centroids = packed.words[packed.top_order()[:3]]
         weights = np.array([0.5, 0.3, 0.1])
         _redistribute_packed(packed, packed.slots(centroids), weights)  # scales its copies of the rows
         again = _redistribute_packed(packed, packed.slots(centroids[::-1]), weights[::-1])
