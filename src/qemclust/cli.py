@@ -108,7 +108,6 @@ def _parser() -> _Parser:
     trn.add_argument("--metrics", help="cross-validation metrics JSON file")
     trn.add_argument("--folds", type=_FOLDS, default=5)
     trn.add_argument("--trees", type=_COUNT, default=100)
-    trn.add_argument("--min-samples-leaf", type=_COUNT, default=1)
 
     est = sub.add_parser("estimate", help="print the effective error rate for a circuit")
     est.add_argument("--model", required=True)
@@ -289,21 +288,8 @@ def _cmd_train(args) -> int:
         features, labels = make_synthetic_corpus(n, seed=args.seed)
         if args.save_corpus:
             io.write_corpus(features, labels, args.save_corpus)
-    cv = cross_validate(
-        features,
-        labels,
-        folds=args.folds,
-        seed=args.seed,
-        n_trees=args.trees,
-        min_samples_leaf=args.min_samples_leaf,
-    )
-    model = fit_tree_ensemble(
-        features,
-        labels,
-        n_trees=args.trees,
-        min_samples_leaf=args.min_samples_leaf,
-        seed=args.seed,
-    )
+    cv = cross_validate(features, labels, folds=args.folds, seed=args.seed, n_trees=args.trees)
+    model = fit_tree_ensemble(features, labels, n_trees=args.trees, seed=args.seed)
     io.save_model(model, args.out)
     doc = {
         "samples": len(features),

@@ -24,7 +24,6 @@ from .distributions import BitString, OutcomeDistribution, strings_to_words, wor
 from .noise import check_rate
 
 __all__ = [
-    "ClusterConfig",
     "ClusterModel",
     "EmptyClusterError",
     "outlier_threshold",
@@ -52,19 +51,6 @@ def outlier_threshold(width: int, flip_rate: float) -> int:
         raise ValueError(f"width must be positive, got {width}")
     check_rate(flip_rate)
     return math.ceil(round(2.0 * width * flip_rate * (1.0 - flip_rate), 12))
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Cluster count and bit-flip rate of one run; its vote rounds stop at ``MAX_ROUNDS``."""
-
-    k: int
-    flip_rate: float
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        check_rate(self.flip_rate)
 
 
 @dataclass(frozen=True)
@@ -214,23 +200,26 @@ def _cluster_packed(
     return centroids, totals / packed.total, nearest, outlier, converged, rounds, slots
 
 
-def cluster(dist: OutcomeDistribution, cfg: ClusterConfig) -> ClusterModel:
-    """Run assignment / outlier filtering / majority-vote rounds to a fixed point.
+def cluster(dist: OutcomeDistribution, k: int, flip_rate: float) -> ClusterModel:
+    """Run assignment / outlier filtering / majority-vote rounds to a fixed point
+    from the ``k`` seeds, with the outlier threshold of ``flip_rate``.
 
     Stops when the centroid list repeats exactly or after ``MAX_ROUNDS``
     rounds (the model is then flagged unconverged). Clusters whose member
     set becomes empty are dropped.
     """
-    if cfg.k > len(dist):
-        raise ValueError(f"k={cfg.k} exceeds the {len(dist)} unique bit-strings present")
-    packed = PackedDistribution(dist, cfg.flip_rate)
-    theta = outlier_threshold(dist.width, cfg.flip_rate)
-    words, weights, nearest, outlier, converged, rounds, _ = _cluster_packed(packed, cfg.k, theta)
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k}")
+    theta = outlier_threshold(dist.width, flip_rate)  # checks the rate
+    if k > len(dist):
+        raise ValueError(f"k={k} exceeds the {len(dist)} unique bit-strings present")
+    packed = PackedDistribution(dist, flip_rate)
+    words, weights, nearest, outlier, converged, rounds, _ = _cluster_packed(packed, k, theta)
     strings = words_to_strings(packed.words, packed.width)
     assignments = {strings[i]: int(nearest[i]) for i in range(len(packed)) if not outlier[i]}
     outliers = frozenset(strings[i] for i in range(len(packed)) if outlier[i])
     return ClusterModel(
         width=dist.width, centroids=tuple(words_to_strings(words, packed.width)), weights=tuple(weights.tolist()),
-        assignments=assignments, outliers=outliers, threshold=theta, requested_k=cfg.k,
+        assignments=assignments, outliers=outliers, threshold=theta, requested_k=k,
         converged=converged, rounds=rounds,
     )

@@ -10,7 +10,8 @@ format with bit-exact round-trips and fixed hyperparameter semantics:
 at each node a random subset of max(1, n_features // 3) non-constant
 features is considered, one uniform-random threshold is drawn per
 candidate inside the node's value range, and the split minimizing the
-weighted child variance wins; nodes grow until pure.
+weighted child variance wins; nodes grow until their labels are equal
+(or no feature varies), so a one-row node is always a leaf.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from itertools import chain, compress
-from operator import add, itemgetter, mul, not_
+from operator import add, index, itemgetter, mul, not_
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -67,10 +68,15 @@ class CircuitFeatures:
     esp: float
 
     def __post_init__(self) -> None:
+        # stored as int and float, so both file writers write what their readers read
         for name in COUNT_FEATURES:
             v = getattr(self, name)
+            if isinstance(v, bool) or not hasattr(v, "__index__"):  # as in the JSON reader, true is not 1
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            v = index(v)
             if not 0 <= v <= sys.float_info.max:  # the feature vector is float64
                 raise ValueError(f"{name} must be >= 0 and fit a float, got {v}")
+            object.__setattr__(self, name, v)
         if self.num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
         if self.num_measurements > self.num_qubits:
@@ -82,6 +88,8 @@ class CircuitFeatures:
             raise ValueError(f"entropy must lie in [0, 1], got {self.entropy}")
         if not 0.0 <= self.esp <= 1.0:
             raise ValueError(f"esp must lie in [0, 1], got {self.esp}")
+        object.__setattr__(self, "entropy", float(self.entropy))
+        object.__setattr__(self, "esp", float(self.esp))
 
     def to_vector(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
@@ -186,9 +194,12 @@ class _Tree:
 class TreeEnsemble:
     """Extremely-randomized-trees regressor for the effective error rate.
 
-    ``min_samples_leaf``, ``max_features`` and ``seed`` are the settings
-    the trees were grown with; ``n_trees`` is read from ``trees``, so it
-    always counts them.
+    ``min_samples_leaf``, ``max_features`` and ``seed`` are recorded as
+    the model file keeps them: a fit grows every leaf to purity and
+    records 1, and draws from max(1, n_features // 3) columns. ``n_trees``
+    is read from ``trees``, so it always counts them. The model rules are
+    checked here, so ``io.load_model`` refuses no model that can be built
+    or saved.
     """
 
     trees: tuple[_Tree, ...]
@@ -197,6 +208,23 @@ class TreeEnsemble:
     max_features: int
     seed: int
     importances: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not self.trees:
+            raise ValueError("the model has no trees")
+        if len(self.importances) != len(self.feature_names):
+            raise ValueError("feature_importances must be a list of numbers, one per feature name")
+        if not all(map(math.isfinite, self.importances)):
+            raise ValueError("feature_importances must be finite")
+        n_features = len(self.feature_names)
+        rules = {
+            "min_samples_leaf": (self.min_samples_leaf >= 1, "be >= 1"),
+            "max_features": (1 <= self.max_features <= n_features, f"lie in [1, {n_features}]"),
+            "seed": (self.seed >= 0, "be >= 0"),
+        }
+        for key, (ok, rule) in rules.items():
+            if not ok:
+                raise ValueError(f"hyperparameter {key} must {rule}, got {getattr(self, key)}")
 
     @property
     def n_trees(self) -> int:
@@ -380,7 +408,6 @@ def _grow_tree(
     labels: list[float],
     equal: list[tuple[int, ...]],
     seed: np.random.SeedSequence,
-    min_samples_leaf: int,
     max_features: int,
     importances: list[float],
 ) -> _Tree:
@@ -410,7 +437,7 @@ def _grow_tree(
         node, idx, rows, ys, mean, var = stack.pop()
         value[node] = mean
         n = len(idx)
-        if n < 2 * min_samples_leaf or min(ys) == max(ys):
+        if min(ys) == max(ys):  # pure, as every one-row node is
             continue
         candidates = list(compress(features, map(rows.__ne__, map(rows.__and__, equal[idx[0]]))))
         if not candidates:
@@ -425,7 +452,7 @@ def _grow_tree(
             mask = list(map(t.__gt__, xs))  # x < t
             n_left = mask.count(True)
             n_right = n - n_left
-            if n_left < min_samples_leaf or n_right < min_samples_leaf:
+            if not n_left or not n_right:  # t fell on a bound: one side is empty
                 continue
             left_y, right_y = list(compress(ys, mask)), list(compress(ys, map(not_, mask)))
             # one value's mean and variance, as _mean_var gives them
@@ -468,7 +495,6 @@ def fit_tree_ensemble(
     features: "Sequence[CircuitFeatures] | np.ndarray",
     labels: Sequence[float],
     n_trees: int = 100,
-    min_samples_leaf: int = 1,
     seed: int = 0,
 ) -> TreeEnsemble:
     """Grow the ensemble; deterministic for a fixed seed.
@@ -488,8 +514,6 @@ def fit_tree_ensemble(
         raise ValueError(f"labels must lie in {RATE_RANGE}")
     if n_trees < 1:
         raise ValueError(f"n_trees must be positive, got {n_trees}")
-    if min_samples_leaf < 1:
-        raise ValueError(f"min_samples_leaf must be positive, got {min_samples_leaf}")
     n_features = X.shape[1]
     max_features = max(1, n_features // 3)
 
@@ -497,7 +521,7 @@ def fit_tree_ensemble(
     cols, ys = X.T.tolist(), y.tolist()
     equal = _equal_value_masks(cols)  # this fit's rows only; dropped with the fit
     importance_acc = [0.0] * n_features
-    trees = tuple(_grow_tree(cols, ys, equal, s, min_samples_leaf, max_features, importance_acc) for s in streams)
+    trees = tuple(_grow_tree(cols, ys, equal, s, max_features, importance_acc) for s in streams)
     acc = np.array(importance_acc)
     total = acc.sum()
     importances = acc / total if total > 0 else acc
@@ -506,7 +530,7 @@ def fit_tree_ensemble(
         feature_names=FEATURE_NAMES if n_features == len(FEATURE_NAMES) else tuple(
             f"f{i}" for i in range(n_features)
         ),
-        min_samples_leaf=min_samples_leaf,
+        min_samples_leaf=1,
         max_features=max_features,
         seed=seed,
         importances=tuple(float(v) for v in importances),
@@ -527,7 +551,6 @@ def cross_validate(
     folds: int = 5,
     seed: int = 0,
     n_trees: int = 100,
-    min_samples_leaf: int = 1,
 ) -> CrossValidationResult:
     """K-fold cross-validation with held-out scoring.
 
@@ -547,13 +570,7 @@ def cross_validate(
     fold_r2: list[float] = []
     for i, test_idx in enumerate(parts):
         train_idx = np.concatenate([parts[j] for j in range(folds) if j != i])
-        model = fit_tree_ensemble(
-            X[train_idx],
-            y[train_idx],
-            n_trees=n_trees,
-            min_samples_leaf=min_samples_leaf,
-            seed=seed + i,
-        )
+        model = fit_tree_ensemble(X[train_idx], y[train_idx], n_trees=n_trees, seed=seed + i)
         pred = model.predict_matrix(X[test_idx])
         resid = y[test_idx] - pred
         mse = float(np.mean(resid**2))

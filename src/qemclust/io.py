@@ -4,8 +4,10 @@ tree-ensemble models and sweep CSVs.
 Everything structured is JSON with a ``format`` tag and integer
 ``version`` so files are self-describing; floats are written with
 ``repr`` semantics and round-trip bit-exactly. Writers emit sorted keys,
-making identical inputs produce byte-identical files (timestamps are
-opt-in metadata).
+making identical inputs produce byte-identical files. A counts file's
+metadata may hold a timestamp, which differs run to run: ``qemclust
+simulate`` stamps both of its counts files unless ``--no-timestamp`` is
+given.
 """
 
 from __future__ import annotations
@@ -106,9 +108,11 @@ def _float(v) -> float:
 
 
 def _dump_json(path: str, doc: dict) -> None:
+    """Write ``doc`` as indented JSON with sorted keys; the text is built
+    before the file is opened, so a value json cannot encode leaves no file."""
+    text = json.dumps(doc, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # per weight-map format: the field mapping width-bit keys to weights, a
@@ -342,8 +346,8 @@ def write_corpus(features: Sequence[CircuitFeatures], labels: Sequence[float], p
         writer = csv.writer(fh)
         writer.writerow(CORPUS_COLUMNS)
         for f, y in zip(features, labels):
-            row = [int(getattr(f, n)) for n in COUNT_FEATURES]
-            row += [repr(float(f.entropy)), repr(float(f.esp)), repr(float(y))]
+            row = [getattr(f, n) for n in COUNT_FEATURES]  # CircuitFeatures stores counts as int
+            row += [repr(f.entropy), repr(f.esp), repr(float(y))]
             writer.writerow(row)
 
 
@@ -413,7 +417,7 @@ def save_model(model: TreeEnsemble, path: str) -> None:
                 for name in sorted(_TREE_FIELDS)
             )
             fh.write(f"{',' if i else ''}\n    {{{arrays}\n    }}")
-        fh.write(("\n  ]" if model.trees else "]") + tail + "\n")
+        fh.write("\n  ]" + tail + "\n")
 
 
 # the JSON types each dtype reads (the usual one last), and their name
@@ -422,7 +426,8 @@ _JSON_TYPES = {np.int64: ((int,), "an integer"), np.float64: ((int, float), "a n
 
 def _read_trees(docs: list, n_features: int) -> tuple[_Tree, ...]:
     """Flat trees from their JSON objects, each field read for all trees at
-    once. Raises ValueError on what would make ``predict`` loop, index out
+    once (none from an empty list: ``TreeEnsemble`` refuses a model with no
+    trees). Raises ValueError on what would make ``predict`` loop, index out
     of range or return a non-rate: a tree with no nodes or with fields of
     unequal length, a ``feature``, ``left`` or ``right`` that is not a JSON
     integer, a ``threshold`` or ``value`` that is not a JSON number, a
@@ -430,7 +435,7 @@ def _read_trees(docs: list, n_features: int) -> tuple[_Tree, ...]:
     node of its tree, a non-finite threshold or a value outside
     [RATE_MIN, RATE_MAX]."""
     if not docs:
-        raise ValueError("the model has no trees")
+        return ()
     columns = [[t[name] for t in docs] for name in _TREE_FIELDS]
     lengths = np.array([[len(c) if type(c) is list else -1 for c in column] for column in columns])
     short = (lengths != lengths[0]).any(axis=0) | (lengths[0] <= 0)
@@ -476,31 +481,18 @@ def load_model(path: str) -> TreeEnsemble:
         names, importances = doc["feature_names"], doc["feature_importances"]
         if type(names) is not list or not all(type(n) is str for n in names):
             raise ValueError("feature_names must be a list of strings")
-        if type(importances) is not list or len(importances) != len(names) or not all(map(_is_number, importances)):
-            raise ValueError("feature_importances must be a list of numbers, one per feature name")
-        if not all(-math.inf < _float(v) < math.inf for v in importances):
-            raise ValueError("feature_importances must be finite")
+        if type(importances) is not list or not all(map(_is_number, importances)):
+            raise ValueError("feature_importances must be a list of numbers")
         params = {key: hp[key] for key in _HYPERPARAMETERS}
         for key, v in params.items():
             if not _is_int(v):
                 raise ValueError(f"hyperparameter {key} must be an integer")
         trees = _read_trees(doc["trees"], len(names))
-        rules = {
-            "n_trees": (params["n_trees"] == len(trees), f"equal the number of trees, {len(trees)}"),
-            "min_samples_leaf": (params["min_samples_leaf"] >= 1, "be >= 1"),
-            "max_features": (1 <= params["max_features"] <= len(names), f"lie in [1, {len(names)}]"),
-            "seed": (params["seed"] >= 0, "be >= 0"),
-        }
-        for key, (ok, rule) in rules.items():
-            if not ok:
-                raise ValueError(f"hyperparameter {key} must {rule}, got {params[key]}")
-        del params["n_trees"]  # the model counts its trees
-        return TreeEnsemble(
-            trees=trees,
-            feature_names=tuple(names),
-            importances=tuple(map(float, importances)),
-            **params,
-        )
+        n_trees = params.pop("n_trees")  # the model counts its trees
+        if n_trees != len(trees):
+            raise ValueError(f"hyperparameter n_trees must equal the number of trees, {len(trees)}, got {n_trees}")
+        # the model checks the other rules
+        return TreeEnsemble(trees, tuple(names), importances=tuple(map(_float, importances)), **params)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed model file ({exc})") from None
 

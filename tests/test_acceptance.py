@@ -16,7 +16,6 @@ import pytest
 from oracles import brute_force_redistribute, convolve_bitflip
 from qemclust import (
     BitString,
-    ClusterConfig,
     MitigationConfig,
     NoiseSpec,
     OutcomeDistribution,
@@ -157,7 +156,7 @@ def test_c06_redistribution_oracle_equivalence():
         ideal = generate_ideal(SyntheticSpec(width, dominant, rng))
         noisy = apply_bitflip(sample_shots(ideal, 256, rng), NoiseSpec(0.2, rng))
         rate = float(rng.uniform(0.01, 0.45))
-        model = cluster(noisy, ClusterConfig(k=int(rng.integers(1, min(3, len(noisy)) + 1)), flip_rate=rate))
+        model = cluster(noisy, int(rng.integers(1, min(3, len(noisy)) + 1)), rate)
         result = redistribute(noisy, model, rate)
         masses, removed, claims = brute_force_redistribute(noisy, model, rate)
         assert removed == set(result.removed)

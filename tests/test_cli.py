@@ -7,6 +7,8 @@ import math
 import os
 import platform
 import random
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +25,7 @@ from qemclust import (
     FEATURE_NAMES,
     BitString,
     CalibrationSnapshot,
+    CircuitFeatures,
     ExperimentRecord,
     NoiseSpec,
     OutcomeDistribution,
@@ -314,6 +317,54 @@ class TestWritersKeepTheirReadersRules:
         assert str(err.value) == f"label 1: effective_error_rate must lie in [0, 0.5], got {label!r}"
         assert not path.exists()
 
+    @pytest.mark.parametrize("change, message", [
+        ({"trees": ()}, "the model has no trees"),
+        ({"importances": (0.5,) * 7 + (math.nan,)}, "feature_importances must be finite"),
+        ({"importances": (0.5,) * 7}, "one per feature name"),
+        ({"min_samples_leaf": 0}, "hyperparameter min_samples_leaf must be >= 1, got 0"),
+        ({"max_features": 99}, "hyperparameter max_features must lie in [1, 8], got 99"),
+        ({"seed": -1}, "hyperparameter seed must be >= 0, got -1"),
+    ], ids=["no-trees", "nan-importance", "short-importances", "min_samples_leaf-zero", "max_features-high",
+            "seed-negative"])
+    def test_models(self, change, message):
+        # each message is load_model's for the same file (TestModelFiles), and
+        # no such model can be built, so none reaches save_model
+        feats, labels = make_synthetic_corpus(20, seed=4)
+        model = fit_tree_ensemble(feats, labels, n_trees=2, seed=4)
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(model, **change)
+        assert message in str(err.value)
+        with pytest.raises(ValueError) as err:
+            TreeEnsemble(**{**{f.name: getattr(model, f.name) for f in dataclasses.fields(model)}, **change})
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("value", [5.5, np.float64(5.0), True, "5"])
+    def test_feature_counts_are_integers(self, value):
+        # a 5.5 went through write_corpus as 5 and through write_features_file
+        # as a value read_features_file refuses; true is not 1
+        with pytest.raises(ValueError) as err:
+            CircuitFeatures(value, 3, 10, 20, 2, 30, 0.4, 0.9)
+        assert str(err.value) == f"num_qubits must be an integer, got {value!r}"
+
+    def test_numpy_features_are_written_as_read(self, tmp_path):
+        # numpy counts and floats are stored as int and float, so both writers
+        # write them, and both readers read back the same features
+        features = CircuitFeatures(*map(np.int64, (5, 3, 10, 20, 2, 30)), np.float64(0.4), np.float64(0.9))
+        assert [type(getattr(features, name)) for name in FEATURE_NAMES] == [int] * 6 + [float] * 2
+        path = tmp_path / "features.json"
+        qio.write_features_file(features, str(path))
+        assert qio.build_features(qio.read_features_file(str(path))) == features
+        corpus = tmp_path / "corpus.csv"
+        qio.write_corpus([features], [0.1], str(corpus))
+        assert qio.read_corpus(str(corpus))[0] == [features]
+
+    def test_json_write_that_fails_leaves_no_file(self, tmp_path):
+        path = tmp_path / "calibration.json"
+        calibration = CalibrationSnapshot(gate_errors={"2q": np.float32(0.01)}, readout_errors=(0.02,))
+        with pytest.raises(TypeError):
+            qio.write_calibration(calibration, str(path))
+        assert not path.exists()
+
 
 class TestDistributionFiles:
     def _write(self, path, probabilities):
@@ -416,7 +467,7 @@ class TestModelFiles:
         qio.save_model(loaded, str(second))
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("n_trees, n_features", [(0, 8), (1, 8), (3, 8), (3, 30)])
+    @pytest.mark.parametrize("n_trees, n_features", [(1, 8), (3, 8), (3, 30)])
     def test_writer_bytes_equal_the_indented_encoder(self, tmp_path, n_trees, n_features):
         # thresholds of -0.0, the smallest subnormal and 1e22 (repr "1e+22"), and a one-node tree
         trees = [
@@ -516,6 +567,19 @@ class TestModelFiles:
         trees[0].update(threshold=[1, 0, 0], value=[0, 0.01, 0])  # entropy 0.7 < 1: the left leaf
         rc, out, _, _ = self._estimate(tmp_path, capsys, trees)
         assert rc == 0 and float(out) == pytest.approx((0.01 + 0.05) / 2)
+
+    def test_recorded_leaf_size_and_feature_count_round_trip(self, tmp_path, capsys):
+        # a fit records min_samples_leaf 1; a file with other valid values still loads and re-saves as it was
+        rc, out, _, path = self._estimate(tmp_path, capsys, self.TREES, min_samples_leaf=3, max_features=8)
+        assert rc == 0 and float(out) == pytest.approx((0.03 + 0.05) / 2)
+        model = qio.load_model(str(path))
+        assert (model.min_samples_leaf, model.max_features) == (3, 8)
+        first, second = tmp_path / "m1.json", tmp_path / "m2.json"
+        qio.save_model(model, str(first))
+        qio.save_model(qio.load_model(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
+        hyperparameters = json.loads(first.read_text(encoding="utf-8"))["hyperparameters"]
+        assert hyperparameters == {"n_trees": 2, "min_samples_leaf": 3, "max_features": 8, "seed": 0}
 
     def test_model_without_trees_is_a_data_error(self, tmp_path, capsys):
         rc, out, err, model = self._estimate(tmp_path, capsys, [])
@@ -1598,12 +1662,18 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [
-        ("--synthesize", "0"), ("--trees", "0"), ("--folds", "1"), ("--min-samples-leaf", "0"),
+        ("--synthesize", "0"), ("--trees", "0"), ("--folds", "1"),
     ])
     def test_train_setting_out_of_range(self, tmp_path, flag, value, capsys):
         model = tmp_path / "model.json"
         assert main(["train", "--synthesize", "20", flag, value, "--out", str(model)]) == 1
         assert flag in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_trees_grow_to_purity_with_no_leaf_size_flag(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["train", "--synthesize", "20", "--min-samples-leaf", "1", "--out", str(model)]) == 1
+        assert "unrecognized arguments: --min-samples-leaf 1" in capsys.readouterr().err
         assert not model.exists()
 
     def test_sweep_grid_pair_with_more_dominant_strings_than_the_width_holds(self, tmp_path, capsys):
@@ -1690,3 +1760,23 @@ class TestParser:
             "delta": 0.95, "fixed_k": None, "out": None, "report": None, "hf_against": None,
         }
         assert cli._parser() is cli._parser()
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of every ``qemclust`` line in README.md's bash blocks, with
+    backslash continuations joined and trailing comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = "".join(re.findall(r"^```bash\n(.*?)^```", text, re.M | re.S)).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("qemclust ")]
+
+
+class TestDocumentedCommands:
+    COMMANDS = _readme_commands()
+
+    def test_every_command_is_documented(self):
+        # so the parse test below cannot pass on an extraction that found nothing
+        assert {argv[2] if argv[0] == "--seed" else argv[0] for argv in self.COMMANDS} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_documented_command_parses(self, argv):
+        cli._parser().parse_args(argv)  # a removed or misspelled flag raises _UsageError

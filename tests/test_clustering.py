@@ -1,3 +1,4 @@
+import math
 from unittest.mock import patch
 
 import numpy as np
@@ -9,7 +10,6 @@ import qemclust.clustering as clustering
 from oracles import hamming_distance, reference_cluster_packed, reference_votes, scalar_majority_vote
 from qemclust import (
     BitString,
-    ClusterConfig,
     EmptyClusterError,
     NoiseSpec,
     OutcomeDistribution,
@@ -127,7 +127,7 @@ def _noisy_instance(width, dominant, rate, shots, seed):
 class TestCluster:
     def test_zero_rate_makes_singletons(self):
         d = OutcomeDistribution.from_counts({"000": 5, "011": 3, "110": 2})
-        model = cluster(d, ClusterConfig(k=3, flip_rate=0.0))
+        model = cluster(d, 3, 0.0)
         assert model.threshold == 0
         assert set(model.centroids) == {B("000"), B("011"), B("110")}
         assert all(model.assignments[c] == i for i, c in enumerate(model.centroids))
@@ -138,7 +138,7 @@ class TestCluster:
         d = OutcomeDistribution.from_counts(
             {"111000": 50, "111010": 5, "011010": 4, "000111": 3}
         )
-        model = cluster(d, ClusterConfig(k=1, flip_rate=0.15))
+        model = cluster(d, 1, 0.15)
         assert model.threshold == 2
         assert model.centroids == (B("111000"),)
         assert B("111010") in model.assignments
@@ -149,7 +149,7 @@ class TestCluster:
     def test_single_cluster_recovers_dominant_string(self):
         ideal, noisy = _noisy_instance(10, 1, 0.1, 4096, seed=14)
         truth = next(iter(ideal))
-        model = cluster(noisy, ClusterConfig(k=1, flip_rate=0.1))
+        model = cluster(noisy, 1, 0.1)
         assert model.centroids == (truth,)
 
     def test_vote_recovery_rate_under_noise(self):
@@ -158,19 +158,19 @@ class TestCluster:
         hits = 0
         for seed in range(20):
             ideal, noisy = _noisy_instance(8, 1, 0.2, 4096, seed=seed)
-            model = cluster(noisy, ClusterConfig(k=1, flip_rate=0.2))
+            model = cluster(noisy, 1, 0.2)
             hits += model.centroids == (next(iter(ideal)),)
         assert hits >= 19
 
     def test_assigned_members_respect_threshold(self):
         _, noisy = _noisy_instance(8, 3, 0.2, 2048, seed=5)
-        model = cluster(noisy, ClusterConfig(k=3, flip_rate=0.2))
+        model = cluster(noisy, 3, 0.2)
         for b, idx in model.assignments.items():
             assert hamming_distance(b, model.centroids[idx]) <= model.threshold
 
     def test_centroids_are_a_vote_fixed_point(self):
         _, noisy = _noisy_instance(8, 2, 0.15, 2048, seed=6)
-        model = cluster(noisy, ClusterConfig(k=2, flip_rate=0.15))
+        model = cluster(noisy, 2, 0.15)
         assert model.converged
         for i, c in enumerate(model.centroids):
             members = OutcomeDistribution(
@@ -181,13 +181,13 @@ class TestCluster:
 
     def test_deterministic(self):
         _, noisy = _noisy_instance(9, 4, 0.25, 2048, seed=7)
-        a = cluster(noisy, ClusterConfig(k=4, flip_rate=0.25))
-        b = cluster(noisy, ClusterConfig(k=4, flip_rate=0.25))
+        a = cluster(noisy, 4, 0.25)
+        b = cluster(noisy, 4, 0.25)
         assert a == b
 
     def test_weights_exclude_outlier_mass(self):
         _, noisy = _noisy_instance(8, 2, 0.3, 2048, seed=8)
-        model = cluster(noisy, ClusterConfig(k=2, flip_rate=0.3))
+        model = cluster(noisy, 2, 0.3)
         assigned = sum(noisy.get(b) for b in model.assignments)
         assert sum(model.weights) == pytest.approx(assigned / noisy.total)
         assert sum(model.weights) <= 1.0 + 1e-12
@@ -195,7 +195,7 @@ class TestCluster:
     def test_k_beyond_support_rejected(self):
         d = OutcomeDistribution.from_counts({"00": 1, "01": 1})
         with pytest.raises(ValueError):
-            cluster(d, ClusterConfig(k=3, flip_rate=0.1))
+            cluster(d, 3, 0.1)
 
     def test_starved_clusters_are_dropped(self, monkeypatch):
         # collapse every vote onto one row to force duplicate centroids;
@@ -209,7 +209,7 @@ class TestCluster:
 
         monkeypatch.setattr(clustering, "_vote", collapse)
         d = OutcomeDistribution.from_counts({"0000": 10, "1111": 8, "0011": 5})
-        model = cluster(d, ClusterConfig(k=3, flip_rate=0.25))
+        model = cluster(d, 3, 0.25)
         assert model.requested_k == 3
         assert model.k < 3
         assert model.centroids == (B("0000"),)
@@ -251,7 +251,7 @@ class TestCluster:
         ideal = generate_ideal(SyntheticSpec(6, int(rng.integers(1, 5)), rng))
         noisy = apply_bitflip(sample_shots(ideal, 512, rng), NoiseSpec(0.2, rng))
         k = int(rng.integers(1, min(4, len(noisy)) + 1))
-        model = cluster(noisy, ClusterConfig(k=k, flip_rate=0.2))
+        model = cluster(noisy, k, 0.2)
         assert 1 <= model.k <= k
         assert len(model.weights) == model.k
         for b, idx in model.assignments.items():
@@ -448,16 +448,24 @@ class TestVotesNeverStarve:
             return result
 
         with patch.object(clustering, "_assign", recorded), patch.object(clustering, "MAX_ROUNDS", max_rounds):
-            cluster(noisy, ClusterConfig(k=min(k, len(noisy)), flip_rate=flip_rate))
+            cluster(noisy, min(k, len(noisy)), flip_rate)
         assert masks and all(not outlier.all() for outlier in masks)
 
 
-class TestClusterConfigValidation:
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(k=0, flip_rate=0.1)
-        with pytest.raises(ValueError):
-            ClusterConfig(k=1, flip_rate=0.7)
+class TestClusterArguments:
+    D = OutcomeDistribution.from_counts({"000": 5, "011": 3, "111": 2})
+
+    @pytest.mark.parametrize("k, flip_rate, message", [
+        (0, 0.1, "k must be a positive integer, got 0"),
+        (-2, 0.7, "k must be a positive integer, got -2"),  # k is checked before the rate
+        (1, 0.7, "flip_rate must lie in [0, 0.5], got 0.7"),
+        (5, math.nan, "flip_rate must lie in [0, 0.5], got nan"),  # the rate before the string count
+        (5, 0.1, "k=5 exceeds the 3 unique bit-strings present"),
+    ])
+    def test_bad_arguments_are_named(self, k, flip_rate, message):
+        with pytest.raises(ValueError) as err:
+            cluster(self.D, k, flip_rate)
+        assert str(err.value) == message
 
 
 class TestLargeClusterVote:

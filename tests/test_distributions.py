@@ -15,7 +15,6 @@ from oracles import bit, hamming_distance, reference_entropy, reference_hellinge
 
 from qemclust import (
     BitString,
-    ClusterConfig,
     MitigationConfig,
     NoiseSpec,
     OutcomeDistribution,
@@ -171,7 +170,7 @@ class TestOutcomeDistribution:
 
     @pytest.mark.parametrize("use", [
         lambda d: mitigate(d, MitigationConfig(0.1)),
-        lambda d: cluster(d, ClusterConfig(1, 0.1)),
+        lambda d: cluster(d, 1, 0.1),
         qubitwise_majority_vote,
         lambda d: sample_shots(d, 10, seed=0),
     ], ids=["mitigate", "cluster", "majority_vote", "sample_shots"])

@@ -15,7 +15,6 @@ from oracles import brute_force_mitigate
 from qemclust._packed import PackedDistribution
 from qemclust import (
     BitString,
-    ClusterConfig,
     ExperimentRecord,
     MitigationConfig,
     NoiseSpec,
@@ -137,7 +136,7 @@ class TestMitigateIterative:
             monkeypatch.setattr(clustering, "MAX_ROUNDS", max_rounds)
             report = mitigate(noisy, MitigationConfig(0.15, stop_threshold=0.99))
             for rec in report.iterations:
-                model = cluster(noisy, ClusterConfig(rec.k, 0.15))
+                model = cluster(noisy, rec.k, 0.15)
                 assert (rec.converged, rec.rounds) == (model.converged, model.rounds)
                 seen.add(rec.converged)
         assert seen == {True, False}

@@ -311,12 +311,11 @@ class TestTreeKernel:
         levels=st.lists(st.sampled_from([1, 2, 3, 7, 0]), min_size=27, max_size=27),
         label_levels=st.sampled_from([1, 2, 5, 0]),
         duplicate=st.booleans(),
-        min_samples_leaf=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
     def test_trees_equal_the_numpy_reference(
-        self, rows, n_features, levels, label_levels, duplicate, min_samples_leaf, seed
+        self, rows, n_features, levels, label_levels, duplicate, seed
     ):
         # levels: distinct values per column (1 is constant, 0 continuous
         # over mixed magnitudes); the same for the labels; a split draws
@@ -335,15 +334,15 @@ class TestTreeKernel:
         if duplicate:
             src = rng.integers(0, rows, rows // 2)
             X[: rows // 2], y[: rows // 2] = X[src], y[src]
-        model = fit_tree_ensemble(X, y, n_trees=2, min_samples_leaf=min_samples_leaf, seed=seed)
+        model = fit_tree_ensemble(X, y, n_trees=2, seed=seed)
         assert model.max_features == max(1, n_features // 3)
         assert_equals_reference(model, X, y)
 
-    @pytest.mark.parametrize("min_samples_leaf", [1, 2, 5])
-    def test_synthetic_corpus_trees_equal_the_numpy_reference(self, min_samples_leaf):
-        feats, labels = make_synthetic_corpus(120, seed=min_samples_leaf)
+    @pytest.mark.parametrize("corpus_seed", [1, 2, 5])
+    def test_synthetic_corpus_trees_equal_the_numpy_reference(self, corpus_seed):
+        feats, labels = make_synthetic_corpus(120, seed=corpus_seed)
         X = np.array([f.to_vector() for f in feats])
-        model = fit_tree_ensemble(X, labels, n_trees=4, min_samples_leaf=min_samples_leaf, seed=7)
+        model = fit_tree_ensemble(X, labels, n_trees=4, seed=7)
         assert_equals_reference(model, X, labels)
 
     @pytest.mark.parametrize("max_features", [1, 10, 29])

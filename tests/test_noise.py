@@ -20,7 +20,6 @@ from oracles import (
 
 from qemclust import (
     BitString,
-    ClusterConfig,
     MitigationConfig,
     NoiseSpec,
     OutcomeDistribution,
@@ -345,10 +344,10 @@ class TestRateRule:
     ``noise``: [0, 0.5], NaN excluded, with one message."""
 
     COUNTS = OutcomeDistribution.from_counts({"0000": 50, "0001": 7, "0100": 5, "1111": 30, "1110": 8})
-    MODEL = cluster(COUNTS, ClusterConfig(k=2, flip_rate=0.1))
+    MODEL = cluster(COUNTS, 2, 0.1)
     LIBRARY = {
         "NoiseSpec": lambda p: NoiseSpec(p),
-        "ClusterConfig": lambda p: ClusterConfig(k=1, flip_rate=p),
+        "cluster": lambda p: cluster(TestRateRule.COUNTS, 1, p),
         "MitigationConfig": lambda p: MitigationConfig(flip_rate=p),
         "outlier_threshold": lambda p: outlier_threshold(4, p),
         "redistribute": lambda p: redistribute(TestRateRule.COUNTS, TestRateRule.MODEL, p),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oracles import brute_force_joint, brute_force_redistribute, joint_probability
 from qemclust import (
     BitString,
-    ClusterConfig,
     ClusterModel,
     MitigationConfig,
     NoiseSpec,
@@ -93,7 +92,7 @@ class TestJointProbability:
 class TestRedistribute:
     def test_zero_rate_returns_input_view(self):
         noisy = OutcomeDistribution.from_counts({"0000": 6, "0001": 3, "1111": 1})
-        model = cluster(noisy, ClusterConfig(k=2, flip_rate=0.0))
+        model = cluster(noisy, 2, 0.0)
         result = redistribute(noisy, model, 0.0)
         assert result.mitigated == noisy.normalized()
         assert not result.removed
@@ -103,7 +102,7 @@ class TestRedistribute:
         # a string one flip from the only centroid whose probability is
         # below the joint mass claimed against it disappears
         noisy = OutcomeDistribution.from_counts({"00000": 5000, "00001": 1})
-        model = cluster(noisy, ClusterConfig(k=1, flip_rate=0.1))
+        model = cluster(noisy, 1, 0.1)
         w = model.weights[0]
         claimed = 0.9**4 * 0.1 * w
         assert noisy.probability(B("00001")) < claimed
@@ -134,7 +133,7 @@ class TestRedistribute:
 
     def test_probabilities_sum_to_one(self):
         _, noisy = _instance(6, 3, 0.2, 2048, seed=3)
-        model = cluster(noisy, ClusterConfig(k=3, flip_rate=0.2))
+        model = cluster(noisy, 3, 0.2)
         result = redistribute(noisy, model, 0.2)
         assert sum(w for _, w in result.mitigated.items()) == pytest.approx(1.0, abs=1e-9)
         assert not set(result.removed) & set(result.mitigated)
@@ -239,8 +238,8 @@ class TestWorkedExampleTrends:
         dominants = {B("111000"), B("011010"), B("111010")}
         rng = np.random.default_rng(101)
         noisy = apply_bitflip(sample_shots(ideal, 8192, rng), NoiseSpec(0.15, rng))
-        one = redistribute(noisy, cluster(noisy, ClusterConfig(k=1, flip_rate=0.15)), 0.15)
-        model_two = cluster(noisy, ClusterConfig(k=2, flip_rate=0.15))
+        one = redistribute(noisy, cluster(noisy, 1, 0.15), 0.15)
+        model_two = cluster(noisy, 2, 0.15)
         two = redistribute(noisy, model_two, 0.15)
         assert model_two.centroids[0] == B("111000")
         promoted = model_two.centroids[1]
@@ -264,7 +263,7 @@ class TestOracleEquivalence:
         noisy = apply_bitflip(sample_shots(ideal, 256, rng), NoiseSpec(0.2, rng))
         k = int(rng.integers(1, min(3, len(noisy)) + 1))
         rate = float(rng.uniform(0.01, 0.45))
-        model = cluster(noisy, ClusterConfig(k=k, flip_rate=rate))
+        model = cluster(noisy, k, rate)
         result = redistribute(noisy, model, rate)
 
         masses, removed, claims = brute_force_redistribute(noisy, model, rate)
