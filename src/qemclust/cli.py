@@ -10,13 +10,14 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import io
 from .distributions import hellinger_fidelity, improvement_ratio, normalized_entropy
-from .engine import MitigationConfig, SweepCell, mitigate, sweep
+from .engine import IterationRecord, MitigationConfig, SweepCell, mitigate, sweep
 from .estimator import cross_validate, fit_tree_ensemble, make_synthetic_corpus
 from .noise import RATE_MAX, RATE_RANGE, is_rate
 from .noise import NoiseSpec, SyntheticSpec, apply_bitflip, generate_ideal, sample_shots
@@ -189,6 +190,10 @@ def _resolve_rate(args, noisy) -> float:
     return min(requested, RATE_MAX)
 
 
+# the keys of a report's iteration entry besides "centroids": the record's public fields
+_ITERATION_KEYS = tuple(f.name for f in fields(IterationRecord) if not f.name.startswith("_"))
+
+
 def _cmd_mitigate(args) -> int:
     if (args.p is None) == (args.model is None):
         raise _UsageError("exactly one of --p or --model must be given")
@@ -217,14 +222,7 @@ def _cmd_mitigate(args) -> int:
         "k_used": report.k_used,
         "terminated_by": report.terminated_by,
         "iterations": [
-            {
-                "k": rec.k,
-                "hf_to_previous": rec.hf_to_previous,
-                "centroids": [c.text for c in rec.centroids],
-                "converged": rec.converged,
-                "rounds": rec.rounds,
-                "duplicates": rec.duplicates,
-            }
+            {**{key: getattr(rec, key) for key in _ITERATION_KEYS}, "centroids": [c.text for c in rec.centroids]}
             for rec in report.iterations
         ],
     }

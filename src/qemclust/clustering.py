@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import Mapping
 
 import numpy as np
@@ -26,6 +27,7 @@ from .noise import check_rate
 __all__ = [
     "ClusterModel",
     "EmptyClusterError",
+    "check_k",
     "outlier_threshold",
     "select_initial_centroids",
     "qubitwise_majority_vote",
@@ -53,6 +55,17 @@ def outlier_threshold(width: int, flip_rate: float) -> int:
     return math.ceil(round(2.0 * width * flip_rate * (1.0 - flip_rate), 12))
 
 
+def check_k(k: int, unique: int | None = None, name: str = "k") -> int:
+    """``k`` as an int; ValueError naming ``name`` unless it is a positive
+    integer (``True`` is not 1) and, if given, at most ``unique``."""
+    if isinstance(k, bool) or not hasattr(k, "__index__") or index(k) < 1:
+        raise ValueError(f"{name} must be a positive integer, got {k}")
+    k = index(k)
+    if unique is not None and k > unique:
+        raise ValueError(f"k={k} exceeds the {unique} unique bit-strings present")
+    return k
+
+
 @dataclass(frozen=True)
 class ClusterModel:
     """Result of one clustering run.
@@ -61,7 +74,7 @@ class ClusterModel:
     cluster ``i`` (outlier weight is excluded, so the weights sum to at
     most 1). ``assignments`` maps every non-outlier bit-string to its
     cluster index. Clusters that lost all members were dropped, so
-    ``k`` may be smaller than ``requested_k``.
+    ``k`` may be smaller than ``requested_k``. A model checks its rules.
     """
 
     width: int
@@ -74,6 +87,14 @@ class ClusterModel:
     converged: bool
     rounds: int
 
+    def __post_init__(self) -> None:
+        if not self.centroids:
+            raise ValueError("cluster model has no centroids")
+        if any(c.width != self.width for c in self.centroids):
+            raise ValueError(f"every centroid must have the model's width {self.width}")
+        if len(self.weights) != self.k or not all(0.0 <= w <= 1.0 for w in self.weights):
+            raise ValueError(f"cluster weights must be one value in [0, 1] per centroid, got {self.weights}")
+
     @property
     def k(self) -> int:
         return len(self.centroids)
@@ -81,10 +102,7 @@ class ClusterModel:
 
 def select_initial_centroids(dist: OutcomeDistribution, k: int) -> list[BitString]:
     """The ``k`` highest-weight bit-strings, ties broken by ascending value."""
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if k > len(dist):
-        raise ValueError(f"k={k} exceeds the {len(dist)} unique bit-strings present")
+    k = check_k(k, len(dist))
     view = dist._sorted()
     view_total(view.total)
     return words_to_strings(view.words[top_order(view.weights)[:k]], dist.width)
@@ -208,11 +226,9 @@ def cluster(dist: OutcomeDistribution, k: int, flip_rate: float) -> ClusterModel
     rounds (the model is then flagged unconverged). Clusters whose member
     set becomes empty are dropped.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    theta = outlier_threshold(dist.width, flip_rate)  # checks the rate
-    if k > len(dist):
-        raise ValueError(f"k={k} exceeds the {len(dist)} unique bit-strings present")
+    k = check_k(k)  # k, then the rate, then the unique-string bound
+    theta = outlier_threshold(dist.width, flip_rate)
+    check_k(k, len(dist))
     packed = PackedDistribution(dist, flip_rate)
     words, weights, nearest, outlier, converged, rounds, _ = _cluster_packed(packed, k, theta)
     strings = words_to_strings(packed.words, packed.width)

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
 from ._packed import PackedDistribution
-from .clustering import _cluster_packed, outlier_threshold
+from .clustering import _cluster_packed, check_k, outlier_threshold
 from .distributions import (
     BitString,
     OutcomeDistribution,
@@ -67,8 +67,8 @@ class MitigationConfig:
             raise ValueError(
                 f"stop_threshold must lie in (0, 1), got {self.stop_threshold}"
             )
-        if self.fixed_k is not None and self.fixed_k < 1:
-            raise ValueError(f"fixed_k must be >= 1, got {self.fixed_k}")
+        if self.fixed_k is not None:
+            object.__setattr__(self, "fixed_k", check_k(self.fixed_k, name="fixed_k"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +83,9 @@ class IterationRecord:
     their ``_pack_words`` rows) and the output distribution are built the
     first time they are read. ``degenerate`` is always False (a pass
     conserves mass); it stays while ``perfbench/golden.py`` reads
-    ``report.final_record.degenerate`` (ROADMAP item 1).
+    ``report.final_record.degenerate`` (ROADMAP item 1). The public
+    fields and the centroid texts are a ``mitigate`` report's iteration
+    entry, whose keys the report sorts: a new public field becomes a key.
     """
 
     degenerate: ClassVar[bool] = False
@@ -190,6 +192,8 @@ class SweepCell:
     ``supplied_rate`` is the error rate handed to the mitigator (defaults
     to the true rate); keeping them separate supports mis-estimation
     studies. ``fixed_k`` switches the cell to single-pass fixed-k mode.
+    Field order is the sweep CSV's grid-column order: a new field becomes
+    a column, so fields are only appended.
     """
 
     width: int
@@ -207,7 +211,9 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One (cell, trial) outcome with the fidelities against ground truth."""
+    """One (cell, trial) outcome with the fidelities against ground truth.
+    Its fields after ``cell``, in order, are the sweep CSV's columns after
+    the grid: a new field becomes a column, so fields are only appended."""
 
     cell: SweepCell
     trial: int
@@ -219,6 +225,9 @@ class ExperimentRecord:
     terminated_by: str
     wall_time_s: float
     error: str = ""
+
+
+SCORES = tuple(f.name for f in fields(ExperimentRecord))[3:7]  # hf_noisy to k_used: what cell_means averages
 
 
 def run_trial(cell: SweepCell, trial: int, base_seed: int) -> ExperimentRecord:
@@ -259,18 +268,8 @@ def run_trial(cell: SweepCell, trial: int, base_seed: int) -> ExperimentRecord:
             wall_time_s=wall,
         )
     except Exception as exc:  # record the failure, keep the sweep running
-        return ExperimentRecord(
-            cell=cell,
-            trial=trial,
-            seed=seed,
-            hf_noisy=math.nan,
-            hf_mitigated=math.nan,
-            improvement=math.nan,
-            k_used=-1,
-            terminated_by="error",
-            wall_time_s=math.nan,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        nan = math.nan
+        return ExperimentRecord(cell, trial, seed, nan, nan, nan, -1, "error", nan, f"{type(exc).__name__}: {exc}")
 
 
 def sweep(cells: Iterable[SweepCell], trials: int, base_seed: int = 0, workers: int = 1) -> list[ExperimentRecord]:
@@ -296,22 +295,15 @@ def sweep(cells: Iterable[SweepCell], trials: int, base_seed: int = 0, workers: 
 
 
 def cell_means(records: Sequence[ExperimentRecord]) -> dict[SweepCell, dict[str, float]]:
-    """Arithmetic per-cell means of the scoring columns (failed rows skipped)."""
+    """Per cell, its ``trials`` and ``failures`` and, if a trial succeeded,
+    the left-to-right mean of each of ``SCORES`` over those that did."""
     grouped: dict[SweepCell, list[ExperimentRecord]] = {}
     for rec in records:
         grouped.setdefault(rec.cell, []).append(rec)
     out: dict[SweepCell, dict[str, float]] = {}
     for cell, recs in grouped.items():
         ok = [r for r in recs if not r.error]
-        if not ok:
-            out[cell] = {"trials": len(recs), "failures": len(recs)}
-            continue
-        out[cell] = {
-            "trials": len(recs),
-            "failures": len(recs) - len(ok),
-            "hf_noisy": _left_to_right_sum([r.hf_noisy for r in ok]) / len(ok),
-            "hf_mitigated": _left_to_right_sum([r.hf_mitigated for r in ok]) / len(ok),
-            "improvement": _left_to_right_sum([r.improvement for r in ok]) / len(ok),
-            "k_used": sum(r.k_used for r in ok) / len(ok),
-        }
+        out[cell] = {"trials": len(recs), "failures": len(recs) - len(ok)}
+        if ok:
+            out[cell].update({name: _left_to_right_sum([getattr(r, name) for r in ok]) / len(ok) for name in SCORES})
     return out

@@ -101,18 +101,33 @@ COUNT_FEATURES = FEATURE_NAMES[:6]  # the integer circuit counts
 
 @dataclass(frozen=True)
 class CalibrationSnapshot:
-    """Per-gate-kind error rates and per-qubit readout error rates."""
+    """Per-gate-kind error rates and per-qubit readout error rates.
+
+    Every rate is stored as a float in [0, 1], so the file writer writes
+    what its reader reads; a bool or a non-number is refused.
+    """
 
     gate_errors: Mapping[str, float]
     readout_errors: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for kind, rate in self.gate_errors.items():
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"gate error for {kind!r} must lie in [0, 1], got {rate}")
-        for q, rate in enumerate(self.readout_errors):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"readout error for qubit {q} must lie in [0, 1], got {rate}")
+        gate = {kind: _error_rate(f"gate error for {kind!r}", v) for kind, v in self.gate_errors.items()}
+        readout = tuple(_error_rate(f"readout error for qubit {q}", v) for q, v in enumerate(self.readout_errors))
+        object.__setattr__(self, "gate_errors", gate)
+        object.__setattr__(self, "readout_errors", readout)
+
+
+def _error_rate(name: str, v) -> float:
+    """``v`` as a float; ValueError naming ``name`` unless it lies in [0, 1]."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):  # true is not 1
+        raise ValueError(f"{name} must be a number, got {v!r}")
+    try:
+        v = float(v)
+    except OverflowError:  # an integer too large for a float
+        v = math.inf
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {v}")
+    return v
 
 
 def compute_esp(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import fields
 from itertools import chain
 from operator import countOf, itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -23,7 +24,7 @@ import numpy as np
 
 from ._packed import _pack_words, _unpack_words
 from .distributions import OutcomeDistribution, _left_to_right_sum
-from .engine import ExperimentRecord, SweepCell, cell_means
+from .engine import SCORES, ExperimentRecord, SweepCell, cell_means
 from .estimator import (
     COUNT_FEATURES,
     FEATURE_NAMES,
@@ -251,14 +252,9 @@ def read_calibration(path: str) -> CalibrationSnapshot:
         raise DataFormatError(f"{path}: 'gate_errors' must be an object")
     if not isinstance(readout, list):
         raise DataFormatError(f"{path}: 'readout_errors' must be a list")
-    if not all(_is_number(v) for v in [*gate_errors.values(), *readout]):
-        raise DataFormatError(f"{path}: error rates must be numbers")
-    try:
-        return CalibrationSnapshot(
-            gate_errors={k: _float(v) for k, v in gate_errors.items()},
-            readout_errors=tuple(_float(v) for v in readout),
-        )
-    except (TypeError, ValueError) as exc:
+    try:  # the snapshot checks every rate
+        return CalibrationSnapshot(gate_errors, tuple(readout))
+    except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
@@ -497,35 +493,17 @@ def load_model(path: str) -> TreeEnsemble:
         raise DataFormatError(f"{path}: malformed model file ({exc})") from None
 
 
-SWEEP_CSV_COLUMNS = (
-    "row_type",
-    "width",
-    "num_dominant",
-    "flip_rate",
-    "supplied_rate",
-    "stop_threshold",
-    "shots",
-    "fixed_k",
-    "trial",
-    "seed",
-    "hf_noisy",
-    "hf_mitigated",
-    "improvement",
-    "k_used",
-    "terminated_by",
-    "wall_time_s",
-    "error",
-)
+# the grid columns, then the record's columns after its cell, in field order
+_CELL_COLUMNS = tuple(f.name for f in fields(SweepCell))
+_RECORD_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))[1:]
+SWEEP_CSV_COLUMNS = ("row_type", *_CELL_COLUMNS, *_RECORD_COLUMNS)
 
 
 def _cell_fields(cell: SweepCell) -> dict:
-    """The grid columns of a sweep row. csv writes a float as its repr, and
-    None (no fixed k) or a column a row leaves out as an empty field."""
-    return {
-        "width": cell.width, "num_dominant": cell.num_dominant, "flip_rate": cell.flip_rate,
-        "supplied_rate": cell.mitigation_rate, "stop_threshold": cell.stop_threshold, "shots": cell.shots,
-        "fixed_k": cell.fixed_k,
-    }
+    """The grid columns of a sweep row, ``supplied_rate`` holding the rate
+    used. csv writes a float as its repr, and None (no fixed k) or a column
+    a row leaves out as an empty field."""
+    return {**{name: getattr(cell, name) for name in _CELL_COLUMNS}, "supplied_rate": cell.mitigation_rate}
 
 
 def _cell_key(cell: SweepCell) -> tuple:
@@ -540,22 +518,20 @@ def write_sweep_csv(records: Iterable[ExperimentRecord], path: str, include_timi
     execution order; pass ``include_timing=False`` for byte-reproducible
     files. A failed trial's scores and time read ``nan``, its ``k_used``
     -1, its ``terminated_by`` ``error``, and ``error`` holds the message;
-    a mean covers only the trials that succeeded.
+    a mean row holds the cell's ``SCORES`` means over only the trials that
+    succeeded.
     """
     records = sorted(records, key=lambda r: (_cell_key(r.cell), r.trial))
     means = cell_means(records)
+    untimed = {} if include_timing else {"wall_time_s": ""}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, SWEEP_CSV_COLUMNS)
         writer.writeheader()
         for rec in records:
-            writer.writerow({
-                "row_type": "trial", **_cell_fields(rec.cell), "trial": rec.trial, "seed": rec.seed,
-                "hf_noisy": rec.hf_noisy, "hf_mitigated": rec.hf_mitigated, "improvement": rec.improvement,
-                "k_used": rec.k_used, "terminated_by": rec.terminated_by,
-                "wall_time_s": rec.wall_time_s if include_timing else "", "error": rec.error,
-            })
+            columns = {name: getattr(rec, name) for name in _RECORD_COLUMNS}
+            writer.writerow({"row_type": "trial", **_cell_fields(rec.cell), **columns, **untimed})
         for cell in sorted(means, key=_cell_key):
             stats = means[cell]
-            if "improvement" in stats:  # else every trial of the cell failed
-                scores = {key: stats[key] for key in ("hf_noisy", "hf_mitigated", "improvement", "k_used")}
+            if stats["failures"] < stats["trials"]:
+                scores = {name: stats[name] for name in SCORES}
                 writer.writerow({"row_type": "cell_mean", **_cell_fields(cell), "trial": "mean", **scores})

@@ -58,16 +58,10 @@ def redistribute(noisy: OutcomeDistribution, model: ClusterModel, flip_rate: flo
     """
     if noisy.width != model.width:
         raise ValueError(f"width mismatch: {noisy.width} != {model.width}")
-    check_rate(flip_rate)
-    if not model.centroids:
-        raise ValueError("cluster model has no centroids")
-
-    weights = np.array(model.weights, dtype=float)
-    if weights.shape != (model.k,) or not ((weights >= 0.0) & (weights <= 1.0)).all():
-        raise ValueError(f"cluster weights must be one value in [0, 1] per centroid, got {model.weights}")
-
+    check_rate(flip_rate)  # the model checks its centroids and weights
     packed = PackedDistribution(noisy, flip_rate)
     centroid_words = strings_to_words(model.centroids, packed.width)
+    weights = np.array(model.weights, dtype=np.float64)
     masses, removed_idx, claim, gained = _redistribute_packed(packed, packed.slots(centroid_words), weights)
     mitigated = _mitigated_distribution(noisy, centroid_words, masses, gained, flip_rate)
     if flip_rate == 0:

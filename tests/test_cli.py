@@ -359,11 +359,31 @@ class TestWritersKeepTheirReadersRules:
         assert qio.read_corpus(str(corpus))[0] == [features]
 
     def test_json_write_that_fails_leaves_no_file(self, tmp_path):
-        path = tmp_path / "calibration.json"
-        calibration = CalibrationSnapshot(gate_errors={"2q": np.float32(0.01)}, readout_errors=(0.02,))
+        path = tmp_path / "doc.json"
         with pytest.raises(TypeError):
-            qio.write_calibration(calibration, str(path))
+            qio._dump_json(str(path), {"format": "qemclust-calibration", "rate": np.float32(0.01)})
         assert not path.exists()
+
+    def test_numpy_calibration_rates_are_written_as_read(self, tmp_path):
+        # an np.float32 rate made write_calibration raise; it is stored as a float
+        calibration = CalibrationSnapshot(
+            gate_errors={"2q": np.float32(0.01), "sx": np.int64(0)}, readout_errors=(np.float32(0.02), 1),
+        )
+        assert {type(v) for v in [*calibration.gate_errors.values(), *calibration.readout_errors]} == {float}
+        path = tmp_path / "calibration.json"
+        qio.write_calibration(calibration, str(path))
+        assert qio.read_calibration(str(path)) == calibration
+
+    @pytest.mark.parametrize("value", [True, "0.01", None])
+    @pytest.mark.parametrize("where", ["gate", "readout"])
+    def test_calibration_rates_are_numbers(self, value, where):
+        # true was written as a file read_calibration refuses, and a string
+        # failed in the range comparison with a TypeError
+        gate, readout = ({"sx": value}, ()) if where == "gate" else ({}, (0.01, value))
+        with pytest.raises(ValueError) as err:
+            CalibrationSnapshot(gate_errors=gate, readout_errors=readout)
+        name = "gate error for 'sx'" if where == "gate" else "readout error for qubit 1"
+        assert str(err.value) == f"{name} must be a number, got {value!r}"
 
 
 class TestDistributionFiles:

@@ -467,6 +467,18 @@ class TestClusterArguments:
             cluster(self.D, k, flip_rate)
         assert str(err.value) == message
 
+    # a float k failed inside numpy's slicing with a TypeError, and True ran as 1
+    @pytest.mark.parametrize("k", [2.0, 1.5, True, "2"])
+    @pytest.mark.parametrize("call", [lambda d, k: cluster(d, k, 0.1), select_initial_centroids], ids=["cluster", "seeds"])
+    def test_k_is_an_integer(self, call, k):
+        with pytest.raises(ValueError) as err:
+            call(self.D, k)
+        assert str(err.value) == f"k must be a positive integer, got {k}"
+
+    def test_numpy_k_is_an_int(self):
+        assert cluster(self.D, np.int64(2), 0.1).requested_k == 2
+        assert select_initial_centroids(self.D, np.uint8(3)) == [B("000"), B("011"), B("111")]
+
 
 class TestLargeClusterVote:
     def test_one_cluster_past_the_einsum_buffer(self):

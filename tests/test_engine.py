@@ -315,6 +315,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MitigationConfig(flip_rate=0.1, fixed_k=0)
 
+    # 2.5 failed later inside mitigate, and True ran with a report k_used of True
+    @pytest.mark.parametrize("fixed_k", [2.5, 2.0, True, "2"])
+    def test_fixed_k_is_an_integer(self, fixed_k):
+        with pytest.raises(ValueError) as err:
+            MitigationConfig(flip_rate=0.1, fixed_k=fixed_k)
+        assert str(err.value) == f"fixed_k must be a positive integer, got {fixed_k}"
+
+    def test_numpy_fixed_k_is_stored_as_an_int(self):
+        cfg = MitigationConfig(flip_rate=0.1, fixed_k=np.int64(2))
+        assert type(cfg.fixed_k) is int
+        assert type(mitigate(WORKED_IDEAL, cfg).k_used) is int
+
 
 def _untimed(records):
     return [replace(rec, wall_time_s=0.0) for rec in records]

@@ -156,6 +156,31 @@ class TestRedistribute:
         with pytest.raises(ValueError, match="cluster weights"):
             redistribute(noisy, manual_model(3, [B("000"), B("111")], weights), 0.1)
 
+    def test_cluster_model_checks_its_centroids(self):
+        # a wider centroid gave a 3-qubit output holding the value 12, which
+        # wrote a distribution file with the key "100" twice
+        with pytest.raises(ValueError, match="every centroid must have the model's width 3"):
+            manual_model(3, [BitString(12, 4)], [0.5])
+        with pytest.raises(ValueError, match="cluster model has no centroids"):
+            manual_model(3, [], [])
+
+
+class TestStepApiMatchesEngine:
+    """``redistribute`` of ``cluster``'s model gives the engine's fixed-k
+    output bit for bit: the same words, in the same order, and the same
+    weight bytes, at widths below and above one 64-bit word."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.05, 0.2])
+    @pytest.mark.parametrize("width", [5, 14, 70])
+    def test_same_words_and_weight_bytes(self, width, rate):
+        for seed in range(4):
+            _, noisy = _instance(width, 3, rate, 512, seed=seed)
+            for k in (1, 2, 4):
+                got = redistribute(noisy, cluster(noisy, min(k, len(noisy)), rate), rate).mitigated
+                want = mitigate(noisy, MitigationConfig(rate, fixed_k=k)).final
+                assert got._words.tobytes() == want._words.tobytes()
+                assert got._weights.tobytes() == want._weights.tobytes()
+
 
 class TestMassConservation:
     """A pass moves mass and never destroys it: the surviving row masses
